@@ -43,6 +43,21 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") % (2**31)
 
 
+def _to_number(name: str, kind: type, value):
+    """int(value) or float(value); anything else, NaN and inf included, is a usage error."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError("boolean")
+        out = kind(value)
+        if kind is float and not math.isfinite(out):
+            raise ValueError("not finite")
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError("not integral")
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{name}: expected a finite {kind.__name__}, got {value!r}") from None
+    return out
+
+
 def _metric_or_usage(name: str) -> str:
     try:
         return canonical_metric(name)
@@ -131,8 +146,20 @@ class _Options:
             return self.file[name]
         return default
 
+    def number(self, name: str, kind: type, default=None):
+        """get() converted to int or float; a value that does not convert is a usage error."""
+        value = self.get(name, default)
+        return None if value is None else _to_number(name, kind, value)
+
+    def floats(self, name: str, default: str) -> list[float]:
+        """A JSON list or comma-separated string of floats."""
+        raw = self.get(name, default)
+        if not isinstance(raw, (list, tuple)):
+            raw = [v for v in str(raw).split(",") if v != ""]
+        return [_to_number(name, float, v) for v in raw]
+
     def seed(self) -> int:
-        return int(self.get("seed", 0))
+        return self.number("seed", int, 0)
 
     def outdir(self, required: bool = True) -> str | None:
         out = self.get("out")
@@ -144,11 +171,7 @@ class _Options:
         return out
 
     def epsilons(self, default="0") -> list[float]:
-        raw = self.get("epsilon", default)
-        if isinstance(raw, (list, tuple)):
-            values = [float(v) for v in raw]
-        else:
-            values = [float(v) for v in str(raw).split(",") if v != ""]
+        values = self.floats("epsilon", default)
         if not values:
             raise UsageError("--epsilon needs at least one value")
         for v in values:
@@ -157,14 +180,14 @@ class _Options:
         return values
 
     def noise_model(self) -> NoiseModel | None:
-        p = self.get("noise")
+        p = self.number("noise", float)
         path = self.get("noise_model")
         if p is not None and path is not None:
             raise UsageError("--noise and --noise-model are mutually exclusive")
         if path is not None:
             return load_noise_model(path)
-        if p is not None and float(p) > 0.0:
-            return NoiseModel.from_error_rate(float(p))
+        if p is not None and p > 0.0:
+            return NoiseModel.from_error_rate(p)
         return None
 
     def dataset(self) -> tuple[LabeledDataset, str]:
@@ -172,30 +195,36 @@ class _Options:
         if path is not None:
             ds = load_csv(path, has_header=bool(self.get("has_header", False)))
             return ds, os.path.basename(path)
-        n_classes = int(self.get("classes", 4))
-        dim = int(self.get("dim", 8))
-        per_class = int(self.get("per_class", 250))
-        spread = float(self.get("spread", 0.25))
-        ds = synth_clusters(n_classes, dim, per_class, spread, seed=self.seed())
-        return ds, f"synth-c{n_classes}-d{dim}-s{self.seed()}"
+        ds = self.synth()
+        return ds, f"synth-c{ds.n_classes}-d{ds.dim}-s{self.seed()}"
+
+    def synth(self) -> LabeledDataset:
+        return synth_clusters(
+            self.number("classes", int, 4),
+            self.number("dim", int, 8),
+            self.number("per_class", int, 250),
+            self.number("spread", float, 0.25),
+            seed=self.seed(),
+        )
 
     def encoder_for(self, dim: int) -> EncoderConfig:
-        qubits = int(self.get("qubits", 4))
-        kind = self.get("encoder", "angle")
-        if kind == "amplitude":
+        qubits = self.number("qubits", int, 4)
+        if self.get("encoder", "angle") == "amplitude":
             return EncoderConfig("amplitude", qubits)
-        fpq = self.get("features_per_qubit")
-        fpq = int(fpq) if fpq is not None else max(1, math.ceil(dim / qubits))
-        return EncoderConfig("angle", qubits, fpq)
+        return EncoderConfig("angle", qubits, self.features_per_qubit(dim, qubits))
+
+    def features_per_qubit(self, dim: int, qubits: int) -> int:
+        fpq = self.number("features_per_qubit", int)
+        return fpq if fpq is not None else max(1, math.ceil(dim / qubits))
 
     def train_config(self, seed: int, noise: NoiseModel | None) -> TrainConfig:
         return TrainConfig(
-            epochs=int(self.get("epochs", 30)),
-            learning_rate=float(self.get("lr", 0.01)),
-            batch_size=int(self.get("batch", 32)),
+            epochs=self.number("epochs", int, 30),
+            learning_rate=self.number("lr", float, 0.01),
+            batch_size=self.number("batch", int, 32),
             seed=seed,
             noise=noise,
-            shots=int(self.get("shots", 0)),
+            shots=self.number("shots", int, 0),
         )
 
     def resolved(self) -> dict:
@@ -239,13 +268,7 @@ def cmd_gen_data(args) -> int:
     out_path = options.get("out")
     if out_path is None:
         raise UsageError("--out is required (CSV file path)")
-    ds = synth_clusters(
-        int(options.get("classes", 4)),
-        int(options.get("dim", 8)),
-        int(options.get("per_class", 250)),
-        float(options.get("spread", 0.25)),
-        seed=options.seed(),
-    )
+    ds = options.synth()
     save_csv(ds, out_path)
     _write_json(
         out_path + ".provenance.json",
@@ -272,7 +295,7 @@ def cmd_ess_validate(args) -> int:
     model = options.noise_model()
     metric_opt = options.get("metric")
     metrics = [_metric_or_usage(metric_opt)] if metric_opt else list(METRICS)
-    holdout = float(options.get("holdout", 0.5))
+    holdout = options.number("holdout", float, 0.5)
     rows, class_rows, summary = [], [], {}
     for metric in metrics:
         report = validate_ess(
@@ -299,19 +322,14 @@ def cmd_encode_compare(args) -> int:
     out = options.outdir()
     started = time.time()
     ds, _tag = options.dataset()
-    qubits = int(options.get("qubits", 4))
-    fpq = options.get("features_per_qubit")
-    fpq = int(fpq) if fpq is not None else max(1, math.ceil(ds.dim / qubits))
+    qubits = options.number("qubits", int, 4)
+    fpq = options.features_per_qubit(ds.dim, qubits)
     cfgs = [EncoderConfig("angle", qubits, fpq), EncoderConfig("amplitude", qubits)]
     ds = _scaled(ds, cfgs[0])
     metric = _metric_or_usage(options.get("metric", "frobenius"))
-    levels_raw = options.get("noise_levels", "0,0.05,0.1")
-    if isinstance(levels_raw, (list, tuple)):
-        levels = [float(v) for v in levels_raw]
-    else:
-        levels = [float(v) for v in str(levels_raw).split(",") if v != ""]
+    levels = options.floats("noise_levels", "0,0.05,0.1")
     cells = compare_encodings(
-        ds, cfgs, metric, levels, holdout_fraction=float(options.get("holdout", 0.5)),
+        ds, cfgs, metric, levels, holdout_fraction=options.number("holdout", float, 0.5),
         seed=options.seed(),
     )
     _write_csv(
@@ -365,7 +383,7 @@ def cmd_poison(args) -> int:
 def _build_model(options: _Options, ds: LabeledDataset, seed: int):
     cfg = options.encoder_for(ds.dim)
     template = build_template(
-        options.get("pqc", "pqc1"), cfg.n_qubits, int(options.get("layers", 1))
+        options.get("pqc", "pqc1"), cfg.n_qubits, options.number("layers", int, 1)
     )
     return init_model(cfg, template, ds.n_classes, seed=seed), cfg
 
@@ -382,7 +400,7 @@ def cmd_train(args) -> int:
         test_set = load_csv(test_path, has_header=bool(options.get("has_header", False)))
     else:
         train_set, test_set = split(
-            ds, float(options.get("train_fraction", 0.7)), stratified=True, seed=seed
+            ds, options.number("train_fraction", float, 0.7), stratified=True, seed=seed
         )
     model, cfg = _build_model(options, ds, seed)
     train_set = _scaled(train_set, cfg)
@@ -416,7 +434,7 @@ def cmd_evaluate(args) -> int:
     ds = _scaled(ds, model.encoder)
     acc, loss = evaluate(
         model, ds, noise=options.noise_model(),
-        shots=int(options.get("shots", 0)), seed=options.seed(),
+        shots=options.number("shots", int, 0), seed=options.seed(),
     )
     print(f"accuracy={acc:.4f} loss={loss:.4f}")
     out = options.outdir(required=False)
@@ -476,7 +494,7 @@ def cmd_experiment(args) -> int:
     cfg = options.encoder_for(ds.dim)
     ds = _scaled(ds, cfg)
     train_set, test_set = split(
-        ds, float(options.get("train_fraction", 0.7)), stratified=True, seed=seed
+        ds, options.number("train_fraction", float, 0.7), stratified=True, seed=seed
     )
     modes_raw = options.get("modes", "none,random_flip,quid")
     modes = modes_raw if isinstance(modes_raw, list) else str(modes_raw).split(",")
@@ -485,7 +503,7 @@ def cmd_experiment(args) -> int:
             raise UsageError(f"unknown attack mode {mode!r}")
     eps_list = options.epsilons()
     pqc_name = options.get("pqc", "pqc1")
-    layers = int(options.get("layers", 1))
+    layers = options.number("layers", int, 1)
     metric = _metric_or_usage(options.get("metric", "frobenius"))
     noise = options.noise_model()
     base_train = options.train_config(seed=0, noise=noise)
@@ -510,7 +528,7 @@ def cmd_experiment(args) -> int:
                 }
             )
 
-    workers = int(options.get("workers", 1))
+    workers = options.number("workers", int, 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_experiment_cell, payloads))
@@ -556,9 +574,9 @@ def cmd_defend(args) -> int:
     cfg = options.encoder_for(ds.dim)
     ds = _scaled(ds, cfg)
     train_set, test_set = split(
-        ds, float(options.get("train_fraction", 0.7)), stratified=True, seed=seed
+        ds, options.number("train_fraction", float, 0.7), stratified=True, seed=seed
     )
-    k = int(options.get("k", 3))
+    k = options.number("k", int, 3)
     metric = _metric_or_usage(options.get("metric", "frobenius"))
     noise = options.noise_model()
     rows = []

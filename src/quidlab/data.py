@@ -83,6 +83,8 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
                 feats = [float(c) for c in cells[:-1]]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric feature ({exc})") from exc
+            if not all(math.isfinite(v) for v in feats):
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
             try:
                 label = int(cells[-1])
             except ValueError as exc:

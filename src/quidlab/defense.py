@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledDataset
+from .errors import DataFormatError
 from .noise import NoiseModel
 from .qnn import QnnModel, TrainConfig, TrainReport, load_model, save_model, train
 from .qnn import _forward_from_states  # shared forward path
@@ -156,9 +157,17 @@ def save_ensemble(ensemble: EnsembleModel, directory) -> None:
 
 
 def load_ensemble(directory) -> EnsembleModel:
-    with open(os.path.join(directory, "partition_map.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    members = [
-        load_model(os.path.join(directory, f"member_{j}.json")) for j in range(meta["k"])
-    ]
-    return EnsembleModel(members, np.array(meta["assignment"], dtype=np.int64))
+    """Read an ensemble directory; any malformed content raises DataFormatError."""
+    path = os.path.join(directory, "partition_map.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        k = int(meta["k"])
+        assignment = np.array(meta["assignment"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed partition map ({exc!r})") from exc
+    members = [load_model(os.path.join(directory, f"member_{j}.json")) for j in range(k)]
+    return EnsembleModel(members, assignment)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simcore
 from .errors import DataFormatError
 from .noise import NoiseModel, noisy_apply_stack
-from .simcore import DensityMatrix, GateOp, apply_gate_stack
+from .simcore import DensityMatrix, GateOp, KrausChannel, apply_gate_stack, gate_matrix
 
 PRESETS = ("pqc1", "pqc6", "pqc8")
 
@@ -87,14 +88,16 @@ class PqcTemplate:
                 )
                 for e in raw["gates"]
             )
-            return cls(
+            tpl = cls(
                 name=raw["name"],
                 n_qubits=int(raw["n_qubits"]),
                 layers=int(raw["layers"]),
                 gates=gates,
                 param_count=int(raw["param_count"]),
             )
-        except (KeyError, TypeError) as exc:
+            bound_gates(tpl, np.zeros(tpl.param_count))  # unknown gate names, bad arities
+            return tpl
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"malformed template registry entry: {exc}") from exc
 
 
@@ -200,6 +203,37 @@ def apply_pqc_stack(
         else:
             stack = noisy_apply_stack(stack, op, model, n)
     return stack
+
+
+def z_observables(
+    tpl: PqcTemplate, theta: np.ndarray, model: NoiseModel | None = None
+) -> np.ndarray:
+    """The (n, 2^n, 2^n) stack of Z_q observables pulled back through the template.
+
+    Heisenberg picture (Nielsen & Chuang, section 8.2): walking the gates from
+    last to first, each observable O passes through the adjoint of the gate's
+    noise, sum_k K_k^dag O K_k (touched qubits and their channels in reverse
+    order), and then through U^dag O U. Tr(rho O_q) is then <Z_q> of the
+    template's output for any input state rho.
+    """
+    n = tpl.n_qubits
+    dim = 1 << n
+    bits = (np.arange(dim) >> (n - 1 - np.arange(n))[:, None]) & 1
+    obs = np.zeros((n, dim, dim), dtype=complex)
+    obs[:, np.arange(dim), np.arange(dim)] = 1.0 - 2.0 * bits
+    # apply_operator_stack is looked up on simcore at call time, so wrappers
+    # installed there (perfbench/spans.py) also see these calls
+    apply = simcore.apply_operator_stack
+    channels: dict[str, list[KrausChannel]] = {}
+    for op in reversed(bound_gates(tpl, theta)):
+        if model is not None:
+            if op.name not in channels:
+                channels[op.name] = model.channels_for(op.name)
+            for qubit in reversed(op.targets):
+                for ch in reversed(channels[op.name]):
+                    obs = sum(apply(obs, k.conj().T, (qubit,), n) for k in ch.operators)
+        obs = apply(obs, gate_matrix(op.name, op.param).conj().T, op.targets, n)
+    return obs
 
 
 def apply_pqc(

@@ -295,3 +295,55 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+BAD_INPUTS = [
+    # (name, subcommand args, file to write under tmp_path, its content, exit code)
+    ("checkpoint missing keys", ["evaluate", "--model", "{f}", "--data", "{data}"],
+     "model.json", '{"format_version": 1}', 3),
+    ("checkpoint not an object", ["evaluate", "--model", "{f}", "--data", "{data}"],
+     "model.json", "[1, 2]", 3),
+    ("checkpoint bad shapes", ["evaluate", "--model", "{f}", "--data", "{data}"],
+     "model.json", '{"format_version": 1, "encoder": {"kind": "angle", "n_qubits": 2, '
+     '"features_per_qubit": 1, "scale_range": [0, 1]}, "template": {"name": "t", '
+     '"n_qubits": 2, "layers": 1, "param_count": 0, "gates": []}, "theta": [], '
+     '"head_weights": [1], "head_bias": [0], "n_classes": 2}', 3),
+    ("checkpoint unknown gate", ["evaluate", "--model", "{f}", "--data", "{data}"],
+     "model.json", '{"format_version": 1, "encoder": {"kind": "angle", "n_qubits": 1, '
+     '"features_per_qubit": 2, "scale_range": [0, 1]}, "template": {"name": "t", '
+     '"n_qubits": 1, "layers": 1, "param_count": 0, "gates": [{"gate": "FOO", '
+     '"targets": [0]}]}, "theta": [], "head_weights": [[1], [0]], "head_bias": [0, 0], '
+     '"n_classes": 2}', 3),
+    ("config qubits not a number", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"qubits": "four"}', 2),
+    ("config lr not finite", ["train", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"lr": "nan"}', 2),
+    ("config epsilon list item", ["poison", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"epsilon": "0.x"}', 2),
+    ("config fractional seed", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"seed": 1.5}', 2),
+    ("csv nan feature", ["train", "--data", "{f}", "--epochs", "1"],
+     "nan.csv", "0.1,0.2,0\n0.3,nan,1\n0.5,0.6,0\n0.7,0.8,1\n", 3),
+    ("csv inf feature", ["train", "--data", "{f}", "--epochs", "1"],
+     "inf.csv", "0.1,0.2,0\n0.3,0.4,1\n0.5,inf,0\n0.7,0.8,1\n", 3),
+]
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
+    import subprocess
+    import sys
+
+    _name, argv, fname, content, code = case
+    data = tmp_path / "d.csv"
+    data.write_text("".join(f"0.{i},1.{i},{i % 2}\n" for i in range(8)))
+    (tmp_path / fname).write_text(content)
+    argv = [a.format(f=tmp_path / fname, data=data) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "quidlab.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -39,6 +39,10 @@ def test_load_rejects_bad_cells(tmp_path):
     path.write_text("")
     with pytest.raises(DataFormatError, match="no data rows"):
         load_csv(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"0.1,0.2,0\n0.3,{bad},1\n")
+        with pytest.raises(DataFormatError, match=":2: non-finite"):
+            load_csv(path)
 
 
 def test_save_load_roundtrip_is_bit_exact(tmp_path):

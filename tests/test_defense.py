@@ -14,6 +14,7 @@ from quidlab.defense import (
     vote,
 )
 from quidlab.encode import EncoderConfig, scale_features
+from quidlab.errors import DataFormatError
 from quidlab.pqc import build_template
 from quidlab.qnn import TrainConfig, init_model, train
 
@@ -171,3 +172,20 @@ def test_ensemble_checkpoint_roundtrip(tmp_path):
     for a, b in zip(back.members, ensemble.members):
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.head_weights, b.head_weights)
+
+
+@pytest.mark.parametrize(
+    "partition_map",
+    ["{not json", '{"assignment": [0, 1]}', '{"k": 1}', '{"k": "two", "assignment": []}', "[3]"],
+)
+def test_load_ensemble_rejects_malformed_partition_map(tmp_path, partition_map):
+    (tmp_path / "partition_map.json").write_text(partition_map)
+    with pytest.raises(DataFormatError, match="partition_map.json"):
+        load_ensemble(tmp_path)
+
+
+def test_load_ensemble_rejects_malformed_member(tmp_path):
+    (tmp_path / "partition_map.json").write_text('{"k": 1, "assignment": [0]}')
+    (tmp_path / "member_0.json").write_text('{"format_version": 1}')
+    with pytest.raises(DataFormatError, match="member_0.json"):
+        load_ensemble(tmp_path)

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_pure_state
+from conftest import random_density_matrix, random_pure_state
+from quidlab.encode import EncoderConfig, encode_batch
 from quidlab.noise import NoiseModel
 from quidlab.pqc import (
+    PRESETS,
     PqcTemplate,
     TemplateGate,
     apply_pqc,
+    apply_pqc_stack,
     build_template,
     load_template,
     save_template,
+    z_observables,
 )
-from quidlab.simcore import DensityMatrix, ground_state
+from quidlab.simcore import DensityMatrix, expect_z_stack, ground_state
 
 
 @pytest.mark.parametrize(
@@ -118,3 +124,53 @@ def test_fixed_angle_entries_apply():
     out = apply_pqc(ground_state(1), tpl, np.array([np.pi / 2]))
     # two quarter-turns = RX(pi): |0> -> |1>
     assert np.allclose(np.diag(out.data).real, [0.0, 1.0], atol=1e-12)
+
+
+READOUT_NOISE = {
+    "noiseless": None,
+    "p=0.05": NoiseModel.from_error_rate(0.05),
+    # non-unital damping on the entangling gate only: a wrong adjoint order shows
+    "crx-damping": NoiseModel(per_gate={"crx": (("amplitude_damping", 0.3),)}),
+}
+
+
+def schrodinger_z(states, tpl, theta, model):
+    """<Z_q> of every state pushed forward through the template: the oracle."""
+    out = apply_pqc_stack(states, tpl, theta, model)
+    return np.column_stack([expect_z_stack(out, q, tpl.n_qubits) for q in range(tpl.n_qubits)])
+
+
+def heisenberg_z(states, tpl, theta, model):
+    """Tr(rho O_q) against the pulled-back observables."""
+    return np.einsum("bij,qji->bq", states, z_observables(tpl, theta, model)).real
+
+
+@pytest.mark.parametrize("noise", list(READOUT_NOISE))
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("name", PRESETS)
+def test_heisenberg_readout_matches_kraus_forward(name, layers, noise, rng):
+    model = READOUT_NOISE[noise]
+    for n in range(1 if name == "pqc1" else 2, 6):
+        tpl = build_template(name, n, layers)
+        theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
+        angle = encode_batch(rng.uniform(0, 2 * np.pi, (3, 2 * n)), EncoderConfig("angle", n, 2), model)
+        amplitude = encode_batch(rng.uniform(0.1, 1.0, (3, 1 << n)), EncoderConfig("amplitude", n), model)
+        for states in (angle, amplitude):
+            got = heisenberg_z(states, tpl, theta, model)
+            assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_heisenberg_readout_property(data):
+    name = data.draw(st.sampled_from(PRESETS))
+    n = data.draw(st.integers(2, 3))
+    tpl = build_template(name, n, data.draw(st.integers(1, 2)))
+    angle = st.floats(-2 * np.pi, 2 * np.pi)
+    theta = np.array(data.draw(st.lists(angle, min_size=tpl.param_count, max_size=tpl.param_count)))
+    p = data.draw(st.floats(0.0, 1.0))
+    model = NoiseModel.from_error_rate(p) if p else None
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1))))
+    states = np.stack([random_density_matrix(rng, n) for _ in range(4)])
+    got = heisenberg_z(states, tpl, theta, model)
+    assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from quidlab import qnn
 from quidlab.data import LabeledDataset, split, synth_clusters
 from quidlab.encode import EncoderConfig, encode_batch, scale_features
 from quidlab.noise import NoiseModel
-from quidlab.pqc import build_template
+from quidlab.pqc import apply_pqc_stack, build_template
+from quidlab.simcore import expect_z_stack
 from quidlab.qnn import (
     QnnModel,
     TrainConfig,
@@ -19,6 +21,7 @@ from quidlab.qnn import (
     load_model,
     save_model,
     spsa_estimate,
+    softmax,
     spsa_gradient,
     train,
 )
@@ -145,6 +148,33 @@ def test_head_gradient_matches_finite_differences(rng):
         bm[i] -= h
         fd = (loss_at(model.head_weights, bp) - loss_at(model.head_weights, bm)) / (2 * h)
         assert grad_b[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def schrodinger_forward(model, states, theta, noise, shots, rng):
+    """Forward pass that pushes every state through the PQC: the readout oracle."""
+    n = model.encoder.n_qubits
+    out = apply_pqc_stack(states, model.template, theta, noise)
+    z = np.column_stack([expect_z_stack(out, q, n) for q in range(n)])
+    if shots:
+        z = 2.0 * rng.binomial(shots, np.clip((1.0 + z) / 2.0, 0.0, 1.0)) / shots - 1.0
+    return softmax(z @ model.head_weights.T + model.head_bias), z
+
+
+@pytest.mark.parametrize("shots", [0, 64])
+def test_train_matches_schrodinger_forward(monkeypatch, shots):
+    # with shots, any extra or missing draw shifts every later SPSA direction
+    ds = separable_dataset(per_class=6)
+    tr, te = split(ds, 0.75, stratified=True, seed=2)
+    model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc8", 4, 1), 4, seed=2)
+    cfg = TrainConfig(epochs=2, batch_size=8, seed=5, shots=shots,
+                      noise=NoiseModel.from_error_rate(0.05))
+    got = train(model, tr, te, cfg)
+    monkeypatch.setattr(qnn, "_forward_from_states", schrodinger_forward)
+    want = train(model, tr, te, cfg)
+    assert np.allclose(got.model.theta, want.model.theta, rtol=0, atol=1e-12)
+    assert np.allclose(got.model.head_weights, want.model.head_weights, rtol=0, atol=1e-12)
+    assert np.allclose(got.train_loss, want.train_loss, rtol=0, atol=1e-12)
+    assert got.test_accuracy == want.test_accuracy
 
 
 def test_adam_zero_gradient_is_identity():
