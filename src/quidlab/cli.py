@@ -17,21 +17,22 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .data import LabeledDataset, load_csv, save_csv, split, synth_clusters
+from .data import DEFAULT_RANGE, LabeledDataset, load_csv, save_csv, split, synth_clusters
 from .defense import DefenseConfig, evaluate_ensemble, train_ensemble
-from .encode import DEFAULT_SCALE_RANGE, EncoderConfig, scale_features
-from .errors import DataFormatError, DegenerateInputError, QuidlabError
+from .encode import EncoderConfig, scale_features
+from .errors import CapacityError, DataFormatError, DegenerateInputError, QuidlabError
 from .ess import canonical_metric, compare_encodings, validate_ess, METRICS
 from .noise import NoiseModel, load_noise_model
 from .pqc import PRESETS, build_template
 from .poison import MODES, PoisonSpec, apply_poison, write_outcome_csv
-from .qnn import TrainConfig, evaluate, init_model, load_model, save_model, train
+from .qnn import QnnModel, TrainConfig, evaluate, init_model, load_model, save_model, train
 
 
 class UsageError(QuidlabError):
@@ -56,6 +57,26 @@ def _to_number(name: str, kind: type, value):
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{name}: expected a finite {kind.__name__}, got {value!r}") from None
     return out
+
+
+# the flag that sets each config field whose range its class checks
+_FIELD_FLAGS = {
+    "n_qubits": "--qubits", "features_per_qubit": "--features-per-qubit", "layers": "--layers",
+    "epochs": "--epochs", "learning_rate": "--lr", "batch_size": "--batch", "shots": "--shots",
+    "k": "--k",
+}
+
+
+def _configured(make, *args, **kwargs):
+    """make(*args, **kwargs); a range error becomes a usage error naming the flag.
+
+    The config classes start each range message with the field it rejects.
+    """
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, CapacityError) as exc:
+        flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
+        raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from None
 
 
 def _metric_or_usage(name: str) -> str:
@@ -207,18 +228,33 @@ class _Options:
             seed=self.seed(),
         )
 
-    def encoder_for(self, dim: int) -> EncoderConfig:
-        qubits = self.number("qubits", int, 4)
-        if self.get("encoder", "angle") == "amplitude":
-            return EncoderConfig("amplitude", qubits)
-        return EncoderConfig("angle", qubits, self.features_per_qubit(dim, qubits))
-
-    def features_per_qubit(self, dim: int, qubits: int) -> int:
+    def encoder_for(self, dim: int, kind: str | None = None) -> EncoderConfig:
+        """The --encoder encoder (or the given kind); angle blocks cover dim features by default."""
+        if kind is None:
+            kind = "amplitude" if self.get("encoder", "angle") == "amplitude" else "angle"
+        cfg = _configured(EncoderConfig, kind, self.number("qubits", int, 4))
+        if kind == "amplitude":
+            return cfg
         fpq = self.number("features_per_qubit", int)
-        return fpq if fpq is not None else max(1, math.ceil(dim / qubits))
+        if fpq is None:
+            fpq = max(1, math.ceil(dim / cfg.n_qubits))
+        return _configured(replace, cfg, features_per_qubit=fpq)
+
+    def scaled_dataset(self) -> tuple[LabeledDataset, LabeledDataset, EncoderConfig, str]:
+        """(raw dataset, dataset scaled into the encoder range, encoder, dataset tag)."""
+        raw, tag = self.dataset()
+        cfg = self.encoder_for(raw.dim)
+        return raw, _scaled(raw, cfg), cfg, tag
+
+    def train_test(self, ds: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:
+        """The stratified --train-fraction split, seeded by --seed."""
+        return split(
+            ds, self.number("train_fraction", float, 0.7), stratified=True, seed=self.seed()
+        )
 
     def train_config(self, seed: int, noise: NoiseModel | None) -> TrainConfig:
-        return TrainConfig(
+        return _configured(
+            TrainConfig,
             epochs=self.number("epochs", int, 30),
             learning_rate=self.number("lr", float, 0.01),
             batch_size=self.number("batch", int, 32),
@@ -278,7 +314,7 @@ def cmd_gen_data(args) -> int:
             "dim": ds.dim,
             "n_classes": ds.n_classes,
             "seed": options.seed(),
-            "value_range": list(DEFAULT_SCALE_RANGE),
+            "value_range": list(DEFAULT_RANGE),
         },
     )
     print(f"wrote {len(ds)} samples to {out_path}")
@@ -289,9 +325,7 @@ def cmd_ess_validate(args) -> int:
     options = _Options(args)
     out = options.outdir()
     started = time.time()
-    ds, _tag = options.dataset()
-    cfg = options.encoder_for(ds.dim)
-    ds = _scaled(ds, cfg)
+    _raw, ds, cfg, _tag = options.scaled_dataset()
     model = options.noise_model()
     metric_opt = options.get("metric")
     metrics = [_metric_or_usage(metric_opt)] if metric_opt else list(METRICS)
@@ -322,9 +356,7 @@ def cmd_encode_compare(args) -> int:
     out = options.outdir()
     started = time.time()
     ds, _tag = options.dataset()
-    qubits = options.number("qubits", int, 4)
-    fpq = options.features_per_qubit(ds.dim, qubits)
-    cfgs = [EncoderConfig("angle", qubits, fpq), EncoderConfig("amplitude", qubits)]
+    cfgs = [options.encoder_for(ds.dim, "angle"), options.encoder_for(ds.dim, "amplitude")]
     ds = _scaled(ds, cfgs[0])
     metric = _metric_or_usage(options.get("metric", "frobenius"))
     levels = options.floats("noise_levels", "0,0.05,0.1")
@@ -353,8 +385,7 @@ def cmd_poison(args) -> int:
     mode = options.get("mode", "quid")
     if mode not in MODES:
         raise UsageError(f"--mode must be one of {MODES}")
-    ds, _tag = options.dataset()
-    cfg = options.encoder_for(ds.dim)
+    ds, scaled, cfg, _tag = options.scaled_dataset()
     spec = PoisonSpec(
         epsilon=eps[0],
         mode=mode,
@@ -362,7 +393,7 @@ def cmd_poison(args) -> int:
         seed=options.seed(),
         noise=options.noise_model(),
     )
-    outcome = apply_poison(_scaled(ds, cfg), spec, cfg)
+    outcome = apply_poison(scaled, spec, cfg)
     # labels (and, for bilevel, the drawn features) land on the raw dataset,
     # so an epsilon=0 run writes a byte-identical copy of the input
     written = ds.replace(labels=outcome.dataset.labels.copy())
@@ -380,12 +411,11 @@ def cmd_poison(args) -> int:
     return 0
 
 
-def _build_model(options: _Options, ds: LabeledDataset, seed: int):
-    cfg = options.encoder_for(ds.dim)
-    template = build_template(
-        options.get("pqc", "pqc1"), cfg.n_qubits, options.number("layers", int, 1)
+def _build_model(options: _Options, cfg: EncoderConfig, n_classes: int, seed: int) -> QnnModel:
+    template = _configured(
+        build_template, options.get("pqc", "pqc1"), cfg.n_qubits, options.number("layers", int, 1)
     )
-    return init_model(cfg, template, ds.n_classes, seed=seed), cfg
+    return init_model(cfg, template, n_classes, seed=seed)
 
 
 def cmd_train(args) -> int:
@@ -399,10 +429,9 @@ def cmd_train(args) -> int:
         train_set = ds
         test_set = load_csv(test_path, has_header=bool(options.get("has_header", False)))
     else:
-        train_set, test_set = split(
-            ds, options.number("train_fraction", float, 0.7), stratified=True, seed=seed
-        )
-    model, cfg = _build_model(options, ds, seed)
+        train_set, test_set = options.train_test(ds)
+    cfg = options.encoder_for(ds.dim)
+    model = _build_model(options, cfg, ds.n_classes, seed)
     train_set = _scaled(train_set, cfg)
     test_set = _scaled(test_set, cfg)
     noise = options.noise_model()
@@ -444,36 +473,16 @@ def cmd_evaluate(args) -> int:
 
 
 def _run_experiment_cell(payload: dict) -> dict:
-    """One (epsilon, mode) cell: poison -> train -> evaluate. Pool-safe."""
+    """One sweep cell: poison (unless spec is None) -> train -> evaluate. Pool-safe."""
     try:
         train_set: LabeledDataset = payload["train_set"]
-        test_set: LabeledDataset = payload["test_set"]
-        cfg: EncoderConfig = payload["encoder"]
-        eps, mode = payload["epsilon"], payload["mode"]
-        if mode == "none":
-            poisoned = train_set
-            flips = 0
-        else:
-            spec = PoisonSpec(
-                epsilon=eps,
-                mode=mode,
-                metric=payload["metric"],
-                seed=payload["poison_seed"],
-                noise=payload["noise"],
-            )
-            outcome = apply_poison(train_set, spec, cfg)
-            poisoned = outcome.dataset
-            flips = outcome.flip_count()
-        model = init_model(
-            cfg, build_template(payload["pqc"], cfg.n_qubits, payload["layers"]),
-            train_set.n_classes, seed=payload["train_seed"],
-        )
-        config: TrainConfig = replace(payload["train_config"], seed=payload["train_seed"])
-        report = train(model, poisoned, test_set, config)
+        model: QnnModel = payload["model"]
+        spec: PoisonSpec | None = payload["spec"]
+        if spec is not None:
+            train_set = apply_poison(train_set, spec, model.encoder).dataset
+        report = train(model, train_set, payload["test_set"], payload["config"])
         return {
-            "key": (eps, mode),
             "status": "ok",
-            "flips": flips,
             "accuracy": report.test_accuracy[-1] if report.test_accuracy else float("nan"),
             "loss": report.test_loss[-1] if report.test_loss else float("nan"),
             "curves": list(
@@ -481,21 +490,17 @@ def _run_experiment_cell(payload: dict) -> dict:
             ),
         }
     except Exception as exc:  # cell failures are recorded, the run continues
-        return {"key": (payload["epsilon"], payload["mode"]), "status": "failed",
-                "error": f"{type(exc).__name__}: {exc}"}
+        return {"status": "failed", "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc()}
 
 
 def cmd_experiment(args) -> int:
     options = _Options(args)
     out = options.outdir()
     started = time.time()
-    ds, tag = options.dataset()
+    _raw, ds, cfg, tag = options.scaled_dataset()
     seed = options.seed()
-    cfg = options.encoder_for(ds.dim)
-    ds = _scaled(ds, cfg)
-    train_set, test_set = split(
-        ds, options.number("train_fraction", float, 0.7), stratified=True, seed=seed
-    )
+    train_set, test_set = options.train_test(ds)
     modes_raw = options.get("modes", "none,random_flip,quid")
     modes = modes_raw if isinstance(modes_raw, list) else str(modes_raw).split(",")
     for mode in modes:
@@ -503,30 +508,24 @@ def cmd_experiment(args) -> int:
             raise UsageError(f"unknown attack mode {mode!r}")
     eps_list = options.epsilons()
     pqc_name = options.get("pqc", "pqc1")
-    layers = options.number("layers", int, 1)
     metric = _metric_or_usage(options.get("metric", "frobenius"))
     noise = options.noise_model()
-    base_train = options.train_config(seed=0, noise=noise)
 
+    keys = [(eps, mode) for eps in eps_list for mode in modes]
     payloads = []
-    for eps in eps_list:
-        for mode in modes:
-            payloads.append(
-                {
-                    "train_set": train_set,
-                    "test_set": test_set,
-                    "encoder": cfg,
-                    "epsilon": eps,
-                    "mode": mode,
-                    "metric": metric,
-                    "noise": noise,
-                    "pqc": pqc_name,
-                    "layers": layers,
-                    "train_config": base_train,
-                    "poison_seed": _derive_seed(seed, tag, pqc_name, eps, mode, "poison"),
-                    "train_seed": _derive_seed(seed, tag, pqc_name, eps, mode, "train"),
-                }
-            )
+    for eps, mode in keys:
+        poison_seed = _derive_seed(seed, tag, pqc_name, eps, mode, "poison")
+        train_seed = _derive_seed(seed, tag, pqc_name, eps, mode, "train")
+        spec = None if mode == "none" else PoisonSpec(eps, mode, metric, poison_seed, noise)
+        payloads.append(
+            {
+                "train_set": train_set,
+                "test_set": test_set,
+                "spec": spec,
+                "model": _build_model(options, cfg, ds.n_classes, train_seed),
+                "config": options.train_config(train_seed, noise),
+            }
+        )
 
     workers = options.number("workers", int, 1)
     if workers > 1:
@@ -535,16 +534,16 @@ def cmd_experiment(args) -> int:
     else:
         results = [_run_experiment_cell(p) for p in payloads]
 
-    results.sort(key=lambda r: (r["key"][0], r["key"][1]))
-    rows, errors = [], {}
-    for r in results:
-        eps, mode = r["key"]
+    cells = sorted(zip(keys, results), key=lambda cell: cell[0])
+    rows, errors, tracebacks = [], {}, {}
+    for (eps, mode), r in cells:
         if r["status"] == "ok":
             rows.append([tag, pqc_name, eps, mode, r["accuracy"], r["loss"], "ok"])
             print(f"eps={eps} mode={mode}: accuracy={r['accuracy']:.4f}")
         else:
             rows.append([tag, pqc_name, eps, mode, "", "", "failed"])
             errors[f"{eps}:{mode}"] = r["error"]
+            tracebacks[f"{eps}:{mode}"] = r["traceback"]
             print(f"eps={eps} mode={mode}: FAILED ({r['error']})", file=sys.stderr)
     _write_csv(
         os.path.join(out, "results.csv"),
@@ -552,16 +551,16 @@ def cmd_experiment(args) -> int:
         rows,
     )
     if options.get("emit_plot_data"):
-        for r in results:
+        for (eps, mode), r in cells:
             if r["status"] != "ok":
                 continue
-            eps, mode = r["key"]
             _write_csv(
                 os.path.join(out, f"curves_eps{eps}_{mode}.csv"),
                 ["epoch", "train_loss", "test_loss", "test_accuracy"],
                 [[i + 1, *vals] for i, vals in enumerate(r["curves"])],
             )
-    _manifest(out, options, started, {"cell_errors": errors} if errors else None)
+    extra = {"cell_errors": errors, "cell_tracebacks": tracebacks} if errors else None
+    _manifest(out, options, started, extra)
     return 0
 
 
@@ -569,42 +568,40 @@ def cmd_defend(args) -> int:
     options = _Options(args)
     out = options.outdir()
     started = time.time()
-    ds, tag = options.dataset()
+    _raw, ds, cfg, tag = options.scaled_dataset()
     seed = options.seed()
-    cfg = options.encoder_for(ds.dim)
-    ds = _scaled(ds, cfg)
-    train_set, test_set = split(
-        ds, options.number("train_fraction", float, 0.7), stratified=True, seed=seed
-    )
-    k = options.number("k", int, 3)
+    train_set, test_set = options.train_test(ds)
     metric = _metric_or_usage(options.get("metric", "frobenius"))
     noise = options.noise_model()
+    defense = _configured(
+        DefenseConfig, options.train_config(seed, noise), k=options.number("k", int, 3)
+    )
     rows = []
     for eps in options.epsilons(default="0.3"):
         poison_seed = _derive_seed(seed, tag, eps, "poison")
         train_seed = _derive_seed(seed, tag, eps, "train")
+        prototype = _build_model(options, cfg, ds.n_classes, train_seed)
         if eps > 0:
             spec = PoisonSpec(eps, "quid", metric, seed=poison_seed, noise=noise)
             poisoned = apply_poison(train_set, spec, cfg).dataset
         else:
             poisoned = train_set
-        prototype, _ = _build_model(options, ds, train_seed)
-        config = options.train_config(train_seed, noise)
+        config = replace(defense.train, seed=train_seed)
         undefended = train(prototype.copy(), poisoned, test_set, config)
         no_def_acc = undefended.test_accuracy[-1] if undefended.test_accuracy else float("nan")
         ensemble, _reports = train_ensemble(
-            poisoned, test_set, DefenseConfig(train=config, k=k, partition_seed=train_seed),
+            poisoned, test_set, replace(defense, train=config, partition_seed=train_seed),
             prototype,
         )
         def_acc = evaluate_ensemble(ensemble, test_set, noise=noise)
         rows.append([eps, no_def_acc, def_acc])
-        print(f"eps={eps}: no-defense={no_def_acc:.4f} defense(k={k})={def_acc:.4f}")
+        print(f"eps={eps}: no-defense={no_def_acc:.4f} defense(k={defense.k})={def_acc:.4f}")
     _write_csv(
         os.path.join(out, "defense.csv"),
         ["epsilon", "no_defense_accuracy", "defense_accuracy"],
         rows,
     )
-    _manifest(out, options, started, {"k": k})
+    _manifest(out, options, started, {"k": defense.k})
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The on-disk format is a plain CSV with d feature columns followed by one
 integer label column; an optional single header line is allowed. Features are
-stored raw; scaling into the encoder range happens at encode time.
+stored raw; callers scale them into the encoder range (encode.scale_features)
+before encoding.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import DataFormatError
 
+# synthetic feature range and default encoder scale range: one angle period
 DEFAULT_RANGE = (0.0, 2.0 * math.pi)
 
 

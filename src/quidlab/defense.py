@@ -110,7 +110,7 @@ def member_predictions(
     preds = []
     for j, member in enumerate(ensemble.members):
         states = encode_batch(features, member.encoder, noise)
-        rng = np.random.Generator(np.random.PCG64(seed + j)) if shots else None
+        rng = np.random.Generator(np.random.PCG64(seed + j))
         probs, _ = _forward_from_states(member, states, member.theta, noise, shots, rng)
         preds.append(np.argmax(probs, axis=1))
     return np.stack(preds)

@@ -9,11 +9,11 @@ amplitude preparation counts as one opaque StatePrep touching every qubit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DEFAULT_RANGE
 from .errors import CapacityError, DegenerateInputError, ShapeError
 from .noise import NoiseModel
 from .simcore import (
@@ -26,16 +26,13 @@ from .simcore import (
     gate_matrix,
 )
 
-TWO_PI = 2.0 * math.pi
-DEFAULT_SCALE_RANGE = (0.0, TWO_PI)
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
     kind: str  # "angle" | "amplitude"
     n_qubits: int
     features_per_qubit: int = 1
-    scale_range: tuple[float, float] = DEFAULT_SCALE_RANGE
+    scale_range: tuple[float, float] = DEFAULT_RANGE
 
     def __post_init__(self):
         if self.kind not in ("angle", "amplitude"):
@@ -146,7 +143,7 @@ def encoding_gates(dim: int, cfg: EncoderConfig) -> list[GateOp]:
     return gates
 
 
-def scale_features(X: np.ndarray, scale_range: tuple[float, float] = DEFAULT_SCALE_RANGE) -> np.ndarray:
+def scale_features(X: np.ndarray, scale_range: tuple[float, float] = DEFAULT_RANGE) -> np.ndarray:
     """Per-feature min-max map onto scale_range; constant columns go to the midpoint."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.size == 0:

@@ -54,17 +54,37 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _draw_poison_set(n: int, epsilon: float, rng: np.random.Generator):
+    """(clean, poison) sorted index sets from one permutation drawn from rng."""
+    m = _round_half_up(epsilon * n)
+    perm = rng.permutation(n)
+    return np.sort(perm[m:]), np.sort(perm[:m])
+
+
 def split_poison_set(
     dataset: LabeledDataset, epsilon: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint covering (clean, poison) index sets; |poison| = round(eps * n)."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    n = len(dataset)
-    m = _round_half_up(epsilon * n)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(n)
-    return np.sort(perm[m:]), np.sort(perm[:m])
+    return _draw_poison_set(len(dataset), epsilon, np.random.Generator(np.random.PCG64(seed)))
+
+
+def _poisoned(dataset: LabeledDataset, spec: PoisonSpec, relabel) -> PoisonOutcome:
+    """Draw the poison set, then relabel it with relabel(out, clean_idx, poison_idx, rng).
+
+    The generator seeded by spec.seed draws the poison set first, so every
+    attack poisons split_poison_set(dataset, spec.epsilon, spec.seed)[1]; relabel
+    keeps drawing from it and may overwrite out's poisoned features. It is not
+    called when the poison set is empty.
+    """
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    clean_idx, poison_idx = _draw_poison_set(len(dataset), spec.epsilon, rng)
+    out = dataset.replace()
+    old = dataset.labels[poison_idx].copy()
+    new = relabel(out, clean_idx, poison_idx, rng) if poison_idx.size else old.copy()
+    out.labels[poison_idx] = new
+    return PoisonOutcome(out, poison_idx, old, new)
 
 
 def _max_distance_labels(
@@ -90,68 +110,42 @@ def quid_poison(
     dataset: LabeledDataset, spec: PoisonSpec, cfg: EncoderConfig
 ) -> PoisonOutcome:
     """Max-distance label flipping on a random epsilon fraction of the dataset."""
-    clean_idx, poison_idx = split_poison_set(dataset, spec.epsilon, spec.seed)
-    out = dataset.replace()
-    old = dataset.labels[poison_idx].copy()
-    if poison_idx.size == 0:
-        return PoisonOutcome(out, poison_idx, old, old.copy())
-    new = _max_distance_labels(
-        dataset.features[clean_idx],
-        dataset.labels[clean_idx],
-        dataset.features[poison_idx],
-        cfg,
-        spec.metric,
-        spec.noise,
-    )
-    out.labels[poison_idx] = new
-    return PoisonOutcome(out, poison_idx, old, new)
+
+    def relabel(out, clean_idx, poison_idx, rng):
+        return _max_distance_labels(
+            dataset.features[clean_idx], dataset.labels[clean_idx],
+            out.features[poison_idx], cfg, spec.metric, spec.noise,
+        )
+
+    return _poisoned(dataset, spec, relabel)
 
 
 def random_flip(dataset: LabeledDataset, spec: PoisonSpec) -> PoisonOutcome:
     """Uniform random relabeling (never the original label) of the poison set."""
     if dataset.n_classes < 2:
         raise AttackInfeasibleError("random flipping needs at least 2 classes")
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    n = len(dataset)
-    m = _round_half_up(spec.epsilon * n)
-    perm = rng.permutation(n)
-    poison_idx = np.sort(perm[:m])
-    out = dataset.replace()
-    old = dataset.labels[poison_idx].copy()
-    if m == 0:
-        return PoisonOutcome(out, poison_idx, old, old.copy())
-    draws = rng.integers(0, dataset.n_classes - 1, size=m)
-    new = draws + (draws >= old)  # skip the original label
-    out.labels[poison_idx] = new
-    return PoisonOutcome(out, poison_idx, old, new)
+
+    def relabel(out, clean_idx, poison_idx, rng):
+        draws = rng.integers(0, dataset.n_classes - 1, size=poison_idx.size)
+        return draws + (draws >= dataset.labels[poison_idx])  # skip the original label
+
+    return _poisoned(dataset, spec, relabel)
 
 
 def bilevel_random(
     dataset: LabeledDataset, spec: PoisonSpec, cfg: EncoderConfig
 ) -> PoisonOutcome:
     """Replace poisoned features with uniform draws, then relabel by max distance."""
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    n = len(dataset)
-    m = _round_half_up(spec.epsilon * n)
-    perm = rng.permutation(n)
-    poison_idx = np.sort(perm[:m])
-    clean_idx = np.sort(perm[m:])
-    out = dataset.replace()
-    old = dataset.labels[poison_idx].copy()
-    if m == 0:
-        return PoisonOutcome(out, poison_idx, old, old.copy())
-    lo, hi = cfg.scale_range
-    out.features[poison_idx] = rng.uniform(lo, hi, size=(m, dataset.dim))
-    new = _max_distance_labels(
-        dataset.features[clean_idx],
-        dataset.labels[clean_idx],
-        out.features[poison_idx],
-        cfg,
-        spec.metric,
-        spec.noise,
-    )
-    out.labels[poison_idx] = new
-    return PoisonOutcome(out, poison_idx, old, new)
+
+    def relabel(out, clean_idx, poison_idx, rng):
+        lo, hi = cfg.scale_range
+        out.features[poison_idx] = rng.uniform(lo, hi, size=(poison_idx.size, dataset.dim))
+        return _max_distance_labels(
+            dataset.features[clean_idx], dataset.labels[clean_idx],
+            out.features[poison_idx], cfg, spec.metric, spec.noise,
+        )
+
+    return _poisoned(dataset, spec, relabel)
 
 
 def apply_poison(

@@ -102,7 +102,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 32
     spsa_c: float = 0.01
-    spsa_repeats: int = 1
     seed: int = 0
     noise: NoiseModel | None = None
     shots: int = 0  # 0: analytic expectations
@@ -111,10 +110,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.spsa_c <= 0:
-            raise ValueError("learning_rate, batch_size, spsa_c must be positive")
-        if self.spsa_repeats < 1:
-            raise ValueError("spsa_repeats must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.spsa_c <= 0:
+            raise ValueError("spsa_c must be positive")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
 
@@ -181,7 +182,7 @@ def forward(
 ) -> np.ndarray:
     """Class probabilities for one (already scaled) feature vector."""
     states = encode_batch(np.asarray(x, dtype=float).reshape(1, -1), model.encoder, noise)
-    rng = np.random.Generator(np.random.PCG64(seed)) if shots else None
+    rng = np.random.Generator(np.random.PCG64(seed))
     probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
     return probs[0]
 
@@ -213,6 +214,24 @@ def spsa_estimate(
     return grad / repeats
 
 
+def _batch_loss(model, states, labels, config: TrainConfig, rng):
+    """theta -> mean cross-entropy of one encoded batch under config's noise and shots."""
+
+    def loss_fn(theta):
+        probs, _ = _forward_from_states(model, states, theta, config.noise, config.shots, rng)
+        return _batch_ce(probs, labels)
+
+    return loss_fn
+
+
+def _encode_xy(model, X, y, noise) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded states and int labels of one non-empty (X, y) batch."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
+    return encode_batch(X, model.encoder, noise), np.asarray(y, dtype=np.int64)
+
+
 def spsa_gradient(
     model: QnnModel,
     X: np.ndarray,
@@ -221,22 +240,11 @@ def spsa_gradient(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """SPSA estimate of the batch-mean loss gradient w.r.t. the quantum parameters."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
+    states, y = _encode_xy(model, X, y, config.noise)
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(config.seed))
-    states = encode_batch(X, model.encoder, config.noise)
-
-    def loss_fn(theta):
-        shot_rng = rng if config.shots else None
-        probs, _ = _forward_from_states(
-            model, states, theta, config.noise, config.shots, shot_rng
-        )
-        return _batch_ce(probs, y)
-
-    return spsa_estimate(loss_fn, model.theta, config.spsa_c, rng, config.spsa_repeats)
+    loss_fn = _batch_loss(model, states, y, config, rng)
+    return spsa_estimate(loss_fn, model.theta, config.spsa_c, rng)
 
 
 def head_gradient(
@@ -248,11 +256,7 @@ def head_gradient(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact softmax cross-entropy gradients (dW, db) at the current parameters."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    states = encode_batch(X, model.encoder, noise)
+    states, y = _encode_xy(model, X, y, noise)
     probs, z = _forward_from_states(model, states, model.theta, noise, shots, rng)
     return _head_grads_from(probs, z, y, model.n_classes)
 
@@ -342,29 +346,21 @@ def train(
             idx = order[lo : lo + config.batch_size]
             states = tr_cache.take(idx)
             labels = train_set.labels[idx]
-
-            def loss_fn(theta):
-                shot_rng = rng if config.shots else None
-                probs, _ = _forward_from_states(
-                    model, states, theta, config.noise, config.shots, shot_rng
-                )
-                return _batch_ce(probs, labels)
-
-            shot_rng = rng if config.shots else None
             probs, z = _forward_from_states(
-                model, states, model.theta, config.noise, config.shots, shot_rng
+                model, states, model.theta, config.noise, config.shots, rng
             )
             batch_losses.append(_batch_ce(probs, labels))
             grad_w, grad_b = _head_grads_from(probs, z, labels, model.n_classes)
             if config.train_theta:
-                grad_theta = spsa_estimate(
-                    loss_fn, model.theta, config.spsa_c, rng, config.spsa_repeats
-                )
+                loss_fn = _batch_loss(model, states, labels, config, rng)
+                grad_theta = spsa_estimate(loss_fn, model.theta, config.spsa_c, rng)
                 model.theta = adam_theta.step(model.theta, grad_theta)
             model.head_weights = adam_w.step(model.head_weights, grad_w)
             model.head_bias = adam_b.step(model.head_bias, grad_b)
         train_loss.append(float(np.mean(batch_losses)))
-        acc, loss = _evaluate_states(model, te_cache.all(), test_set.labels, config, rng)
+        acc, loss = _evaluate_states(
+            model, te_cache.all(), test_set.labels, config.noise, config.shots, rng
+        )
         test_loss.append(loss)
         test_accuracy.append(acc)
     return TrainReport(
@@ -377,11 +373,9 @@ def train(
     )
 
 
-def _evaluate_states(model, states, labels, config, rng) -> tuple[float, float]:
-    shot_rng = rng if config.shots else None
-    probs, _ = _forward_from_states(
-        model, states, model.theta, config.noise, config.shots, shot_rng
-    )
+def _evaluate_states(model, states, labels, noise, shots, rng) -> tuple[float, float]:
+    """(accuracy, mean cross-entropy) of already-encoded states at the model's theta."""
+    probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
     predicted = np.argmax(probs, axis=1)  # ties resolve to the smallest class
     return float(np.mean(predicted == labels)), _batch_ce(probs, labels)
 
@@ -397,10 +391,8 @@ def evaluate(
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     states = encode_batch(dataset.features, model.encoder, noise)
-    rng = np.random.Generator(np.random.PCG64(seed)) if shots else None
-    probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
-    predicted = np.argmax(probs, axis=1)
-    return float(np.mean(predicted == dataset.labels)), _batch_ce(probs, dataset.labels)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return _evaluate_states(model, states, dataset.labels, noise, shots, rng)
 
 
 # ---------------------------------------------------------------------------

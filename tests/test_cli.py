@@ -279,7 +279,10 @@ def test_experiment_records_failed_cells_and_continues(tmp_path):
     assert by_mode["none"] == "ok"
     assert by_mode["random_flip"] == "failed"
     manifest = json.loads((out / "manifest.json").read_text())
-    assert any("random_flip" in key for key in manifest["cell_errors"])
+    key = next(key for key in manifest["cell_errors"] if "random_flip" in key)
+    assert manifest["cell_errors"][key].startswith("AttackInfeasibleError: ")
+    assert manifest["cell_tracebacks"][key].startswith("Traceback (most recent call last)")
+    assert "AttackInfeasibleError" in manifest["cell_tracebacks"][key]
 
 
 def test_module_entry_point(tmp_path):
@@ -326,6 +329,15 @@ BAD_INPUTS = [
      "nan.csv", "0.1,0.2,0\n0.3,nan,1\n0.5,0.6,0\n0.7,0.8,1\n", 3),
     ("csv inf feature", ["train", "--data", "{f}", "--epochs", "1"],
      "inf.csv", "0.1,0.2,0\n0.3,0.4,1\n0.5,inf,0\n0.7,0.8,1\n", 3),
+    # out-of-range flags: rows named after the flag, which the message must name
+    ("--qubits 0", ["train", "--data", "{data}", "--qubits", "0"], "unused", "", 2),
+    ("--layers 0", ["train", "--data", "{data}", "--layers", "0"], "unused", "", 2),
+    ("--batch 0", ["train", "--data", "{data}", "--batch", "0"], "unused", "", 2),
+    ("--epochs -1", ["train", "--data", "{data}", "--epochs", "-1"], "unused", "", 2),
+    ("--lr 0", ["train", "--data", "{data}", "--lr", "0"], "unused", "", 2),
+    ("--k 0", ["defend", "--data", "{data}", "--k", "0"], "unused", "", 2),
+    ("--layers 0 (experiment)", ["experiment", "--data", "{data}", "--layers", "0"],
+     "unused", "", 2),
 ]
 
 
@@ -334,7 +346,7 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
     import subprocess
     import sys
 
-    _name, argv, fname, content, code = case
+    name, argv, fname, content, code = case
     data = tmp_path / "d.csv"
     data.write_text("".join(f"0.{i},1.{i},{i % 2}\n" for i in range(8)))
     (tmp_path / fname).write_text(content)
@@ -347,3 +359,5 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    if name.startswith("--"):
+        assert name.split()[0] in proc.stderr

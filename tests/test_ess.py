@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_pure_state
 from quidlab.data import LabeledDataset, synth_clusters
 from quidlab.encode import EncoderConfig, encode, scale_features
 from quidlab.errors import ShapeError
 from quidlab.ess import (
+    METRICS,
     canonical_metric,
     class_mean_distances,
     compare_encodings,
@@ -73,6 +76,27 @@ def test_pairwise_matches_scalar_distance(rng):
                     DensityMatrix(2, stacks[i]), DensityMatrix(2, others[j]), metric
                 )
                 assert table[i, j] == pytest.approx(expected, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pairwise_distances_property(data):
+    n = data.draw(st.integers(1, 3))
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1))))
+    make = random_pure_state if data.draw(st.booleans()) else random_density_matrix
+    A = np.stack([make(rng, n) for _ in range(data.draw(st.integers(1, 4)))])
+    # each row of B is a row of A moved a fraction w toward a fresh state; w=0 repeats it
+    w_near = st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+    weights = data.draw(st.lists(w_near | st.floats(0.0, 1.0), min_size=1, max_size=4))
+    B = np.stack([
+        (1.0 - w) * A[j % len(A)] + w * random_density_matrix(rng, n)
+        for j, w in enumerate(weights)
+    ])
+    for metric in METRICS:
+        table = pairwise_distances(A, B, metric)
+        for i, j in np.ndindex(table.shape):
+            want = distance(DensityMatrix(n, A[i]), DensityMatrix(n, B[j]), metric)
+            assert abs(table[i, j] - want) <= 1e-12, (metric, i, j)
 
 
 def test_nearest_class_antipodal_ordering():

@@ -6,6 +6,7 @@ from quidlab.encode import EncoderConfig
 from quidlab.errors import AttackInfeasibleError
 from quidlab.poison import (
     PoisonSpec,
+    apply_poison,
     bilevel_random,
     quid_poison,
     random_flip,
@@ -283,6 +284,19 @@ def test_bilevel_features_in_range_and_labels_match_quid():
     clean_mask = np.ones(len(ds), dtype=bool)
     clean_mask[out.poisoned_indices] = False
     assert np.array_equal(out.dataset.features[clean_mask], ds.features[clean_mask])
+
+
+@pytest.mark.parametrize("epsilon,seed", [(0.1, 0), (0.25, 3), (0.5, 11), (0.75, 42), (1 / 3, 7)])
+def test_every_attack_poisons_the_split_poison_set(epsilon, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ds = LabeledDataset(rng.uniform(0, 2 * np.pi, (24, 2)), np.arange(24) % 3, 3)
+    cfg = EncoderConfig("angle", 1, 2)
+    clean, want = split_poison_set(ds, epsilon, seed)
+    for mode in ("quid", "random_flip", "bilevel_random"):
+        outcome = apply_poison(ds, PoisonSpec(epsilon, mode, seed=seed), cfg)
+        assert np.array_equal(outcome.poisoned_indices, want), mode
+        assert np.array_equal(outcome.dataset.labels[clean], ds.labels[clean]), mode
+        assert np.array_equal(outcome.dataset.features[clean], ds.features[clean]), mode
 
 
 def test_quid_invariant_to_clean_ordering(rng):
