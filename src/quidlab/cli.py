@@ -24,7 +24,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .data import DEFAULT_RANGE, LabeledDataset, load_csv, save_csv, split, synth_clusters
+from .data import DEFAULT_RANGE, LabeledDataset, load_csv, read_json, save_csv, split
+from .data import synth_clusters
 from .defense import DefenseConfig, evaluate_ensemble, train_ensemble
 from .encode import EncoderConfig, scale_features
 from .errors import CapacityError, DataFormatError, DegenerateInputError, QuidlabError
@@ -67,23 +68,16 @@ _FIELD_FLAGS = {
 }
 
 
-def _configured(make, *args, **kwargs):
+def _configured(make, *args, flag=None, **kwargs):
     """make(*args, **kwargs); a range error becomes a usage error naming the flag.
 
-    The config classes start each range message with the field it rejects.
+    The flag defaults to the one setting the field that the range message starts with.
     """
     try:
         return make(*args, **kwargs)
     except (ValueError, CapacityError) as exc:
-        flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
+        flag = flag or _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
         raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from None
-
-
-def _metric_or_usage(name: str) -> str:
-    try:
-        return canonical_metric(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -151,13 +145,7 @@ class _Options:
         self.args = args
         self.file: dict = {}
         if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    self.file = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(f"{args.config}: invalid JSON ({exc})") from exc
-            if not isinstance(self.file, dict):
-                raise DataFormatError(f"{args.config}: top level must be an object")
+            self.file = read_json(args.config)
 
     def get(self, name: str, default=None):
         value = getattr(self.args, name, None)
@@ -171,6 +159,13 @@ class _Options:
         """get() converted to int or float; a value that does not convert is a usage error."""
         value = self.get(name, default)
         return None if value is None else _to_number(name, kind, value)
+
+    def fraction(self, name: str, default: float) -> float:
+        """number() as a float that must lie strictly between 0 and 1."""
+        value = self.number(name, float, default)
+        if not 0.0 < value < 1.0:
+            raise UsageError(f"--{name.replace('_', '-')}: must be in (0, 1), got {value}")
+        return value
 
     def floats(self, name: str, default: str) -> list[float]:
         """A JSON list or comma-separated string of floats."""
@@ -207,8 +202,8 @@ class _Options:
             raise UsageError("--noise and --noise-model are mutually exclusive")
         if path is not None:
             return load_noise_model(path)
-        if p is not None and p > 0.0:
-            return NoiseModel.from_error_rate(p)
+        if p is not None:
+            return _configured(NoiseModel.from_error_rate, p, flag="--noise")
         return None
 
     def dataset(self) -> tuple[LabeledDataset, str]:
@@ -249,7 +244,7 @@ class _Options:
     def train_test(self, ds: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:
         """The stratified --train-fraction split, seeded by --seed."""
         return split(
-            ds, self.number("train_fraction", float, 0.7), stratified=True, seed=self.seed()
+            ds, self.fraction("train_fraction", 0.7), stratified=True, seed=self.seed()
         )
 
     def train_config(self, seed: int, noise: NoiseModel | None) -> TrainConfig:
@@ -328,8 +323,8 @@ def cmd_ess_validate(args) -> int:
     _raw, ds, cfg, _tag = options.scaled_dataset()
     model = options.noise_model()
     metric_opt = options.get("metric")
-    metrics = [_metric_or_usage(metric_opt)] if metric_opt else list(METRICS)
-    holdout = options.number("holdout", float, 0.5)
+    metrics = [_configured(canonical_metric, metric_opt)] if metric_opt else list(METRICS)
+    holdout = options.fraction("holdout", 0.5)
     rows, class_rows, summary = [], [], {}
     for metric in metrics:
         report = validate_ess(
@@ -358,10 +353,12 @@ def cmd_encode_compare(args) -> int:
     ds, _tag = options.dataset()
     cfgs = [options.encoder_for(ds.dim, "angle"), options.encoder_for(ds.dim, "amplitude")]
     ds = _scaled(ds, cfgs[0])
-    metric = _metric_or_usage(options.get("metric", "frobenius"))
+    metric = _configured(canonical_metric, options.get("metric", "frobenius"))
     levels = options.floats("noise_levels", "0,0.05,0.1")
+    for p in levels:  # every level is checked before the first cell runs
+        _configured(NoiseModel.from_error_rate, p, flag="--noise-levels")
     cells = compare_encodings(
-        ds, cfgs, metric, levels, holdout_fraction=options.number("holdout", float, 0.5),
+        ds, cfgs, metric, levels, holdout_fraction=options.fraction("holdout", 0.5),
         seed=options.seed(),
     )
     _write_csv(
@@ -389,7 +386,7 @@ def cmd_poison(args) -> int:
     spec = PoisonSpec(
         epsilon=eps[0],
         mode=mode,
-        metric=_metric_or_usage(options.get("metric", "frobenius")),
+        metric=_configured(canonical_metric, options.get("metric", "frobenius")),
         seed=options.seed(),
         noise=options.noise_model(),
     )
@@ -458,13 +455,13 @@ def cmd_evaluate(args) -> int:
     model_path = options.get("model")
     if model_path is None:
         raise UsageError("--model is required")
+    shots = options.number("shots", int, 0)
+    if shots < 0:
+        raise UsageError(f"--shots: shots must be >= 0, got {shots}")
     model = load_model(model_path)
     ds, _tag = options.dataset()
     ds = _scaled(ds, model.encoder)
-    acc, loss = evaluate(
-        model, ds, noise=options.noise_model(),
-        shots=options.number("shots", int, 0), seed=options.seed(),
-    )
+    acc, loss = evaluate(model, ds, noise=options.noise_model(), shots=shots, seed=options.seed())
     print(f"accuracy={acc:.4f} loss={loss:.4f}")
     out = options.outdir(required=False)
     if out:
@@ -508,7 +505,7 @@ def cmd_experiment(args) -> int:
             raise UsageError(f"unknown attack mode {mode!r}")
     eps_list = options.epsilons()
     pqc_name = options.get("pqc", "pqc1")
-    metric = _metric_or_usage(options.get("metric", "frobenius"))
+    metric = _configured(canonical_metric, options.get("metric", "frobenius"))
     noise = options.noise_model()
 
     keys = [(eps, mode) for eps in eps_list for mode in modes]
@@ -571,7 +568,7 @@ def cmd_defend(args) -> int:
     _raw, ds, cfg, tag = options.scaled_dataset()
     seed = options.seed()
     train_set, test_set = options.train_test(ds)
-    metric = _metric_or_usage(options.get("metric", "frobenius"))
+    metric = _configured(canonical_metric, options.get("metric", "frobenius"))
     noise = options.noise_model()
     defense = _configured(
         DefenseConfig, options.train_config(seed, noise), k=options.number("k", int, 3)
@@ -699,7 +696,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, DegenerateInputError, FileNotFoundError) as exc:
+    except (DataFormatError, DegenerateInputError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (QuidlabError, ValueError, IndexError, ArithmeticError, np.linalg.LinAlgError) as exc:

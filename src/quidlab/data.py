@@ -3,11 +3,13 @@
 The on-disk format is a plain CSV with d feature columns followed by one
 integer label column; an optional single header line is allowed. Features are
 stored raw; callers scale them into the encoder range (encode.scale_features)
-before encoding.
+before encoding. read_json is the one reader of the JSON inputs (config file,
+noise model, PQC template, checkpoint, partition map).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -103,6 +105,18 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
         n_classes=max(labels) + 1,
         note=f"loaded from {path}",
     )
+
+
+def read_json(path) -> dict:
+    """The top-level object of a JSON file; bad JSON or another top level is a DataFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"{path}: top level must be a JSON object")
+    return raw
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

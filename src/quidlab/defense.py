@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, read_json
 from .errors import DataFormatError
 from .noise import NoiseModel
 from .qnn import QnnModel, TrainConfig, TrainReport, load_model, save_model, train
@@ -159,11 +159,7 @@ def save_ensemble(ensemble: EnsembleModel, directory) -> None:
 def load_ensemble(directory) -> EnsembleModel:
     """Read an ensemble directory; any malformed content raises DataFormatError."""
     path = os.path.join(directory, "partition_map.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    meta = read_json(path)
     try:
         k = int(meta["k"])
         assignment = np.array(meta["assignment"], dtype=np.int64)

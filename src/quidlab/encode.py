@@ -66,23 +66,15 @@ def _angle_batch(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) ->
     size = 1 << n
     stack = np.zeros((b, size, size), dtype=complex)
     stack[:, 0, 0] = 1.0
-    h = gate_matrix("H")
-    h_channels = model.channels_for("H") if model is not None else []
-    for q in range(n):
-        stack = apply_operator_stack(stack, h, (q,), n)
-        for ch in h_channels:
-            stack = apply_channel_stack(stack, ch, (q,), n)
-    f = cfg.features_per_qubit
-    for q in range(n):
-        for j in range(f):
-            col = q * f + j
-            if col >= dim:
-                break  # trailing features absent: skip the rotation
-            name = "RZ" if j % 2 == 0 else "RX"
-            stack = apply_rotations_batch(stack, name, q, x[:, col], n)
-            if model is not None:
-                for ch in model.channels_for(name):
-                    stack = apply_channel_stack(stack, ch, (q,), n)
+    columns = iter(x.T)  # absent trailing features have no rotation: rotation k takes column k
+    for gate in encoding_gates(dim, cfg):
+        if gate.name == "H":
+            stack = apply_operator_stack(stack, gate_matrix("H"), gate.targets, n)
+        else:
+            stack = apply_rotations_batch(stack, gate.name, gate.targets[0], next(columns), n)
+        if model is not None:
+            for ch in model.channels_for(gate.name):
+                stack = apply_channel_stack(stack, ch, gate.targets, n)
     return stack
 
 

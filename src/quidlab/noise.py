@@ -13,8 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .data import read_json
 from .errors import DataFormatError
-from .simcore import DensityMatrix, GateOp, KrausChannel, apply_channel_stack, apply_gate_stack
+from .simcore import GATE_ARITY, DensityMatrix, GateOp, KrausChannel
+from .simcore import apply_channel_stack, apply_gate_stack
 
 CHANNEL_KINDS = ("amplitude_damping", "depolarizing")
 
@@ -97,18 +99,12 @@ def noisy_apply(rho: DensityMatrix, gate: GateOp, model: NoiseModel) -> DensityM
     return DensityMatrix(rho.n_qubits, out[0])
 
 
-_VALID_KEYS = {"h", "rx", "rz", "crx", "crz", "cnot", "stateprep", "default"}
+_VALID_KEYS = {name.lower() for name in GATE_ARITY} | {"default"}
 
 
 def load_noise_model(path) -> NoiseModel:
     """Read the JSON noise-model file format (see README)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise DataFormatError(f"{path}: top level must be a JSON object")
+    raw = read_json(path)
     per_gate: dict[str, tuple[tuple[str, float], ...]] = {}
     default: tuple[tuple[str, float], ...] = ()
     for key, value in raw.items():

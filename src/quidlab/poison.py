@@ -160,17 +160,12 @@ def apply_poison(
 
 def write_outcome_csv(outcome: PoisonOutcome, path) -> None:
     """One row per sample: index, old_label, new_label, was_poisoned."""
-    poisoned = set(int(i) for i in outcome.poisoned_indices)
-    new_by_idx = {
-        int(i): int(v) for i, v in zip(outcome.poisoned_indices, outcome.new_labels)
-    }
-    old_by_idx = {
-        int(i): int(v) for i, v in zip(outcome.poisoned_indices, outcome.old_labels)
-    }
+    idx = outcome.poisoned_indices
+    old, new = outcome.dataset.labels.copy(), outcome.dataset.labels.copy()
+    old[idx], new[idx] = outcome.old_labels, outcome.new_labels
+    flag = np.zeros(old.size, dtype=np.int64)
+    flag[idx] = 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("index,old_label,new_label,was_poisoned\n")
-        for i, label in enumerate(outcome.dataset.labels):
-            if i in poisoned:
-                fh.write(f"{i},{old_by_idx[i]},{new_by_idx[i]},1\n")
-            else:
-                fh.write(f"{i},{int(label)},{int(label)},0\n")
+        for i, (was, now, hit) in enumerate(zip(old.tolist(), new.tolist(), flag.tolist())):
+            fh.write(f"{i},{was},{now},{hit}\n")

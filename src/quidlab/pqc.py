@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore
+from .data import read_json
 from .errors import DataFormatError
 from .noise import NoiseModel, noisy_apply_stack
 from .simcore import DensityMatrix, GateOp, KrausChannel, apply_gate_stack, gate_matrix
@@ -108,12 +109,7 @@ def save_template(tpl: PqcTemplate, path) -> None:
 
 
 def load_template(path) -> PqcTemplate:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return PqcTemplate.from_json(raw)
+    return PqcTemplate.from_json(read_json(path))
 
 
 def _rotation_columns(n: int, start: int) -> tuple[list[TemplateGate], int]:

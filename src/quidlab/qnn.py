@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, read_json
 from .encode import EncoderConfig, encode_batch
 from .errors import DataFormatError
 from .noise import NoiseModel
@@ -36,6 +36,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 PROB_FLOOR = 1e-12
+SPSA_C = 0.01  # SPSA perturbation size
 
 # registers up to this size get their encoded states cached for a whole run
 CACHE_MAX_QUBITS = 6
@@ -101,7 +102,6 @@ class TrainConfig:
     epochs: int = 30
     learning_rate: float = 0.01
     batch_size: int = 32
-    spsa_c: float = 0.01
     seed: int = 0
     noise: NoiseModel | None = None
     shots: int = 0  # 0: analytic expectations
@@ -114,8 +114,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.spsa_c <= 0:
-            raise ValueError("spsa_c must be positive")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
 
@@ -244,7 +242,7 @@ def spsa_gradient(
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(config.seed))
     loss_fn = _batch_loss(model, states, y, config, rng)
-    return spsa_estimate(loss_fn, model.theta, config.spsa_c, rng)
+    return spsa_estimate(loss_fn, model.theta, SPSA_C, rng)
 
 
 def head_gradient(
@@ -353,7 +351,7 @@ def train(
             grad_w, grad_b = _head_grads_from(probs, z, labels, model.n_classes)
             if config.train_theta:
                 loss_fn = _batch_loss(model, states, labels, config, rng)
-                grad_theta = spsa_estimate(loss_fn, model.theta, config.spsa_c, rng)
+                grad_theta = spsa_estimate(loss_fn, model.theta, SPSA_C, rng)
                 model.theta = adam_theta.step(model.theta, grad_theta)
             model.head_weights = adam_w.step(model.head_weights, grad_w)
             model.head_bias = adam_b.step(model.head_bias, grad_b)
@@ -424,12 +422,8 @@ def save_model(model: QnnModel, path, seed: int | None = None) -> None:
 
 def load_model(path) -> QnnModel:
     """Read a checkpoint; any malformed content raises DataFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    version = raw.get("format_version") if isinstance(raw, dict) else None
+    raw = read_json(path)
+    version = raw.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version!r}")
     try:

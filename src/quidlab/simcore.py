@@ -254,10 +254,6 @@ def expect_z_stack(stack: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     return diag @ (1.0 - 2.0 * bits)
 
 
-def purity_stack(stack: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(stack) ** 2, axis=(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # single-state API
 

@@ -266,6 +266,24 @@ def test_noise_model_file_flag(tmp_path):
                "--out", str(tmp_path / "y")) == 3
 
 
+def test_ess_validate_noise_zero_matches_noiseless_run(tmp_path):
+    data = gen(tmp_path)
+    out0, out_none = tmp_path / "p0", tmp_path / "none"
+    for out, extra in ((out0, ["--noise", "0"]), (out_none, [])):
+        assert run("ess-validate", "--data", str(data), "--seed", "3", *extra,
+                   "--out", str(out)) == 0
+    assert (out0 / "class_stats.csv").read_bytes() == (out_none / "class_stats.csv").read_bytes()
+
+    def timeless(out):  # wall-clock columns aside
+        summary = json.loads((out / "summary.json").read_text())
+        for report in summary.values():
+            del report["wall_seconds"]
+        rows = (out / "report.csv").read_text().splitlines()
+        return summary, [row.rsplit(",", 1)[0] for row in rows]
+
+    assert timeless(out0) == timeless(out_none)
+
+
 def test_experiment_records_failed_cells_and_continues(tmp_path):
     # single-class data: flipping attacks are infeasible, baseline still runs
     path = tmp_path / "single.csv"
@@ -301,7 +319,8 @@ def test_module_entry_point(tmp_path):
 
 
 BAD_INPUTS = [
-    # (name, subcommand args, file to write under tmp_path, its content, exit code)
+    # (name, subcommand args, file to write under tmp_path, its content, exit code);
+    # content None makes the file a directory, bytes are written raw
     ("checkpoint missing keys", ["evaluate", "--model", "{f}", "--data", "{data}"],
      "model.json", '{"format_version": 1}', 3),
     ("checkpoint not an object", ["evaluate", "--model", "{f}", "--data", "{data}"],
@@ -338,6 +357,35 @@ BAD_INPUTS = [
     ("--k 0", ["defend", "--data", "{data}", "--k", "0"], "unused", "", 2),
     ("--layers 0 (experiment)", ["experiment", "--data", "{data}", "--layers", "0"],
      "unused", "", 2),
+    ("--noise -0.5", ["ess-validate", "--data", "{data}", "--noise", "-0.5"], "unused", "", 2),
+    ("--noise 2", ["ess-validate", "--data", "{data}", "--noise", "2"], "unused", "", 2),
+    ("--noise-levels -1", ["encode-compare", "--data", "{data}", "--noise-levels", "-1"],
+     "unused", "", 2),
+    ("--noise-levels 0,3", ["encode-compare", "--data", "{data}", "--noise-levels", "0,3"],
+     "unused", "", 2),
+    ("--shots -1 (evaluate)", ["evaluate", "--model", "{f}", "--data", "{data}", "--shots", "-1"],
+     "model.json", "{}", 2),
+    ("--train-fraction 1.5", ["train", "--data", "{data}", "--train-fraction", "1.5"],
+     "unused", "", 2),
+    ("--holdout 1.5", ["ess-validate", "--data", "{data}", "--holdout", "1.5"], "unused", "", 2),
+    ("--holdout 0", ["encode-compare", "--data", "{data}", "--holdout", "0"], "unused", "", 2),
+    # unreadable paths are data errors
+    ("directory as data", ["train", "--data", "{f}"], "dir", None, 3),
+    ("directory as test set", ["train", "--data", "{data}", "--test", "{f}"], "dir", None, 3),
+    ("directory as config", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "dir", None, 3),
+    ("directory as noise model", ["ess-validate", "--data", "{data}", "--noise-model", "{f}"],
+     "dir", None, 3),
+    ("directory as checkpoint", ["evaluate", "--model", "{f}", "--data", "{data}"],
+     "dir", None, 3),
+    ("csv not utf-8", ["train", "--data", "{f}"], "bad.csv", b"0.1,0.2,0\n0.3,\xff,1\n", 3),
+    ("config not utf-8", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", b'{"seed": "\xff"}', 3),
+    ("output directory is a file", ["ess-validate", "--data", "{data}"], "out", "x", 3),
+    ("config not an object", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", "[1, 2]", 3),
+    ("noise model not an object", ["ess-validate", "--data", "{data}", "--noise-model", "{f}"],
+     "noise.json", '[["depolarizing", 0.1]]', 3),
 ]
 
 
@@ -349,7 +397,13 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
     name, argv, fname, content, code = case
     data = tmp_path / "d.csv"
     data.write_text("".join(f"0.{i},1.{i},{i % 2}\n" for i in range(8)))
-    (tmp_path / fname).write_text(content)
+    target = tmp_path / fname
+    if content is None:
+        target.mkdir()
+    elif isinstance(content, bytes):
+        target.write_bytes(content)
+    else:
+        target.write_text(content)
     argv = [a.format(f=tmp_path / fname, data=data) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "quidlab.cli", *argv, "--out", str(tmp_path / "out")],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quidlab.data import LabeledDataset, load_csv, save_csv, split, synth_clusters
+from quidlab.data import LabeledDataset, load_csv, read_json, save_csv, split, synth_clusters
 from quidlab.errors import DataFormatError
 
 
@@ -143,3 +143,13 @@ def test_dataset_validation():
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), 2)
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), 2)
+
+
+def test_read_json_returns_the_top_level_object(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"k": [1, 2]}')
+    assert read_json(path) == {"k": [1, 2]}
+    for bad in ("{", "[1, 2]", "3", "null"):
+        path.write_text(bad)
+        with pytest.raises(DataFormatError):
+            read_json(path)

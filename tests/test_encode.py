@@ -3,8 +3,8 @@ import pytest
 
 from quidlab.encode import EncoderConfig, encode, encode_batch, encoding_gates, scale_features
 from quidlab.errors import DegenerateInputError, ShapeError
-from quidlab.noise import NoiseModel
-from quidlab.simcore import apply_gate, ground_state
+from quidlab.noise import NoiseModel, noisy_apply
+from quidlab.simcore import GateOp, apply_gate, ground_state
 
 
 def equatorial(angle):
@@ -41,8 +41,6 @@ def test_equatorial_frobenius_distance_law():
 def test_angle_matches_explicit_gate_sequence(rng):
     # the batch encoder agrees with gate-by-gate single-state simulation,
     # including a partial final block (d=3 on 2 qubits x 2 features)
-    from quidlab.simcore import GateOp
-
     cfg = EncoderConfig("angle", 2, 2)
     x = rng.uniform(0, 2 * np.pi, size=3)
     rho = ground_state(2)
@@ -58,6 +56,24 @@ def test_angle_matches_explicit_gate_sequence(rng):
     assert np.allclose(encode(x, cfg).data, rho.data, atol=1e-12)
     names = [(g.name, g.targets) for g in encoding_gates(3, cfg)]
     assert names == [(g.name, g.targets) for g in seq]
+
+
+def test_noisy_angle_matches_noisy_gate_oracle(rng):
+    # rz is exempt, h has its own channels, rx falls back to the default; d=5 on
+    # 3 qubits x 2 features leaves the last block partial
+    model = NoiseModel(
+        per_gate={"rz": (), "h": (("amplitude_damping", 0.2), ("depolarizing", 0.07))},
+        default=(("depolarizing", 0.05), ("amplitude_damping", 0.03)),
+    )
+    cfg = EncoderConfig("angle", 3, 2)
+    for x in rng.uniform(0, 2 * np.pi, size=(3, 5)):
+        rho = ground_state(3)
+        angles = iter(x)
+        for gate in encoding_gates(5, cfg):
+            if gate.param is not None:
+                gate = GateOp(gate.name, gate.targets, float(next(angles)))
+            rho = noisy_apply(rho, gate, model)
+        assert np.max(np.abs(encode(x, cfg, model).data - rho.data)) <= 1e-12
 
 
 def test_amplitude_basis_vector_gives_ground_state():

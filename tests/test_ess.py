@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_pure_state
+from quidlab import ess
 from quidlab.data import LabeledDataset, synth_clusters
 from quidlab.encode import EncoderConfig, encode, scale_features
 from quidlab.errors import ShapeError
@@ -76,6 +77,20 @@ def test_pairwise_matches_scalar_distance(rng):
                     DensityMatrix(2, stacks[i]), DensityMatrix(2, others[j]), metric
                 )
                 assert table[i, j] == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 8])
+def test_trace_distance_chunks_are_bitwise_equal(monkeypatch, rng, chunk):
+    # 7 x 3 pairs: one chunk by default; chunk 8 runs 2 rows (6 pairs) per call
+    # and 3 does not divide it, chunks 1 and 2 fall back to one row per call
+    A = np.stack([random_density_matrix(rng, 2) for _ in range(7)])
+    B = np.stack([random_density_matrix(rng, 2) for _ in range(3)])
+    whole = pairwise_distances(A, B, "trace")
+    monkeypatch.setattr(ess, "_EIG_CHUNK", chunk)
+    assert pairwise_distances(A, B, "trace").tobytes() == whole.tobytes()
+    for i, j in np.ndindex(whole.shape):
+        want = distance(DensityMatrix(2, A[i]), DensityMatrix(2, B[j]), "trace")
+        assert abs(whole[i, j] - want) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,6 +200,8 @@ def test_compare_encodings_basic_columns():
     assert cells[0].accuracy == cells[1].accuracy  # identical cfg -> identical column
     noiseless = validate_ess(ds, cfg, "frobenius", seed=5)
     assert cells[0].accuracy == noiseless.accuracy  # p=0 column == noiseless run
+    with pytest.raises(ValueError):
+        compare_encodings(ds, [cfg], "frobenius", [-0.1])
 
 
 def depth_skewed_dataset(seed=5, n_classes=4, per_class=40, dim=16):
