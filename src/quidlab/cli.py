@@ -45,27 +45,118 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") % (2**31)
 
 
-def _to_number(name: str, kind: type, value):
-    """int(value) or float(value); anything else, NaN and inf included, is a usage error."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError("boolean")
-        out = kind(value)
-        if kind is float and not math.isfinite(out):
-            raise ValueError("not finite")
-        if kind is int and isinstance(value, float) and out != value:
-            raise ValueError("not integral")
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{name}: expected a finite {kind.__name__}, got {value!r}") from None
-    return out
+# ---------------------------------------------------------------------------
+# the option table: every flag and config key, its converter, default and help
+
+def _number(kind: type):
+    """int() or float(); booleans, NaN, inf and fractional integers are refused."""
+    def convert(value):
+        try:
+            if isinstance(value, bool):
+                raise TypeError("boolean")
+            out = kind(value)
+            if kind is float and not math.isfinite(out):
+                raise ValueError("not finite")
+            if kind is int and isinstance(value, float) and out != value:
+                raise ValueError("not integral")
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"expected a finite {kind.__name__}, got {value!r}") from None
+        return out
+    return convert
 
 
-# the flag that sets each config field whose range its class checks
-_FIELD_FLAGS = {
-    "n_qubits": "--qubits", "features_per_qubit": "--features-per-qubit", "layers": "--layers",
-    "epochs": "--epochs", "learning_rate": "--lr", "batch_size": "--batch", "shots": "--shots",
-    "k": "--k",
+def _within(convert, ok, rule: str):
+    """convert, then refuse a value for which ok() is false."""
+    def check(value):
+        out = convert(value)
+        if not ok(out):
+            raise ValueError(f"must be {rule}, got {out}")
+        return out
+    return check
+
+
+def _instance(kind: type, what: str):
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+    return convert
+
+
+def _one_of(choices: tuple[str, ...]):
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {'|'.join(choices)}, got {value!r}")
+        return value
+    return convert
+
+
+def _items(convert):
+    """A comma string or a JSON list (a lone JSON value is one item), converted item by item."""
+    def convert_all(value):
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v != ""]
+        elif not isinstance(value, list):
+            value = [value]
+        if not value:
+            raise ValueError("needs at least one value")
+        return [convert(v) for v in value]
+    return convert_all
+
+
+_INT, _FLOAT = _number(int), _number(float)
+_TEXT, _BOOL = _instance(str, "a string"), _instance(bool, "true or false")
+_COUNT = _within(_INT, lambda v: v >= 0, ">= 0")
+_FRACTION = _within(_FLOAT, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_ENCODERS = ("angle", "amplitude")
+_CELL_MODES = ("none", *MODES)
+
+# key -> (converter, default, help). The flag is --key with "_" written "-", and a
+# --config file may set any key. Ranges that a config class checks stay in that class.
+OPTIONS = {
+    "seed": (_COUNT, 0, "seed of every random draw"),
+    "out": (_TEXT, None, "output directory"),
+    "data": (_TEXT, None, "dataset CSV (features...,label); synthetic clusters if absent"),
+    "has_header": (_BOOL, False, "CSV files start with a header row"),
+    "classes": (_INT, 4, "synthetic: class count"),
+    "dim": (_INT, 8, "synthetic: feature dim"),
+    "per_class": (_INT, 250, "synthetic: per-class samples"),
+    "spread": (_FLOAT, 0.25, "synthetic: cluster std-dev"),
+    "qubits": (_INT, 4, "register size"),
+    "encoder": (_one_of(_ENCODERS), "angle", "|".join(_ENCODERS)),
+    "features_per_qubit": (_INT, None, "angle: features per qubit (default: cover every feature)"),
+    "noise": (_FLOAT, None, "per-gate error rate p"),
+    "noise_model": (_TEXT, None, "noise model JSON file"),
+    "pqc": (_one_of(PRESETS), "pqc1", "|".join(PRESETS)),
+    "layers": (_INT, 1, "template layers"),
+    "epochs": (_INT, 30, "training epochs"),
+    "lr": (_FLOAT, 0.01, "learning rate"),
+    "batch": (_INT, 32, "minibatch size"),
+    "shots": (_COUNT, 0, "measurement shots (0: exact expectations)"),
+    "train_fraction": (_FRACTION, 0.7, "training share of the stratified split"),
+    "test": (_TEXT, None, "separate test CSV (else split --data)"),
+    "model": (_TEXT, None, "checkpoint JSON"),
+    "metric": (lambda v: canonical_metric(_TEXT(v)), "frobenius", "|".join(METRICS) + " (or hs)"),
+    "holdout": (_FRACTION, 0.5, "held-out share"),
+    "noise_levels": (_items(_FLOAT), (0.0, 0.05, 0.1), "comma list of error rates"),
+    "mode": (_one_of(MODES), "quid", "|".join(MODES)),
+    "epsilon": (_items(_within(_FLOAT, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")), (0.0,),
+                "comma list of poison ratios"),
+    "modes": (_items(_one_of(_CELL_MODES)), ("none", "random_flip", "quid"),
+              "comma list from " + ",".join(_CELL_MODES)),
+    "workers": (_within(_INT, lambda v: v >= 1, ">= 1"), 1, "worker processes"),
+    "emit_plot_data": (_BOOL, False, "also write each cell's training curves"),
+    "k": (_INT, 3, "ensemble members"),
 }
+
+# config-class fields named differently from the option that sets them
+_FIELD_KEYS = {
+    "n_qubits": "qubits", "learning_rate": "lr", "batch_size": "batch", "n_classes": "classes",
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _configured(make, *args, flag=None, **kwargs):
@@ -76,7 +167,9 @@ def _configured(make, *args, flag=None, **kwargs):
     try:
         return make(*args, **kwargs)
     except (ValueError, CapacityError) as exc:
-        flag = flag or _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
+        field = str(exc).split(" ", 1)[0]
+        key = _FIELD_KEYS.get(field, field)
+        flag = flag or (_flag(key) if key in OPTIONS else None)
         raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from None
 
 
@@ -102,80 +195,30 @@ def _write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # option plumbing
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-
-
-def _add_data_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", default=None, help="dataset CSV (features...,label)")
-    p.add_argument("--has-header", action="store_true", default=None)
-    p.add_argument("--classes", type=int, default=None, help="synthetic: class count")
-    p.add_argument("--dim", type=int, default=None, help="synthetic: feature dim")
-    p.add_argument("--per-class", type=int, default=None, help="synthetic: per-class samples")
-    p.add_argument("--spread", type=float, default=None, help="synthetic: cluster std-dev")
-
-
-def _add_encoder(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--qubits", type=int, default=None)
-    p.add_argument("--encoder", choices=["angle", "amplitude"], default=None)
-    p.add_argument("--features-per-qubit", type=int, default=None)
-
-
-def _add_noise(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--noise", type=float, default=None, help="per-gate error rate p")
-    p.add_argument("--noise-model", default=None, help="noise model JSON file")
-
-
-def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pqc", choices=list(PRESETS), default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--train-fraction", type=float, default=None)
-
-
 class _Options:
-    """Flag -> config-file -> default resolution."""
+    """Flag -> config-file -> table-default resolution; flag and file values are converted."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.file: dict = {}
-        if getattr(args, "config", None):
+        if args.config:
             self.file = read_json(args.config)
+        unknown = sorted(set(self.file) - set(OPTIONS))
+        if unknown:
+            raise UsageError(f"--config: unknown key {', '.join(map(repr, unknown))}")
 
-    def get(self, name: str, default=None):
+    def get(self, name: str, *default):
+        """The converted flag or config value, else default if given, else the table's."""
+        convert, table_default, _help = OPTIONS[name]
         value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.file:
-            return self.file[name]
-        return default
-
-    def number(self, name: str, kind: type, default=None):
-        """get() converted to int or float; a value that does not convert is a usage error."""
-        value = self.get(name, default)
-        return None if value is None else _to_number(name, kind, value)
-
-    def fraction(self, name: str, default: float) -> float:
-        """number() as a float that must lie strictly between 0 and 1."""
-        value = self.number(name, float, default)
-        if not 0.0 < value < 1.0:
-            raise UsageError(f"--{name.replace('_', '-')}: must be in (0, 1), got {value}")
-        return value
-
-    def floats(self, name: str, default: str) -> list[float]:
-        """A JSON list or comma-separated string of floats."""
-        raw = self.get(name, default)
-        if not isinstance(raw, (list, tuple)):
-            raw = [v for v in str(raw).split(",") if v != ""]
-        return [_to_number(name, float, v) for v in raw]
-
-    def seed(self) -> int:
-        return self.number("seed", int, 0)
+        if value is None:
+            value = self.file.get(name)
+        if value is None:
+            return default[0] if default else table_default
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{_flag(name)}: {exc}") from None
 
     def outdir(self, required: bool = True) -> str | None:
         out = self.get("out")
@@ -186,17 +229,8 @@ class _Options:
         os.makedirs(out, exist_ok=True)
         return out
 
-    def epsilons(self, default="0") -> list[float]:
-        values = self.floats("epsilon", default)
-        if not values:
-            raise UsageError("--epsilon needs at least one value")
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise UsageError(f"epsilon {v} out of [0, 1]")
-        return values
-
     def noise_model(self) -> NoiseModel | None:
-        p = self.number("noise", float)
+        p = self.get("noise")
         path = self.get("noise_model")
         if p is not None and path is not None:
             raise UsageError("--noise and --noise-model are mutually exclusive")
@@ -209,28 +243,28 @@ class _Options:
     def dataset(self) -> tuple[LabeledDataset, str]:
         path = self.get("data")
         if path is not None:
-            ds = load_csv(path, has_header=bool(self.get("has_header", False)))
+            ds = load_csv(path, has_header=self.get("has_header"))
             return ds, os.path.basename(path)
         ds = self.synth()
-        return ds, f"synth-c{ds.n_classes}-d{ds.dim}-s{self.seed()}"
+        return ds, f"synth-c{ds.n_classes}-d{ds.dim}-s{self.get('seed')}"
 
     def synth(self) -> LabeledDataset:
-        return synth_clusters(
-            self.number("classes", int, 4),
-            self.number("dim", int, 8),
-            self.number("per_class", int, 250),
-            self.number("spread", float, 0.25),
-            seed=self.seed(),
+        return _configured(
+            synth_clusters,
+            self.get("classes"),
+            self.get("dim"),
+            self.get("per_class"),
+            self.get("spread"),
+            seed=self.get("seed"),
         )
 
     def encoder_for(self, dim: int, kind: str | None = None) -> EncoderConfig:
         """The --encoder encoder (or the given kind); angle blocks cover dim features by default."""
-        if kind is None:
-            kind = "amplitude" if self.get("encoder", "angle") == "amplitude" else "angle"
-        cfg = _configured(EncoderConfig, kind, self.number("qubits", int, 4))
+        kind = kind or self.get("encoder")
+        cfg = _configured(EncoderConfig, kind, self.get("qubits"))
         if kind == "amplitude":
             return cfg
-        fpq = self.number("features_per_qubit", int)
+        fpq = self.get("features_per_qubit")
         if fpq is None:
             fpq = max(1, math.ceil(dim / cfg.n_qubits))
         return _configured(replace, cfg, features_per_qubit=fpq)
@@ -243,27 +277,23 @@ class _Options:
 
     def train_test(self, ds: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:
         """The stratified --train-fraction split, seeded by --seed."""
-        return split(
-            ds, self.fraction("train_fraction", 0.7), stratified=True, seed=self.seed()
-        )
+        return split(ds, self.get("train_fraction"), stratified=True, seed=self.get("seed"))
 
     def train_config(self, seed: int, noise: NoiseModel | None) -> TrainConfig:
         return _configured(
             TrainConfig,
-            epochs=self.number("epochs", int, 30),
-            learning_rate=self.number("lr", float, 0.01),
-            batch_size=self.number("batch", int, 32),
+            epochs=self.get("epochs"),
+            learning_rate=self.get("lr"),
+            batch_size=self.get("batch"),
             seed=seed,
             noise=noise,
-            shots=self.number("shots", int, 0),
+            shots=self.get("shots"),
         )
 
     def resolved(self) -> dict:
+        """The config file's keys with the given flags on top: itself a valid --config file."""
         merged = dict(self.file)
-        for key, value in vars(self.args).items():
-            if key in ("func", "config") or value is None:
-                continue
-            merged[key] = value
+        merged.update((k, v) for k, v in vars(self.args).items() if k in OPTIONS and v is not None)
         return merged
 
 
@@ -273,7 +303,8 @@ def _manifest(out: str, options: _Options, started: float, extra: dict | None = 
     payload = {
         "config": resolved,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
-        "seed": options.seed(),
+        "command": options.args.command,
+        "seed": options.get("seed"),
         "versions": {
             "quidlab": __version__,
             "numpy": np.__version__,
@@ -308,7 +339,7 @@ def cmd_gen_data(args) -> int:
             "n_samples": len(ds),
             "dim": ds.dim,
             "n_classes": ds.n_classes,
-            "seed": options.seed(),
+            "seed": options.get("seed"),
             "value_range": list(DEFAULT_RANGE),
         },
     )
@@ -322,13 +353,13 @@ def cmd_ess_validate(args) -> int:
     started = time.time()
     _raw, ds, cfg, _tag = options.scaled_dataset()
     model = options.noise_model()
-    metric_opt = options.get("metric")
-    metrics = [_configured(canonical_metric, metric_opt)] if metric_opt else list(METRICS)
-    holdout = options.fraction("holdout", 0.5)
+    metric = options.get("metric", None)
+    metrics = [metric] if metric else list(METRICS)
+    holdout = options.get("holdout")
     rows, class_rows, summary = [], [], {}
     for metric in metrics:
         report = validate_ess(
-            ds, cfg, metric, model=model, holdout_fraction=holdout, seed=options.seed()
+            ds, cfg, metric, model=model, holdout_fraction=holdout, seed=options.get("seed")
         )
         rows.append([metric, report.accuracy, report.wall_seconds])
         class_rows.extend(report.class_rows())
@@ -353,13 +384,13 @@ def cmd_encode_compare(args) -> int:
     ds, _tag = options.dataset()
     cfgs = [options.encoder_for(ds.dim, "angle"), options.encoder_for(ds.dim, "amplitude")]
     ds = _scaled(ds, cfgs[0])
-    metric = _configured(canonical_metric, options.get("metric", "frobenius"))
-    levels = options.floats("noise_levels", "0,0.05,0.1")
+    metric = options.get("metric")
+    levels = options.get("noise_levels")
     for p in levels:  # every level is checked before the first cell runs
         _configured(NoiseModel.from_error_rate, p, flag="--noise-levels")
     cells = compare_encodings(
-        ds, cfgs, metric, levels, holdout_fraction=options.fraction("holdout", 0.5),
-        seed=options.seed(),
+        ds, cfgs, metric, levels, holdout_fraction=options.get("holdout"),
+        seed=options.get("seed"),
     )
     _write_csv(
         os.path.join(out, "encoding_comparison.csv"),
@@ -376,18 +407,16 @@ def cmd_poison(args) -> int:
     options = _Options(args)
     out = options.outdir()
     started = time.time()
-    eps = options.epsilons()
+    eps = options.get("epsilon")
     if len(eps) != 1:
         raise UsageError("poison takes exactly one --epsilon value")
-    mode = options.get("mode", "quid")
-    if mode not in MODES:
-        raise UsageError(f"--mode must be one of {MODES}")
+    mode = options.get("mode")
     ds, scaled, cfg, _tag = options.scaled_dataset()
     spec = PoisonSpec(
         epsilon=eps[0],
         mode=mode,
-        metric=_configured(canonical_metric, options.get("metric", "frobenius")),
-        seed=options.seed(),
+        metric=options.get("metric"),
+        seed=options.get("seed"),
         noise=options.noise_model(),
     )
     outcome = apply_poison(scaled, spec, cfg)
@@ -409,9 +438,7 @@ def cmd_poison(args) -> int:
 
 
 def _build_model(options: _Options, cfg: EncoderConfig, n_classes: int, seed: int) -> QnnModel:
-    template = _configured(
-        build_template, options.get("pqc", "pqc1"), cfg.n_qubits, options.number("layers", int, 1)
-    )
+    template = _configured(build_template, options.get("pqc"), cfg.n_qubits, options.get("layers"))
     return init_model(cfg, template, n_classes, seed=seed)
 
 
@@ -421,10 +448,10 @@ def cmd_train(args) -> int:
     started = time.time()
     ds, _tag = options.dataset()
     test_path = options.get("test")
-    seed = options.seed()
+    seed = options.get("seed")
     if test_path is not None:
         train_set = ds
-        test_set = load_csv(test_path, has_header=bool(options.get("has_header", False)))
+        test_set = load_csv(test_path, has_header=options.get("has_header"))
     else:
         train_set, test_set = options.train_test(ds)
     cfg = options.encoder_for(ds.dim)
@@ -455,15 +482,13 @@ def cmd_evaluate(args) -> int:
     model_path = options.get("model")
     if model_path is None:
         raise UsageError("--model is required")
-    shots = options.number("shots", int, 0)
-    if shots < 0:
-        raise UsageError(f"--shots: shots must be >= 0, got {shots}")
+    shots, seed = options.get("shots"), options.get("seed")
+    out = options.outdir(required=False)
     model = load_model(model_path)
     ds, _tag = options.dataset()
     ds = _scaled(ds, model.encoder)
-    acc, loss = evaluate(model, ds, noise=options.noise_model(), shots=shots, seed=options.seed())
+    acc, loss = evaluate(model, ds, noise=options.noise_model(), shots=shots, seed=seed)
     print(f"accuracy={acc:.4f} loss={loss:.4f}")
-    out = options.outdir(required=False)
     if out:
         _write_json(os.path.join(out, "eval.json"), {"accuracy": acc, "loss": loss})
     return 0
@@ -495,17 +520,14 @@ def cmd_experiment(args) -> int:
     options = _Options(args)
     out = options.outdir()
     started = time.time()
+    workers, emit_plot_data = options.get("workers"), options.get("emit_plot_data")
     _raw, ds, cfg, tag = options.scaled_dataset()
-    seed = options.seed()
+    seed = options.get("seed")
     train_set, test_set = options.train_test(ds)
-    modes_raw = options.get("modes", "none,random_flip,quid")
-    modes = modes_raw if isinstance(modes_raw, list) else str(modes_raw).split(",")
-    for mode in modes:
-        if mode != "none" and mode not in MODES:
-            raise UsageError(f"unknown attack mode {mode!r}")
-    eps_list = options.epsilons()
-    pqc_name = options.get("pqc", "pqc1")
-    metric = _configured(canonical_metric, options.get("metric", "frobenius"))
+    modes = options.get("modes")
+    eps_list = options.get("epsilon")
+    pqc_name = options.get("pqc")
+    metric = options.get("metric")
     noise = options.noise_model()
 
     keys = [(eps, mode) for eps in eps_list for mode in modes]
@@ -524,7 +546,7 @@ def cmd_experiment(args) -> int:
             }
         )
 
-    workers = options.number("workers", int, 1)
+    workers = min(workers, len(payloads))  # a pool starts all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_experiment_cell, payloads))
@@ -547,7 +569,7 @@ def cmd_experiment(args) -> int:
         ["dataset", "pqc", "epsilon", "mode", "test_accuracy", "test_loss", "status"],
         rows,
     )
-    if options.get("emit_plot_data"):
+    if emit_plot_data:
         for (eps, mode), r in cells:
             if r["status"] != "ok":
                 continue
@@ -566,15 +588,15 @@ def cmd_defend(args) -> int:
     out = options.outdir()
     started = time.time()
     _raw, ds, cfg, tag = options.scaled_dataset()
-    seed = options.seed()
+    seed = options.get("seed")
     train_set, test_set = options.train_test(ds)
-    metric = _configured(canonical_metric, options.get("metric", "frobenius"))
+    metric = options.get("metric")
     noise = options.noise_model()
-    defense = _configured(
-        DefenseConfig, options.train_config(seed, noise), k=options.number("k", int, 3)
-    )
+    defense = _configured(DefenseConfig, options.train_config(seed, noise), k=options.get("k"))
+    if defense.k > len(train_set):  # checked before the first training starts
+        raise UsageError(f"--k: k must be in [1, {len(train_set)}], got {defense.k}")
     rows = []
-    for eps in options.epsilons(default="0.3"):
+    for eps in options.get("epsilon", [0.3]):
         poison_seed = _derive_seed(seed, tag, eps, "poison")
         train_seed = _derive_seed(seed, tag, eps, "train")
         prototype = _build_model(options, cfg, ds.n_classes, train_seed)
@@ -604,87 +626,46 @@ def cmd_defend(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+_SOURCE = ("seed", "out", "data", "has_header", "classes", "dim", "per_class", "spread")
+_ENCODING = ("qubits", "encoder", "features_per_qubit")
+_NOISE = ("noise", "noise_model")
+_TRAINING = ("pqc", "layers", "epochs", "lr", "batch", "shots", "train_fraction")
+
+# subcommand -> (handler, help, option keys)
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "write a synthetic cluster dataset CSV", _SOURCE),
+    "ess-validate": (cmd_ess_validate, "min-distance labeling accuracy per metric",
+                     _SOURCE + _ENCODING + _NOISE + ("metric", "holdout")),
+    "encode-compare": (cmd_encode_compare, "angle vs amplitude encoding under noise",
+                       _SOURCE + _ENCODING + ("metric", "noise_levels", "holdout")),
+    "poison": (cmd_poison, "write a poisoned copy of a dataset",
+               _SOURCE + _ENCODING + _NOISE + ("mode", "metric", "epsilon")),
+    "train": (cmd_train, "train one model, write checkpoint + curves",
+              _SOURCE + _ENCODING + _NOISE + _TRAINING + ("test",)),
+    "evaluate": (cmd_evaluate, "accuracy/loss of a checkpoint on a dataset",
+                 _SOURCE + _NOISE + ("model", "shots")),
+    "experiment": (cmd_experiment, "poison-ratio sweep: poison, train, evaluate",
+                   _SOURCE + _ENCODING + _NOISE + _TRAINING
+                   + ("epsilon", "modes", "metric", "workers", "emit_plot_data")),
+    "defend": (cmd_defend, "undefended vs partition-vote ensemble",
+               _SOURCE + _ENCODING + _NOISE + _TRAINING + ("epsilon", "metric", "k")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quidlab",
         description="Poisoning experiments on density-matrix quantum classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="write a synthetic cluster dataset CSV")
-    _add_common(p)
-    _add_data_source(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("ess-validate", help="min-distance labeling accuracy per metric")
-    _add_common(p)
-    _add_data_source(p)
-    _add_encoder(p)
-    _add_noise(p)
-    p.add_argument("--metric", default=None, help="frobenius|trace|hs (default: all)")
-    p.add_argument("--holdout", type=float, default=None)
-    p.set_defaults(func=cmd_ess_validate)
-
-    p = sub.add_parser("encode-compare", help="angle vs amplitude encoding under noise")
-    _add_common(p)
-    _add_data_source(p)
-    _add_encoder(p)
-    p.add_argument("--metric", default=None)
-    p.add_argument("--noise-levels", default=None, help="comma list of error rates")
-    p.add_argument("--holdout", type=float, default=None)
-    p.set_defaults(func=cmd_encode_compare)
-
-    p = sub.add_parser("poison", help="write a poisoned copy of a dataset")
-    _add_common(p)
-    _add_data_source(p)
-    _add_encoder(p)
-    _add_noise(p)
-    p.add_argument("--mode", choices=list(MODES), default=None)
-    p.add_argument("--metric", default=None)
-    p.add_argument("--epsilon", default=None)
-    p.set_defaults(func=cmd_poison)
-
-    p = sub.add_parser("train", help="train one model, write checkpoint + curves")
-    _add_common(p)
-    _add_data_source(p)
-    _add_encoder(p)
-    _add_noise(p)
-    _add_training(p)
-    p.add_argument("--test", default=None, help="separate test CSV (else split --data)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="accuracy/loss of a checkpoint on a dataset")
-    _add_common(p)
-    _add_data_source(p)
-    _add_noise(p)
-    p.add_argument("--model", default=None, help="checkpoint JSON")
-    p.add_argument("--shots", type=int, default=None)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("experiment", help="poison-ratio sweep: poison, train, evaluate")
-    _add_common(p)
-    _add_data_source(p)
-    _add_encoder(p)
-    _add_noise(p)
-    _add_training(p)
-    p.add_argument("--epsilon", default=None, help="comma list of poison ratios")
-    p.add_argument("--modes", default=None, help="comma list from none,random_flip,quid,bilevel_random")
-    p.add_argument("--metric", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--emit-plot-data", action="store_true", default=None)
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("defend", help="undefended vs partition-vote ensemble")
-    _add_common(p)
-    _add_data_source(p)
-    _add_encoder(p)
-    _add_noise(p)
-    _add_training(p)
-    p.add_argument("--epsilon", default=None)
-    p.add_argument("--metric", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_defend)
-
+    for name, (handler, text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON config file setting any option key; flags win")
+        for key in keys:
+            convert, _default, help_text = OPTIONS[key]
+            action = "store_true" if convert is _BOOL else "store"
+            p.add_argument(_flag(key), action=action, default=None, help=help_text)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -142,9 +142,11 @@ def synth_clusters(
     (Euclidean); samples are clipped back into the range.
     """
     if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if per_class < 1 or dim < 1:
-        raise ValueError("per_class and dim must be positive")
+        raise ValueError("n_classes must be at least 2")
+    if per_class < 1:
+        raise ValueError("per_class must be positive")
+    if dim < 1:
+        raise ValueError("dim must be positive")
     if spread < 0:
         raise ValueError("spread must be non-negative")
     lo, hi = value_range

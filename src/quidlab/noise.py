@@ -125,9 +125,9 @@ def load_noise_model(path) -> NoiseModel:
                 raise DataFormatError(
                     f"{path}: entry {key!r} names unknown channel {kind!r}"
                 )
-            if not isinstance(param, (int, float)) or not 0.0 <= float(param) <= 1.0:
+            if type(param) not in (int, float) or not 0.0 <= param <= 1.0:
                 raise DataFormatError(
-                    f"{path}: entry {key!r} parameter {param!r} out of [0, 1]"
+                    f"{path}: entry {key!r} parameter {param!r} is not a number in [0, 1]"
                 )
             entries.append((kind, float(param)))
         if key == "default":

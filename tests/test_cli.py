@@ -202,6 +202,30 @@ def test_experiment_worker_pool_does_not_change_results(tmp_path):
     assert (out1 / "results.csv").read_bytes() == (out4 / "results.csv").read_bytes()
 
 
+def test_experiment_pool_never_outnumbers_cells(tmp_path, monkeypatch):
+    import quidlab.cli as cli
+
+    sizes = []
+
+    class SerialPool:  # records the pool size, runs the cells in-process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    data = gen(tmp_path, per_class="12")
+    assert run(*experiment_args(data, tmp_path / "e", workers="5000")) == 0
+    assert sizes == [6]  # 2 epsilons x 3 modes
+
+
 def test_experiment_unknown_mode_exits_2(tmp_path):
     data = gen(tmp_path, per_class="12")
     assert run("experiment", "--data", str(data), "--modes", "none,gradient",
@@ -232,7 +256,12 @@ def test_defend_emits_row_per_epsilon(tmp_path):
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     data = gen(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"qubits": 4, "metric": "trace", "seed": 3}))
+    # ess-validate reads none of epsilon, modes, emit_plot_data, epochs and k, and
+    # experiment does not read k: keys of other subcommands are accepted
+    cfg_path.write_text(json.dumps({
+        "qubits": 4, "metric": "trace", "seed": 3, "epsilon": [0, 0.5],
+        "modes": ["none", "quid"], "emit_plot_data": True, "epochs": 1, "k": 2,
+    }))
     out = tmp_path / "cfgrun"
     assert run("ess-validate", "--data", str(data), "--config", str(cfg_path),
                "--metric", "frobenius", "--out", str(out)) == 0
@@ -240,6 +269,20 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     assert len(lines) == 2 and lines[1].startswith("frobenius,")  # flag beat file
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 3  # file supplied the seed
+    sweep = tmp_path / "cfgsweep"
+    assert run("experiment", "--data", str(data), "--config", str(cfg_path),
+               "--out", str(sweep)) == 0
+    rows = (sweep / "results.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[2:4] for r in rows] == [
+        ["0.0", "none"], ["0.0", "quid"], ["0.5", "none"], ["0.5", "quid"]
+    ]
+    assert (sweep / "curves_eps0.5_quid.csv").exists()
+    # the manifest's config block is itself a config file for the same run
+    rerun_cfg = tmp_path / "rerun.json"
+    rerun_cfg.write_text(json.dumps(json.loads((sweep / "manifest.json").read_text())["config"]))
+    rerun = tmp_path / "rerun"
+    assert run("experiment", "--config", str(rerun_cfg), "--out", str(rerun)) == 0
+    assert (rerun / "results.csv").read_bytes() == (sweep / "results.csv").read_bytes()
 
 
 def test_synth_fallback_when_no_data(tmp_path):
@@ -384,6 +427,27 @@ BAD_INPUTS = [
     ("output directory is a file", ["ess-validate", "--data", "{data}"], "out", "x", 3),
     ("config not an object", ["ess-validate", "--data", "{data}", "--config", "{f}"],
      "cfg.json", "[1, 2]", 3),
+    # config values are typed and checked like flags, and name the flag
+    ("--has-header config 'no'", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"has_header": "no"}', 2),
+    ("--metric config 5", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"metric": 5}', 2),
+    ("--encoder config 'amplitud'", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"encoder": "amplitud"}', 2),
+    ("--data config 5", ["ess-validate", "--config", "{f}"], "cfg.json", '{"data": 5}', 2),
+    ("--noise-model config [1]", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"noise_model": [1]}', 2),
+    ("--emit-plot-data config 'no'", ["experiment", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"emit_plot_data": "no"}', 2),
+    ("--config unknown key", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"epochz": 3}', 2),
+    ("--workers 0", ["experiment", "--data", "{data}", "--workers", "0"], "unused", "", 2),
+    ("--classes 1", ["gen-data", "--classes", "1"], "unused", "", 2),
+    ("--per-class 0", ["gen-data", "--per-class", "0"], "unused", "", 2),
+    ("--dim 0", ["gen-data", "--dim", "0"], "unused", "", 2),
+    ("--spread -1", ["gen-data", "--spread", "-1"], "unused", "", 2),
+    ("--seed -1", ["gen-data", "--seed", "-1"], "unused", "", 2),
+    ("--k 50 (defend)", ["defend", "--data", "{data}", "--k", "50"], "unused", "", 2),
     ("noise model not an object", ["ess-validate", "--data", "{data}", "--noise-model", "{f}"],
      "noise.json", '[["depolarizing", 0.1]]', 3),
 ]
@@ -415,3 +479,5 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
     assert "Traceback" not in proc.stderr
     if name.startswith("--"):
         assert name.split()[0] in proc.stderr
+    if name == "--config unknown key":
+        assert "epochz" in proc.stderr

@@ -142,6 +142,9 @@ def test_load_noise_model_rejects_bad_files(tmp_path):
     path.write_text(json.dumps({"rx": [["phase_flip", 0.1]]}))
     with pytest.raises(DataFormatError, match="phase_flip"):
         load_noise_model(path)
+    path.write_text(json.dumps({"default": [["depolarizing", True]]}))
+    with pytest.raises(DataFormatError, match="True"):
+        load_noise_model(path)
     path.write_text("not json")
     with pytest.raises(DataFormatError):
         load_noise_model(path)
