@@ -452,6 +452,9 @@ def cmd_train(args) -> int:
     if test_path is not None:
         train_set = ds
         test_set = load_csv(test_path, has_header=options.get("has_header"))
+        if test_set.dim != ds.dim or test_set.n_classes > ds.n_classes:
+            raise DataFormatError(f"{test_path}: {test_set.dim} features and {test_set.n_classes} "
+                                  f"classes do not fit --data's {ds.dim} and {ds.n_classes}")
     else:
         train_set, test_set = options.train_test(ds)
     cfg = options.encoder_for(ds.dim)
@@ -485,7 +488,10 @@ def cmd_evaluate(args) -> int:
     shots, seed = options.get("shots"), options.get("seed")
     out = options.outdir(required=False)
     model = load_model(model_path)
-    ds, _tag = options.dataset()
+    ds, tag = options.dataset()
+    if ds.n_classes > model.n_classes:
+        raise DataFormatError(f"{options.get('data') or tag}: label {ds.n_classes - 1} is "
+                              f"outside the checkpoint's {model.n_classes} classes")
     ds = _scaled(ds, model.encoder)
     acc, loss = evaluate(model, ds, noise=options.noise_model(), shots=shots, seed=seed)
     print(f"accuracy={acc:.4f} loss={loss:.4f}")
@@ -626,14 +632,15 @@ def cmd_defend(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-_SOURCE = ("seed", "out", "data", "has_header", "classes", "dim", "per_class", "spread")
+_SYNTH = ("seed", "out", "classes", "dim", "per_class", "spread")
+_SOURCE = _SYNTH + ("data", "has_header")
 _ENCODING = ("qubits", "encoder", "features_per_qubit")
 _NOISE = ("noise", "noise_model")
 _TRAINING = ("pqc", "layers", "epochs", "lr", "batch", "shots", "train_fraction")
 
 # subcommand -> (handler, help, option keys)
 COMMANDS = {
-    "gen-data": (cmd_gen_data, "write a synthetic cluster dataset CSV", _SOURCE),
+    "gen-data": (cmd_gen_data, "write a synthetic cluster dataset CSV", _SYNTH),
     "ess-validate": (cmd_ess_validate, "min-distance labeling accuracy per metric",
                      _SOURCE + _ENCODING + _NOISE + ("metric", "holdout")),
     "encode-compare": (cmd_encode_compare, "angle vs amplitude encoding under noise",

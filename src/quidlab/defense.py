@@ -22,9 +22,13 @@ import numpy as np
 from .data import LabeledDataset, read_json
 from .errors import DataFormatError
 from .noise import NoiseModel
-from .qnn import QnnModel, TrainConfig, TrainReport, load_model, save_model, train
-from .qnn import _forward_from_states  # shared forward path
+from .qnn import QnnModel, TrainConfig, TrainReport, load_model, save_model
+from .qnn import _encode_sets, _fit, _forward_from_states  # shared encode/train/forward paths
 from .encode import encode_batch
+
+# Not called here; perfbench/spans.py installs its timing wrapper on this
+# attribute of quidlab.defense, so it stays importable from this module.
+from .qnn import train  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -77,22 +81,21 @@ def train_ensemble(
     cfg: DefenseConfig,
     prototype: QnnModel,
 ) -> tuple[EnsembleModel, list[TrainReport]]:
-    """Train one model per partition with distinct derived seeds."""
+    """One model per partition with distinct derived seeds; each set is encoded once."""
     parts = partition(train_set, cfg.k, cfg.partition_seed)
+    train_states, test_states = _encode_sets(prototype, train_set, test_set, cfg.train.noise)
     members: list[QnnModel] = []
     reports: list[TrainReport] = []
     for j, part in enumerate(parts):
-        if part.size == 0:
-            raise ValueError(f"partition {j} is empty")
-        subset = train_set.subset(part)
-        present = np.unique(subset.labels)
-        if present.size < train_set.n_classes:
+        labels = train_set.labels[part]
+        missing = train_set.n_classes - np.unique(labels).size
+        if missing:
             warnings.warn(
-                f"partition {j} is missing {train_set.n_classes - present.size} "
-                "class(es); its model trains on what exists"
+                f"partition {j} is missing {missing} class(es); its model trains on what exists"
             )
         member_cfg = replace(cfg.train, seed=cfg.train.seed + j)
-        report = train(prototype.copy(), subset, test_set, member_cfg)
+        report = _fit(prototype.copy(), train_states[part], labels, test_states,
+                      test_set.labels, member_cfg)
         members.append(report.model)
         reports.append(report)
     return EnsembleModel(members, assignment_from_parts(parts, len(train_set))), reports
@@ -105,11 +108,15 @@ def member_predictions(
     shots: int = 0,
     seed: int = 0,
 ) -> np.ndarray:
-    """(k, n_samples) argmax predictions of every member."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
+    """(k, n_samples) argmax predictions of every member, from one encoding of the features."""
+    if not ensemble.members:
+        raise ValueError("empty ensemble")
+    encoder = ensemble.members[0].encoder
+    if any(member.encoder != encoder for member in ensemble.members):
+        raise ValueError("ensemble members use different encoders")
+    states = encode_batch(np.atleast_2d(np.asarray(features, dtype=float)), encoder, noise)
     preds = []
     for j, member in enumerate(ensemble.members):
-        states = encode_batch(features, member.encoder, noise)
         rng = np.random.Generator(np.random.PCG64(seed + j))
         probs, _ = _forward_from_states(member, states, member.theta, noise, shots, rng)
         preds.append(np.argmax(probs, axis=1))
@@ -124,8 +131,6 @@ def vote(
     seed: int = 0,
 ) -> int:
     """Plurality over member predictions; ties go to the smallest class index."""
-    if not ensemble.members:
-        raise ValueError("empty ensemble")
     preds = member_predictions(ensemble, np.asarray(x, dtype=float).reshape(1, -1),
                                noise, shots, seed)[:, 0]
     return int(np.argmax(np.bincount(preds)))
@@ -166,4 +171,7 @@ def load_ensemble(directory) -> EnsembleModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed partition map ({exc!r})") from exc
     members = [load_model(os.path.join(directory, f"member_{j}.json")) for j in range(k)]
+    for j, member in enumerate(members):
+        if member.encoder != members[0].encoder:
+            raise DataFormatError(f"{directory}/member_{j}.json: encoder differs from member_0's")
     return EnsembleModel(members, assignment)

@@ -9,6 +9,7 @@ amplitude preparation counts as one opaque StatePrep touching every qubit.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,10 @@ def encode_batch(
     if X.shape[0] == 0:
         raise ValueError("cannot encode an empty batch")
     _check_dim(X.shape[1], cfg)
+    need = X.shape[0] * 16 * 4**cfg.n_qubits  # bytes of the complex128 stack
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise CapacityError(f"{X.shape[0]} rows at {cfg.n_qubits} qubits need {need / 2**30:.1f} "
+                            "GiB of density matrices, more than this machine's memory")
     if cfg.kind == "angle":
         return _angle_batch(X, cfg, model)
     return _amplitude_batch(X, cfg, model)

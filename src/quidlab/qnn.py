@@ -2,8 +2,7 @@
 
 Quantum parameters train with SPSA two-point gradient estimates; the linear
 head trains with exact softmax cross-entropy gradients. Both parameter groups
-update with Adam. Encoded states are cached per run when the register is
-small enough, since the encoder does not depend on the trainable parameters.
+update with Adam.
 
 The readout is in the Heisenberg picture: each forward pass pulls the n
 observables Z_q back through the noisy PQC once (pqc.z_observables) and reads
@@ -37,9 +36,6 @@ ADAM_EPS = 1e-8
 
 PROB_FLOOR = 1e-12
 SPSA_C = 0.01  # SPSA perturbation size
-
-# registers up to this size get their encoded states cached for a whole run
-CACHE_MAX_QUBITS = 6
 
 
 @dataclass
@@ -284,28 +280,13 @@ class _Adam:
         return param - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-class _StateCache:
-    """Per-run encoded-state cache; falls back to re-encoding on big registers."""
-
-    def __init__(self, features: np.ndarray, encoder: EncoderConfig, noise):
-        self.features = features
-        self.encoder = encoder
-        self.noise = noise
-        self.stack = (
-            encode_batch(features, encoder, noise)
-            if encoder.n_qubits <= CACHE_MAX_QUBITS and len(features)
-            else None
-        )
-
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        if self.stack is not None:
-            return self.stack[idx]
-        return encode_batch(self.features[idx], self.encoder, self.noise)
-
-    def all(self) -> np.ndarray:
-        if self.stack is not None:
-            return self.stack
-        return encode_batch(self.features, self.encoder, self.noise)
+def _encode_sets(model, train_set: LabeledDataset, test_set: LabeledDataset, noise):
+    """Check a train/test pair against the model's head, then encode each set once."""
+    if len(train_set) == 0 or len(test_set) == 0:
+        raise ValueError("train and test sets must be non-empty")
+    if train_set.n_classes > model.n_classes or test_set.n_classes > model.n_classes:
+        raise ValueError("dataset classes exceed the model head")
+    return tuple(encode_batch(ds.features, model.encoder, noise) for ds in (train_set, test_set))
 
 
 def train(
@@ -319,16 +300,15 @@ def train(
     Both gradients are evaluated at the pre-update parameters of each batch,
     then both groups step. Fully deterministic given config.seed.
     """
-    if len(train_set) == 0 or len(test_set) == 0:
-        raise ValueError("train and test sets must be non-empty")
-    if train_set.n_classes > model.n_classes or test_set.n_classes > model.n_classes:
-        raise ValueError("dataset classes exceed the model head")
+    train_states, test_states = _encode_sets(model, train_set, test_set, config.noise)
+    return _fit(model, train_states, train_set.labels, test_states, test_set.labels, config)
+
+
+def _fit(model, train_states, train_labels, test_states, test_labels, config) -> TrainReport:
+    """train() on already-encoded states; the encoder has no trainable parameters."""
     started = time.perf_counter()
     model = model.copy()
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    tr_cache = _StateCache(train_set.features, model.encoder, config.noise)
-    te_cache = _StateCache(test_set.features, model.encoder, config.noise)
-
     adam_theta = _Adam(model.theta.shape, config.learning_rate)
     adam_w = _Adam(model.head_weights.shape, config.learning_rate)
     adam_b = _Adam(model.head_bias.shape, config.learning_rate)
@@ -336,14 +316,14 @@ def train(
     train_loss: list[float] = []
     test_loss: list[float] = []
     test_accuracy: list[float] = []
-    n = len(train_set)
+    n = len(train_labels)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         batch_losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            states = tr_cache.take(idx)
-            labels = train_set.labels[idx]
+            states = train_states[idx]
+            labels = train_labels[idx]
             probs, z = _forward_from_states(
                 model, states, model.theta, config.noise, config.shots, rng
             )
@@ -357,7 +337,7 @@ def train(
             model.head_bias = adam_b.step(model.head_bias, grad_b)
         train_loss.append(float(np.mean(batch_losses)))
         acc, loss = _evaluate_states(
-            model, te_cache.all(), test_set.labels, config.noise, config.shots, rng
+            model, test_states, test_labels, config.noise, config.shots, rng
         )
         test_loss.append(loss)
         test_accuracy.append(acc)

@@ -35,6 +35,18 @@ def test_gen_data_reproducible_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_data_refuses_data_source_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        run("gen-data", "--data", "x.csv", "--out", str(tmp_path / "y.csv"))
+    assert info.value.code == 2
+    assert "--data" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+    with pytest.raises(SystemExit):
+        run("gen-data", "--help")
+    help_text = capsys.readouterr().out
+    assert "--data" not in help_text and "--has-header" not in help_text
+
+
 def test_gen_data_requires_out(tmp_path):
     assert run("gen-data", "--classes", "4") == 2
 
@@ -171,6 +183,50 @@ def test_train_and_evaluate_roundtrip(tmp_path):
                "--out", str(tmp_path / "eval")) == 0
     payload = json.loads((tmp_path / "eval" / "eval.json").read_text())
     assert 0.0 <= payload["accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("case", ["test classes", "test features", "checkpoint classes"])
+def test_mismatched_datasets_exit_3_naming_the_file(tmp_path, capsys, case):
+    data = gen(tmp_path, "two.csv", classes="2")
+    if case == "test features":
+        other = gen(tmp_path, "other.csv", classes="2", dim="7")
+    else:
+        other = gen(tmp_path, "other.csv")  # 4 classes
+    if case == "checkpoint classes":
+        assert run("train", "--data", str(data), "--epochs", "0",
+                   "--out", str(tmp_path / "m")) == 0
+        argv = ["evaluate", "--model", str(tmp_path / "m" / "model.json"), "--data", str(other)]
+    else:
+        argv = ["train", "--data", str(data), "--test", str(other), "--epochs", "1"]
+    capsys.readouterr()
+    assert run(*argv, "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(other) in err[0]
+
+
+def test_register_that_cannot_fit_in_memory_is_refused_before_allocating(tmp_path):
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    stack_row = 16 * 4**12  # bytes of one 12-qubit density matrix
+    per_class = max(60, memory // stack_row + 2)  # the reference half alone cannot fit
+    cap = 2 << 30
+
+    def cap_address_space():  # an attempted allocation then fails fast instead of paging
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "quidlab.cli", "ess-validate", "--qubits", "12", "--classes",
+         "2", "--per-class", str(per_class), "--dim", "8", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, preexec_fn=cap_address_space, timeout=300,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert " rows at 12 qubits" in proc.stderr
 
 
 def experiment_args(data, out, workers="1"):

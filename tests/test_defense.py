@@ -1,5 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import quidlab.defense
+import quidlab.qnn
 
 from quidlab.data import LabeledDataset, split, synth_clusters
 from quidlab.defense import (
@@ -15,6 +20,7 @@ from quidlab.defense import (
 )
 from quidlab.encode import EncoderConfig, scale_features
 from quidlab.errors import DataFormatError
+from quidlab.noise import NoiseModel
 from quidlab.pqc import build_template
 from quidlab.qnn import TrainConfig, init_model, train
 
@@ -116,6 +122,52 @@ def test_k1_reproduces_undefended_training_bit_for_bit():
 
     acc_plain, _ = evaluate(undefended.model, te)
     assert acc_vote == acc_plain
+
+
+def test_k3_members_match_training_on_their_partition_alone():
+    ds = tiny_dataset()
+    tr, te = split(ds, 0.75, stratified=True, seed=4)
+    proto = prototype()
+    cfg = TrainConfig(epochs=3, seed=5, noise=NoiseModel.from_error_rate(0.05), shots=16)
+    ensemble, reports = train_ensemble(
+        tr, te, DefenseConfig(train=cfg, k=3, partition_seed=5), proto
+    )
+    for j, part in enumerate(partition(tr, 3, seed=5)):
+        alone = train(proto.copy(), tr.subset(part), te, replace(cfg, seed=cfg.seed + j))
+        member = ensemble.members[j]
+        assert np.array_equal(member.theta, alone.model.theta)
+        assert np.array_equal(member.head_weights, alone.model.head_weights)
+        assert np.array_equal(member.head_bias, alone.model.head_bias)
+        assert reports[j].train_loss == alone.train_loss
+        assert reports[j].test_accuracy == alone.test_accuracy
+
+
+def test_ensemble_training_and_vote_encode_each_row_once(monkeypatch):
+    ds = tiny_dataset()
+    tr, te = split(ds, 0.75, stratified=True, seed=4)
+    encoded_rows = []
+    for module in (quidlab.qnn, quidlab.defense):
+        def counting(X, cfg, model=None, real=module.encode_batch):
+            encoded_rows.append(len(X))
+            return real(X, cfg, model)
+
+        monkeypatch.setattr(module, "encode_batch", counting)
+    cfg = DefenseConfig(train=TrainConfig(epochs=2, seed=3), k=3, partition_seed=3)
+    ensemble, _ = train_ensemble(tr, te, cfg, prototype())
+    assert sorted(encoded_rows) == sorted([len(tr), len(te)])
+    encoded_rows.clear()
+    evaluate_ensemble(ensemble, te)
+    assert encoded_rows == [len(te)]
+
+
+def test_members_with_different_encoders_are_refused(tmp_path):
+    other = init_model(EncoderConfig("angle", 4, 3), build_template("pqc1", 4, 1), 4, seed=1)
+    mixed = EnsembleModel([prototype(), other], np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="encoders"):
+        member_predictions(mixed, tiny_dataset().features)
+    save_ensemble(mixed, tmp_path / "ens")
+    with pytest.raises(DataFormatError, match="member_1.json"):
+        load_ensemble(tmp_path / "ens")
 
 
 def test_ensemble_accuracy_on_clean_separable_data():
