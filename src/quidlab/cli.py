@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .data import DEFAULT_RANGE, LabeledDataset, load_csv, read_json, save_csv, split
-from .data import synth_clusters
+from .data import synth_clusters, write_json, write_table
 from .defense import DefenseConfig, evaluate_ensemble, train_ensemble
 from .encode import EncoderConfig, scale_features
 from .errors import CapacityError, DataFormatError, DegenerateInputError, QuidlabError
@@ -173,23 +173,10 @@ def _configured(make, *args, flag=None, **kwargs):
         raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from None
 
 
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_curves(path, curves) -> None:
+    """One row per epoch of (train_loss, test_loss, test_accuracy) triples."""
+    write_table(path, ["epoch", "train_loss", "test_loss", "test_accuracy"],
+                ([i, *c] for i, c in enumerate(curves, start=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +246,22 @@ class _Options:
         )
 
     def encoder_for(self, dim: int, kind: str | None = None) -> EncoderConfig:
-        """The --encoder encoder (or the given kind); angle blocks cover dim features by default."""
+        """The --encoder encoder (or the given kind); angle blocks cover dim features by default.
+
+        An encoder too small for dim features is a usage error naming the flag that sized it.
+        """
         kind = kind or self.get("encoder")
         cfg = _configured(EncoderConfig, kind, self.get("qubits"))
-        if kind == "amplitude":
-            return cfg
-        fpq = self.get("features_per_qubit")
-        if fpq is None:
-            fpq = max(1, math.ceil(dim / cfg.n_qubits))
-        return _configured(replace, cfg, features_per_qubit=fpq)
+        if kind == "angle":
+            fpq = self.get("features_per_qubit")
+            if fpq is None:
+                fpq = max(1, math.ceil(dim / cfg.n_qubits))
+            cfg = _configured(replace, cfg, features_per_qubit=fpq)
+        if dim > cfg.capacity():
+            flag = "--features-per-qubit" if kind == "angle" else "--qubits"
+            raise UsageError(f"{flag}: {dim} features exceed the {kind} encoder's "
+                             f"capacity of {cfg.capacity()} at {cfg.n_qubits} qubits")
+        return cfg
 
     def scaled_dataset(self) -> tuple[LabeledDataset, LabeledDataset, EncoderConfig, str]:
         """(raw dataset, dataset scaled into the encoder range, encoder, dataset tag)."""
@@ -315,7 +309,7 @@ def _manifest(out: str, options: _Options, started: float, extra: dict | None = 
     }
     if extra:
         payload.update(extra)
-    _write_json(os.path.join(out, "manifest.json"), payload)
+    write_json(os.path.join(out, "manifest.json"), payload)
 
 
 def _scaled(ds: LabeledDataset, cfg: EncoderConfig) -> LabeledDataset:
@@ -332,7 +326,7 @@ def cmd_gen_data(args) -> int:
         raise UsageError("--out is required (CSV file path)")
     ds = options.synth()
     save_csv(ds, out_path)
-    _write_json(
+    write_json(
         out_path + ".provenance.json",
         {
             "note": ds.note,
@@ -365,14 +359,10 @@ def cmd_ess_validate(args) -> int:
         class_rows.extend(report.class_rows())
         summary[metric] = report.to_json()
         print(f"{metric}: accuracy={report.accuracy:.4f} time={report.wall_seconds:.3f}s")
-    _write_csv(os.path.join(out, "report.csv"), ["metric", "accuracy", "time_s"],
-               [[m, a, t] for m, a, t in rows])
-    _write_csv(
-        os.path.join(out, "class_stats.csv"),
-        ["metric", "class", "intra_mean", "inter_mean"],
-        [list(r) for r in class_rows],
-    )
-    _write_json(os.path.join(out, "summary.json"), summary)
+    write_table(os.path.join(out, "report.csv"), ["metric", "accuracy", "time_s"], rows)
+    write_table(os.path.join(out, "class_stats.csv"),
+                ["metric", "class", "intra_mean", "inter_mean"], class_rows)
+    write_json(os.path.join(out, "summary.json"), summary)
     _manifest(out, options, started)
     return 0
 
@@ -392,7 +382,7 @@ def cmd_encode_compare(args) -> int:
         ds, cfgs, metric, levels, holdout_fraction=options.get("holdout"),
         seed=options.get("seed"),
     )
-    _write_csv(
+    write_table(
         os.path.join(out, "encoding_comparison.csv"),
         ["encoder", "noise_p", "accuracy"],
         [[c.encoder, c.noise_p, c.accuracy] for c in cells],
@@ -464,16 +454,8 @@ def cmd_train(args) -> int:
     noise = options.noise_model()
     report = train(model, train_set, test_set, options.train_config(seed, noise))
     save_model(report.model, os.path.join(out, "model.json"), seed=seed)
-    _write_csv(
-        os.path.join(out, "curves.csv"),
-        ["epoch", "train_loss", "test_loss", "test_accuracy"],
-        [
-            [i + 1, tl, vl, va]
-            for i, (tl, vl, va) in enumerate(
-                zip(report.train_loss, report.test_loss, report.test_accuracy)
-            )
-        ],
-    )
+    _write_curves(os.path.join(out, "curves.csv"),
+                  zip(report.train_loss, report.test_loss, report.test_accuracy))
     final_acc = report.test_accuracy[-1] if report.test_accuracy else float("nan")
     print(f"final test accuracy: {final_acc:.4f}")
     _manifest(out, options, started, {"wall_seconds_train": report.wall_seconds})
@@ -492,11 +474,14 @@ def cmd_evaluate(args) -> int:
     if ds.n_classes > model.n_classes:
         raise DataFormatError(f"{options.get('data') or tag}: label {ds.n_classes - 1} is "
                               f"outside the checkpoint's {model.n_classes} classes")
+    if ds.dim > model.encoder.capacity():
+        raise DataFormatError(f"{options.get('data') or tag}: {ds.dim} features exceed the "
+                              f"checkpoint encoder's capacity of {model.encoder.capacity()}")
     ds = _scaled(ds, model.encoder)
     acc, loss = evaluate(model, ds, noise=options.noise_model(), shots=shots, seed=seed)
     print(f"accuracy={acc:.4f} loss={loss:.4f}")
     if out:
-        _write_json(os.path.join(out, "eval.json"), {"accuracy": acc, "loss": loss})
+        write_json(os.path.join(out, "eval.json"), {"accuracy": acc, "loss": loss})
     return 0
 
 
@@ -570,7 +555,7 @@ def cmd_experiment(args) -> int:
             errors[f"{eps}:{mode}"] = r["error"]
             tracebacks[f"{eps}:{mode}"] = r["traceback"]
             print(f"eps={eps} mode={mode}: FAILED ({r['error']})", file=sys.stderr)
-    _write_csv(
+    write_table(
         os.path.join(out, "results.csv"),
         ["dataset", "pqc", "epsilon", "mode", "test_accuracy", "test_loss", "status"],
         rows,
@@ -579,11 +564,7 @@ def cmd_experiment(args) -> int:
         for (eps, mode), r in cells:
             if r["status"] != "ok":
                 continue
-            _write_csv(
-                os.path.join(out, f"curves_eps{eps}_{mode}.csv"),
-                ["epoch", "train_loss", "test_loss", "test_accuracy"],
-                [[i + 1, *vals] for i, vals in enumerate(r["curves"])],
-            )
+            _write_curves(os.path.join(out, f"curves_eps{eps}_{mode}.csv"), r["curves"])
     extra = {"cell_errors": errors, "cell_tracebacks": tracebacks} if errors else None
     _manifest(out, options, started, extra)
     return 0
@@ -618,10 +599,11 @@ def cmd_defend(args) -> int:
             poisoned, test_set, replace(defense, train=config, partition_seed=train_seed),
             prototype,
         )
-        def_acc = evaluate_ensemble(ensemble, test_set, noise=noise)
+        def_acc = evaluate_ensemble(ensemble, test_set, noise=noise, shots=config.shots,
+                                    seed=_derive_seed(train_seed, "vote"))
         rows.append([eps, no_def_acc, def_acc])
         print(f"eps={eps}: no-defense={no_def_acc:.4f} defense(k={defense.k})={def_acc:.4f}")
-    _write_csv(
+    write_table(
         os.path.join(out, "defense.csv"),
         ["epsilon", "no_defense_accuracy", "defense_accuracy"],
         rows,

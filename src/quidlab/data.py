@@ -4,7 +4,8 @@ The on-disk format is a plain CSV with d feature columns followed by one
 integer label column; an optional single header line is allowed. Features are
 stored raw; callers scale them into the encoder range (encode.scale_features)
 before encoding. read_json is the one reader of the JSON inputs (config file,
-noise model, PQC template, checkpoint, partition map).
+noise model, PQC template, checkpoint, partition map); write_table and
+write_json are the one writers of result tables and JSON files.
 """
 
 from __future__ import annotations
@@ -117,6 +118,22 @@ def read_json(path) -> dict:
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: top level must be a JSON object")
     return raw
+
+
+def write_table(path, header: list[str], rows) -> None:
+    """A header line, then one line per row; floats as repr(float(v)), bit-exact on reload."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+            fh.write("\n")
+
+
+def write_json(path, payload) -> None:
+    """payload as JSON with two-space indent, sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

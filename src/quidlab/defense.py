@@ -12,14 +12,13 @@ bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledDataset, read_json
+from .data import LabeledDataset, read_json, write_json
 from .errors import DataFormatError
 from .noise import NoiseModel
 from .qnn import QnnModel, TrainConfig, TrainReport, load_model, save_model
@@ -156,9 +155,8 @@ def save_ensemble(ensemble: EnsembleModel, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     for j, member in enumerate(ensemble.members):
         save_model(member, os.path.join(directory, f"member_{j}.json"))
-    with open(os.path.join(directory, "partition_map.json"), "w", encoding="utf-8") as fh:
-        json.dump({"k": ensemble.k, "assignment": ensemble.assignment.tolist()}, fh)
-        fh.write("\n")
+    write_json(os.path.join(directory, "partition_map.json"),
+               {"k": ensemble.k, "assignment": ensemble.assignment.tolist()})
 
 
 def load_ensemble(directory) -> EnsembleModel:

@@ -162,11 +162,11 @@ def validate_ess(
     not the shared encoding step.
     """
     metric = canonical_metric(metric)
-    if dataset.n_classes < 2 or np.unique(dataset.labels).size < 2:
-        raise ValueError("need at least 2 classes for labeling validation")
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     reference, holdout = split(dataset, train_fraction=1.0 - holdout_fraction, seed=seed)
+    if dataset.n_classes < 2 or np.unique(reference.labels).size < 2:
+        raise ValueError("need at least 2 classes for labeling validation")
     ref_states = encode_batch(reference.features, cfg, model)
     query_states = encode_batch(holdout.features, cfg, model)
 

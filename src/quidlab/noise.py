@@ -9,11 +9,10 @@ Two-qubit gates get independent single-qubit noise on each touched qubit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from .data import read_json
+from .data import read_json, write_json
 from .errors import DataFormatError
 from .simcore import GATE_ARITY, DensityMatrix, GateOp, KrausChannel
 from .simcore import apply_channel_stack, apply_gate_stack
@@ -140,6 +139,4 @@ def load_noise_model(path) -> NoiseModel:
 def save_noise_model(model: NoiseModel, path) -> None:
     raw = {name: [list(e) for e in entries] for name, entries in sorted(model.per_gate.items())}
     raw["default"] = [list(e) for e in model.default]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(raw, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, raw)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, write_table
 from .encode import EncoderConfig, encode_batch
 from .errors import AttackInfeasibleError
 from .ess import canonical_metric, class_mean_distances
@@ -165,7 +165,5 @@ def write_outcome_csv(outcome: PoisonOutcome, path) -> None:
     old[idx], new[idx] = outcome.old_labels, outcome.new_labels
     flag = np.zeros(old.size, dtype=np.int64)
     flag[idx] = 1
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,old_label,new_label,was_poisoned\n")
-        for i, (was, now, hit) in enumerate(zip(old.tolist(), new.tolist(), flag.tolist())):
-            fh.write(f"{i},{was},{now},{hit}\n")
+    write_table(path, ["index", "old_label", "new_label", "was_poisoned"],
+                zip(range(old.size), old.tolist(), new.tolist(), flag.tolist()))

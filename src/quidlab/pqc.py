@@ -15,13 +15,12 @@ higher-indexed qubit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import simcore
-from .data import read_json
+from .data import read_json, write_json
 from .errors import DataFormatError
 from .noise import NoiseModel, noisy_apply_stack
 from .simcore import DensityMatrix, GateOp, KrausChannel, apply_gate_stack, gate_matrix
@@ -103,9 +102,7 @@ class PqcTemplate:
 
 
 def save_template(tpl: PqcTemplate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tpl.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, tpl.to_json())
 
 
 def load_template(path) -> PqcTemplate:

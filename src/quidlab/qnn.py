@@ -13,13 +13,12 @@ state forward through every gate and Kraus operator. The Schrodinger path
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, read_json
+from .data import LabeledDataset, read_json, write_json
 from .encode import EncoderConfig, encode_batch
 from .errors import DataFormatError
 from .noise import NoiseModel
@@ -395,9 +394,7 @@ def save_model(model: QnnModel, path, seed: int | None = None) -> None:
         "n_classes": model.n_classes,
         "seed": seed,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> QnnModel:

@@ -185,14 +185,18 @@ def test_train_and_evaluate_roundtrip(tmp_path):
     assert 0.0 <= payload["accuracy"] <= 1.0
 
 
-@pytest.mark.parametrize("case", ["test classes", "test features", "checkpoint classes"])
+@pytest.mark.parametrize(
+    "case", ["test classes", "test features", "checkpoint classes", "checkpoint features"]
+)
 def test_mismatched_datasets_exit_3_naming_the_file(tmp_path, capsys, case):
     data = gen(tmp_path, "two.csv", classes="2")
     if case == "test features":
         other = gen(tmp_path, "other.csv", classes="2", dim="7")
+    elif case == "checkpoint features":  # wider than the checkpoint encoder's 8 features
+        other = gen(tmp_path, "other.csv", classes="2", dim="9")
     else:
         other = gen(tmp_path, "other.csv")  # 4 classes
-    if case == "checkpoint classes":
+    if case.startswith("checkpoint"):
         assert run("train", "--data", str(data), "--epochs", "0",
                    "--out", str(tmp_path / "m")) == 0
         argv = ["evaluate", "--model", str(tmp_path / "m" / "model.json"), "--data", str(other)]
@@ -297,6 +301,23 @@ def test_defend_k1_matches_undefended(tmp_path):
     assert len(rows) == 1
     _eps, no_def, k_def = rows[0].split(",")
     assert no_def == k_def
+
+
+def test_defend_scores_the_ensemble_with_the_given_shots(tmp_path, monkeypatch):
+    import quidlab.cli as cli
+
+    shots = []
+
+    def recording(*args, **kwargs):
+        shots.append(kwargs.get("shots", 0))
+        return evaluate_ensemble(*args, **kwargs)
+
+    evaluate_ensemble = cli.evaluate_ensemble
+    monkeypatch.setattr(cli, "evaluate_ensemble", recording)
+    data = gen(tmp_path, per_class="15")
+    assert run("defend", "--data", str(data), "--shots", "16", "--k", "2", "--epochs", "1",
+               "--out", str(tmp_path / "d")) == 0
+    assert shots == [16]
 
 
 def test_defend_emits_row_per_epsilon(tmp_path):
@@ -506,6 +527,16 @@ BAD_INPUTS = [
     ("--k 50 (defend)", ["defend", "--data", "{data}", "--k", "50"], "unused", "", 2),
     ("noise model not an object", ["ess-validate", "--data", "{data}", "--noise-model", "{f}"],
      "noise.json", '[["depolarizing", 0.1]]', 3),
+    # an encoder too small for the data names the flag that sized it
+    ("--features-per-qubit 1 (experiment)", ["experiment", "--data", "{data}", "--qubits", "1",
+     "--features-per-qubit", "1"], "unused", "", 2),
+    ("--features-per-qubit 1 (train)", ["train", "--data", "{data}", "--qubits", "1",
+     "--features-per-qubit", "1"], "unused", "", 2),
+    ("--qubits 2 (amplitude, 8 features)", ["encode-compare", "--data", "{f}", "--qubits", "2"],
+     "wide.csv", "".join(f"{'0.5,' * 8}{i % 2}\n" for i in range(8)), 2),
+    # the stratified holdout takes the lone class-1 row: one class left to label against
+    ("single-class reference split", ["ess-validate", "--data", "{f}", "--qubits", "2"],
+     "one.csv", "0.1,0.2,0\n0.2,0.1,0\n0.3,0.3,0\n0.9,0.8,1\n", 4),
 ]
 
 

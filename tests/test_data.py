@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from quidlab.data import LabeledDataset, load_csv, read_json, save_csv, split, synth_clusters
+from quidlab.data import write_json, write_table
 from quidlab.errors import DataFormatError
 
 
@@ -153,3 +156,35 @@ def test_read_json_returns_the_top_level_object(tmp_path):
         path.write_text(bad)
         with pytest.raises(DataFormatError):
             read_json(path)
+
+
+def test_write_table_floats_are_bit_exact_and_numpy_scalars_plain(tmp_path):
+    values = [0.1, 1 / 3, 2.0**-1074, -1e300, float(np.nextafter(1.0, 2.0))]
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b", "c"], [[v, np.float64(v), np.int64(7)] for v in values])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "a,b,c"
+    for v, line in zip(values, lines[1:]):
+        a, b, c = line.split(",")
+        assert float(a) == v and a == b == repr(v) and c == "7"
+
+
+def test_write_json_layout(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(path, {"b": [1, 2], "a": {"d": 1, "c": 0.5}})
+    text = path.read_text()
+    assert text == json.dumps({"a": {"c": 0.5, "d": 1}, "b": [1, 2]}, indent=2) + "\n"
+
+
+def test_checkpoint_in_the_earlier_compact_layout_still_loads(tmp_path):
+    from quidlab.encode import EncoderConfig
+    from quidlab.pqc import build_template
+    from quidlab.qnn import init_model, load_model, save_model
+
+    model = init_model(EncoderConfig("angle", 2, 2), build_template("pqc8", 2, 1), 3, seed=4)
+    path = tmp_path / "model.json"
+    save_model(model, path, seed=4)
+    path.write_text(json.dumps(json.loads(path.read_text())) + "\n")  # one line, as before
+    back = load_model(path)
+    assert back.template == model.template and np.array_equal(back.theta, model.theta)
+    assert np.array_equal(back.head_weights, model.head_weights)

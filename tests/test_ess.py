@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,16 @@ def test_validate_ess_rejects_degenerate_inputs():
     single = ds.replace(labels=np.zeros(len(ds), dtype=np.int64))
     with pytest.raises(ValueError):
         validate_ess(single, EncoderConfig("angle", 4, 2), "frobenius")
+
+
+def test_validate_ess_rejects_a_single_class_reference_split():
+    # the stratified split puts the lone class-1 row into the holdout
+    ds = LabeledDataset(np.array([[0.1, 0.2], [0.2, 0.1], [0.3, 0.3], [0.9, 0.8]]),
+                        np.array([0, 0, 0, 1]), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            validate_ess(ds, EncoderConfig("angle", 2), "frobenius")
 
 
 def test_compare_encodings_basic_columns():
