@@ -626,7 +626,8 @@ COMMANDS = {
     "ess-validate": (cmd_ess_validate, "min-distance labeling accuracy per metric",
                      _SOURCE + _ENCODING + _NOISE + ("metric", "holdout")),
     "encode-compare": (cmd_encode_compare, "angle vs amplitude encoding under noise",
-                       _SOURCE + _ENCODING + ("metric", "noise_levels", "holdout")),
+                       _SOURCE + ("qubits", "features_per_qubit", "metric", "noise_levels",
+                                  "holdout")),
     "poison": (cmd_poison, "write a poisoned copy of a dataset",
                _SOURCE + _ENCODING + _NOISE + ("mode", "metric", "epsilon")),
     "train": (cmd_train, "train one model, write checkpoint + curves",
@@ -641,8 +642,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors are one stderr line, like every other usage error."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quidlab",
         description="Poisoning experiments on density-matrix quantum classifiers.",
     )

@@ -1,21 +1,25 @@
 """Noise channels and per-gate noise models.
 
-A NoiseModel maps lowercase gate names to a list of (channel kind, parameter)
+A NoiseModel maps lowercase gate names to a tuple of (channel kind, parameter)
 entries; gates without an entry fall back to the model default. noisy_apply
 runs the gate and then feeds every touched qubit through the listed channels
 in order, which mirrors a simulator that injects noise after each gate.
 Two-qubit gates get independent single-qubit noise on each touched qubit.
+Channels are built once per distinct entry tuple (channels_for_entries).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .data import read_json, write_json
 from .errors import DataFormatError
 from .simcore import GATE_ARITY, DensityMatrix, GateOp, KrausChannel
-from .simcore import apply_channel_stack, apply_gate_stack
+from .simcore import adjoint_superop, apply_channel_stack, apply_gate_stack
 
 CHANNEL_KINDS = ("amplitude_damping", "depolarizing")
 
@@ -49,14 +53,46 @@ def build_channel(kind: str, param: float) -> KrausChannel:
     raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
 
 
+@functools.lru_cache(maxsize=64)
+def channels_for_entries(entries: tuple[tuple[str, float], ...]) -> tuple[KrausChannel, ...]:
+    """Built channels for an entry tuple, skipping zero-strength entries; cached per tuple."""
+    return tuple(build_channel(kind, param) for kind, param in entries if param > 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def adjoint_noise_superop(entries: tuple[tuple[str, float], ...], arity: int) -> np.ndarray | None:
+    """Read-only Liouville matrix of the adjoint of a gate's after-gate noise; cached.
+
+    The gate touches `arity` qubits and each gets the entries' channels in order, as in
+    noisy_apply_stack; the matrix is 4^arity square. None when no channel applies.
+    """
+    channels = channels_for_entries(entries)
+    if not channels:
+        return None
+    sop = np.eye(4**arity, dtype=complex)
+    for slot in range(arity):
+        left, right = np.eye(1 << slot), np.eye(1 << (arity - 1 - slot))
+        for ch in channels:  # forward order: each later channel's adjoint acts first
+            lifted = [np.kron(np.kron(left, k), right) for k in ch.operators]
+            sop = sop @ adjoint_superop(lifted)
+    sop.setflags(write=False)
+    return sop
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-gate noise: lowercase gate name -> [(kind, parameter), ...]."""
+    """Per-gate noise: lowercase gate name -> ((kind, parameter), ...)."""
 
     per_gate: dict[str, tuple[tuple[str, float], ...]] = field(default_factory=dict)
     default: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
+        # entry tuples key the channel caches, so lists given by a caller become tuples
+        object.__setattr__(self, "per_gate", {
+            name: tuple((kind, param) for kind, param in entries)
+            for name, entries in self.per_gate.items()
+        })
+        object.__setattr__(self, "default", tuple((kind, param) for kind, param in self.default))
         for entries in list(self.per_gate.values()) + [self.default]:
             for kind, param in entries:
                 if kind not in CHANNEL_KINDS:
@@ -74,13 +110,9 @@ class NoiseModel:
     def entries_for(self, gate_name: str) -> tuple[tuple[str, float], ...]:
         return self.per_gate.get(gate_name.lower(), self.default)
 
-    def channels_for(self, gate_name: str) -> list[KrausChannel]:
+    def channels_for(self, gate_name: str) -> tuple[KrausChannel, ...]:
         """Built channels for a gate, skipping zero-strength entries."""
-        return [
-            build_channel(kind, param)
-            for kind, param in self.entries_for(gate_name)
-            if param > 0.0
-        ]
+        return channels_for_entries(self.entries_for(gate_name))
 
 
 def noisy_apply_stack(stack, gate: GateOp, model: NoiseModel, n_qubits: int):

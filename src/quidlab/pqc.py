@@ -11,6 +11,11 @@ from the last qubit down to the first, each control hitting all other qubits
 in descending order; pqc8 entangles neighbouring pairs (even-start pairs,
 then odd-start pairs after the second rotation block) with the control on the
 higher-indexed qubit.
+
+apply_pqc_stack pushes states forward through every gate and Kraus operator
+and is the test oracle. z_observables pulls the Z observables back through
+fused local adjoint superoperators instead; their noise half is cached per
+noise-entry tuple in noise.py, so a pull-back builds only the U(theta) half.
 """
 
 from __future__ import annotations
@@ -19,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simcore
 from .data import read_json, write_json
 from .errors import DataFormatError
-from .noise import NoiseModel, noisy_apply_stack
-from .simcore import DensityMatrix, GateOp, KrausChannel, apply_gate_stack, gate_matrix
+from .noise import NoiseModel, adjoint_noise_superop, noisy_apply_stack
+from .simcore import DensityMatrix, GateOp, apply_gate_stack, gate_matrix
+from .simcore import adjoint_superop, apply_superop_stack
 
 PRESETS = ("pqc1", "pqc6", "pqc8")
 
@@ -205,27 +210,38 @@ def z_observables(
 
     Heisenberg picture (Nielsen & Chuang, section 8.2): walking the gates from
     last to first, each observable O passes through the adjoint of the gate's
-    noise, sum_k K_k^dag O K_k (touched qubits and their channels in reverse
-    order), and then through U^dag O U. Tr(rho O_q) is then <Z_q> of the
-    template's output for any input state rho.
+    after-gate noise and then through U^dag O U. Tr(rho O_q) is then <Z_q> of
+    the template's output for any input state rho.
+
+    Each gate's adjoint is one local Liouville matrix, 4x4 or 16x16: the U(theta)
+    half is built per call and the noise half comes from a cache keyed by the
+    gate's noise entries. Consecutive single-qubit maps on a qubit are multiplied
+    into one; a qubit's pending map is applied just before a two-qubit gate
+    touches that qubit, and the rest at the end. pqc1 at n qubits thus makes n
+    contractions.
     """
     n = tpl.n_qubits
     dim = 1 << n
     bits = (np.arange(dim) >> (n - 1 - np.arange(n))[:, None]) & 1
     obs = np.zeros((n, dim, dim), dtype=complex)
     obs[:, np.arange(dim), np.arange(dim)] = 1.0 - 2.0 * bits
-    # apply_operator_stack is looked up on simcore at call time, so wrappers
-    # installed there (perfbench/spans.py) also see these calls
-    apply = simcore.apply_operator_stack
-    channels: dict[str, list[KrausChannel]] = {}
+    pending: dict[int, np.ndarray] = {}  # qubit -> fused single-qubit map not yet applied
     for op in reversed(bound_gates(tpl, theta)):
+        sop = adjoint_superop((gate_matrix(op.name, op.param),))
         if model is not None:
-            if op.name not in channels:
-                channels[op.name] = model.channels_for(op.name)
-            for qubit in reversed(op.targets):
-                for ch in reversed(channels[op.name]):
-                    obs = sum(apply(obs, k.conj().T, (qubit,), n) for k in ch.operators)
-        obs = apply(obs, gate_matrix(op.name, op.param).conj().T, op.targets, n)
+            noise = adjoint_noise_superop(model.entries_for(op.name), len(op.targets))
+            if noise is not None:
+                sop = sop @ noise
+        if len(op.targets) == 1:
+            (q,) = op.targets
+            pending[q] = sop @ pending[q] if q in pending else sop
+            continue
+        for q in op.targets:
+            if q in pending:
+                obs = apply_superop_stack(obs, pending.pop(q), (q,), n)
+        obs = apply_superop_stack(obs, sop, op.targets, n)
+    for q, sop in pending.items():
+        obs = apply_superop_stack(obs, sop, (q,), n)
     return obs
 
 

@@ -7,7 +7,9 @@ update with Adam.
 The readout is in the Heisenberg picture: each forward pass pulls the n
 observables Z_q back through the noisy PQC once (pqc.z_observables) and reads
 <Z_q> of every encoded state with one matrix product, instead of pushing each
-state forward through every gate and Kraus operator. The Schrodinger path
+state forward through every gate and Kraus operator. The pull-back applies one
+fused local superoperator per block of gates; only the U(theta) half is built
+per pass, the noise half is cached per noise-entry tuple. The Schrodinger path
 (pqc.apply_pqc / apply_pqc_stack) remains as the test oracle.
 """
 

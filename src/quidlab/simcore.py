@@ -66,14 +66,14 @@ class GateOp:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map given by its Kraus operators (all 2x2 or all 4x4)."""
+    """A CPTP map given by its Kraus operators (all 2x2 or all 4x4), held read-only."""
 
-    operators: list[np.ndarray]
+    operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = [np.asarray(k, dtype=complex) for k in self.operators]
+        ops = tuple(np.array(k, dtype=complex) for k in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         dim = ops[0].shape[0]
@@ -82,7 +82,9 @@ class KrausChannel:
         total = sum(k.conj().T @ k for k in ops)
         if np.max(np.abs(total - np.eye(dim))) > 1e-10:
             raise ValueError("Kraus completeness violated: sum K^dag K != I")
-        self.operators = ops
+        for k in ops:
+            k.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
 
     @property
     def n_qubits(self) -> int:
@@ -188,6 +190,29 @@ def apply_operator_stack(
     t = stack.reshape((stack.shape[0],) + (2,) * (2 * n_qubits))
     t = _contract(op, t, [1 + q for q in targets])
     t = _contract(op.conj(), t, [1 + n_qubits + q for q in targets])
+    return t.reshape(stack.shape)
+
+
+def adjoint_superop(operators) -> np.ndarray:
+    """Liouville matrix of O -> sum_k K_k^dag O K_k on the operators' qubits.
+
+    With O flattened row-major, entry ((r, c), (r', c')) is sum_k conj(K_k[r', r]) K_k[c', c],
+    so the matrix is sum_k kron(K_k^dag, K_k^T) (Wood, Biamonte & Cory, arXiv:1111.6950).
+    Maps compose by matrix product: A applied first, then B, is B @ A.
+    """
+    ks = np.asarray(operators, dtype=complex)
+    d = ks.shape[-1]
+    return np.einsum("kpr,kqc->rcpq", ks.conj(), ks).reshape(d * d, d * d)
+
+
+def apply_superop_stack(
+    stack: np.ndarray, sop: np.ndarray, targets: tuple[int, ...], n_qubits: int
+) -> np.ndarray:
+    """A local 4^k x 4^k Liouville matrix applied to every operator in the stack on `targets`."""
+    k = len(targets)
+    t = stack.reshape((stack.shape[0],) + (2,) * (2 * n_qubits))
+    axes = [1 + q for q in targets] + [1 + n_qubits + q for q in targets]
+    t = _contract(sop.reshape((2,) * (4 * k)), t, axes)
     return t.reshape(stack.shape)
 
 

@@ -208,7 +208,7 @@ def test_criterion_7_noise_amplification(noiseless_attack, noisy_attack):
     noisy_deg = float(
         np.mean([r["baseline"] - r["quid05"] for r in noisy_runs])
     )
-    ok = noisy_deg >= clean_deg - 0.05 and elapsed < 1800
+    ok = noisy_deg >= clean_deg - 0.05 and elapsed < 900
     report(
         7,
         ok,

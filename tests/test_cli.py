@@ -534,6 +534,9 @@ BAD_INPUTS = [
      "--features-per-qubit", "1"], "unused", "", 2),
     ("--qubits 2 (amplitude, 8 features)", ["encode-compare", "--data", "{f}", "--qubits", "2"],
      "wide.csv", "".join(f"{'0.5,' * 8}{i % 2}\n" for i in range(8)), 2),
+    # encode-compare always encodes both kinds, so it has no --encoder flag
+    ("encode-compare --encoder", ["encode-compare", "--data", "{data}", "--encoder",
+     "amplitude"], "unused", "", 2),
     # the stratified holdout takes the lone class-1 row: one class left to label against
     ("single-class reference split", ["ess-validate", "--data", "{f}", "--qubits", "2"],
      "one.csv", "0.1,0.2,0\n0.2,0.1,0\n0.3,0.3,0\n0.9,0.8,1\n", 4),

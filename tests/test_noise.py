@@ -103,6 +103,20 @@ def test_two_qubit_gate_noise_hits_both_targets(rng):
     assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-9)
 
 
+def test_channels_are_built_once_per_entry_tuple_and_read_only():
+    import dataclasses
+
+    entries = (("amplitude_damping", 0.07), ("depolarizing", 0.07))
+    built = NoiseModel(default=entries).channels_for("rx")
+    # entries given as lists key the same cache slot
+    assert NoiseModel(per_gate={"crx": [list(e) for e in entries]}).channels_for("CRX") is built
+    assert isinstance(built, tuple) and isinstance(built[0].operators, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built[0].operators = ()
+    with pytest.raises(ValueError):
+        built[0].operators[0][0, 0] = 0.0
+
+
 def test_monotone_signal_loss_under_repeated_noisy_identity():
     model = NoiseModel.from_error_rate(0.05)
     rho = ground_state(1)

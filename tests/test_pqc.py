@@ -131,6 +131,11 @@ READOUT_NOISE = {
     "p=0.05": NoiseModel.from_error_rate(0.05),
     # non-unital damping on the entangling gate only: a wrong adjoint order shows
     "crx-damping": NoiseModel(per_gate={"crx": (("amplitude_damping", 0.3),)}),
+    # different noise on the two single-qubit gates the readout fuses: a wrong
+    # multiplication order in the fusion shows
+    "rx-damping-rz-depolarizing": NoiseModel(
+        per_gate={"rx": (("amplitude_damping", 0.3),), "rz": (("depolarizing", 0.2),)}
+    ),
 }
 
 
@@ -174,3 +179,33 @@ def test_heisenberg_readout_property(data):
     states = np.stack([random_density_matrix(rng, n) for _ in range(4)])
     got = heisenberg_z(states, tpl, theta, model)
     assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
+
+
+def test_zero_noise_readout_is_bit_identical_to_noiseless(rng):
+    for name in PRESETS:
+        tpl = build_template(name, 3, 2)
+        theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
+        clean = z_observables(tpl, theta, None)
+        assert np.array_equal(z_observables(tpl, theta, NoiseModel.from_error_rate(0.0)), clean)
+
+
+def test_readout_noise_cache_keeps_levels_apart(rng):
+    tpl = build_template("pqc6", 3)
+    theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
+    states = np.stack([random_density_matrix(rng, 3) for _ in range(4)])
+    for p in (0.05, 0.1, 0.05):
+        model = NoiseModel.from_error_rate(p)
+        got = heisenberg_z(states, tpl, theta, model)
+        assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
+
+
+@pytest.mark.parametrize("name,contractions", [("pqc1", 4), ("pqc6", 20)])
+def test_readout_fuses_gates_into_few_contractions(name, contractions, monkeypatch):
+    import quidlab.pqc as pqc
+
+    calls = []
+    apply = pqc.apply_superop_stack
+    monkeypatch.setattr(pqc, "apply_superop_stack", lambda *a: calls.append(a) or apply(*a))
+    tpl = build_template(name, 4)
+    z_observables(tpl, np.zeros(tpl.param_count), NoiseModel.from_error_rate(0.05))
+    assert len(calls) == contractions
