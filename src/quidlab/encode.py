@@ -1,10 +1,15 @@
 """Classical-to-quantum feature maps.
 
 Angle encoding: a Hadamard on every qubit, then each qubit's contiguous
-feature block applied as alternating RZ/RX rotations (RZ first). Amplitude
-encoding: zero-pad, L2-normalise, form the pure-state projector. With a
-noise model, every encoding gate routes through the after-gate channels;
-amplitude preparation counts as one opaque StatePrep touching every qubit.
+feature block applied as alternating RZ/RX rotations (RZ first). Every
+encoding gate and every after-gate noise channel acts on one qubit, so the
+encoded state is exactly the product rho_0 ⊗ rho_1 ⊗ ... ⊗ rho_{n-1}: the
+encoder evolves each qubit's 2x2 state through its own gates and channels,
+then Kronecker-expands the factors once, qubit 0 most significant.
+Amplitude encoding: zero-pad, L2-normalise, form the pure-state projector.
+With a noise model, every encoding gate routes through the after-gate
+channels; amplitude preparation counts as one opaque StatePrep touching
+every qubit. Features must be finite.
 """
 
 from __future__ import annotations
@@ -63,20 +68,33 @@ def _check_dim(dim: int, cfg: EncoderConfig) -> None:
 
 def _angle_batch(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) -> np.ndarray:
     b, dim = x.shape
-    n = cfg.n_qubits
-    size = 1 << n
-    stack = np.zeros((b, size, size), dtype=complex)
-    stack[:, 0, 0] = 1.0
+    factors = np.zeros((cfg.n_qubits, b, 2, 2), dtype=complex)  # rho_q for every qubit q
+    factors[:, :, 0, 0] = 1.0
     columns = iter(x.T)  # absent trailing features have no rotation: rotation k takes column k
     for gate in encoding_gates(dim, cfg):
+        q = gate.targets[0]
         if gate.name == "H":
-            stack = apply_operator_stack(stack, gate_matrix("H"), gate.targets, n)
+            rho = apply_operator_stack(factors[q], gate_matrix("H"), (0,), 1)
         else:
-            stack = apply_rotations_batch(stack, gate.name, gate.targets[0], next(columns), n)
+            rho = apply_rotations_batch(factors[q], gate.name, 0, next(columns), 1)
         if model is not None:
             for ch in model.channels_for(gate.name):
-                stack = apply_channel_stack(stack, ch, gate.targets, n)
-    return stack
+                rho = apply_channel_stack(rho, ch, (0,), 1)
+        factors[q] = rho
+    return _kron_factors(factors)
+
+
+def _kron_factors(factors: np.ndarray) -> np.ndarray:
+    """(k, B, 2, 2) one-qubit states -> (B, 2^k, 2^k) products, factor 0 most significant.
+
+    Halves are expanded first, so the one register-sized product is written once.
+    """
+    if len(factors) == 1:
+        return factors[0]
+    half = len(factors) // 2
+    left, right = _kron_factors(factors[:half]), _kron_factors(factors[half:])
+    b, d = left.shape[0], left.shape[1] * right.shape[1]
+    return (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(b, d, d)
 
 
 def _amplitude_batch(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) -> np.ndarray:
@@ -107,6 +125,10 @@ def encode_batch(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise ValueError("cannot encode an empty batch")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise DegenerateInputError(f"sample {bad} has a non-finite feature (NaN or infinity)")
     _check_dim(X.shape[1], cfg)
     need = X.shape[0] * 16 * 4**cfg.n_qubits  # bytes of the complex128 stack
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
@@ -146,12 +168,13 @@ def scale_features(X: np.ndarray, scale_range: tuple[float, float] = DEFAULT_RAN
     if X.size == 0:
         raise ValueError("cannot scale an empty feature matrix")
     lo, hi = scale_range
-    mins = X.min(axis=0)
-    maxs = X.max(axis=0)
-    span = maxs - mins
-    out = np.empty_like(X)
+    # halving is exact and leaves every ratio as it was, but keeps the span of a
+    # column holding both -1e308 and 1e308 finite
+    half = X / 2.0
+    mins = half.min(axis=0)
+    span = half.max(axis=0) - mins
     constant = span == 0.0
     safe_span = np.where(constant, 1.0, span)
-    out = lo + (X - mins) / safe_span * (hi - lo)
+    out = lo + (half - mins) / safe_span * (hi - lo)
     out[:, constant] = (lo + hi) / 2.0
     return out

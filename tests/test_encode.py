@@ -58,22 +58,77 @@ def test_angle_matches_explicit_gate_sequence(rng):
     assert names == [(g.name, g.targets) for g in seq]
 
 
-def test_noisy_angle_matches_noisy_gate_oracle(rng):
-    # rz is exempt, h has its own channels, rx falls back to the default; d=5 on
-    # 3 qubits x 2 features leaves the last block partial
-    model = NoiseModel(
-        per_gate={"rz": (), "h": (("amplitude_damping", 0.2), ("depolarizing", 0.07))},
+ORACLE_MODELS = {
+    "noiseless": None,
+    "p0.05": NoiseModel.from_error_rate(0.05),
+    # rz is exempt, h has its own channels (one of zero strength), rx falls back to the default
+    "per-gate": NoiseModel(
+        per_gate={"rz": (), "h": (("amplitude_damping", 0.2), ("depolarizing", 0.0),
+                                  ("depolarizing", 0.07))},
         default=(("depolarizing", 0.05), ("amplitude_damping", 0.03)),
-    )
-    cfg = EncoderConfig("angle", 3, 2)
-    for x in rng.uniform(0, 2 * np.pi, size=(3, 5)):
-        rho = ground_state(3)
-        angles = iter(x)
-        for gate in encoding_gates(5, cfg):
+    ),
+}
+# (qubits, features per qubit, feature dimension): every block full, then the last one partial
+ORACLE_SIZES = [
+    (n, f, dim)
+    for n in range(1, 6)
+    for f in range(1, 4)
+    for dim in (n * f, n * f - 1)
+    if dim >= 1
+]
+
+
+@pytest.mark.parametrize("model_name", list(ORACLE_MODELS))
+@pytest.mark.parametrize(
+    "n,f,dim", ORACLE_SIZES,
+    ids=[f"n{n}-f{f}-{'full' if dim == n * f else 'partial'}" for n, f, dim in ORACLE_SIZES],
+)
+def test_noisy_angle_matches_noisy_gate_oracle(rng, n, f, dim, model_name):
+    # the product-form encoder against gate-by-gate dense simulation of the full register
+    model = ORACLE_MODELS[model_name]
+    cfg = EncoderConfig("angle", n, f)
+    x = rng.uniform(0, 2 * np.pi, size=(3, dim))
+    stack = encode_batch(x, cfg, model)
+    for row, state in zip(x, stack):
+        rho = ground_state(n)
+        angles = iter(row)
+        for gate in encoding_gates(dim, cfg):
             if gate.param is not None:
                 gate = GateOp(gate.name, gate.targets, float(next(angles)))
-            rho = noisy_apply(rho, gate, model)
-        assert np.max(np.abs(encode(x, cfg, model).data - rho.data)) <= 1e-12
+            rho = apply_gate(rho, gate) if model is None else noisy_apply(rho, gate, model)
+        assert np.max(np.abs(state - rho.data)) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [EncoderConfig("angle", 2, 1), EncoderConfig("amplitude", 1)],
+                         ids=["angle", "amplitude"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_refused_naming_the_sample(cfg, bad):
+    x = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, bad], [bad, 0.6]])
+    with pytest.raises(DegenerateInputError, match="sample 2 "):
+        encode_batch(x, cfg)
+
+
+def test_non_finite_features_are_refused_before_the_capacity_check():
+    # 10,000 rows at 12 qubits would need 2.7 TB; the bad row is named first
+    x = np.zeros((10_000, 12))
+    x[7, 3] = np.nan
+    with pytest.raises(DegenerateInputError, match="sample 7 "):
+        encode_batch(x, EncoderConfig("angle", 12, 1))
+
+
+def test_noisy_angle_encoding_peaks_near_the_stack_it_returns(rng):
+    import tracemalloc
+
+    x = rng.uniform(0, 2 * np.pi, size=(84, 7))
+    cfg, model = EncoderConfig("angle", 7, 1), NoiseModel.from_error_rate(0.05)
+    tracemalloc.start()
+    try:
+        stack = encode_batch(x, cfg, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (84, 128, 128)
+    assert peak <= 1.5 * stack.nbytes, (peak, stack.nbytes)
 
 
 def test_amplitude_basis_vector_gives_ground_state():
@@ -159,6 +214,13 @@ def test_scale_features_examples():
     assert np.allclose(out.ravel(), [-np.pi, np.pi])
     with pytest.raises(ValueError):
         scale_features(np.empty((0, 2)))
+
+
+def test_scale_features_keeps_a_full_range_column_finite():
+    X = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 2.0]])
+    with np.errstate(all="raise"):
+        out = scale_features(X, (0.0, 2.0))
+    assert np.allclose(out, [[0.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
 
 
 def test_scale_features_is_per_column():
