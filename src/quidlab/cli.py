@@ -427,9 +427,9 @@ def cmd_poison(args) -> int:
     return 0
 
 
-def _build_model(options: _Options, cfg: EncoderConfig, n_classes: int, seed: int) -> QnnModel:
+def _build_model(options: _Options, cfg: EncoderConfig, ds: LabeledDataset, seed: int) -> QnnModel:
     template = _configured(build_template, options.get("pqc"), cfg.n_qubits, options.get("layers"))
-    return init_model(cfg, template, n_classes, seed=seed)
+    return init_model(cfg, template, ds.n_classes, seed=seed, n_features=ds.dim)
 
 
 def cmd_train(args) -> int:
@@ -448,7 +448,7 @@ def cmd_train(args) -> int:
     else:
         train_set, test_set = options.train_test(ds)
     cfg = options.encoder_for(ds.dim)
-    model = _build_model(options, cfg, ds.n_classes, seed)
+    model = _build_model(options, cfg, ds, seed)
     train_set = _scaled(train_set, cfg)
     test_set = _scaled(test_set, cfg)
     noise = options.noise_model()
@@ -477,6 +477,9 @@ def cmd_evaluate(args) -> int:
     if ds.dim > model.encoder.capacity():
         raise DataFormatError(f"{options.get('data') or tag}: {ds.dim} features exceed the "
                               f"checkpoint encoder's capacity of {model.encoder.capacity()}")
+    if model.n_features is not None and ds.dim != model.n_features:
+        raise DataFormatError(f"{options.get('data') or tag}: {ds.dim} features, but "
+                              f"{model_path} was trained on {model.n_features}")
     ds = _scaled(ds, model.encoder)
     acc, loss = evaluate(model, ds, noise=options.noise_model(), shots=shots, seed=seed)
     print(f"accuracy={acc:.4f} loss={loss:.4f}")
@@ -532,7 +535,7 @@ def cmd_experiment(args) -> int:
                 "train_set": train_set,
                 "test_set": test_set,
                 "spec": spec,
-                "model": _build_model(options, cfg, ds.n_classes, train_seed),
+                "model": _build_model(options, cfg, ds, train_seed),
                 "config": options.train_config(train_seed, noise),
             }
         )
@@ -586,7 +589,7 @@ def cmd_defend(args) -> int:
     for eps in options.get("epsilon", [0.3]):
         poison_seed = _derive_seed(seed, tag, eps, "poison")
         train_seed = _derive_seed(seed, tag, eps, "train")
-        prototype = _build_model(options, cfg, ds.n_classes, train_seed)
+        prototype = _build_model(options, cfg, ds, train_seed)
         if eps > 0:
             spec = PoisonSpec(eps, "quid", metric, seed=poison_seed, noise=noise)
             poisoned = apply_poison(train_set, spec, cfg).dataset

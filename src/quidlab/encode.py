@@ -9,7 +9,10 @@ then Kronecker-expands the factors once, qubit 0 most significant.
 Amplitude encoding: zero-pad, L2-normalise, form the pure-state projector.
 With a noise model, every encoding gate routes through the after-gate
 channels; amplitude preparation counts as one opaque StatePrep touching
-every qubit. Features must be finite.
+every qubit. Noise reaches each qubit as one fused forward 4x4 Liouville map
+(Wood, Biamonte & Cory, arXiv:1111.6950). Both channel kinds map real matrices
+to real ones, so amplitude states are evolved in float64 and returned complex
+with a zero imaginary part. Features must be finite.
 """
 
 from __future__ import annotations
@@ -21,16 +24,20 @@ import numpy as np
 
 from .data import DEFAULT_RANGE
 from .errors import CapacityError, DegenerateInputError, ShapeError
-from .noise import NoiseModel
+from .noise import NoiseModel, adjoint_noise_superop
 from .simcore import (
     MAX_QUBITS,
     DensityMatrix,
     GateOp,
-    apply_channel_stack,
     apply_operator_stack,
     apply_rotations_batch,
+    apply_superop_stack,
     gate_matrix,
 )
+
+# Not called here; perfbench/spans.py installs its timing wrapper on this
+# attribute of quidlab.encode, so it stays importable from this module.
+from .simcore import apply_channel_stack  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,23 @@ class EncoderConfig:
         return 1 << self.n_qubits
 
 
+# Peak memory of either encoder as a multiple of the stack it returns; tracemalloc
+# measured 1.03x for angle and 1.50x for amplitude (float64 stack, then its complex copy)
+_PEAK_FACTOR = 1.6
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+
+
+def _memory_limit() -> int:
+    """Bytes of physical memory, or the cgroup v2 limit when that is lower."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open(_CGROUP_MEMORY_MAX) as fh:
+            cgroup = fh.read().strip()
+    except OSError:
+        return limit
+    return min(limit, int(cgroup)) if cgroup.isdigit() else limit  # "max": no limit
+
+
 def _check_dim(dim: int, cfg: EncoderConfig) -> None:
     if dim > cfg.capacity():
         raise ShapeError(
@@ -77,11 +101,22 @@ def _angle_batch(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) ->
             rho = apply_operator_stack(factors[q], gate_matrix("H"), (0,), 1)
         else:
             rho = apply_rotations_batch(factors[q], gate.name, 0, next(columns), 1)
-        if model is not None:
-            for ch in model.channels_for(gate.name):
-                rho = apply_channel_stack(rho, ch, (0,), 1)
+        noise = _forward_noise(model, gate.name)
+        if noise is not None:
+            rho = apply_superop_stack(rho, noise, (0,), 1)
         factors[q] = rho
     return _kron_factors(factors)
+
+
+def _forward_noise(model: NoiseModel | None, gate_name: str) -> np.ndarray | None:
+    """One qubit's after-gate noise as a forward 4x4 Liouville map; None when none applies.
+
+    The forward map is the conjugate transpose of the cached adjoint one.
+    """
+    if model is None:
+        return None
+    sop = adjoint_noise_superop(model.entries_for(gate_name), 1)
+    return None if sop is None else sop.conj().T
 
 
 def _kron_factors(factors: np.ndarray) -> np.ndarray:
@@ -107,15 +142,15 @@ def _amplitude_batch(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None
         raise DegenerateInputError(
             f"amplitude encoding of the all-zero vector (sample {bad}) is undefined"
         )
-    psi = np.zeros((b, size), dtype=complex)
+    psi = np.zeros((b, size))
     psi[:, :dim] = x / norms[:, None]
-    stack = np.einsum("bi,bj->bij", psi, psi.conj())
-    if model is not None:
-        channels = model.channels_for("StatePrep")
+    stack = psi[:, :, None] * psi[:, None, :]
+    noise = _forward_noise(model, "StatePrep")
+    if noise is not None:
+        noise = noise if noise.imag.any() else noise.real
         for q in range(n):
-            for ch in channels:
-                stack = apply_channel_stack(stack, ch, (q,), n)
-    return stack
+            stack = apply_superop_stack(stack, noise, (q,), n)
+    return stack.astype(complex)
 
 
 def encode_batch(
@@ -130,10 +165,11 @@ def encode_batch(
         bad = int(np.flatnonzero(~finite)[0])
         raise DegenerateInputError(f"sample {bad} has a non-finite feature (NaN or infinity)")
     _check_dim(X.shape[1], cfg)
-    need = X.shape[0] * 16 * 4**cfg.n_qubits  # bytes of the complex128 stack
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    need = _PEAK_FACTOR * X.shape[0] * 16 * 4**cfg.n_qubits  # complex128 stack and temporaries
+    limit = _memory_limit()
+    if need > limit:
         raise CapacityError(f"{X.shape[0]} rows at {cfg.n_qubits} qubits need {need / 2**30:.1f} "
-                            "GiB of density matrices, more than this machine's memory")
+                            f"GiB to encode, more than the {limit / 2**30:.1f} GiB memory limit")
     if cfg.kind == "angle":
         return _angle_batch(X, cfg, model)
     return _amplitude_batch(X, cfg, model)

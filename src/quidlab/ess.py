@@ -1,7 +1,9 @@
 """Encoder state similarity: density-matrix distances and min-distance labeling.
 
 Supported metrics: frobenius (matrix 2-norm of the difference), trace
-(half the sum of singular values of the difference) and hilbert_schmidt
+(half the sum of singular values of the difference; when both stacks have
+an all-zero imaginary part, as amplitude states of real features do, it is
+computed in real arithmetic) and hilbert_schmidt
 (1 - |Tr(sigma^dag rho)| / dim; note this does NOT vanish at sigma = rho,
 only relative comparisons matter downstream). Labeling assigns the class
 whose reference states have the smallest mean distance to the query.
@@ -64,12 +66,14 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
     a_flat = A.reshape(m, dim * dim)
     b_flat = B.reshape(k, dim * dim)
     if metric == "trace":
+        if not (A.imag.any() or B.imag.any()):  # real symmetric differences diagonalise faster
+            A, B = A.real, B.real
         # eigvalsh solves each matrix on its own, so the chunking never moves a bit
         out = np.empty(m * k)
         rows = max(1, _EIG_CHUNK // max(k, 1))
         for lo in range(0, m, rows):
             d = (A[lo : lo + rows, None] - B[None]).reshape(-1, dim, dim)
-            d = 0.5 * (d + np.conj(np.swapaxes(d, -1, -2)))
+            d = 0.5 * (d + np.swapaxes(d, -1, -2).conj())
             out[lo * k : lo * k + len(d)] = 0.5 * np.abs(np.linalg.eigvalsh(d)).sum(axis=-1)
         return out.reshape(m, k)
     gram = a_flat.conj() @ b_flat.T  # Tr(a^dag b)

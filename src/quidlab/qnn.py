@@ -47,6 +47,7 @@ class QnnModel:
     head_weights: np.ndarray  # (n_classes, n_qubits)
     head_bias: np.ndarray  # (n_classes,)
     n_classes: int
+    n_features: int | None = None  # feature count the model is built for; None when unknown
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
@@ -66,6 +67,9 @@ class QnnModel:
             raise ValueError(f"head bias {self.head_bias.shape} != ({self.n_classes},)")
         if self.encoder.n_qubits != self.template.n_qubits:
             raise ValueError("encoder and template disagree on register size")
+        if self.n_features is not None and not 1 <= self.n_features <= self.encoder.capacity():
+            raise ValueError(f"{self.n_features} features do not fit the encoder's capacity "
+                             f"of {self.encoder.capacity()}")
 
     def copy(self) -> "QnnModel":
         return QnnModel(
@@ -75,11 +79,13 @@ class QnnModel:
             self.head_weights.copy(),
             self.head_bias.copy(),
             self.n_classes,
+            self.n_features,
         )
 
 
 def init_model(
-    encoder: EncoderConfig, template: PqcTemplate, n_classes: int, seed: int = 0
+    encoder: EncoderConfig, template: PqcTemplate, n_classes: int, seed: int = 0,
+    n_features: int | None = None,
 ) -> QnnModel:
     """Random quantum parameters in [-pi, pi); zeroed head for a uniform cold start."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -91,6 +97,7 @@ def init_model(
         head_weights=np.zeros((n_classes, encoder.n_qubits)),
         head_bias=np.zeros(n_classes),
         n_classes=n_classes,
+        n_features=n_features,
     )
 
 
@@ -377,7 +384,7 @@ def evaluate(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2 added n_features; version-1 files load with n_features None
 
 
 def save_model(model: QnnModel, path, seed: int | None = None) -> None:
@@ -394,6 +401,7 @@ def save_model(model: QnnModel, path, seed: int | None = None) -> None:
         "head_weights": model.head_weights.tolist(),
         "head_bias": model.head_bias.tolist(),
         "n_classes": model.n_classes,
+        "n_features": model.n_features,
         "seed": seed,
     }
     write_json(path, payload)
@@ -403,7 +411,7 @@ def load_model(path) -> QnnModel:
     """Read a checkpoint; any malformed content raises DataFormatError."""
     raw = read_json(path)
     version = raw.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise DataFormatError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         enc = raw["encoder"]
@@ -420,6 +428,8 @@ def load_model(path) -> QnnModel:
             head_weights=np.array(raw["head_weights"], dtype=float),
             head_bias=np.array(raw["head_bias"], dtype=float),
             n_classes=int(raw["n_classes"]),
+            n_features=None if version == 1 or raw["n_features"] is None
+            else int(raw["n_features"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint ({exc!r})") from exc

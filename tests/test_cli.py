@@ -186,7 +186,8 @@ def test_train_and_evaluate_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["test classes", "test features", "checkpoint classes", "checkpoint features"]
+    "case", ["test classes", "test features", "checkpoint classes", "checkpoint features",
+             "checkpoint narrower features"]
 )
 def test_mismatched_datasets_exit_3_naming_the_file(tmp_path, capsys, case):
     data = gen(tmp_path, "two.csv", classes="2")
@@ -194,6 +195,8 @@ def test_mismatched_datasets_exit_3_naming_the_file(tmp_path, capsys, case):
         other = gen(tmp_path, "other.csv", classes="2", dim="7")
     elif case == "checkpoint features":  # wider than the checkpoint encoder's 8 features
         other = gen(tmp_path, "other.csv", classes="2", dim="9")
+    elif case == "checkpoint narrower features":  # fits the encoder, not the trained width
+        other = gen(tmp_path, "other.csv", classes="2", dim="7")
     else:
         other = gen(tmp_path, "other.csv")  # 4 classes
     if case.startswith("checkpoint"):

@@ -1,10 +1,15 @@
+import importlib
+import os
+
 import numpy as np
 import pytest
 
 from quidlab.encode import EncoderConfig, encode, encode_batch, encoding_gates, scale_features
-from quidlab.errors import DegenerateInputError, ShapeError
+from quidlab.errors import CapacityError, DegenerateInputError, ShapeError
 from quidlab.noise import NoiseModel, noisy_apply
-from quidlab.simcore import GateOp, apply_gate, ground_state
+from quidlab.simcore import GateOp, apply_channel_stack, apply_gate, ground_state
+
+encode_module = importlib.import_module("quidlab.encode")  # quidlab.encode is also the function
 
 
 def equatorial(angle):
@@ -129,6 +134,83 @@ def test_noisy_angle_encoding_peaks_near_the_stack_it_returns(rng):
         tracemalloc.stop()
     assert stack.shape == (84, 128, 128)
     assert peak <= 1.5 * stack.nbytes, (peak, stack.nbytes)
+
+
+def test_noisy_amplitude_encoding_peaks_near_the_stack_it_returns(rng):
+    import tracemalloc
+
+    x = rng.uniform(-1.0, 1.0, size=(84, 128))
+    cfg, model = EncoderConfig("amplitude", 7), NoiseModel.from_error_rate(0.05)
+    tracemalloc.start()
+    try:
+        stack = encode_batch(x, cfg, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (84, 128, 128)
+    # measured 1.50x: the float64 stack is live while its complex copy is written
+    assert peak <= 1.6 * stack.nbytes, (peak, stack.nbytes)
+
+
+@pytest.mark.parametrize("limit", ["max\n", None], ids=["unlimited", "no-cgroup-file"])
+def test_capacity_bound_is_physical_memory_without_a_cgroup_limit(monkeypatch, tmp_path, limit):
+    path = tmp_path / "memory.max"
+    if limit is not None:
+        path.write_text(limit)
+    monkeypatch.setattr(encode_module, "_CGROUP_MEMORY_MAX", str(path))
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert encode_module._memory_limit() == physical
+    assert encode_batch(np.ones((3, 4)), EncoderConfig("amplitude", 2)).shape == (3, 4, 4)
+
+
+@pytest.mark.parametrize("cfg", [EncoderConfig("angle", 7, 1), EncoderConfig("amplitude", 7)],
+                         ids=["angle", "amplitude"])
+def test_a_cgroup_limit_below_the_stack_is_refused_before_allocating(monkeypatch, tmp_path, cfg):
+    import tracemalloc
+
+    x = np.ones((20, 7))
+    stack_bytes = 20 * 16 * 4**7  # 5 MiB
+    path = tmp_path / "memory.max"
+    path.write_text(f"{stack_bytes}\n")  # the stack alone fits, its temporaries do not
+    monkeypatch.setattr(encode_module, "_CGROUP_MEMORY_MAX", str(path))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="20 rows at 7 qubits"):
+            encode_batch(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes // 10
+    path.write_text(f"{2 * stack_bytes}\n")
+    assert encode_batch(x, cfg).nbytes == stack_bytes
+
+
+AMPLITUDE_MODELS = {
+    "noiseless": None,
+    "p0.05": NoiseModel.from_error_rate(0.05),
+    "per-gate": NoiseModel(
+        per_gate={"stateprep": (("depolarizing", 0.07), ("amplitude_damping", 0.0),
+                                ("amplitude_damping", 0.2))},
+        default=(("depolarizing", 0.05),),
+    ),
+}
+
+
+@pytest.mark.parametrize("model_name", list(AMPLITUDE_MODELS))
+@pytest.mark.parametrize("n", range(1, 8))
+def test_noisy_amplitude_matches_the_kraus_loop(rng, n, model_name):
+    # one fused 4x4 map per qubit against every Kraus operator of every channel on the register
+    model = AMPLITUDE_MODELS[model_name]
+    x = rng.uniform(-1.0, 1.0, size=(3, 1 << n))
+    psi = x / np.linalg.norm(x, axis=1, keepdims=True)
+    want = np.einsum("bi,bj->bij", psi, psi).astype(complex)
+    if model is not None:
+        for q in range(n):
+            for ch in model.channels_for("StatePrep"):
+                want = apply_channel_stack(want, ch, (q,), n)
+    stack = encode_batch(x, EncoderConfig("amplitude", n), model)
+    assert stack.dtype == complex
+    assert np.max(np.abs(stack - want)) <= 1e-12
 
 
 def test_amplitude_basis_vector_gives_ground_state():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_density_matrix, random_pure_state
 from quidlab import ess
 from quidlab.data import LabeledDataset, synth_clusters
-from quidlab.encode import EncoderConfig, encode, scale_features
+from quidlab.encode import EncoderConfig, encode, encode_batch, scale_features
 from quidlab.errors import ShapeError
 from quidlab.ess import (
     METRICS,
@@ -93,6 +93,45 @@ def test_trace_distance_chunks_are_bitwise_equal(monkeypatch, rng, chunk):
     for i, j in np.ndindex(whole.shape):
         want = distance(DensityMatrix(2, A[i]), DensityMatrix(2, B[j]), "trace")
         assert abs(whole[i, j] - want) <= 1e-12
+
+
+def _eigvalsh_dtypes(monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
+@pytest.mark.parametrize("model", [None, NoiseModel.from_error_rate(0.05)], ids=["clean", "p0.05"])
+def test_trace_distance_of_amplitude_states_runs_in_real_arithmetic(monkeypatch, rng, model):
+    x = rng.uniform(-1.0, 1.0, size=(4, 8))
+    # B repeats A's rows, then moves them slightly, then adds fresh rows
+    y = np.vstack([x, x + 1e-9 * rng.standard_normal(x.shape), rng.uniform(-1.0, 1.0, (2, 8))])
+    cfg = EncoderConfig("amplitude", 3)
+    A, B = encode_batch(x, cfg, model), encode_batch(y, cfg, model)
+    assert A.dtype == complex and not (A.imag.any() or B.imag.any())
+    seen = _eigvalsh_dtypes(monkeypatch)
+    table = pairwise_distances(A, B, "trace")
+    assert seen and all(dtype == np.float64 for dtype in seen)
+    for i, j in np.ndindex(table.shape):
+        want = distance(DensityMatrix(3, A[i]), DensityMatrix(3, B[j]), "trace")
+        assert abs(table[i, j] - want) <= 1e-12, (i, j)
+    self_distances = np.diag(table[:, :4])
+    assert np.all(self_distances >= 0.0) and np.all(self_distances < 1e-12)
+
+
+def test_trace_distance_of_angle_states_stays_complex(monkeypatch, rng):
+    A = encode_batch(rng.uniform(0, 2 * np.pi, size=(3, 4)), EncoderConfig("angle", 2, 2))
+    assert A.imag.any()
+    seen = _eigvalsh_dtypes(monkeypatch)
+    table = pairwise_distances(A, A, "trace")
+    assert seen and all(dtype == complex for dtype in seen)
+    assert np.all(np.diag(table) >= 0.0) and np.all(np.diag(table) < 1e-12)
 
 
 @settings(max_examples=60, deadline=None)

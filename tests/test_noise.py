@@ -7,6 +7,7 @@ from conftest import random_density_matrix
 from quidlab.errors import DataFormatError
 from quidlab.noise import (
     NoiseModel,
+    adjoint_noise_superop,
     amplitude_damping,
     build_channel,
     depolarizing,
@@ -115,6 +116,21 @@ def test_channels_are_built_once_per_entry_tuple_and_read_only():
         built[0].operators = ()
     with pytest.raises(ValueError):
         built[0].operators[0][0, 0] = 0.0
+
+
+@pytest.mark.parametrize("entries", [
+    NoiseModel.from_error_rate(0.05).default,
+    (("depolarizing", 0.07), ("amplitude_damping", 0.0), ("amplitude_damping", 0.2)),
+    (("depolarizing", 0.05),),
+], ids=["p0.05", "with-zero-strength", "depolarizing"])
+def test_forward_noise_map_is_the_conjugate_transpose_of_the_adjoint(entries):
+    # the encoders apply sum_k kron(K, K*), composed in channel order, as one 4x4 map
+    forward = np.eye(4, dtype=complex)
+    for kind, param in entries:
+        ks = build_channel(kind, param).operators
+        forward = sum(np.kron(k, k.conj()) for k in ks) @ forward
+    assert np.max(np.abs(adjoint_noise_superop(entries, 1).conj().T - forward)) <= 1e-15
+    assert not forward.imag.any()  # both channel kinds map real matrices to real ones
 
 
 def test_monotone_signal_loss_under_repeated_noisy_identity():

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from quidlab import qnn
 from quidlab.data import LabeledDataset, split, synth_clusters
 from quidlab.encode import EncoderConfig, encode_batch, scale_features
+from quidlab.errors import DataFormatError
 from quidlab.noise import NoiseModel
 from quidlab.pqc import apply_pqc_stack, build_template
 from quidlab.simcore import expect_z_stack
@@ -271,6 +274,26 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert np.array_equal(back.head_weights, model.head_weights)
     assert np.array_equal(back.head_bias, model.head_bias)
     assert back.n_classes == model.n_classes
+
+
+def test_checkpoint_keeps_its_feature_count_and_version_1_still_loads(tmp_path):
+    model = init_model(EncoderConfig("angle", 2, 2), build_template("pqc1", 2, 1), 2,
+                       n_features=3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    raw = json.loads(path.read_text())
+    assert raw["format_version"] == 2 and raw["n_features"] == 3
+    assert load_model(path).n_features == 3
+    assert load_model(path).copy().n_features == 3
+    del raw["n_features"]
+    path.write_text(json.dumps(dict(raw, format_version=1)))
+    assert load_model(path).n_features is None
+    path.write_text(json.dumps(dict(raw, format_version=2)))  # version 2 needs the key
+    with pytest.raises(DataFormatError, match="malformed"):
+        load_model(path)
+    path.write_text(json.dumps(dict(raw, format_version=2, n_features=5)))  # capacity is 4
+    with pytest.raises(DataFormatError, match="capacity"):
+        load_model(path)
 
 
 def test_model_shape_validation():
