@@ -14,12 +14,20 @@ higher-indexed qubit.
 
 apply_pqc_stack pushes states forward through every gate and Kraus operator
 and is the test oracle. z_observables pulls the Z observables back through
-fused local adjoint superoperators instead; their noise half is cached per
-noise-entry tuple in noise.py, so a pull-back builds only the U(theta) half.
+fused local adjoint superoperators instead. What does not depend on theta is
+decided once per (template, noise entries of each gate) and cached as a
+readout plan: the contraction blocks, the slot of every gate, the noise
+halves, and the whole maps of gates without a slot. A call takes one point or
+a stack of points, builds the U(theta) halves of every slot-bound gate at
+every point in one vectorised step, and makes one contraction per block for
+all points at once.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,15 @@ class TemplateGate:
     def __post_init__(self):
         if self.slot is not None and self.angle is not None:
             raise ValueError("a template gate binds a slot or a fixed angle, not both")
+        if self.slot is not None and (
+            isinstance(self.slot, bool) or not isinstance(self.slot, numbers.Integral)
+        ):
+            raise ValueError(f"slot {self.slot!r} is not an integer")
+        if self.angle is not None and (
+            isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real)
+            or not math.isfinite(self.angle)
+        ):
+            raise ValueError(f"fixed angle {self.angle!r} is not a finite number")
 
 
 @dataclass(frozen=True)
@@ -203,46 +220,116 @@ def apply_pqc_stack(
     return stack
 
 
+def _rotation_halves(half_angles, arity, slots, is_z, noise) -> np.ndarray:
+    """(P, G, 4^k, 4^k) adjoint Liouville maps, U-half then noise half, at every point.
+
+    The G gates are one arity's slot-bound rotations (1: RX/RZ, 2: CRX/CRZ): slots[g]
+    is the slot gate g reads, is_z[g] whether it is RZ/CRZ, and noise the stack of
+    their adjoint noise halves (identity for none), or None when no gate has noise.
+    """
+    angle = half_angles[:, slots]
+    c, s = np.cos(angle), np.sin(angle)
+    u = np.zeros(angle.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = np.where(is_z, c - 1j * s, c)
+    u[..., 1, 1] = np.where(is_z, c + 1j * s, c)
+    u[..., 0, 1] = u[..., 1, 0] = np.where(is_z, 0.0, -1j * s)
+    if arity == 2:  # controlled: the rotation acts on the control's |1> block
+        controlled = np.zeros(angle.shape + (4, 4), dtype=complex)
+        controlled[..., 0, 0] = controlled[..., 1, 1] = 1.0
+        controlled[..., 2:, 2:] = u
+        u = controlled
+    d = u.shape[-1]
+    sop = np.einsum("...pr,...qc->...rcpq", u.conj(), u).reshape(angle.shape + (d * d, d * d))
+    return sop if noise is None else sop @ noise
+
+
+@functools.lru_cache(maxsize=64)
+def _readout_plan(tpl: PqcTemplate, entries: tuple) -> tuple:
+    """The pull-back of tpl with entries[i] the noise entries after gate i; cached.
+
+    Walking the gates from last to first, consecutive single-qubit gates on a qubit
+    join one block; a qubit's open block closes just before a two-qubit gate
+    touches that qubit, and the rest close at the end. Gates without a slot do not
+    depend on theta, so their maps are built here. Returns (observables, rotations,
+    blocks): the read-only (n, 2^n, 2^n) Z_q stack; the (arity, slots, is_z, noise)
+    arguments of _rotation_halves for each arity that has slot-bound gates; and
+    (targets, factors) per contraction in pull-back order, where a factor is a
+    fixed read-only map or (arity, index) into that arity's per-call halves.
+    """
+    n = tpl.n_qubits
+    ops = bound_gates(tpl, np.zeros(tpl.param_count))  # validates names and arities
+    groups: dict[int, list] = {1: [], 2: []}  # arity -> (slot, is_z, noise half) per slot gate
+    blocks = []
+    pending: dict[int, list] = {}  # qubit -> its open single-qubit block
+    for gate, op, gate_entries in reversed(list(zip(tpl.gates, ops, entries))):
+        k = len(op.targets)
+        noise = adjoint_noise_superop(gate_entries, k)
+        if gate.slot is None:
+            factor = adjoint_superop((gate_matrix(op.name, op.param),))
+            factor = factor if noise is None else factor @ noise
+            factor.setflags(write=False)
+        else:
+            factor = (k, len(groups[k]))
+            groups[k].append((gate.slot, op.name.endswith("Z"), noise))
+        if k == 1:
+            pending.setdefault(op.targets[0], []).append(factor)
+            continue
+        blocks += [((q,), tuple(pending.pop(q))) for q in op.targets if q in pending]
+        blocks.append((op.targets, (factor,)))
+    blocks += [((q,), tuple(block)) for q, block in pending.items()]
+    rotations = []
+    for k, group in groups.items():
+        if group:
+            slots, is_z, noises = zip(*group)
+            eye = np.eye(4**k, dtype=complex)
+            noise = None if all(x is None for x in noises) else np.stack(
+                [eye if x is None else x for x in noises])
+            rotations.append((k, np.array(slots, dtype=np.intp), np.array(is_z), noise))
+    dim = 1 << n
+    bits = (np.arange(dim) >> (n - 1 - np.arange(n))[:, None]) & 1
+    obs = np.zeros((n, dim, dim), dtype=complex)
+    obs[:, np.arange(dim), np.arange(dim)] = 1.0 - 2.0 * bits
+    obs.setflags(write=False)
+    return obs, tuple(rotations), tuple(blocks)
+
+
 def z_observables(
     tpl: PqcTemplate, theta: np.ndarray, model: NoiseModel | None = None
 ) -> np.ndarray:
-    """The (n, 2^n, 2^n) stack of Z_q observables pulled back through the template.
+    """The (..., n, 2^n, 2^n) Z_q observables pulled back through the template.
 
+    theta is one point (param_count,) or a stack (..., param_count) of them.
     Heisenberg picture (Nielsen & Chuang, section 8.2): walking the gates from
     last to first, each observable O passes through the adjoint of the gate's
     after-gate noise and then through U^dag O U. Tr(rho O_q) is then <Z_q> of
     the template's output for any input state rho.
 
-    Each gate's adjoint is one local Liouville matrix, 4x4 or 16x16: the U(theta)
-    half is built per call and the noise half comes from a cache keyed by the
-    gate's noise entries. Consecutive single-qubit maps on a qubit are multiplied
-    into one; a qubit's pending map is applied just before a two-qubit gate
-    touches that qubit, and the rest at the end. pqc1 at n qubits thus makes n
-    contractions.
+    Each gate's adjoint is one local Liouville matrix, 4x4 or 16x16. The cached
+    plan (_readout_plan) fixes the blocks, each one contraction; per call, the
+    U(theta) halves of every slot-bound gate at every point are built in one
+    vectorised step and multiplied within their blocks. pqc1 at n qubits makes n
+    contractions, each for all points at once.
     """
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 0 or theta.shape[-1] != tpl.param_count:
+        raise ValueError(
+            f"template {tpl.name} expects {tpl.param_count} parameters, got {theta.shape}"
+        )
+    points = theta.reshape(-1, tpl.param_count)
+    entries = tuple(() if model is None else model.entries_for(g.gate) for g in tpl.gates)
+    observables, rotations, blocks = _readout_plan(tpl, entries)
+    halves = {rot[0]: _rotation_halves(0.5 * points, *rot) for rot in rotations}
     n = tpl.n_qubits
-    dim = 1 << n
-    bits = (np.arange(dim) >> (n - 1 - np.arange(n))[:, None]) & 1
-    obs = np.zeros((n, dim, dim), dtype=complex)
-    obs[:, np.arange(dim), np.arange(dim)] = 1.0 - 2.0 * bits
-    pending: dict[int, np.ndarray] = {}  # qubit -> fused single-qubit map not yet applied
-    for op in reversed(bound_gates(tpl, theta)):
-        sop = adjoint_superop((gate_matrix(op.name, op.param),))
-        if model is not None:
-            noise = adjoint_noise_superop(model.entries_for(op.name), len(op.targets))
-            if noise is not None:
-                sop = sop @ noise
-        if len(op.targets) == 1:
-            (q,) = op.targets
-            pending[q] = sop @ pending[q] if q in pending else sop
-            continue
-        for q in op.targets:
-            if q in pending:
-                obs = apply_superop_stack(obs, pending.pop(q), (q,), n)
-        obs = apply_superop_stack(obs, sop, op.targets, n)
-    for q, sop in pending.items():
-        obs = apply_superop_stack(obs, sop, (q,), n)
-    return obs
+    obs = np.broadcast_to(observables, (len(points),) + observables.shape)
+    for targets, factors in blocks:
+        sop = None
+        for f in factors:
+            f = halves[f[0]][:, f[1]] if isinstance(f, tuple) else f
+            sop = f if sop is None else f @ sop
+        obs = apply_superop_stack(obs, sop, targets, n)
+    if not blocks:
+        obs = obs.copy()
+    return obs.reshape(theta.shape[:-1] + obs.shape[1:])
 
 
 def apply_pqc(

@@ -7,10 +7,17 @@ update with Adam.
 The readout is in the Heisenberg picture: each forward pass pulls the n
 observables Z_q back through the noisy PQC once (pqc.z_observables) and reads
 <Z_q> of every encoded state with one matrix product, instead of pushing each
-state forward through every gate and Kraus operator. The pull-back applies one
-fused local superoperator per block of gates; only the U(theta) half is built
-per pass, the noise half is cached per noise-entry tuple. The Schrodinger path
-(pqc.apply_pqc / apply_pqc_stack) remains as the test oracle.
+state forward through every gate and Kraus operator. The pull-back follows a
+readout plan cached per template and noise model, and takes a stack of
+parameter points at once. The Schrodinger path (pqc.apply_pqc /
+apply_pqc_stack) remains as the test oracle.
+
+A training step forwards the batch at the current theta, draws the SPSA
+direction delta, then pulls back theta + c*delta and theta - c*delta as one
+two-point stack. The generator draws the base point's shots, then delta, then
+the plus point's shots, then the minus point's (no shots when shots is 0). The
+order is the same for every shot count, and it is the order one-point calls
+would draw in.
 """
 
 from __future__ import annotations
@@ -166,10 +173,14 @@ def _forward_from_states(
     shots: int,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, z) for a stack of already-encoded states under parameters theta."""
+    """(probs, z) for a stack of already-encoded states under parameters theta.
+
+    theta is one point (param_count,) or a (P, param_count) stack; a stack gives
+    results with a leading point axis, and draws the shots point by point.
+    """
     obs = z_observables(model.template, theta, noise)
     # Tr(rho O) = sum_ij rho_ij conj(O_ij) for Hermitian O
-    flat = obs.reshape(obs.shape[0], -1).conj().T
+    flat = obs.reshape(obs.shape[:-2] + (-1,)).conj().swapaxes(-1, -2)
     z = _sample_shots((states.reshape(states.shape[0], -1) @ flat).real, shots, rng)
     logits = z @ model.head_weights.T + model.head_bias
     return softmax(logits), z
@@ -216,14 +227,17 @@ def spsa_estimate(
     return grad / repeats
 
 
-def _batch_loss(model, states, labels, config: TrainConfig, rng):
-    """theta -> mean cross-entropy of one encoded batch under config's noise and shots."""
+def _spsa_pair(model, states, labels, config: TrainConfig, rng) -> np.ndarray:
+    """spsa_estimate of one encoded batch's mean cross-entropy, with one repeat.
 
-    def loss_fn(theta):
-        probs, _ = _forward_from_states(model, states, theta, config.noise, config.shots, rng)
-        return _batch_ce(probs, labels)
-
-    return loss_fn
+    theta + c*delta and theta - c*delta are pulled back as one two-point stack.
+    The generator draws delta, then the plus point's shots, then the minus point's.
+    """
+    delta = rng.integers(0, 2, size=model.theta.shape) * 2.0 - 1.0
+    thetas = model.theta + SPSA_C * np.stack([delta, -delta])
+    probs, _ = _forward_from_states(model, states, thetas, config.noise, config.shots, rng)
+    diff = _batch_ce(probs[0], labels) - _batch_ce(probs[1], labels)
+    return diff / (2.0 * SPSA_C) * delta
 
 
 def _encode_xy(model, X, y, noise) -> tuple[np.ndarray, np.ndarray]:
@@ -245,8 +259,7 @@ def spsa_gradient(
     states, y = _encode_xy(model, X, y, config.noise)
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(config.seed))
-    loss_fn = _batch_loss(model, states, y, config, rng)
-    return spsa_estimate(loss_fn, model.theta, SPSA_C, rng)
+    return _spsa_pair(model, states, y, config, rng)
 
 
 def head_gradient(
@@ -288,12 +301,21 @@ class _Adam:
         return param - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def _check_width(model: QnnModel, dataset: LabeledDataset) -> None:
+    if model.n_features is not None and dataset.dim != model.n_features:
+        raise ValueError(
+            f"model is built for {model.n_features} features, the dataset has {dataset.dim}"
+        )
+
+
 def _encode_sets(model, train_set: LabeledDataset, test_set: LabeledDataset, noise):
     """Check a train/test pair against the model's head, then encode each set once."""
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("train and test sets must be non-empty")
     if train_set.n_classes > model.n_classes or test_set.n_classes > model.n_classes:
         raise ValueError("dataset classes exceed the model head")
+    _check_width(model, train_set)
+    _check_width(model, test_set)
     return tuple(encode_batch(ds.features, model.encoder, noise) for ds in (train_set, test_set))
 
 
@@ -338,8 +360,7 @@ def _fit(model, train_states, train_labels, test_states, test_labels, config) ->
             batch_losses.append(_batch_ce(probs, labels))
             grad_w, grad_b = _head_grads_from(probs, z, labels, model.n_classes)
             if config.train_theta:
-                loss_fn = _batch_loss(model, states, labels, config, rng)
-                grad_theta = spsa_estimate(loss_fn, model.theta, SPSA_C, rng)
+                grad_theta = _spsa_pair(model, states, labels, config, rng)
                 model.theta = adam_theta.step(model.theta, grad_theta)
             model.head_weights = adam_w.step(model.head_weights, grad_w)
             model.head_bias = adam_b.step(model.head_bias, grad_b)
@@ -376,6 +397,7 @@ def evaluate(
     """(accuracy, mean cross-entropy) over a dataset."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
+    _check_width(model, dataset)
     states = encode_batch(dataset.features, model.encoder, noise)
     rng = np.random.Generator(np.random.PCG64(seed))
     return _evaluate_states(model, states, dataset.labels, noise, shots, rng)

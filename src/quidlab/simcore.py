@@ -9,6 +9,7 @@ and broadcast over the batch axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -205,15 +206,36 @@ def adjoint_superop(operators) -> np.ndarray:
     return np.einsum("kpr,kqc->rcpq", ks.conj(), ks).reshape(d * d, d * d)
 
 
+@functools.lru_cache(maxsize=256)
+def _superop_axes(
+    targets: tuple[int, ...], n_qubits: int, n_lead: int, n_points: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order putting the point axes, then the target row and column axes first; its inverse.
+
+    The axes are those of a stack with n_lead leading axes viewed as 2 x ... x 2.
+    """
+    rows = [n_lead + q for q in targets]
+    front = list(range(n_points)) + rows + [q + n_qubits for q in rows]
+    perm = front + [a for a in range(n_lead + 2 * n_qubits) if a not in front]
+    return tuple(perm), tuple(int(a) for a in np.argsort(perm))
+
+
 def apply_superop_stack(
     stack: np.ndarray, sop: np.ndarray, targets: tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
-    """A local 4^k x 4^k Liouville matrix applied to every operator in the stack on `targets`."""
+    """A local 4^k x 4^k Liouville matrix applied on `targets` to every operator in the stack.
+
+    stack is (..., 2^n, 2^n). sop is one (4^k, 4^k) matrix for every operator, or a
+    (P, 4^k, 4^k) stack of them whose p-th acts on stack[p].
+    """
     k = len(targets)
-    t = stack.reshape((stack.shape[0],) + (2,) * (2 * n_qubits))
-    axes = [1 + q for q in targets] + [1 + n_qubits + q for q in targets]
-    t = _contract(sop.reshape((2,) * (4 * k)), t, axes)
-    return t.reshape(stack.shape)
+    points = sop.shape[:-2]
+    lead = stack.shape[:-2]
+    perm, inverse = _superop_axes(tuple(targets), n_qubits, len(lead), len(points))
+    t = stack.reshape(lead + (2,) * (2 * n_qubits)).transpose(perm)
+    moved = t.shape
+    t = sop @ t.reshape(points + (4**k, math.prod(moved[len(points) + 2 * k:])))
+    return t.reshape(moved).transpose(inverse).reshape(stack.shape)
 
 
 def apply_gate_stack(stack: np.ndarray, gate: GateOp, n_qubits: int) -> np.ndarray:

@@ -459,6 +459,19 @@ BAD_INPUTS = [
      '"n_qubits": 1, "layers": 1, "param_count": 0, "gates": [{"gate": "FOO", '
      '"targets": [0]}]}, "theta": [], "head_weights": [[1], [0]], "head_bias": [0, 0], '
      '"n_classes": 2}', 3),
+    *[(f"checkpoint template {what}", ["evaluate", "--model", "{f}", "--data", "{data}"],
+       "model.json", '{"format_version": 1, "encoder": {"kind": "angle", "n_qubits": 1, '
+       '"features_per_qubit": 2, "scale_range": [0, 1]}, "template": {"name": "t", '
+       '"n_qubits": 1, "layers": 1, "param_count": ' + count + ', "gates": [{"gate": "RX", '
+       '"targets": [0], ' + entry + '}]}, "theta": [' + theta + '], '
+       '"head_weights": [[1], [0]], "head_bias": [0, 0], "n_classes": 2}', 3)
+      for what, count, entry, theta in [
+          ("angle string", "0", '"angle": "1.0"', ""),
+          ("angle list", "0", '"angle": [1.0]', ""),
+          ("angle NaN", "0", '"angle": NaN', ""),
+          ("angle true", "0", '"angle": true', ""),
+          ("slot 0.0", "1", '"slot": 0.0', "0"),
+      ]],
     ("config qubits not a number", ["ess-validate", "--data", "{data}", "--config", "{f}"],
      "cfg.json", '{"qubits": "four"}', 2),
     ("config lr not finite", ["train", "--data", "{data}", "--config", "{f}"],

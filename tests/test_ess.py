@@ -83,16 +83,30 @@ def test_pairwise_matches_scalar_distance(rng):
 
 @pytest.mark.parametrize("chunk", [1, 2, 8])
 def test_trace_distance_chunks_are_bitwise_equal(monkeypatch, rng, chunk):
-    # 7 x 3 pairs: one chunk by default; chunk 8 runs 2 rows (6 pairs) per call
-    # and 3 does not divide it, chunks 1 and 2 fall back to one row per call
+    # 7 x 3 pairs: one chunk by default; a budget of 8 differences runs 2 rows
+    # (6 pairs) per call and 3 does not divide it, budgets of 1 and 2 split each row
     A = np.stack([random_density_matrix(rng, 2) for _ in range(7)])
     B = np.stack([random_density_matrix(rng, 2) for _ in range(3)])
     whole = pairwise_distances(A, B, "trace")
-    monkeypatch.setattr(ess, "_EIG_CHUNK", chunk)
+    monkeypatch.setattr(ess, "_EIG_BYTES", chunk * A[0].nbytes)
     assert pairwise_distances(A, B, "trace").tobytes() == whole.tobytes()
     for i, j in np.ndindex(whole.shape):
         want = distance(DensityMatrix(2, A[i]), DensityMatrix(2, B[j]), "trace")
         assert abs(whole[i, j] - want) <= 1e-12
+
+
+def test_trace_distance_temporaries_stay_within_the_byte_budget(rng):
+    import tracemalloc
+
+    # 1,024 real 128x128 differences are 128 MiB: twice the budget of one chunk
+    states = encode_batch(rng.uniform(0.1, 1.0, (32, 128)), EncoderConfig("amplitude", 7))
+    tracemalloc.start()
+    try:
+        pairwise_distances(states, states, "trace")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ess._EIG_BYTES
 
 
 def _eigvalsh_dtypes(monkeypatch):

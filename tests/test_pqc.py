@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,54 @@ def test_heisenberg_readout_property(data):
     states = np.stack([random_density_matrix(rng, n) for _ in range(4)])
     got = heisenberg_z(states, tpl, theta, model)
     assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
+
+
+# every gate kind, fixed angles, a lower-case name, and two-qubit gates between
+# runs of single-qubit gates on the qubits they touch
+HAND_WRITTEN = {
+    "name": "hand", "n_qubits": 3, "layers": 1, "param_count": 7,
+    "gates": [
+        {"gate": "H", "targets": [0]},
+        {"gate": "RX", "targets": [1], "slot": 0},
+        {"gate": "RZ", "targets": [1], "angle": 0.7},
+        {"gate": "CNOT", "targets": [0, 2]},
+        {"gate": "RZ", "targets": [0], "slot": 1},
+        {"gate": "H", "targets": [2]},
+        {"gate": "crz", "targets": [2, 1], "slot": 2},
+        {"gate": "RX", "targets": [0], "angle": -1.3},
+        {"gate": "CRX", "targets": [1, 0], "slot": 3},
+        {"gate": "RZ", "targets": [2], "slot": 4},
+        {"gate": "RX", "targets": [2], "slot": 5},
+        {"gate": "CRZ", "targets": [0, 1], "angle": 2.1},
+        {"gate": "CNOT", "targets": [1, 2]},
+        {"gate": "RX", "targets": [1], "slot": 6},
+    ],
+}
+
+
+@pytest.mark.parametrize("noise", list(READOUT_NOISE))
+def test_hand_written_template_readout_matches_kraus_forward(noise, tmp_path, rng):
+    model = READOUT_NOISE[noise]
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps(HAND_WRITTEN))
+    tpl = load_template(path)
+    states = np.stack([random_density_matrix(rng, 3) for _ in range(4)])
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
+        got = heisenberg_z(states, tpl, theta, model)
+        assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
+
+
+@pytest.mark.parametrize("noise", list(READOUT_NOISE))
+def test_point_stack_readout_equals_one_point_at_a_time(noise, rng):
+    model = READOUT_NOISE[noise]
+    templates = [build_template(name, 3, 2) for name in PRESETS]
+    for tpl in templates + [PqcTemplate.from_json(HAND_WRITTEN)]:
+        thetas = rng.uniform(-np.pi, np.pi, (3, tpl.param_count))
+        stacked = z_observables(tpl, thetas, model)
+        assert stacked.shape == (3, 3, 8, 8)
+        single = np.stack([z_observables(tpl, theta, model) for theta in thetas])
+        assert np.max(np.abs(stacked - single)) <= 1e-15
 
 
 def test_zero_noise_readout_is_bit_identical_to_noiseless(rng):

@@ -154,10 +154,15 @@ def test_head_gradient_matches_finite_differences(rng):
 
 
 def schrodinger_forward(model, states, theta, noise, shots, rng):
-    """Forward pass that pushes every state through the PQC: the readout oracle."""
+    """Forward pass that pushes every state through the PQC: the readout oracle.
+
+    theta is one point or a stack of points, each pushed forward on its own.
+    """
     n = model.encoder.n_qubits
-    out = apply_pqc_stack(states, model.template, theta, noise)
-    z = np.column_stack([expect_z_stack(out, q, n) for q in range(n)])
+    points = np.reshape(theta, (-1, model.template.param_count))
+    outs = [apply_pqc_stack(states, model.template, t, noise) for t in points]
+    z = np.stack([np.column_stack([expect_z_stack(out, q, n) for q in range(n)]) for out in outs])
+    z = z.reshape(np.shape(theta)[:-1] + z.shape[1:])
     if shots:
         z = 2.0 * rng.binomial(shots, np.clip((1.0 + z) / 2.0, 0.0, 1.0)) / shots - 1.0
     return softmax(z @ model.head_weights.T + model.head_bias), z
@@ -178,6 +183,25 @@ def test_train_matches_schrodinger_forward(monkeypatch, shots):
     assert np.allclose(got.model.head_weights, want.model.head_weights, rtol=0, atol=1e-12)
     assert np.allclose(got.train_loss, want.train_loss, rtol=0, atol=1e-12)
     assert got.test_accuracy == want.test_accuracy
+
+
+@pytest.mark.parametrize("shots", [0, 64])
+def test_training_step_pulls_back_twice(monkeypatch, shots):
+    # the base point, then theta + c*delta and theta - c*delta as one two-point stack
+    ds = separable_dataset(per_class=6)
+    tr, te = split(ds, 0.75, stratified=True, seed=2)
+    model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4, seed=2)
+    points = []
+    pull_back = qnn.z_observables
+    monkeypatch.setattr(qnn, "z_observables",
+                        lambda tpl, theta, noise: points.append(np.shape(theta)) or
+                        pull_back(tpl, theta, noise))
+    train(model, tr, te, TrainConfig(epochs=1, batch_size=8, seed=5, shots=shots))
+    batches = -(-len(tr) // 8)
+    step_calls = points[:-1]  # the last call evaluates the test set
+    assert len(step_calls) == 2 * batches
+    assert step_calls[0::2] == [(model.template.param_count,)] * batches
+    assert step_calls[1::2] == [(2, model.template.param_count)] * batches
 
 
 def test_adam_zero_gradient_is_identity():
@@ -294,6 +318,22 @@ def test_checkpoint_keeps_its_feature_count_and_version_1_still_loads(tmp_path):
     path.write_text(json.dumps(dict(raw, format_version=2, n_features=5)))  # capacity is 4
     with pytest.raises(DataFormatError, match="capacity"):
         load_model(path)
+
+
+def test_library_paths_refuse_a_dataset_of_another_width():
+    from quidlab.defense import DefenseConfig, train_ensemble
+
+    model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4,
+                       n_features=8)
+    wide = separable_dataset(per_class=4)
+    narrow = wide.replace(features=wide.features[:, :7])
+    with pytest.raises(ValueError, match="8 features.* 7"):
+        evaluate(model, narrow)
+    with pytest.raises(ValueError, match="8 features.* 7"):
+        train(model, wide, narrow, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="8 features.* 7"):
+        train_ensemble(narrow, wide, DefenseConfig(TrainConfig(epochs=1), k=2), model)
+    assert 0.0 <= evaluate(model, wide)[0] <= 1.0
 
 
 def test_model_shape_validation():

@@ -13,13 +13,22 @@ and summary.json without its wall_seconds keys. Stdlib only; run with
 
 where SRC is a tree's `src` directory and OUT an empty or new directory.
 A command that exits nonzero makes the tool exit 1.
+
+    python tools/golden_cli.py --diff OUT_A OUT_B
+
+compares two such OUT directories with the same exclusions. It prints one
+line per file whose content differs, with the largest absolute change among
+the numbers in it (or why the numbers cannot be paired), and exits 1 if any
+file differs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -54,8 +63,8 @@ def _drop_wall_seconds(value):
     return value
 
 
-def digest(path: str) -> str | None:
-    """sha256 of the file's result content; None for a file that holds only run metadata."""
+def content(path: str) -> bytes | None:
+    """The file's result content; None for a file that holds only run metadata."""
     name = os.path.basename(path)
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -67,10 +76,52 @@ def digest(path: str) -> str | None:
         blob = "\n".join(",".join(r[:col] + r[col + 1:]) for r in rows).encode()
     elif name == "summary.json":
         blob = json.dumps(_drop_wall_seconds(json.loads(blob)), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return blob
+
+
+def results(out: str) -> dict[str, bytes]:
+    """Relative path -> result content of every file under OUT that holds results."""
+    found = {}
+    for root, _dirs, files in os.walk(out):
+        for f in files:
+            path = os.path.join(root, f)
+            blob = content(path)
+            if blob is not None:
+                found[os.path.relpath(path, out)] = blob
+    return found
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)", re.IGNORECASE)
+
+
+def largest_change(a: bytes, b: bytes) -> str:
+    """The largest absolute change between the numbers of two texts that differ only in them."""
+    ta, tb = a.decode(errors="replace"), b.decode(errors="replace")
+    if NUMBER.sub("#", ta) != NUMBER.sub("#", tb):
+        return "text differs"
+    changes = [0.0 if x == y else abs(float(x) - float(y))
+               for x, y in zip(NUMBER.findall(ta), NUMBER.findall(tb))]
+    worst = max(changes, default=0.0)
+    return "largest change nan" if math.isnan(worst) else f"largest change {worst:.2g}"
+
+
+def diff(out_a: str, out_b: str) -> int:
+    a, b = results(out_a), results(out_b)
+    differ = False
+    for rel in sorted(a.keys() | b.keys()):
+        if rel not in b or rel not in a:
+            print(f"{rel}: only in {out_a if rel in a else out_b}")
+        elif a[rel] != b[rel]:
+            print(f"{rel}: {largest_change(a[rel], b[rel])}")
+        else:
+            continue
+        differ = True
+    return 1 if differ else 0
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--diff":
+        return diff(argv[1], argv[2])
     if len(argv) != 2:
         sys.exit(__doc__)
     src, out = (os.path.abspath(a) for a in argv)
@@ -83,14 +134,8 @@ def main(argv: list[str]) -> int:
     for name, args in COMMANDS:
         args = [a.format(data=data, out=out) for a in args]
         run(env, out, [*args, "--data", data, "--out", os.path.join(out, name)])
-    lines = []
-    for root, _dirs, files in os.walk(out):
-        for f in files:
-            path = os.path.join(root, f)
-            h = digest(path)
-            if h is not None:
-                lines.append(f"{h}  {os.path.relpath(path, out)}")
-    print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
+    found = results(out)
+    print("\n".join(f"{hashlib.sha256(found[rel]).hexdigest()}  {rel}" for rel in sorted(found)))
     return 0
 
 
