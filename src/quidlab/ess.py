@@ -73,7 +73,7 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
         # eigvalsh solves each matrix on its own, so the chunking never moves a bit
         out = np.empty((m, k))
         pairs = max(1, _EIG_BYTES // (dim * dim * A.itemsize))  # per chunk
-        rows, cols = max(1, pairs // max(k, 1)), min(k, pairs)  # whole rows, or part of one
+        rows, cols = max(1, pairs // max(k, 1)), max(1, min(k, pairs))  # whole rows, or part of one
         for lo in range(0, m, rows):
             for left in range(0, k, cols):
                 d = A[lo : lo + rows, None] - B[None, left : left + cols]

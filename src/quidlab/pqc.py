@@ -243,6 +243,15 @@ def _rotation_halves(half_angles, arity, slots, is_z, noise) -> np.ndarray:
     return sop if noise is None else sop @ noise
 
 
+@functools.lru_cache(maxsize=None)
+def _z_signs(n: int) -> np.ndarray:
+    """(n, 2^n) read-only diagonals of Z_0..Z_{n-1}; small, so cached per register size."""
+    dim = 1 << n
+    signs = 1.0 - 2.0 * ((np.arange(dim) >> (n - 1 - np.arange(n))[:, None]) & 1)
+    signs.setflags(write=False)
+    return signs
+
+
 @functools.lru_cache(maxsize=64)
 def _readout_plan(tpl: PqcTemplate, entries: tuple) -> tuple:
     """The pull-back of tpl with entries[i] the noise entries after gate i; cached.
@@ -250,13 +259,12 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple) -> tuple:
     Walking the gates from last to first, consecutive single-qubit gates on a qubit
     join one block; a qubit's open block closes just before a two-qubit gate
     touches that qubit, and the rest close at the end. Gates without a slot do not
-    depend on theta, so their maps are built here. Returns (observables, rotations,
-    blocks): the read-only (n, 2^n, 2^n) Z_q stack; the (arity, slots, is_z, noise)
-    arguments of _rotation_halves for each arity that has slot-bound gates; and
-    (targets, factors) per contraction in pull-back order, where a factor is a
-    fixed read-only map or (arity, index) into that arity's per-call halves.
+    depend on theta, so their maps are built here. Returns (rotations, blocks): the
+    (arity, slots, is_z, noise) arguments of _rotation_halves for each arity that
+    has slot-bound gates, and (targets, factors) per contraction in pull-back
+    order, where a factor is a fixed read-only map or (arity, index) into that
+    arity's per-call halves. The dense Z_q stack is built per call from _z_signs.
     """
-    n = tpl.n_qubits
     ops = bound_gates(tpl, np.zeros(tpl.param_count))  # validates names and arities
     groups: dict[int, list] = {1: [], 2: []}  # arity -> (slot, is_z, noise half) per slot gate
     blocks = []
@@ -285,12 +293,7 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple) -> tuple:
             noise = None if all(x is None for x in noises) else np.stack(
                 [eye if x is None else x for x in noises])
             rotations.append((k, np.array(slots, dtype=np.intp), np.array(is_z), noise))
-    dim = 1 << n
-    bits = (np.arange(dim) >> (n - 1 - np.arange(n))[:, None]) & 1
-    obs = np.zeros((n, dim, dim), dtype=complex)
-    obs[:, np.arange(dim), np.arange(dim)] = 1.0 - 2.0 * bits
-    obs.setflags(write=False)
-    return obs, tuple(rotations), tuple(blocks)
+    return tuple(rotations), tuple(blocks)
 
 
 def z_observables(
@@ -315,11 +318,14 @@ def z_observables(
         raise ValueError(
             f"template {tpl.name} expects {tpl.param_count} parameters, got {theta.shape}"
         )
-    points = theta.reshape(-1, tpl.param_count)
+    points = theta.reshape((math.prod(theta.shape[:-1]), tpl.param_count))
     entries = tuple(() if model is None else model.entries_for(g.gate) for g in tpl.gates)
-    observables, rotations, blocks = _readout_plan(tpl, entries)
+    rotations, blocks = _readout_plan(tpl, entries)
     halves = {rot[0]: _rotation_halves(0.5 * points, *rot) for rot in rotations}
     n = tpl.n_qubits
+    dim = 1 << n
+    observables = np.zeros((n, dim, dim), dtype=complex)
+    observables.reshape(n, -1)[:, :: dim + 1] = _z_signs(n)  # the diagonals
     obs = np.broadcast_to(observables, (len(points),) + observables.shape)
     for targets, factors in blocks:
         sop = None

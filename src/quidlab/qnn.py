@@ -14,7 +14,7 @@ apply_pqc_stack) remains as the test oracle.
 
 A training step forwards the batch at the current theta, draws the SPSA
 direction delta, then pulls back theta + c*delta and theta - c*delta as one
-two-point stack. The generator draws the base point's shots, then delta, then
+two-point stack, through spsa_estimate's paired form. The generator draws the base point's shots, then delta, then
 the plus point's shots, then the minus point's (no shots when shots is 0). The
 order is the same for every shot count, and it is the order one-point calls
 would draw in.
@@ -211,19 +211,25 @@ def spsa_estimate(
     c: float,
     rng: np.random.Generator,
     repeats: int = 1,
+    paired: bool = False,
 ) -> np.ndarray:
     """Two-point simultaneous-perturbation gradient estimate.
 
     Each repeat draws a Rademacher direction delta and forms
     [loss(theta + c*delta) - loss(theta - c*delta)] / (2c) * delta
-    (the elementwise inverse of a sign vector is itself).
+    (the elementwise inverse of a sign vector is itself). With paired, loss_fn
+    takes the (2, ...) stack of both points and returns both losses, so a caller
+    can evaluate the pair as one batch.
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.zeros_like(theta)
     for _ in range(repeats):
         delta = rng.integers(0, 2, size=theta.shape) * 2.0 - 1.0
-        diff = loss_fn(theta + c * delta) - loss_fn(theta - c * delta)
-        grad += diff / (2.0 * c) * delta
+        if paired:
+            plus, minus = loss_fn(theta + c * np.stack([delta, -delta]))
+        else:
+            plus, minus = loss_fn(theta + c * delta), loss_fn(theta - c * delta)
+        grad += (plus - minus) / (2.0 * c) * delta
     return grad / repeats
 
 
@@ -233,11 +239,12 @@ def _spsa_pair(model, states, labels, config: TrainConfig, rng) -> np.ndarray:
     theta + c*delta and theta - c*delta are pulled back as one two-point stack.
     The generator draws delta, then the plus point's shots, then the minus point's.
     """
-    delta = rng.integers(0, 2, size=model.theta.shape) * 2.0 - 1.0
-    thetas = model.theta + SPSA_C * np.stack([delta, -delta])
-    probs, _ = _forward_from_states(model, states, thetas, config.noise, config.shots, rng)
-    diff = _batch_ce(probs[0], labels) - _batch_ce(probs[1], labels)
-    return diff / (2.0 * SPSA_C) * delta
+
+    def pair_loss(thetas):
+        probs, _ = _forward_from_states(model, states, thetas, config.noise, config.shots, rng)
+        return _batch_ce(probs[0], labels), _batch_ce(probs[1], labels)
+
+    return spsa_estimate(pair_loss, model.theta, SPSA_C, rng, paired=True)
 
 
 def _encode_xy(model, X, y, noise) -> tuple[np.ndarray, np.ndarray]:

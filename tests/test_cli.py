@@ -185,6 +185,26 @@ def test_train_and_evaluate_roundtrip(tmp_path):
     assert 0.0 <= payload["accuracy"] <= 1.0
 
 
+def test_evaluate_checkpoint_without_slots(tmp_path):
+    # a template of fixed-angle and slot-free gates only: param_count 0, theta []
+    data = gen(tmp_path, classes="2", dim="2")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "format_version": 1,
+        "encoder": {"kind": "angle", "n_qubits": 2, "features_per_qubit": 1,
+                    "scale_range": [0, 1]},
+        "template": {"name": "fixed", "n_qubits": 2, "layers": 1, "param_count": 0,
+                     "gates": [{"gate": "RX", "targets": [0], "angle": 1.0},
+                               {"gate": "H", "targets": [1]},
+                               {"gate": "CNOT", "targets": [0, 1]}]},
+        "theta": [], "head_weights": [[1, 0], [0, 1]], "head_bias": [0, 0], "n_classes": 2,
+    }))
+    assert run("evaluate", "--model", str(model), "--data", str(data),
+               "--out", str(tmp_path / "eval")) == 0
+    payload = json.loads((tmp_path / "eval" / "eval.json").read_text())
+    assert 0.0 <= payload["accuracy"] <= 1.0
+
+
 @pytest.mark.parametrize(
     "case", ["test classes", "test features", "checkpoint classes", "checkpoint features",
              "checkpoint narrower features"]

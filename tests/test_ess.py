@@ -95,6 +95,14 @@ def test_trace_distance_chunks_are_bitwise_equal(monkeypatch, rng, chunk):
         assert abs(whole[i, j] - want) <= 1e-12
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_pairwise_distances_against_an_empty_stack(metric, rng):
+    A = np.stack([random_density_matrix(rng, 2) for _ in range(3)])
+    empty = A[:0]
+    assert pairwise_distances(A, empty, metric).shape == (3, 0)
+    assert pairwise_distances(empty, A, metric).shape == (0, 3)
+
+
 def test_trace_distance_temporaries_stay_within_the_byte_budget(rng):
     import tracemalloc
 

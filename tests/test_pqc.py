@@ -219,6 +219,41 @@ def test_hand_written_template_readout_matches_kraus_forward(noise, tmp_path, rn
         assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
 
 
+# no slots at all: param_count 0, so theta is an empty point or a stack of them
+FIXED_ONLY = {
+    "name": "fixed", "n_qubits": 2, "layers": 1, "param_count": 0,
+    "gates": [
+        {"gate": "H", "targets": [0]},
+        {"gate": "RX", "targets": [1], "angle": 1.0},
+        {"gate": "CNOT", "targets": [0, 1]},
+        {"gate": "CRZ", "targets": [1, 0], "angle": -0.7},
+        {"gate": "RZ", "targets": [0], "angle": 0.4},
+    ],
+}
+
+
+@pytest.mark.parametrize("noise", list(READOUT_NOISE))
+def test_template_without_slots_readout_matches_kraus_forward(noise, tmp_path, rng):
+    model = READOUT_NOISE[noise]
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(FIXED_ONLY))
+    tpl = load_template(path)
+    states = np.stack([random_density_matrix(rng, 2) for _ in range(4)])
+    theta = np.zeros(0)
+    got = heisenberg_z(states, tpl, theta, model)
+    assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
+    stacked = z_observables(tpl, np.zeros((2, 0)), model)
+    assert stacked.shape == (2, 2, 4, 4)
+    assert np.array_equal(stacked[1], z_observables(tpl, theta, model))
+
+
+def test_template_without_gates_reads_out_plain_z(rng):
+    tpl = PqcTemplate("empty", 2, 1, (), 0)
+    states = np.stack([random_density_matrix(rng, 2) for _ in range(3)])
+    want = np.column_stack([expect_z_stack(states, q, 2) for q in range(2)])
+    assert np.max(np.abs(heisenberg_z(states, tpl, np.zeros(0), None) - want)) <= 1e-15
+
+
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
 def test_point_stack_readout_equals_one_point_at_a_time(noise, rng):
     model = READOUT_NOISE[noise]

@@ -93,6 +93,16 @@ def test_spsa_estimates_quadratic_gradient():
     assert np.linalg.norm(grad - theta) / np.linalg.norm(theta) <= 0.05
 
 
+def test_paired_spsa_equals_two_separate_evaluations():
+    theta = np.array([0.3, -1.1, 2.0])
+    loss = lambda t: float(np.sin(t).sum() + t @ t)  # noqa: E731
+    pair = lambda ts: (loss(ts[0]), loss(ts[1]))  # noqa: E731
+    rngs = [np.random.Generator(np.random.PCG64(4)) for _ in range(2)]
+    one = spsa_estimate(loss, theta, 0.01, rngs[0], repeats=3)
+    two = spsa_estimate(pair, theta, 0.01, rngs[1], repeats=3, paired=True)
+    assert one.tobytes() == two.tobytes()
+
+
 def test_spsa_deterministic_given_seed(rng):
     model = small_model(n_classes=2)
     model.head_weights = rng.standard_normal(model.head_weights.shape)
@@ -202,6 +212,35 @@ def test_training_step_pulls_back_twice(monkeypatch, shots):
     assert len(step_calls) == 2 * batches
     assert step_calls[0::2] == [(model.template.param_count,)] * batches
     assert step_calls[1::2] == [(2, model.template.param_count)] * batches
+
+
+def test_training_step_estimates_through_spsa_estimate(monkeypatch):
+    ds = separable_dataset(per_class=6)
+    tr, te = split(ds, 0.75, stratified=True, seed=2)
+    model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4, seed=2)
+    calls = []
+    estimate = qnn.spsa_estimate
+    monkeypatch.setattr(qnn, "spsa_estimate",
+                        lambda *args, **kwargs: calls.append(kwargs) or estimate(*args, **kwargs))
+    train(model, tr, te, TrainConfig(epochs=1, batch_size=8, seed=5))
+    assert calls == [{"paired": True}] * -(-len(tr) // 8)
+
+
+def test_template_without_slots_trains_and_evaluates():
+    # param_count 0: only the head learns, and the SPSA step is an empty vector
+    from quidlab.pqc import PqcTemplate, TemplateGate
+
+    tpl = PqcTemplate("fixed", 2, 1, (TemplateGate("RX", (1,), angle=1.0),
+                                      TemplateGate("CNOT", (0, 1))), 0)
+    ds = synth_clusters(2, 4, 8, spread=0.3, seed=2)
+    ds = ds.replace(features=scale_features(ds.features))
+    tr, te = split(ds, 0.75, stratified=True, seed=2)
+    model = init_model(EncoderConfig("angle", 2, 2), tpl, 2, seed=2)
+    report = train(model, tr, te, TrainConfig(epochs=2, batch_size=4, seed=5, shots=16))
+    assert report.model.theta.shape == (0,)
+    assert len(report.train_loss) == 2
+    assert 0.0 <= evaluate(report.model, te)[0] <= 1.0
+    assert forward(report.model, te.features[0]).shape == (2,)
 
 
 def test_adam_zero_gradient_is_identity():
