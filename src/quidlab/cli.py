@@ -270,8 +270,16 @@ class _Options:
         return raw, _scaled(raw, cfg), cfg, tag
 
     def train_test(self, ds: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:
-        """The stratified --train-fraction split, seeded by --seed."""
-        return split(ds, self.get("train_fraction"), stratified=True, seed=self.get("seed"))
+        """The stratified --train-fraction split, seeded by --seed; an empty side is a usage
+        error naming the flag."""
+        return _configured(split, ds, self.get("train_fraction"), stratified=True,
+                           seed=self.get("seed"), flag="--train-fraction")
+
+    def holdout(self, ds: LabeledDataset) -> float:
+        """--holdout, checked to leave both sides of the ESS split it makes of ds non-empty."""
+        fraction = self.get("holdout")
+        _configured(split, ds, 1.0 - fraction, seed=self.get("seed"), flag="--holdout")
+        return fraction
 
     def train_config(self, seed: int, noise: NoiseModel | None) -> TrainConfig:
         return _configured(
@@ -349,7 +357,7 @@ def cmd_ess_validate(args) -> int:
     model = options.noise_model()
     metric = options.get("metric", None)
     metrics = [metric] if metric else list(METRICS)
-    holdout = options.get("holdout")
+    holdout = options.holdout(ds)
     rows, class_rows, summary = [], [], {}
     for metric in metrics:
         report = validate_ess(
@@ -379,8 +387,7 @@ def cmd_encode_compare(args) -> int:
     for p in levels:  # every level is checked before the first cell runs
         _configured(NoiseModel.from_error_rate, p, flag="--noise-levels")
     cells = compare_encodings(
-        ds, cfgs, metric, levels, holdout_fraction=options.get("holdout"),
-        seed=options.get("seed"),
+        ds, cfgs, metric, levels, holdout_fraction=options.holdout(ds), seed=options.get("seed"),
     )
     write_table(
         os.path.join(out, "encoding_comparison.csv"),

@@ -1,17 +1,21 @@
 """Encoder state similarity: density-matrix distances and min-distance labeling.
 
 Supported metrics: frobenius (matrix 2-norm of the difference), trace
-(half the sum of singular values of the difference; when both stacks have
-an all-zero imaginary part, as amplitude states of real features do, it is
-computed in real arithmetic) and hilbert_schmidt
+(half the sum of singular values of the difference) and hilbert_schmidt
 (1 - |Tr(sigma^dag rho)| / dim; note this does NOT vanish at sigma = rho,
-only relative comparisons matter downstream). Labeling assigns the class
-whose reference states have the smallest mean distance to the query.
+only relative comparisons matter downstream). The trace distance takes each
+stack's Hermitian part once, runs in real arithmetic when both stacks have an
+all-zero imaginary part (as amplitude states of real features do), and
+diagonalises blocks of differences on threads that live only for the call,
+one per usable CPU, with the same bits for any thread count. Labeling assigns
+the class whose reference states have the smallest mean distance to the query.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +29,8 @@ from .simcore import DensityMatrix
 METRICS = ("frobenius", "trace", "hilbert_schmidt")
 _ALIASES = {"hs": "hilbert_schmidt", "fro": "frobenius"}
 
-# trace distance: bytes of one chunk's difference stack; ess-scan's 1,024 complex
-# 64x64 differences per call fill one chunk exactly
+# trace distance: bytes of the difference stacks in flight at once, split evenly over
+# the threads; ess-scan's 1,024 real 64x64 differences per call are 32 MiB, half of it
 _EIG_BYTES = 64 << 20
 
 # Frobenius entries with |a-b|^2 below this share of |a|^2+|b|^2 skip the Gram
@@ -63,24 +67,11 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
     metric = canonical_metric(metric)
     if A.shape[1:] != B.shape[1:]:
         raise ShapeError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
-    m, dim = A.shape[0], A.shape[1]
-    k = B.shape[0]
-    a_flat = A.reshape(m, dim * dim)
-    b_flat = B.reshape(k, dim * dim)
     if metric == "trace":
-        if not (A.imag.any() or B.imag.any()):  # real symmetric differences diagonalise faster
-            A, B = A.real, B.real
-        # eigvalsh solves each matrix on its own, so the chunking never moves a bit
-        out = np.empty((m, k))
-        pairs = max(1, _EIG_BYTES // (dim * dim * A.itemsize))  # per chunk
-        rows, cols = max(1, pairs // max(k, 1)), max(1, min(k, pairs))  # whole rows, or part of one
-        for lo in range(0, m, rows):
-            for left in range(0, k, cols):
-                d = A[lo : lo + rows, None] - B[None, left : left + cols]
-                d = 0.5 * (d + np.swapaxes(d, -1, -2).conj())
-                dist = 0.5 * np.abs(np.linalg.eigvalsh(d)).sum(axis=-1)
-                out[lo : lo + rows, left : left + cols] = dist
-        return out
+        return _trace_distances(A, B)
+    m, dim = A.shape[0], A.shape[1]
+    a_flat = A.reshape(m, dim * dim)
+    b_flat = B.reshape(B.shape[0], dim * dim)
     gram = a_flat.conj() @ b_flat.T  # Tr(a^dag b)
     if metric == "hilbert_schmidt":
         return 1.0 - np.abs(gram) / dim
@@ -95,6 +86,42 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
         cols = np.flatnonzero(near[i])
         sq[i, cols] = np.sum(np.abs(a_flat[i] - b_flat[cols]) ** 2, axis=1)
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _trace_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(m, k) trace distances: eigvalsh of each difference of the stacks' Hermitian parts.
+
+    The table is cut into blocks of whole rows, or part of one row, whose difference
+    stacks hold at most _EIG_BYTES / threads bytes each; there are at least `threads`
+    blocks whenever there are that many pairs. More than one block runs on threads that
+    live only in this call (eigvalsh releases the GIL). eigvalsh solves each matrix on
+    its own, so neither the thread count nor the split moves a bit.
+    """
+    if not (A.imag.any() or B.imag.any()):  # real symmetric differences diagonalise faster
+        A, B = A.real, B.real
+    # every difference of Hermitian parts is exactly Hermitian; of exactly Hermitian
+    # stacks (amplitude states) the Hermitian part is the stack itself, bit for bit
+    A, B = (0.5 * (S + np.swapaxes(S, -1, -2).conj()) for S in (A, B))
+    m, k, dim = A.shape[0], B.shape[0], A.shape[1]
+    affinity = getattr(os, "sched_getaffinity", None)
+    threads = len(affinity(0)) if affinity else os.cpu_count() or 1
+    budget = _EIG_BYTES // (threads * dim * dim * A.itemsize)
+    pairs = max(1, min(budget, m * k // threads))  # per block
+    rows, cols = max(1, pairs // max(k, 1)), max(1, min(k, pairs))  # whole rows, or part of one
+    blocks = [(slice(lo, lo + rows), slice(left, left + cols))
+              for lo in range(0, m, rows) for left in range(0, k, cols)]
+    out = np.empty((m, k))
+
+    def solve(block: tuple[slice, slice]) -> None:
+        r, c = block
+        out[r, c] = 0.5 * np.abs(np.linalg.eigvalsh(A[r, None] - B[None, c])).sum(axis=-1)
+
+    if len(blocks) > 1:
+        with ThreadPoolExecutor(min(threads, len(blocks))) as pool:
+            list(pool.map(solve, blocks))
+    elif blocks:
+        solve(blocks[0])
+    return out
 
 
 def class_mean_distances(

@@ -525,6 +525,17 @@ BAD_INPUTS = [
      "unused", "", 2),
     ("--holdout 1.5", ["ess-validate", "--data", "{data}", "--holdout", "1.5"], "unused", "", 2),
     ("--holdout 0", ["encode-compare", "--data", "{data}", "--holdout", "0"], "unused", "", 2),
+    # a fraction inside (0, 1) that leaves one side of the 4-per-class split empty
+    ("--train-fraction 0.05 (train)", ["train", "--data", "{data}", "--train-fraction", "0.05"],
+     "unused", "", 2),
+    ("--train-fraction 0.05 (experiment)", ["experiment", "--data", "{data}",
+     "--train-fraction", "0.05"], "unused", "", 2),
+    ("--train-fraction 0.95 (defend)", ["defend", "--data", "{data}", "--train-fraction", "0.95"],
+     "unused", "", 2),
+    ("--holdout 0.95 (ess-validate)", ["ess-validate", "--data", "{data}", "--holdout", "0.95"],
+     "unused", "", 2),
+    ("--holdout 0.05 (encode-compare)", ["encode-compare", "--data", "{data}",
+     "--holdout", "0.05"], "unused", "", 2),
     # unreadable paths are data errors
     ("directory as data", ["train", "--data", "{f}"], "dir", None, 3),
     ("directory as test set", ["train", "--data", "{data}", "--test", "{f}"], "dir", None, 3),

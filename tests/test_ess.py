@@ -114,7 +114,85 @@ def test_trace_distance_temporaries_stay_within_the_byte_budget(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * ess._EIG_BYTES
+    assert peak < 1.5 * ess._EIG_BYTES
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(ess.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("route", ["complex", "real"])
+def test_trace_distance_is_bitwise_equal_across_thread_counts_and_budgets(monkeypatch, rng, route):
+    if route == "complex":
+        A = np.stack([random_density_matrix(rng, 2) for _ in range(7)])
+        B = np.stack([random_density_matrix(rng, 2) for _ in range(5)])
+    else:
+        states = encode_batch(rng.uniform(0.1, 1.0, (12, 4)), EncoderConfig("amplitude", 2))
+        A, B = states[:7], states[7:]
+    _cpus(monkeypatch, 1)
+    whole = pairwise_distances(A, B, "trace")
+    itemsize = 16 if route == "complex" else 8
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        # budgets of a whole table, 6, 2 and 1 differences per thread
+        for pairs in (1 << 20, 6, 2, 1):
+            monkeypatch.setattr(ess, "_EIG_BYTES", cpus * pairs * 16 * itemsize)
+            table = pairwise_distances(A, B, "trace")
+            assert table.tobytes() == whole.tobytes(), (cpus, pairs)
+
+
+def test_trace_distance_leaves_no_thread_behind(monkeypatch, rng):
+    import threading
+
+    A = np.stack([random_density_matrix(rng, 2) for _ in range(6)])
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(ess, "_EIG_BYTES", 2 * A[0].nbytes)  # one pair per block: 36 blocks
+    solvers = set()
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        solvers.add(threading.get_ident())
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    before = threading.active_count()
+    pairwise_distances(A, A, "trace")
+    assert threading.active_count() == before
+    assert threading.get_ident() not in solvers  # the blocks ran on the call's own threads
+
+
+@pytest.mark.parametrize("route", ["complex", "real"])
+def test_trace_distance_of_nearly_hermitian_stacks_matches_the_scalar_distance(rng, route):
+    if route == "complex":
+        A = np.stack([random_density_matrix(rng, 2) for _ in range(4)])
+        K = rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape)
+    else:
+        A = encode_batch(rng.uniform(0.1, 1.0, (4, 4)), EncoderConfig("amplitude", 2))
+        K = rng.standard_normal(A.shape).astype(complex)
+    A = A + 1e-9 * (K - np.swapaxes(K, -1, -2).conj())  # anti-Hermitian perturbation
+    assert bool(A.imag.any()) == (route == "complex")
+    B = A[::-1].copy()
+    table = pairwise_distances(A, B, "trace")
+    for i, j in np.ndindex(table.shape):
+        want = distance(DensityMatrix(2, A[i]), DensityMatrix(2, B[j]), "trace")
+        assert abs(table[i, j] - want) <= 1e-12, (i, j)
+
+
+def test_trace_metric_experiment_is_the_same_for_any_worker_count(tmp_path):
+    from quidlab.cli import main
+
+    data = tmp_path / "d.csv"
+    assert main(["gen-data", "--classes", "2", "--dim", "4", "--per-class", "8",
+                 "--seed", "5", "--out", str(data)]) == 0
+    results = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["experiment", "--data", str(data), "--qubits", "2", "--epochs", "1",
+                     "--metric", "trace", "--epsilon", "0.5", "--modes", "quid,bilevel_random",
+                     "--workers", workers, "--seed", "3", "--out", str(out)]) == 0
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+    assert b"failed" not in results[0]
 
 
 def _eigvalsh_dtypes(monkeypatch):

@@ -36,6 +36,8 @@ TRAIN = ["--epochs", "2"]
 # (output directory name, subcommand arguments); {data} and {out} are filled in
 COMMANDS = [
     ("ess-validate", ["ess-validate", "--noise", "0.05"]),
+    ("ess-validate-amplitude", ["ess-validate", "--encoder", "amplitude", "--metric", "trace",
+                                "--noise", "0.05"]),
     *[(f"poison-{mode}", ["poison", "--mode", mode, "--epsilon", "0.5"])
       for mode in ("quid", "random_flip", "bilevel_random")],
     ("train-pqc8", ["train", "--pqc", "pqc8", "--shots", "64", "--noise", "0.05", *TRAIN]),
