@@ -1,40 +1,55 @@
 """Encoder state similarity: density-matrix distances and min-distance labeling.
 
-Supported metrics: frobenius (matrix 2-norm of the difference), trace
-(half the sum of singular values of the difference) and hilbert_schmidt
-(1 - |Tr(sigma^dag rho)| / dim; note this does NOT vanish at sigma = rho,
-only relative comparisons matter downstream). The trace distance takes each
-stack's Hermitian part once, runs in real arithmetic when both stacks have an
-all-zero imaginary part (as amplitude states of real features do), and
-diagonalises blocks of differences on threads that live only for the call,
-one per usable CPU, with the same bits for any thread count. Labeling assigns
-the class whose reference states have the smallest mean distance to the query.
+Supported metrics: frobenius (the Frobenius, or entrywise 2-, norm of the
+difference; not its spectral norm), trace (half the sum of singular values of
+the difference) and hilbert_schmidt (1 - |Tr(sigma^dag rho)| / dim; note this
+does NOT vanish at sigma = rho, only relative comparisons matter downstream).
+The trace distance takes each stack's Hermitian part once, runs in real
+arithmetic when both stacks have an all-zero imaginary part (as amplitude
+states of real features do), and diagonalises blocks of differences on threads
+that live only for the call, one per usable CPU, with the same bits for any
+thread count. Labeling assigns the class whose reference states have the
+smallest mean distance to the query.
+
+One kernel takes dense stacks (one factor) and encode's factored stacks. As
+Tr(rho sigma) = prod_f Tr(rho_f sigma_f), Frobenius and Hilbert-Schmidt multiply
+per-factor Gram matrices; as ||tau ⊗ X|| = ||tau|| ||X|| in the trace and
+Frobenius norms, a factor both stacks share and hold equal (amplitude padding)
+is never expanded into a difference.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .data import LabeledDataset, split
-from .encode import EncoderConfig, encode_batch
+from .encode import EncoderConfig, _encode_factors, _expand
 from .errors import ShapeError
 from .noise import NoiseModel
 from .simcore import DensityMatrix
+
+# Not called here; perfbench/spans.py installs its timing wrapper on this
+# attribute of quidlab.ess, so it stays importable from this module.
+from .encode import encode_batch  # noqa: F401
 
 METRICS = ("frobenius", "trace", "hilbert_schmidt")
 _ALIASES = {"hs": "hilbert_schmidt", "fro": "frobenius"}
 
 # trace distance: bytes of the difference stacks in flight at once, split evenly over
-# the threads; ess-scan's 1,024 real 64x64 differences per call are 32 MiB, half of it
+# the threads; ess-scan's 1,024 real 16x16 data-factor differences per call are 2 MiB
 _EIG_BYTES = 64 << 20
 
 # Frobenius entries with |a-b|^2 below this share of |a|^2+|b|^2 skip the Gram
-# expansion; above it the expansion has erred by at most 3e-14 (measured, 1-6 qubits)
+# expansion; above it the expansion has erred by at most 5e-14 (measured: angle states
+# at 1-6 qubits 2.7e-14 from factors, 3.0e-14 dense; amplitude at 1-7 qubits 4.6e-14)
 _GRAM_NEAR = 1e-4
 
 
@@ -67,24 +82,44 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
     metric = canonical_metric(metric)
     if A.shape[1:] != B.shape[1:]:
         raise ShapeError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
+    return _distances((A,), (B,), metric)
+
+
+def _rows(factors: tuple, idx: np.ndarray) -> tuple:
+    """The factored stack of rows idx; shared factors stay shared."""
+    return tuple(f[idx] if len(f) > 1 else f for f in factors)
+
+
+def _distances(A: tuple, B: tuple, metric: str) -> np.ndarray:
+    """(m, k) distances between two factored stacks of the same factor sizes (canonical metric)."""
+    # A factor both stacks share and hold equal multiplies the trace and Frobenius norms of
+    # every difference by its own (a Kronecker product's singular values are the products
+    # of its factors'); it is a state, so its trace norm is its trace. The last one stays.
+    same = [len(a) == len(b) == 1 and np.array_equal(a, b) for a, b in zip(A[:-1], B[:-1])]
+    same.append(False)
+    common = [a[0] for a, s in zip(A, same) if s]
+    rest_a, rest_b = (tuple(f for f, s in zip(F, same) if not s) for F in (A, B))
     if metric == "trace":
-        return _trace_distances(A, B)
-    m, dim = A.shape[0], A.shape[1]
-    a_flat = A.reshape(m, dim * dim)
-    b_flat = B.reshape(B.shape[0], dim * dim)
-    gram = a_flat.conj() @ b_flat.T  # Tr(a^dag b)
+        norm = math.prod(np.trace(c).real for c in common)
+        return _trace_distances(_expand(rest_a), _expand(rest_b)) * norm
+    a_flat = [f.reshape(len(f), f.shape[1] ** 2) for f in A]
+    b_flat = [f.reshape(len(f), f.shape[1] ** 2) for f in B]
+    gram = reduce(operator.mul, (a.conj() @ b.T for a, b in zip(a_flat, b_flat)))  # Tr(a^dag b)
     if metric == "hilbert_schmidt":
-        return 1.0 - np.abs(gram) / dim
-    sq_a = np.sum(np.abs(a_flat) ** 2, axis=1)
-    sq_b = np.sum(np.abs(b_flat) ** 2, axis=1)
+        return 1.0 - np.abs(gram) / math.prod(f.shape[1] for f in A)
+    sq_a = reduce(operator.mul, (np.sum(np.abs(a) ** 2, axis=1) for a in a_flat))
+    sq_b = reduce(operator.mul, (np.sum(np.abs(b) ** 2, axis=1) for b in b_flat))
     scale = sq_a[:, None] + sq_b[None, :]
     sq = scale - 2.0 * gram.real
     # The expansion cancels for near-equal states (2e-8 for a state against
     # itself); recompute those entries from the difference, row by row.
     near = sq < _GRAM_NEAR * scale
+    sq_common = math.prod(np.vdot(c, c).real for c in common)
     for i in np.flatnonzero(near.any(axis=1)):
         cols = np.flatnonzero(near[i])
-        sq[i, cols] = np.sum(np.abs(a_flat[i] - b_flat[cols]) ** 2, axis=1)
+        a, b = (_expand(_rows(F, idx)) for F, idx in ((rest_a, [i]), (rest_b, cols)))
+        diff = np.sum(np.abs(a.reshape(1, -1) - b.reshape(len(b), -1)) ** 2, axis=1)
+        sq[i, cols] = sq_common * diff
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -197,39 +232,52 @@ def validate_ess(
     The wall clock covers the metric-dependent phase (distances + labeling),
     not the shared encoding step.
     """
-    metric = canonical_metric(metric)
+    return _validate_metrics(dataset, cfg, [metric], model, holdout_fraction, seed)[0]
+
+
+def _validate_metrics(
+    dataset: LabeledDataset,
+    cfg: EncoderConfig,
+    metrics: list[str],
+    model: NoiseModel | None,
+    holdout_fraction: float,
+    seed: int,
+) -> list[EssReport]:
+    """validate_ess for each metric, encoding the reference and holdout rows once."""
+    metrics = [canonical_metric(metric) for metric in metrics]
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     reference, holdout = split(dataset, train_fraction=1.0 - holdout_fraction, seed=seed)
     if dataset.n_classes < 2 or np.unique(reference.labels).size < 2:
         raise ValueError("need at least 2 classes for labeling validation")
-    ref_states = encode_batch(reference.features, cfg, model)
-    query_states = encode_batch(holdout.features, cfg, model)
+    ref_states = _encode_factors(reference.features, cfg, model)
+    query_states = _encode_factors(holdout.features, cfg, model)
+    reports = []
+    for metric in metrics:
+        start = time.perf_counter()
+        dists = _distances(query_states, ref_states, metric)
+        means, classes = _class_means(dists, reference.labels)
+        predicted = classes[np.argmin(means, axis=1)]
+        elapsed = time.perf_counter() - start
 
-    start = time.perf_counter()
-    dists = pairwise_distances(query_states, ref_states, metric)
-    means, classes = _class_means(dists, reference.labels)
-    predicted = classes[np.argmin(means, axis=1)]
-    elapsed = time.perf_counter() - start
-
-    accuracy = float(np.mean(predicted == holdout.labels))
-    intra: dict[int, float] = {}
-    inter: dict[int, float] = {}
-    for c in classes:
-        rows = holdout.labels == c
-        same_cols = reference.labels == c
-        if rows.any():
-            intra[int(c)] = float(dists[rows][:, same_cols].mean())
-            inter[int(c)] = float(dists[rows][:, ~same_cols].mean())
-    return EssReport(
-        metric=metric,
-        accuracy=accuracy,
-        wall_seconds=elapsed,
-        intra_mean=intra,
-        inter_mean=inter,
-        n_reference=len(reference),
-        n_holdout=len(holdout),
-    )
+        intra: dict[int, float] = {}
+        inter: dict[int, float] = {}
+        for c in classes:
+            rows = holdout.labels == c
+            same_cols = reference.labels == c
+            if rows.any():
+                intra[int(c)] = float(dists[rows][:, same_cols].mean())
+                inter[int(c)] = float(dists[rows][:, ~same_cols].mean())
+        reports.append(EssReport(
+            metric=metric,
+            accuracy=float(np.mean(predicted == holdout.labels)),
+            wall_seconds=elapsed,
+            intra_mean=intra,
+            inter_mean=inter,
+            n_reference=len(reference),
+            n_holdout=len(holdout),
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

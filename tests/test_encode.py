@@ -199,18 +199,25 @@ AMPLITUDE_MODELS = {
 @pytest.mark.parametrize("model_name", list(AMPLITUDE_MODELS))
 @pytest.mark.parametrize("n", range(1, 8))
 def test_noisy_amplitude_matches_the_kraus_loop(rng, n, model_name):
-    # one fused 4x4 map per qubit against every Kraus operator of every channel on the register
+    # one fused 4x4 map per data qubit and one padding factor against every Kraus operator
+    # of every channel on the whole register; the widths 2^k - 1, 2^k and 2^k + 1 reach
+    # every padding count from n - 1 (one feature) to 0 (2^n features)
     model = AMPLITUDE_MODELS[model_name]
-    x = rng.uniform(-1.0, 1.0, size=(3, 1 << n))
-    psi = x / np.linalg.norm(x, axis=1, keepdims=True)
+    widths = sorted({w for k in range(n + 1) for w in ((1 << k) - 1, 1 << k, (1 << k) + 1)
+                     if 1 <= w <= 1 << n})
+    xs = [rng.uniform(-1.0, 1.0, size=(2, d)) for d in widths]
+    psi = np.zeros((2 * len(widths), 1 << n))
+    for i, x in enumerate(xs):
+        psi[2 * i:2 * i + 2, :x.shape[1]] = x / np.linalg.norm(x, axis=1, keepdims=True)
     want = np.einsum("bi,bj->bij", psi, psi).astype(complex)
     if model is not None:
         for q in range(n):
             for ch in model.channels_for("StatePrep"):
                 want = apply_channel_stack(want, ch, (q,), n)
-    stack = encode_batch(x, EncoderConfig("amplitude", n), model)
-    assert stack.dtype == complex
-    assert np.max(np.abs(stack - want)) <= 1e-12
+    for i, x in enumerate(xs):
+        stack = encode_batch(x, EncoderConfig("amplitude", n), model)
+        assert stack.dtype == complex
+        assert np.max(np.abs(stack - want[2 * i:2 * i + 2])) <= 1e-12, x.shape[1]
 
 
 def test_amplitude_basis_vector_gives_ground_state():

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from conftest import random_density_matrix, random_pure_state
 from quidlab import ess
 from quidlab.data import LabeledDataset, synth_clusters
-from quidlab.encode import EncoderConfig, encode, encode_batch, scale_features
+from quidlab.encode import (
+    EncoderConfig,
+    _encode_factors,
+    _expand,
+    encode,
+    encode_batch,
+    scale_features,
+)
 from quidlab.errors import ShapeError
 from quidlab.ess import (
     METRICS,
@@ -255,6 +262,123 @@ def test_pairwise_distances_property(data):
             assert abs(table[i, j] - want) <= 1e-12, (metric, i, j)
 
 
+FACTOR_MODELS = {
+    "noiseless": None,
+    "p0.05": NoiseModel.from_error_rate(0.05),
+    "per-gate": NoiseModel(
+        per_gate={"stateprep": (("depolarizing", 0.07), ("amplitude_damping", 0.2))},
+        default=(("depolarizing", 0.05),),
+    ),
+}
+
+
+def _with_near_rows(x, rng):
+    # fresh rows, then x's rows repeated and moved by 1e-12 and 1e-9
+    moved = [x + w * rng.standard_normal(x.shape) for w in (1e-12, 1e-9)]
+    return np.vstack([rng.permutation(x), x, *moved])
+
+
+def _assert_factored_matches_dense(x, cfg, model, rng):
+    y = _with_near_rows(x, rng)
+    A, B = _encode_factors(x, cfg, model), _encode_factors(y, cfg, model)
+    dense_a, dense_b = _expand(A), _expand(B)
+    for metric in METRICS:
+        table = ess._distances(A, B, metric)
+        want = pairwise_distances(dense_a, dense_b, metric)
+        assert table.shape == want.shape
+        assert np.max(np.abs(table - want)) <= 1e-12, metric
+
+
+@pytest.mark.parametrize("model_name", list(FACTOR_MODELS))
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factored_distances_of_angle_states_match_the_dense_ones(rng, n, f, model_name):
+    x = rng.uniform(0.0, 2 * np.pi, size=(3, n * f))
+    cfg = EncoderConfig("angle", n, f)
+    assert len(_encode_factors(x, cfg, None)) == n
+    _assert_factored_matches_dense(x, cfg, FACTOR_MODELS[model_name], rng)
+
+
+@pytest.mark.parametrize("model_name", list(FACTOR_MODELS))
+@pytest.mark.parametrize("n", range(1, 8))
+def test_factored_distances_of_amplitude_states_match_the_dense_ones(rng, n, model_name):
+    cfg = EncoderConfig("amplitude", n)
+    for pad in range(n):
+        data_qubits = n - pad
+        dim = (1 << (data_qubits - 1)) + 1 if data_qubits > 1 else 2
+        x = rng.uniform(-1.0, 1.0, size=(3, dim))
+        factors = _encode_factors(x, cfg, FACTOR_MODELS[model_name])
+        assert [f.shape for f in factors] == [(1, 1 << pad, 1 << pad)] * (pad > 0) + [
+            (3, 1 << data_qubits, 1 << data_qubits)]
+        _assert_factored_matches_dense(x, cfg, FACTOR_MODELS[model_name], rng)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_dense_pairwise_distances_are_the_one_factor_kernel(rng, metric):
+    A = np.stack([random_density_matrix(rng, 2) for _ in range(5)])
+    B = np.vstack([A[:2], np.stack([random_density_matrix(rng, 2) for _ in range(3)])])
+    table = pairwise_distances(A, B, metric)
+    assert table.tobytes() == ess._distances((A,), (B,), metric).tobytes()
+
+
+def test_trace_distance_of_angle_factors_is_the_dense_route_bit_for_bit(rng):
+    cfg, model = EncoderConfig("angle", 3, 2), NoiseModel.from_error_rate(0.05)
+    x, y = rng.uniform(0, 2 * np.pi, size=(4, 6)), rng.uniform(0, 2 * np.pi, size=(5, 6))
+    table = ess._distances(_encode_factors(x, cfg, model), _encode_factors(y, cfg, model), "trace")
+    want = ess._trace_distances(encode_batch(x, cfg, model), encode_batch(y, cfg, model))
+    assert table.tobytes() == want.tobytes()
+
+
+def test_trace_distance_of_padded_amplitude_states_diagonalises_the_data_factor(monkeypatch, rng):
+    cfg, model = EncoderConfig("amplitude", 6), NoiseModel.from_error_rate(0.05)
+    A = _encode_factors(rng.uniform(-1.0, 1.0, size=(3, 12)), cfg, model)
+    B = _encode_factors(rng.uniform(-1.0, 1.0, size=(4, 12)), cfg, model)
+    assert [f.shape[1] for f in A] == [4, 16]
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    ess._distances(A, B, "trace")
+    assert seen and all(shape[-2:] == (16, 16) for shape in seen)  # never the 4x4 padding
+
+
+def _product_stack(rng, dims, rows, shared):
+    """A factored stack of random states: factor f is shared when shared[f]."""
+    def state(d):
+        return random_density_matrix(rng, d.bit_length() - 1)
+    return tuple(np.stack([state(d) for _ in range(1 if s else rows)])
+                 for d, s in zip(dims, shared))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_factored_distances_property(data):
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1))))
+    dims = data.draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3))
+    shared = data.draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+    m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    A = _product_stack(rng, dims, m, shared)
+    # B shares A's shared factors; each per-row factor of B's row j is a row of A moved
+    # a fraction w toward a fresh state, so w = 0 repeats that row of A
+    w_near = st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+    weights = data.draw(st.lists(w_near | st.floats(0.0, 1.0), min_size=k, max_size=k))
+    fresh = _product_stack(rng, dims, k, shared)
+    B = tuple(a if s else np.stack([(1.0 - w) * a[j % m] + w * g[j] for j, w in enumerate(weights)])
+              for a, g, s in zip(A, fresh, shared))
+    dense_a, dense_b = _expand(A), _expand(B)
+    n = sum(d.bit_length() - 1 for d in dims)
+    for metric in METRICS:
+        table = ess._distances(A, B, metric)
+        assert table.shape == (len(dense_a), len(dense_b))
+        for i, j in np.ndindex(table.shape):
+            want = distance(DensityMatrix(n, dense_a[i]), DensityMatrix(n, dense_b[j]), metric)
+            assert abs(table[i, j] - want) <= 1e-12, (metric, i, j)
+
+
 def test_nearest_class_antipodal_ordering():
     cfg = EncoderConfig("angle", 1, 1)
     # two classes of equatorial states around angles 0 and pi
@@ -342,6 +466,26 @@ def test_validate_ess_rejects_a_single_class_reference_split():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="at least 2 classes"):
             validate_ess(ds, EncoderConfig("angle", 2), "frobenius")
+
+
+def test_ess_validate_encodes_each_split_once_for_all_metrics(monkeypatch, tmp_path):
+    from quidlab.cli import main
+
+    data = tmp_path / "d.csv"
+    assert main(["gen-data", "--classes", "2", "--dim", "4", "--per-class", "3",
+                 "--seed", "5", "--out", str(data)]) == 0
+    rows = []
+    real = ess._encode_factors
+
+    def counting(X, cfg, model):
+        rows.append(len(X))
+        return real(X, cfg, model)
+
+    monkeypatch.setattr(ess, "_encode_factors", counting)
+    assert main(["ess-validate", "--data", str(data), "--qubits", "2", "--noise", "0.05",
+                 "--seed", "3", "--out", str(tmp_path / "o")]) == 0
+    assert len(rows) == 2 and sum(rows) == 6
+    assert (tmp_path / "o" / "report.csv").read_text().count("\n") == 1 + len(METRICS)
 
 
 def test_compare_encodings_basic_columns():

@@ -40,6 +40,8 @@ COMMANDS = [
                                 "--noise", "0.05"]),
     *[(f"poison-{mode}", ["poison", "--mode", mode, "--epsilon", "0.5"])
       for mode in ("quid", "random_flip", "bilevel_random")],
+    ("poison-quid-amplitude", ["poison", "--mode", "quid", "--encoder", "amplitude", "--metric",
+                               "trace", "--epsilon", "0.5", "--noise", "0.05"]),
     ("train-pqc8", ["train", "--pqc", "pqc8", "--shots", "64", "--noise", "0.05", *TRAIN]),
     ("train-layers2", ["train", "--layers", "2", "--train-fraction", "0.6", *TRAIN]),
     ("evaluate", ["evaluate", "--model", "{out}/train-pqc8/model.json", "--shots", "32"]),
