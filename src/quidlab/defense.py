@@ -22,7 +22,7 @@ from .data import LabeledDataset, read_json, write_json
 from .errors import DataFormatError
 from .noise import NoiseModel
 from .qnn import QnnModel, TrainConfig, TrainReport, load_model, save_model
-from .qnn import _encode_sets, _fit, _forward_from_states  # shared encode/train/forward paths
+from .qnn import _check_width, _encode_sets, _fit, _forward_from_states  # shared paths
 from .encode import encode_batch
 
 # Not called here; perfbench/spans.py installs its timing wrapper on this
@@ -113,7 +113,10 @@ def member_predictions(
     encoder = ensemble.members[0].encoder
     if any(member.encoder != encoder for member in ensemble.members):
         raise ValueError("ensemble members use different encoders")
-    states = encode_batch(np.atleast_2d(np.asarray(features, dtype=float)), encoder, noise)
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    for member in ensemble.members:
+        _check_width(member, features.shape[1])
+    states = encode_batch(features, encoder, noise)
     preds = []
     for j, member in enumerate(ensemble.members):
         rng = np.random.Generator(np.random.PCG64(seed + j))

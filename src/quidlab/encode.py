@@ -1,26 +1,27 @@
 """Classical-to-quantum feature maps.
 
-Angle encoding: a Hadamard on every qubit, then each qubit's contiguous
-feature block applied as alternating RZ/RX rotations (RZ first). Every
-encoding gate and every after-gate noise channel acts on one qubit, so the
-encoded state is exactly the product rho_0 ⊗ rho_1 ⊗ ... ⊗ rho_{n-1}: the
-encoder evolves each qubit's 2x2 state through its own gates and channels,
-then Kronecker-expands the factors once, qubit 0 most significant.
-Amplitude encoding: zero-pad, L2-normalise, form the pure-state projector.
-With a noise model, every encoding gate routes through the after-gate
-channels; amplitude preparation counts as one opaque StatePrep touching
-every qubit. Noise reaches each qubit as one fused forward 4x4 Liouville map
-(Wood, Biamonte & Cory, arXiv:1111.6950). Both channel kinds map real matrices
-to real ones, so amplitude states are evolved in float64 and returned complex
-with a zero imaginary part. Features must be finite.
+Angle encoding: a Hadamard on every qubit, then each qubit's contiguous block of
+f features as alternating RZ/RX rotations (RZ first). Every gate and after-gate
+channel acts on one qubit, so the state is the product rho_0 ⊗ ... ⊗ rho_{n-1}.
+Each qubit starts at the same noisy H|0><0|H; feature j of every block (columns
+j, j + f, ...) then maps the 2x2 states of the qubits that have one to
+N(u rho u^dag), one step per feature index for all qubits and rows at once.
+Amplitude encoding: zero-pad, L2-normalise (after dividing each row by its
+largest |x|, so the norm neither over- nor underflows), form the projector.
+With a noise model, every encoding gate routes through the after-gate channels;
+amplitude preparation counts as one opaque StatePrep touching every qubit. Noise
+reaches each qubit as one fused forward 4x4 Liouville map (Wood, Biamonte &
+Cory, arXiv:1111.6950). Both channel kinds map real matrices to real ones, so
+amplitude states are evolved in float64 and returned complex with a zero
+imaginary part. Features must be finite.
 
 Both encoders build a factored stack: a tuple of (B_f, d_f, d_f) arrays, B_f
 the row count or 1 (shared by every row); row r is the Kronecker product of the
 factors' rows, factor 0 most significant. Angle states have one 2x2 factor per
 qubit. d amplitude features fill the last m = max(1, ceil(log2 d)) qubits, and
 the j = n - m padding qubits stay |0><0| under per-qubit StatePrep noise, so the
-state is tau^{⊗j} ⊗ rho_data: a shared (1, 2^j, 2^j) padding factor (none when
-j = 0), then the (B, 2^m, 2^m) data factor. encode_batch expands the factors.
+state is tau^{⊗j} ⊗ rho_data: j shared (1, 2, 2) factors tau, then the
+(B, 2^m, 2^m) data factor. encode_batch expands the factors.
 """
 
 from __future__ import annotations
@@ -37,15 +38,14 @@ from .simcore import (
     MAX_QUBITS,
     DensityMatrix,
     GateOp,
-    apply_operator_stack,
-    apply_rotations_batch,
     apply_superop_stack,
     gate_matrix,
+    rotation_matrices,
 )
 
-# Not called here; perfbench/spans.py installs its timing wrapper on this
-# attribute of quidlab.encode, so it stays importable from this module.
-from .simcore import apply_channel_stack  # noqa: F401
+# Not called here; perfbench/spans.py installs its timing wrappers on these
+# attributes of quidlab.encode, so they stay importable from this module.
+from .simcore import apply_channel_stack, apply_operator_stack, apply_rotations_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class EncoderConfig:
 
 
 # Peak memory of either encoder as a multiple of the stack it returns; tracemalloc
-# measured 1.03x for angle, and for amplitude 1.50x without padding (the float64 data
-# factor, then its complex copy) and at most 1.26x with it (7 qubits, 84 rows, every width)
+# measured 1.03x for angle, and for amplitude 1.51x without padding (the float64 data
+# factor, then its complex copy) and at most 1.32x with it (7 qubits, 84 rows, every width)
 _PEAK_FACTOR = 1.6
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
@@ -101,31 +101,36 @@ def _check_dim(dim: int, cfg: EncoderConfig) -> None:
 
 def _angle_factors(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) -> tuple:
     b, dim = x.shape
-    factors = np.zeros((cfg.n_qubits, b, 2, 2), dtype=complex)  # rho_q for every qubit q
-    factors[:, :, 0, 0] = 1.0
-    columns = iter(x.T)  # absent trailing features have no rotation: rotation k takes column k
-    for gate in encoding_gates(dim, cfg):
-        q = gate.targets[0]
-        if gate.name == "H":
-            rho = apply_operator_stack(factors[q], gate_matrix("H"), (0,), 1)
-        else:
-            rho = apply_rotations_batch(factors[q], gate.name, 0, next(columns), 1)
-        noise = _forward_noise(model, gate.name)
-        if noise is not None:
-            rho = apply_superop_stack(rho, noise, (0,), 1)
-        factors[q] = rho
+    f = cfg.features_per_qubit
+    h = gate_matrix("H")
+    factors = np.empty((cfg.n_qubits, b, 2, 2), dtype=complex)  # rho_q for every qubit q
+    factors[:] = _noisy(np.outer(h[:, 0], h[:, 0].conj())[None], model, "H")  # N(H|0><0|H)
+    for j in range(min(f, dim)):  # feature j of each qubit's block: columns j, j + f, ...
+        z = j % 2 == 0  # RZ first, then alternating with RX
+        u = rotation_matrices(x[:, j::f].T / 2.0, z)  # (qubits with a feature j, B, 2, 2)
+        rho = factors[:len(u)]
+        rho[:] = _noisy(np.einsum("...ij,...jk,...lk->...il", u, rho, u.conj()), model,
+                        "RZ" if z else "RX")  # u rho u^dag
     return tuple(factors)
+
+
+def _noisy(stack: np.ndarray, model: NoiseModel | None, gate_name: str) -> np.ndarray:
+    """A stack of one-qubit states after the gate's after-gate noise (unchanged without any)."""
+    noise = _forward_noise(model, gate_name)
+    return stack if noise is None else apply_superop_stack(stack, noise, (0,), 1)
 
 
 def _forward_noise(model: NoiseModel | None, gate_name: str) -> np.ndarray | None:
     """One qubit's after-gate noise as a forward 4x4 Liouville map; None when none applies.
 
-    The forward map is the conjugate transpose of the cached adjoint one.
+    It is the conjugate transpose of the cached adjoint map, taken real when it has no
+    imaginary part (as for both channel kinds), so real states stay real.
     """
-    if model is None:
+    sop = None if model is None else adjoint_noise_superop(model.entries_for(gate_name), 1)
+    if sop is None:
         return None
-    sop = adjoint_noise_superop(model.entries_for(gate_name), 1)
-    return None if sop is None else sop.conj().T
+    sop = sop.conj().T
+    return sop if sop.imag.any() else sop.real
 
 
 def _kron_factors(factors) -> np.ndarray:
@@ -163,26 +168,23 @@ def _amplitude_factors(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | No
     b, dim = x.shape
     m = max(1, (dim - 1).bit_length())  # data qubits: ceil(log2 dim), at least one
     _check_capacity(b, m)
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
+    peaks = np.max(np.abs(x), axis=1)
+    if np.any(peaks == 0.0):
+        bad = int(np.flatnonzero(peaks == 0.0)[0])
         raise DegenerateInputError(
             f"amplitude encoding of the all-zero vector (sample {bad}) is undefined"
         )
+    x = x / peaks[:, None]  # largest |entry| 1, so the norm neither over- nor underflows
     psi = np.zeros((b, 1 << m))
-    psi[:, :dim] = x / norms[:, None]
+    psi[:, :dim] = x / np.linalg.norm(x, axis=1)[:, None]
     data = psi[:, :, None] * psi[:, None, :]
-    tau = np.zeros((1, 2, 2))
-    tau[0, 0, 0] = 1.0  # a padding qubit's |0><0|
+    tau = np.diag([1.0, 0.0])[None]  # a padding qubit's |0><0|
     noise = _forward_noise(model, "StatePrep")
     if noise is not None:
-        noise = noise if noise.imag.any() else noise.real
         tau = apply_superop_stack(tau, noise, (0,), 1)
-        for q in range(m):
+        for q in range(m):  # rebinding data frees each input stack before the next map
             data = apply_superop_stack(data, noise, (q,), m)
-    pad = cfg.n_qubits - m
-    factors = (_kron_factors((tau,) * pad), data) if pad else (data,)
-    return tuple(f.astype(complex) for f in factors)
+    return (tau.astype(complex),) * (cfg.n_qubits - m) + (data.astype(complex),)
 
 
 def _encode_factors(X: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) -> tuple:
@@ -216,7 +218,7 @@ def encode(
 
 
 def encoding_gates(dim: int, cfg: EncoderConfig) -> list[GateOp]:
-    """The angle-encoding gate list for a given feature dimension (slots unbound)."""
+    """The angle-encoding circuit, slots unbound; the oracle tests walk it gate by gate."""
     if cfg.kind != "angle":
         raise ValueError("only the angle encoder has an explicit gate list")
     _check_dim(dim, cfg)

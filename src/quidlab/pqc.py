@@ -36,7 +36,7 @@ from .data import read_json, write_json
 from .errors import DataFormatError
 from .noise import NoiseModel, adjoint_noise_superop, noisy_apply_stack
 from .simcore import DensityMatrix, GateOp, apply_gate_stack, gate_matrix
-from .simcore import adjoint_superop, apply_superop_stack
+from .simcore import adjoint_superop, apply_superop_stack, rotation_matrices
 
 PRESETS = ("pqc1", "pqc6", "pqc8")
 
@@ -228,11 +228,7 @@ def _rotation_halves(half_angles, arity, slots, is_z, noise) -> np.ndarray:
     their adjoint noise halves (identity for none), or None when no gate has noise.
     """
     angle = half_angles[:, slots]
-    c, s = np.cos(angle), np.sin(angle)
-    u = np.zeros(angle.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = np.where(is_z, c - 1j * s, c)
-    u[..., 1, 1] = np.where(is_z, c + 1j * s, c)
-    u[..., 0, 1] = u[..., 1, 0] = np.where(is_z, 0.0, -1j * s)
+    u = rotation_matrices(angle, is_z)
     if arity == 2:  # controlled: the rotation acts on the control's |1> block
         controlled = np.zeros(angle.shape + (4, 4), dtype=complex)
         controlled[..., 0, 0] = controlled[..., 1, 1] = 1.0

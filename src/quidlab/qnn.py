@@ -194,7 +194,9 @@ def forward(
     seed: int = 0,
 ) -> np.ndarray:
     """Class probabilities for one (already scaled) feature vector."""
-    states = encode_batch(np.asarray(x, dtype=float).reshape(1, -1), model.encoder, noise)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    _check_width(model, x.shape[1])
+    states = encode_batch(x, model.encoder, noise)
     rng = np.random.Generator(np.random.PCG64(seed))
     probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
     return probs[0]
@@ -252,6 +254,7 @@ def _encode_xy(model, X, y, noise) -> tuple[np.ndarray, np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise ValueError("empty batch")
+    _check_width(model, X.shape[1])
     return encode_batch(X, model.encoder, noise), np.asarray(y, dtype=np.int64)
 
 
@@ -308,11 +311,10 @@ class _Adam:
         return param - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _check_width(model: QnnModel, dataset: LabeledDataset) -> None:
-    if model.n_features is not None and dataset.dim != model.n_features:
-        raise ValueError(
-            f"model is built for {model.n_features} features, the dataset has {dataset.dim}"
-        )
+def _check_width(model: QnnModel, dim: int) -> None:
+    """Refuse features of another width than the model's (unknown for old checkpoints)."""
+    if model.n_features is not None and dim != model.n_features:
+        raise ValueError(f"model is built for {model.n_features} features, the data has {dim}")
 
 
 def _encode_sets(model, train_set: LabeledDataset, test_set: LabeledDataset, noise):
@@ -321,8 +323,8 @@ def _encode_sets(model, train_set: LabeledDataset, test_set: LabeledDataset, noi
         raise ValueError("train and test sets must be non-empty")
     if train_set.n_classes > model.n_classes or test_set.n_classes > model.n_classes:
         raise ValueError("dataset classes exceed the model head")
-    _check_width(model, train_set)
-    _check_width(model, test_set)
+    _check_width(model, train_set.dim)
+    _check_width(model, test_set.dim)
     return tuple(encode_batch(ds.features, model.encoder, noise) for ds in (train_set, test_set))
 
 
@@ -404,7 +406,7 @@ def evaluate(
     """(accuracy, mean cross-entropy) over a dataset."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    _check_width(model, dataset)
+    _check_width(model, dataset.dim)
     states = encode_batch(dataset.features, model.encoder, noise)
     rng = np.random.Generator(np.random.PCG64(seed))
     return _evaluate_states(model, states, dataset.labels, noise, shots, rng)

@@ -263,34 +263,29 @@ def apply_channel_stack(
     return out
 
 
+def rotation_matrices(half_angles, is_z) -> np.ndarray:
+    """(..., 2, 2) RZ unitaries where is_z holds, RX elsewhere, at the given half angles.
+
+    is_z broadcasts against half_angles. The one RX/RZ builder besides gate_matrix.
+    """
+    c, s = np.cos(half_angles), np.sin(half_angles)
+    u = np.zeros(np.broadcast(c, is_z).shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = np.where(is_z, c - 1j * s, c)
+    u[..., 1, 1] = np.where(is_z, c + 1j * s, c)
+    u[..., 0, 1] = u[..., 1, 0] = np.where(is_z, 0.0, -1j * s)
+    return u
+
+
 def apply_rotations_batch(
     stack: np.ndarray, name: str, qubit: int, angles: np.ndarray, n_qubits: int
 ) -> np.ndarray:
-    """Apply RZ/RX on one qubit with a different angle per stacked state."""
+    """Apply RZ/RX on one qubit with a different angle per stacked state (one 4x4 map each)."""
     name = canonical_gate_name(name)
-    angles = np.asarray(angles, dtype=float)
-    half = angles / 2.0
-    b = stack.shape[0]
-    mats = np.empty((b, 2, 2), dtype=complex)
-    if name == "RZ":
-        mats[:, 0, 0] = np.exp(-1j * half)
-        mats[:, 0, 1] = 0.0
-        mats[:, 1, 0] = 0.0
-        mats[:, 1, 1] = np.exp(1j * half)
-    elif name == "RX":
-        c, s = np.cos(half), np.sin(half)
-        mats[:, 0, 0] = c
-        mats[:, 0, 1] = -1j * s
-        mats[:, 1, 0] = -1j * s
-        mats[:, 1, 1] = c
-    else:
+    if name not in ("RX", "RZ"):
         raise ValueError(f"per-sample angles only supported for RX/RZ, got {name}")
-    a = 1 << qubit
-    c_dim = 1 << (n_qubits - qubit - 1)
-    t = stack.reshape(b, a, 2, c_dim, a, 2, c_dim)
-    t = np.einsum("bus,bascdte->baucdte", mats, t)
-    t = np.einsum("bvt,baucdte->baucdve", mats.conj(), t)
-    return t.reshape(stack.shape)
+    u = rotation_matrices(np.asarray(angles, dtype=float) / 2.0, name == "RZ")
+    sop = np.einsum("bij,bkl->bikjl", u, u.conj()).reshape(-1, 4, 4)  # rho -> u rho u^dag
+    return apply_superop_stack(stack, sop, (qubit,), n_qubits)
 
 
 def expect_z_stack(stack: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:

@@ -235,6 +235,18 @@ def test_amplitude_pads_and_normalises():
     assert np.allclose(rho.data, np.outer(psi, psi), atol=1e-12)
 
 
+@pytest.mark.parametrize("row,rescaled", [
+    ([1e200, 1e200], [1.0, 1.0]),  # the norm overflows
+    ([1e-200, 1e-200], [1.0, 1.0]),  # the norm underflows to 0
+    ([3e-170, 4e-170], [3.0, 4.0]),
+])
+def test_amplitude_normalisation_neither_overflows_nor_underflows(row, rescaled):
+    cfg = EncoderConfig("amplitude", 1)
+    rho = encode(np.array(row), cfg)
+    rho.validate()
+    assert np.max(np.abs(rho.data - encode(np.array(rescaled), cfg).data)) <= 1e-15
+
+
 def test_amplitude_zero_vector_is_degenerate():
     cfg = EncoderConfig("amplitude", 2)
     with pytest.raises(DegenerateInputError):

@@ -308,7 +308,7 @@ def test_factored_distances_of_amplitude_states_match_the_dense_ones(rng, n, mod
         dim = (1 << (data_qubits - 1)) + 1 if data_qubits > 1 else 2
         x = rng.uniform(-1.0, 1.0, size=(3, dim))
         factors = _encode_factors(x, cfg, FACTOR_MODELS[model_name])
-        assert [f.shape for f in factors] == [(1, 1 << pad, 1 << pad)] * (pad > 0) + [
+        assert [f.shape for f in factors] == [(1, 2, 2)] * pad + [
             (3, 1 << data_qubits, 1 << data_qubits)]
         _assert_factored_matches_dense(x, cfg, FACTOR_MODELS[model_name], rng)
 
@@ -333,7 +333,7 @@ def test_trace_distance_of_padded_amplitude_states_diagonalises_the_data_factor(
     cfg, model = EncoderConfig("amplitude", 6), NoiseModel.from_error_rate(0.05)
     A = _encode_factors(rng.uniform(-1.0, 1.0, size=(3, 12)), cfg, model)
     B = _encode_factors(rng.uniform(-1.0, 1.0, size=(4, 12)), cfg, model)
-    assert [f.shape[1] for f in A] == [4, 16]
+    assert [f.shape[1] for f in A] == [2, 2, 16]
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -344,6 +344,36 @@ def test_trace_distance_of_padded_amplitude_states_diagonalises_the_data_factor(
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     ess._distances(A, B, "trace")
     assert seen and all(shape[-2:] == (16, 16) for shape in seen)  # never the 4x4 padding
+
+
+def test_padded_amplitude_states_at_twelve_qubits_keep_every_padding_factor_two_by_two(rng):
+    # 2 features on 12 qubits: eleven 2x2 padding factors and a 2x2 data factor, where a
+    # dense state is 256 MiB. The same rows at 8 qubits are checked against ess.distance on
+    # dense states; adding k padding qubits keeps the trace distance (Tr tau = 1), scales the
+    # Frobenius distance by ||tau||^k and |Tr(sigma^dag rho)| by ||tau||^(2k) (Frobenius norms).
+    import tracemalloc
+
+    model = FACTOR_MODELS["p0.05"]
+    x, y = rng.uniform(-1.0, 1.0, size=(3, 2)), rng.uniform(-1.0, 1.0, size=(4, 2))
+    y[1] = x[0]  # one equal pair
+    A, B = (_encode_factors(z, EncoderConfig("amplitude", 12), model) for z in (x, y))
+    assert [f.shape for f in A] == [(1, 2, 2)] * 11 + [(3, 2, 2)]
+    tracemalloc.start()
+    try:
+        tables = {metric: ess._distances(A, B, metric) for metric in METRICS}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    small_a, small_b = (_encode_factors(z, EncoderConfig("amplitude", 8), model) for z in (x, y))
+    dense_a, dense_b = _expand(small_a), _expand(small_b)
+    want = {metric: np.array([[distance(DensityMatrix(8, a), DensityMatrix(8, b), metric)
+                               for b in dense_b] for a in dense_a]) for metric in METRICS}
+    tau = np.linalg.norm(A[0][0])
+    assert np.max(np.abs(tables["trace"] - want["trace"])) <= 1e-12
+    assert np.max(np.abs(tables["frobenius"] - want["frobenius"] * tau**4)) <= 1e-12
+    overlap = (1.0 - want["hilbert_schmidt"]) * 2**8 * tau**8
+    assert np.max(np.abs(tables["hilbert_schmidt"] - (1.0 - overlap / 2**12))) <= 1e-12
 
 
 def _product_stack(rng, dims, rows, shared):

@@ -360,19 +360,33 @@ def test_checkpoint_keeps_its_feature_count_and_version_1_still_loads(tmp_path):
 
 
 def test_library_paths_refuse_a_dataset_of_another_width():
-    from quidlab.defense import DefenseConfig, train_ensemble
+    # every public path that encodes features for a model
+    from quidlab.defense import (DefenseConfig, EnsembleModel, evaluate_ensemble,
+                                 member_predictions, train_ensemble, vote)
 
     model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4,
                        n_features=8)
     wide = separable_dataset(per_class=4)
     narrow = wide.replace(features=wide.features[:, :7])
-    with pytest.raises(ValueError, match="8 features.* 7"):
-        evaluate(model, narrow)
-    with pytest.raises(ValueError, match="8 features.* 7"):
-        train(model, wide, narrow, TrainConfig(epochs=1))
-    with pytest.raises(ValueError, match="8 features.* 7"):
-        train_ensemble(narrow, wide, DefenseConfig(TrainConfig(epochs=1), k=2), model)
+    ensemble = EnsembleModel([model, model.copy()], np.zeros(len(wide), dtype=np.int64))
+    config = TrainConfig(epochs=1)
+    entry_points = [
+        lambda ds: evaluate(model, ds),
+        lambda ds: train(model, wide, ds, config),
+        lambda ds: train_ensemble(ds, wide, DefenseConfig(config, k=2), model),
+        lambda ds: forward(model, ds.features[0]),
+        lambda ds: head_gradient(model, ds.features, ds.labels),
+        lambda ds: spsa_gradient(model, ds.features, ds.labels, config),
+        lambda ds: member_predictions(ensemble, ds.features),
+        lambda ds: vote(ensemble, ds.features[0]),
+        lambda ds: evaluate_ensemble(ensemble, ds),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="8 features.* 7"):
+            call(narrow)
     assert 0.0 <= evaluate(model, wide)[0] <= 1.0
+    assert 0.0 <= evaluate_ensemble(ensemble, wide) <= 1.0
+    assert forward(model, wide.features[0]).shape == (4,)
 
 
 def test_model_shape_validation():

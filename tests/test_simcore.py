@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_density_matrix
 from quidlab.errors import CapacityError, ShapeError
 from quidlab.noise import amplitude_damping, depolarizing
 from quidlab.simcore import (
@@ -9,10 +10,12 @@ from quidlab.simcore import (
     KrausChannel,
     apply_channel,
     apply_gate,
+    apply_rotations_batch,
     basis_state,
     expect_z,
     gate_matrix,
     ground_state,
+    rotation_matrices,
     sample_expect_z,
 )
 
@@ -211,3 +214,17 @@ def test_gate_matrix_conventions():
     rx = gate_matrix("RX", 0.7)
     x = np.array([[0, 1], [1, 0]])
     assert np.allclose(rx, np.cos(0.35) * np.eye(2) - 1j * np.sin(0.35) * x)
+
+
+@pytest.mark.parametrize("name", ["RX", "RZ"])
+def test_rotation_builder_and_per_row_rotations_match_the_gate_oracle(rng, name):
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=5)
+    mats = rotation_matrices(angles / 2.0, name == "RZ")
+    for angle, mat in zip(angles, mats):
+        assert np.max(np.abs(mat - gate_matrix(name, angle))) <= 1e-15
+    stack = np.stack([random_density_matrix(rng, 3) for _ in angles])
+    for q in range(3):
+        out = apply_rotations_batch(stack, name, q, angles, 3)
+        for rho, angle, got in zip(stack, angles, out):
+            want = apply_gate(DensityMatrix(3, rho), GateOp(name, (q,), float(angle))).data
+            assert np.max(np.abs(got - want)) <= 1e-12

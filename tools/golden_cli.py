@@ -33,9 +33,19 @@ import subprocess
 import sys
 
 TRAIN = ["--epochs", "2"]
+# written to OUT/per-gate-noise.json: rz exempt, h on its own channels (one of zero
+# strength), every other gate on the default
+PER_GATE_NOISE = {
+    "rz": [],
+    "h": [["amplitude_damping", 0.2], ["depolarizing", 0.0], ["depolarizing", 0.07]],
+    "default": [["depolarizing", 0.05], ["amplitude_damping", 0.03]],
+}
 # (output directory name, subcommand arguments); {data} and {out} are filled in
 COMMANDS = [
     ("ess-validate", ["ess-validate", "--noise", "0.05"]),
+    # 8 features on 3 qubits: 3 features per qubit, the last block partial
+    ("ess-validate-q3-per-gate", ["ess-validate", "--qubits", "3", "--noise-model",
+                                  "{out}/per-gate-noise.json"]),
     ("ess-validate-amplitude", ["ess-validate", "--encoder", "amplitude", "--metric", "trace",
                                 "--noise", "0.05"]),
     *[(f"poison-{mode}", ["poison", "--mode", mode, "--epsilon", "0.5"])
@@ -134,6 +144,8 @@ def main(argv: list[str]) -> int:
         sys.exit(f"{out} is not empty")
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     data = os.path.join(out, "data.csv")
+    with open(os.path.join(out, "per-gate-noise.json"), "w") as fh:
+        json.dump(PER_GATE_NOISE, fh)
     run(env, out, ["gen-data", "--per-class", "20", "--out", data])
     for name, args in COMMANDS:
         args = [a.format(data=data, out=out) for a in args]
