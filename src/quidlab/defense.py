@@ -23,10 +23,12 @@ from .errors import DataFormatError
 from .noise import NoiseModel
 from .qnn import QnnModel, TrainConfig, TrainReport, load_model, save_model
 from .qnn import _check_width, _encode_sets, _fit, _forward_from_states  # shared paths
-from .encode import encode_batch
+from .encode import _encode_factors, _rows
+from .pqc import _readout_factors
 
-# Not called here; perfbench/spans.py installs its timing wrapper on this
-# attribute of quidlab.defense, so it stays importable from this module.
+# Not called here; perfbench/spans.py installs its timing wrappers on these
+# attributes of quidlab.defense, so they stay importable from this module.
+from .encode import encode_batch  # noqa: F401
 from .qnn import train  # noqa: F401
 
 
@@ -93,7 +95,7 @@ def train_ensemble(
                 f"partition {j} is missing {missing} class(es); its model trains on what exists"
             )
         member_cfg = replace(cfg.train, seed=cfg.train.seed + j)
-        report = _fit(prototype.copy(), train_states[part], labels, test_states,
+        report = _fit(prototype.copy(), _rows(train_states, part), labels, test_states,
                       test_set.labels, member_cfg)
         members.append(report.model)
         reports.append(report)
@@ -116,11 +118,14 @@ def member_predictions(
     features = np.atleast_2d(np.asarray(features, dtype=float))
     for member in ensemble.members:
         _check_width(member, features.shape[1])
-    states = encode_batch(features, encoder, noise)
+    factors = _encode_factors(features, encoder, noise)
+    templates = {member.template for member in ensemble.members}  # members share one, as a rule
+    states = {tpl: _readout_factors(factors, tpl) for tpl in templates}
     preds = []
     for j, member in enumerate(ensemble.members):
         rng = np.random.Generator(np.random.PCG64(seed + j))
-        probs, _ = _forward_from_states(member, states, member.theta, noise, shots, rng)
+        probs, _ = _forward_from_states(member, states[member.template], member.theta, noise,
+                                        shots, rng)
         preds.append(np.argmax(probs, axis=1))
     return np.stack(preds)
 

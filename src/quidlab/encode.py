@@ -27,6 +27,7 @@ state is tau^{⊗j} ⊗ rho_data: j shared (1, 2, 2) factors tau, then the
 from __future__ import annotations
 
 import os
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +35,7 @@ import numpy as np
 from .data import DEFAULT_RANGE
 from .errors import CapacityError, DegenerateInputError, ShapeError
 from .noise import NoiseModel, adjoint_noise_superop
-from .simcore import (
-    MAX_QUBITS,
-    DensityMatrix,
-    GateOp,
-    apply_superop_stack,
-    gate_matrix,
-    rotation_matrices,
-)
+from .simcore import MAX_QUBITS, DensityMatrix, apply_superop_stack, gate_matrix, rotation_matrices
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.encode, so they stay importable from this module.
@@ -81,14 +75,25 @@ _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 
 def _memory_limit() -> int:
-    """Bytes of physical memory, or the cgroup v2 limit when that is lower."""
+    """Bytes of physical memory, or the cgroup v2 or address-space limit when lower."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
     try:
         with open(_CGROUP_MEMORY_MAX) as fh:
             cgroup = fh.read().strip()
     except OSError:
         return limit
     return min(limit, int(cgroup)) if cgroup.isdigit() else limit  # "max": no limit
+
+
+def _check_memory(need: float, what: str) -> None:
+    """Refuse work whose arrays need more bytes than the memory limit; what names the work."""
+    limit = _memory_limit()
+    if need > limit:
+        raise CapacityError(f"{what} needs {need / 2**30:.1f} GiB, more than the "
+                            f"{limit / 2**30:.1f} GiB memory limit")
 
 
 def _check_dim(dim: int, cfg: EncoderConfig) -> None:
@@ -134,26 +139,29 @@ def _forward_noise(model: NoiseModel | None, gate_name: str) -> np.ndarray | Non
 
 
 def _kron_factors(factors) -> np.ndarray:
-    """Factored stack -> the (B, D, D) stack of its rows' Kronecker products.
+    """Factored stack -> the (..., B, D, D) stack of its rows' Kronecker products.
 
-    A factor with leading size 1 broadcasts over the rows. Halves are expanded
-    first, so the one register-sized product is written once.
+    Leading axes broadcast, so a factor with leading size 1 is shared by every row.
+    Halves are expanded first, so the one register-sized product is written once.
     """
     if len(factors) == 1:
         return factors[0]
     half = len(factors) // 2
     left, right = _kron_factors(factors[:half]), _kron_factors(factors[half:])
-    b, d = max(len(left), len(right)), left.shape[1] * right.shape[1]
-    return (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(b, d, d)
+    product = left[..., :, None, :, None] * right[..., None, :, None, :]
+    d = left.shape[-1] * right.shape[-1]
+    return product.reshape(product.shape[:-4] + (d, d))
+
+
+def _rows(factors: tuple, idx) -> tuple:
+    """The factored stack of rows idx; shared factors stay shared."""
+    return tuple(f[idx] if len(f) > 1 else f for f in factors)
 
 
 def _check_capacity(rows: int, n_qubits: int) -> None:
     """Refuse a (rows, 2^n, 2^n) complex stack whose build would exceed the memory limit."""
-    need = _PEAK_FACTOR * rows * 16 * 4**n_qubits  # complex128 stack and temporaries
-    limit = _memory_limit()
-    if need > limit:
-        raise CapacityError(f"{rows} rows at {n_qubits} qubits need {need / 2**30:.1f} "
-                            f"GiB to encode, more than the {limit / 2**30:.1f} GiB memory limit")
+    _check_memory(_PEAK_FACTOR * rows * 16 * 4**n_qubits,  # complex128 stack and temporaries
+                  f"encoding {rows} rows at {n_qubits} qubits")
 
 
 def _expand(factors) -> np.ndarray:
@@ -215,21 +223,6 @@ def encode(
     """Encode one feature vector into its density matrix."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
     return DensityMatrix(cfg.n_qubits, encode_batch(x, cfg, model)[0])
-
-
-def encoding_gates(dim: int, cfg: EncoderConfig) -> list[GateOp]:
-    """The angle-encoding circuit, slots unbound; the oracle tests walk it gate by gate."""
-    if cfg.kind != "angle":
-        raise ValueError("only the angle encoder has an explicit gate list")
-    _check_dim(dim, cfg)
-    gates = [GateOp("H", (q,)) for q in range(cfg.n_qubits)]
-    f = cfg.features_per_qubit
-    for q in range(cfg.n_qubits):
-        for j in range(f):
-            if q * f + j >= dim:
-                break
-            gates.append(GateOp("RZ" if j % 2 == 0 else "RX", (q,), 0.0))
-    return gates
 
 
 def scale_features(X: np.ndarray, scale_range: tuple[float, float] = DEFAULT_RANGE) -> np.ndarray:

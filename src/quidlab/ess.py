@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .data import LabeledDataset, split
-from .encode import EncoderConfig, _encode_factors, _expand
+from .encode import EncoderConfig, _encode_factors, _expand, _rows
 from .errors import ShapeError
 from .noise import NoiseModel
 from .simcore import DensityMatrix
@@ -83,11 +83,6 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
     if A.shape[1:] != B.shape[1:]:
         raise ShapeError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
     return _distances((A,), (B,), metric)
-
-
-def _rows(factors: tuple, idx: np.ndarray) -> tuple:
-    """The factored stack of rows idx; shared factors stay shared."""
-    return tuple(f[idx] if len(f) > 1 else f for f in factors)
 
 
 def _distances(A: tuple, B: tuple, metric: str) -> np.ndarray:

@@ -13,14 +13,12 @@ then odd-start pairs after the second rotation block) with the control on the
 higher-indexed qubit.
 
 apply_pqc_stack pushes states forward through every gate and Kraus operator
-and is the test oracle. z_observables pulls the Z observables back through
-fused local adjoint superoperators instead. What does not depend on theta is
-decided once per (template, noise entries of each gate) and cached as a
-readout plan: the contraction blocks, the slot of every gate, the noise
-halves, and the whole maps of gates without a slot. A call takes one point or
-a stack of points, builds the U(theta) halves of every slot-bound gate at
-every point in one vectorised step, and makes one contraction per block for
-all points at once.
+and is the test oracle. z_expectations reads <Z_q> in the Heisenberg picture
+instead: each Z_q is pulled back over its light cone only, through fused local
+adjoint superoperators, and contracted with the factors of the encoded states
+that the cone touches. What does not depend on theta is decided once per
+(template, noise entries of each gate, factor widths) and cached as a readout
+plan; a call takes one point or a stack of points.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_json, write_json
+from .encode import _check_memory, _expand, _kron_factors
 from .errors import DataFormatError
 from .noise import NoiseModel, adjoint_noise_superop, noisy_apply_stack
 from .simcore import DensityMatrix, GateOp, apply_gate_stack, gate_matrix
@@ -239,99 +238,188 @@ def _rotation_halves(half_angles, arity, slots, is_z, noise) -> np.ndarray:
     return sop if noise is None else sop @ noise
 
 
-@functools.lru_cache(maxsize=None)
-def _z_signs(n: int) -> np.ndarray:
-    """(n, 2^n) read-only diagonals of Z_0..Z_{n-1}; small, so cached per register size."""
-    dim = 1 << n
-    signs = 1.0 - 2.0 * ((np.arange(dim) >> (n - 1 - np.arange(n))[:, None]) & 1)
-    signs.setflags(write=False)
-    return signs
+# Peak memory of a readout group as a multiple of its observable and state stacks; tracemalloc
+# measured at most 2.75x for dense pqc6 (6-7 qubits, P = 1, 2), 3.0x for a 0.2 MiB pqc8 one
+_READOUT_PEAK = 3.0
+_CHECK_FLOOR = 1 << 26  # bytes below which a readout skips the memory-limit lookup
 
 
 @functools.lru_cache(maxsize=64)
-def _readout_plan(tpl: PqcTemplate, entries: tuple) -> tuple:
-    """The pull-back of tpl with entries[i] the noise entries after gate i; cached.
+def _light_cones(tpl: PqcTemplate, widths: tuple) -> tuple:
+    """(span, qubits, gates) per register of the Z_q light cones on widths-qubit factors.
 
-    Walking the gates from last to first, consecutive single-qubit gates on a qubit
-    join one block; a qubit's open block closes just before a two-qubit gate
-    touches that qubit, and the rest close at the end. Gates without a slot do not
-    depend on theta, so their maps are built here. Returns (rotations, blocks): the
-    (arity, slots, is_z, noise) arguments of _rotation_halves for each arity that
-    has slot-bound gates, and (targets, factors) per contraction in pull-back
-    order, where a factor is a fixed read-only map or (arity, index) into that
-    arity's per-call halves. The dense Z_q stack is built per call from _z_signs.
+    Walking the gates from last to first, a gate that touches Z_q's cone joins it with
+    all its targets; any other gate drops out, as every adjoint channel fixes the
+    identity (Farhi, Goldstone & Gutmann, arXiv:1411.4028). A register is the factors
+    (span) a cone touches; gates are those in any of its cones, last first. Cached.
+    """
+    owner = np.repeat(np.arange(len(widths)), widths)  # qubit -> its factor
+    spans: dict[tuple, tuple] = {}
+    for q in range(tpl.n_qubits):
+        cone, chosen = {q}, set()
+        for i in reversed(range(len(tpl.gates))):
+            if cone.intersection(tpl.gates[i].targets):
+                cone.update(tpl.gates[i].targets)
+                chosen.add(i)
+        qubits, union = spans.setdefault(tuple(sorted({int(owner[w]) for w in cone})), ([], set()))
+        qubits.append(q)
+        union |= chosen
+    return tuple((span, tuple(qubits), sorted(union, reverse=True))
+                 for span, (qubits, union) in spans.items())
+
+
+def _fuse(gates) -> list:
+    """(targets, factors) blocks of (targets, factor) gates given in pull-back order:
+    consecutive single-qubit gates on a qubit join one block, which closes just before a
+    two-qubit gate touches the qubit or at the end."""
+    blocks, pending = [], {}  # pending: qubit -> its open single-qubit block
+    for targets, factor in gates:
+        if len(targets) == 1:
+            pending.setdefault(targets[0], []).append(factor)
+            continue
+        blocks += [((q,), tuple(pending.pop(q))) for q in targets if q in pending]
+        blocks.append((targets, (factor,)))
+    return blocks + [((q,), tuple(block)) for q, block in pending.items()]
+
+
+@functools.lru_cache(maxsize=64)
+def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
+    """The pull-back of tpl, entries[i] the noise entries after gate i; cached.
+
+    Each register of _light_cones pulls its Z_q back through its gates, fused into
+    blocks. Registers of equal factor widths and block shapes form a group, pulled
+    back as one stack. Returns the (arity, slots, is_z, noise) arguments of
+    _rotation_halves per arity, and per group (qubits, diagonals of their Z_q, the
+    factor indices of their registers (one row if all equal), (targets, factors) per
+    block). A factor is a fixed map, or (arity, index into the per-call halves); if
+    the group's registers differ, with a group axis.
     """
     ops = bound_gates(tpl, np.zeros(tpl.param_count))  # validates names and arities
-    groups: dict[int, list] = {1: [], 2: []}  # arity -> (slot, is_z, noise half) per slot gate
-    blocks = []
-    pending: dict[int, list] = {}  # qubit -> its open single-qubit block
-    for gate, op, gate_entries in reversed(list(zip(tpl.gates, ops, entries))):
+    slot_gates: dict[int, list] = {1: [], 2: []}  # arity -> (slot, is_z, noise half) per gate
+    maps = []
+    for gate, op, gate_entries in zip(tpl.gates, ops, entries):
         k = len(op.targets)
         noise = adjoint_noise_superop(gate_entries, k)
         if gate.slot is None:
-            factor = adjoint_superop((gate_matrix(op.name, op.param),))
-            factor = factor if noise is None else factor @ noise
-            factor.setflags(write=False)
+            sop = adjoint_superop((gate_matrix(op.name, op.param),))
+            sop = sop if noise is None else sop @ noise
+            sop.setflags(write=False)
+            maps.append(sop)
         else:
-            factor = (k, len(groups[k]))
-            groups[k].append((gate.slot, op.name.endswith("Z"), noise))
-        if k == 1:
-            pending.setdefault(op.targets[0], []).append(factor)
-            continue
-        blocks += [((q,), tuple(pending.pop(q))) for q in op.targets if q in pending]
-        blocks.append((op.targets, (factor,)))
-    blocks += [((q,), tuple(block)) for q, block in pending.items()]
+            maps.append((k, len(slot_gates[k])))
+            slot_gates[k].append((gate.slot, op.name.endswith("Z"), noise))
+    first = np.cumsum((0,) + widths)
+    registers: dict[tuple, list] = {}
+    for span, qubits, chosen in _light_cones(tpl, widths):
+        local = {w: i for i, w in enumerate(w for f in span for w in range(first[f], first[f + 1]))}
+        blocks = _fuse([(tuple(local[w] for w in ops[i].targets), maps[i]) for i in chosen])
+        shape = tuple((t, tuple(isinstance(f, tuple) for f in fs)) for t, fs in blocks)
+        m = len(local)  # the diagonals of Z_0..Z_{m-1} on the register
+        signs = 1.0 - 2.0 * ((np.arange(1 << m) >> (m - 1 - np.arange(m))[:, None]) & 1)
+        registers.setdefault((tuple(widths[f] for f in span), shape), []).extend(
+            (q, signs[local[q]], span, blocks) for q in qubits)
+    groups = []
+    for members in registers.values():
+        qubits, diags, spans, member_blocks = zip(*sorted(members))  # qubits ascending
+        blocks = member_blocks[0]
+        if any(mb is not blocks for mb in member_blocks):  # (P or 1, G, d, d) maps
+            blocks = tuple((t, tuple(
+                (f[0], np.array([mb[b][1][i][1] for mb in member_blocks])) if isinstance(f, tuple)
+                else np.stack([mb[b][1][i] for mb in member_blocks])[None]
+                for i, f in enumerate(fs))) for b, (t, fs) in enumerate(blocks))
+        span = np.array(spans[:1] if len(set(spans)) == 1 else spans)
+        groups.append((np.array(qubits), np.array(diags), span, blocks))
     rotations = []
-    for k, group in groups.items():
+    for k, group in slot_gates.items():
         if group:
             slots, is_z, noises = zip(*group)
             eye = np.eye(4**k, dtype=complex)
             noise = None if all(x is None for x in noises) else np.stack(
                 [eye if x is None else x for x in noises])
             rotations.append((k, np.array(slots, dtype=np.intp), np.array(is_z), noise))
-    return tuple(rotations), tuple(blocks)
+    return tuple(rotations), tuple(groups)
 
 
-def z_observables(
-    tpl: PqcTemplate, theta: np.ndarray, model: NoiseModel | None = None
+def _check_readout(n_points: int, n_obs: int, n_wires: int, rows: int) -> None:
+    """Refuse a readout whose (P, G, D, D) observables and (rows, D, D) states cannot fit."""
+    need = _READOUT_PEAK * 16 * 4**n_wires * (n_points * n_obs + rows)
+    if need > _CHECK_FLOOR:
+        _check_memory(need, f"reading out {n_obs} observables on {n_wires} qubits")
+
+
+def _widths(factors: tuple) -> tuple:
+    return tuple(f.shape[-1].bit_length() - 1 for f in factors)
+
+
+def _readout_factors(factors: tuple, tpl: PqcTemplate) -> tuple:
+    """A factored stack as tpl's readout takes it: expanded once into one dense factor
+    when some light cone spans every factor (pqc6), else unchanged."""
+    if len(factors) > 1 and any(
+            len(span) == len(factors) for span, _, _ in _light_cones(tpl, _widths(factors))):
+        _check_readout(1, tpl.n_qubits, tpl.n_qubits, max(map(len, factors)))
+        return (_expand(factors),)
+    return factors
+
+
+def _stack_rows(arrays: list) -> np.ndarray:
+    """The (G, B, d, d) stack of (B or 1, d, d) arrays; one-row arrays broadcast."""
+    out = np.empty((len(arrays), max(map(len, arrays))) + arrays[0].shape[1:], dtype=complex)
+    for g, a in enumerate(arrays):
+        out[g] = a
+    return out
+
+
+def z_expectations(
+    factors: tuple, tpl: PqcTemplate, theta: np.ndarray, model: NoiseModel | None = None
 ) -> np.ndarray:
-    """The (..., n, 2^n, 2^n) Z_q observables pulled back through the template.
+    """(..., B, n) <Z_q> of the template's output for every row of a factored stack
+    (quidlab.encode), at theta (param_count,) or a stack (..., param_count) of points.
 
-    theta is one point (param_count,) or a stack (..., param_count) of them.
-    Heisenberg picture (Nielsen & Chuang, section 8.2): walking the gates from
-    last to first, each observable O passes through the adjoint of the gate's
-    after-gate noise and then through U^dag O U. Tr(rho O_q) is then <Z_q> of
-    the template's output for any input state rho.
-
-    Each gate's adjoint is one local Liouville matrix, 4x4 or 16x16. The cached
-    plan (_readout_plan) fixes the blocks, each one contraction; per call, the
-    U(theta) halves of every slot-bound gate at every point are built in one
-    vectorised step and multiplied within their blocks. pqc1 at n qubits makes n
-    contractions, each for all points at once.
+    Heisenberg picture (Nielsen & Chuang, section 8.2): walking the gates from last to
+    first, Z_q passes through the adjoint of each gate's after-gate noise, then U^dag O U,
+    one local 4x4 or 16x16 Liouville matrix per gate. The U(theta) halves of all points
+    are built in one step, and each plan block is one contraction for all points. Then
+    z_q = Tr((⊗_{f in span} rho_f) O_q): pqc1 reads 2x2 observables against one-qubit
+    angle factors, and a dense factor (_readout_factors) reads dense ones.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 0 or theta.shape[-1] != tpl.param_count:
         raise ValueError(
             f"template {tpl.name} expects {tpl.param_count} parameters, got {theta.shape}"
         )
+    widths = _widths(factors)
+    if sum(widths) != tpl.n_qubits:
+        raise ValueError(f"states have {sum(widths)} qubits but template wants {tpl.n_qubits}")
     points = theta.reshape((math.prod(theta.shape[:-1]), tpl.param_count))
     entries = tuple(() if model is None else model.entries_for(g.gate) for g in tpl.gates)
-    rotations, blocks = _readout_plan(tpl, entries)
+    rotations, groups = _readout_plan(tpl, entries, widths)
     halves = {rot[0]: _rotation_halves(0.5 * points, *rot) for rot in rotations}
-    n = tpl.n_qubits
-    dim = 1 << n
-    observables = np.zeros((n, dim, dim), dtype=complex)
-    observables.reshape(n, -1)[:, :: dim + 1] = _z_signs(n)  # the diagonals
-    obs = np.broadcast_to(observables, (len(points),) + observables.shape)
-    for targets, factors in blocks:
-        sop = None
-        for f in factors:
-            f = halves[f[0]][:, f[1]] if isinstance(f, tuple) else f
-            sop = f if sop is None else f @ sop
-        obs = apply_superop_stack(obs, sop, targets, n)
-    if not blocks:
-        obs = obs.copy()
-    return obs.reshape(theta.shape[:-1] + obs.shape[1:])
+    rows = max(map(len, factors))
+    z = np.empty((len(points), rows, tpl.n_qubits))
+    for qubits, diag, span, blocks in groups:
+        n_obs, dim = diag.shape
+        _check_readout(len(points), n_obs, dim.bit_length() - 1, rows * len(span))
+        obs = np.zeros((len(points), n_obs, dim * dim), dtype=complex)
+        obs[:, :, :: dim + 1] = diag
+        obs = obs.reshape(len(points), n_obs, dim, dim)
+        for targets, maps in blocks:
+            sop = None
+            for f in maps:
+                f = halves[f[0]][:, f[1]] if isinstance(f, tuple) else f
+                sop = f if sop is None else f @ sop
+            obs = apply_superop_stack(obs, sop, targets, dim.bit_length() - 1)
+        flat = obs.reshape(obs.shape[:2] + (-1,)).conj()  # Tr(rho O) = sum_ij rho_ij conj(O_ij)
+        if len(span) == 1:  # every register of the group is the same factors
+            states = _kron_factors([factors[f] for f in span[0]])
+            z_group = states.reshape(len(states), -1) @ flat.swapaxes(1, 2)  # a product per point
+        else:
+            states = _kron_factors([_stack_rows([factors[f] for f in col]) for col in span.T])
+            z_group = (states.reshape(states.shape[:2] + (-1,)) @ flat[..., None])[..., 0]
+            z_group = z_group.swapaxes(1, 2)
+        if len(groups) == 1:  # its qubits are 0..n-1 in order
+            return z_group.real.reshape(theta.shape[:-1] + z.shape[1:])
+        z[:, :, qubits] = z_group.real
+    return z.reshape(theta.shape[:-1] + z.shape[1:])
 
 
 def apply_pqc(

@@ -4,20 +4,22 @@ Quantum parameters train with SPSA two-point gradient estimates; the linear
 head trains with exact softmax cross-entropy gradients. Both parameter groups
 update with Adam.
 
-The readout is in the Heisenberg picture: each forward pass pulls the n
-observables Z_q back through the noisy PQC once (pqc.z_observables) and reads
-<Z_q> of every encoded state with one matrix product, instead of pushing each
-state forward through every gate and Kraus operator. The pull-back follows a
-readout plan cached per template and noise model, and takes a stack of
-parameter points at once. The Schrodinger path (pqc.apply_pqc /
+The readout is in the Heisenberg picture and works on the encoders' factored
+stacks (quidlab.encode), never expanding more of the register than a light
+cone needs: pqc.z_expectations pulls each Z_q back over its cone only and
+contracts it with the cone's factors, so pqc1 reads 2x2 observables against
+per-qubit angle states. Only a cone that spans the whole register (pqc6)
+expands the register and reads dense observables. The pull-back follows a
+readout plan cached per template, noise model and factor widths, and takes a
+stack of parameter points at once. The Schrodinger path (pqc.apply_pqc /
 apply_pqc_stack) remains as the test oracle.
 
 A training step forwards the batch at the current theta, draws the SPSA
 direction delta, then pulls back theta + c*delta and theta - c*delta as one
-two-point stack, through spsa_estimate's paired form. The generator draws the base point's shots, then delta, then
-the plus point's shots, then the minus point's (no shots when shots is 0). The
-order is the same for every shot count, and it is the order one-point calls
-would draw in.
+two-point stack, through spsa_estimate's paired form. The generator draws the
+base point's shots, then delta, then the plus point's shots, then the minus
+point's (no shots when shots is 0). The order is the same for every shot
+count, and it is the order one-point calls would draw in.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, read_json, write_json
-from .encode import EncoderConfig, encode_batch
+from .encode import EncoderConfig, _encode_factors, _rows
 from .errors import DataFormatError
 from .noise import NoiseModel
-from .pqc import PqcTemplate, z_observables
+from .pqc import PqcTemplate, _readout_factors, z_expectations
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.qnn, so they stay importable from this module.
+from .encode import encode_batch  # noqa: F401
 from .pqc import apply_pqc_stack  # noqa: F401
 from .simcore import expect_z_stack  # noqa: F401
 
@@ -167,21 +170,18 @@ def _sample_shots(
 
 def _forward_from_states(
     model: QnnModel,
-    states: np.ndarray,
+    states: tuple,
     theta: np.ndarray,
     noise: NoiseModel | None,
     shots: int,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, z) for a stack of already-encoded states under parameters theta.
+    """(probs, z) for a factored stack of already-encoded states under parameters theta.
 
     theta is one point (param_count,) or a (P, param_count) stack; a stack gives
     results with a leading point axis, and draws the shots point by point.
     """
-    obs = z_observables(model.template, theta, noise)
-    # Tr(rho O) = sum_ij rho_ij conj(O_ij) for Hermitian O
-    flat = obs.reshape(obs.shape[:-2] + (-1,)).conj().swapaxes(-1, -2)
-    z = _sample_shots((states.reshape(states.shape[0], -1) @ flat).real, shots, rng)
+    z = _sample_shots(z_expectations(states, model.template, theta, noise), shots, rng)
     logits = z @ model.head_weights.T + model.head_bias
     return softmax(logits), z
 
@@ -195,8 +195,7 @@ def forward(
 ) -> np.ndarray:
     """Class probabilities for one (already scaled) feature vector."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    _check_width(model, x.shape[1])
-    states = encode_batch(x, model.encoder, noise)
+    states = _encode(model, x, noise)
     rng = np.random.Generator(np.random.PCG64(seed))
     probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
     return probs[0]
@@ -249,13 +248,19 @@ def _spsa_pair(model, states, labels, config: TrainConfig, rng) -> np.ndarray:
     return spsa_estimate(pair_loss, model.theta, SPSA_C, rng, paired=True)
 
 
-def _encode_xy(model, X, y, noise) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded states and int labels of one non-empty (X, y) batch."""
+def _encode(model: QnnModel, X: np.ndarray, noise: NoiseModel | None) -> tuple:
+    """The factored stack of X's states as the model's readout takes it (pqc._readout_factors);
+    X must have the model's feature width."""
+    _check_width(model, X.shape[1])
+    return _readout_factors(_encode_factors(X, model.encoder, noise), model.template)
+
+
+def _encode_xy(model, X, y, noise) -> tuple[tuple, np.ndarray]:
+    """Factored states and int labels of one non-empty (X, y) batch."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    _check_width(model, X.shape[1])
-    return encode_batch(X, model.encoder, noise), np.asarray(y, dtype=np.int64)
+    return _encode(model, X, noise), np.asarray(y, dtype=np.int64)
 
 
 def spsa_gradient(
@@ -318,14 +323,12 @@ def _check_width(model: QnnModel, dim: int) -> None:
 
 
 def _encode_sets(model, train_set: LabeledDataset, test_set: LabeledDataset, noise):
-    """Check a train/test pair against the model's head, then encode each set once."""
+    """Check a train/test pair against the model's head, then encode each set once, factored."""
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("train and test sets must be non-empty")
     if train_set.n_classes > model.n_classes or test_set.n_classes > model.n_classes:
         raise ValueError("dataset classes exceed the model head")
-    _check_width(model, train_set.dim)
-    _check_width(model, test_set.dim)
-    return tuple(encode_batch(ds.features, model.encoder, noise) for ds in (train_set, test_set))
+    return tuple(_encode(model, ds.features, noise) for ds in (train_set, test_set))
 
 
 def train(
@@ -344,7 +347,7 @@ def train(
 
 
 def _fit(model, train_states, train_labels, test_states, test_labels, config) -> TrainReport:
-    """train() on already-encoded states; the encoder has no trainable parameters."""
+    """train() on factored, already-encoded states; the encoder has no trainable parameters."""
     started = time.perf_counter()
     model = model.copy()
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -361,7 +364,7 @@ def _fit(model, train_states, train_labels, test_states, test_labels, config) ->
         batch_losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            states = train_states[idx]
+            states = _rows(train_states, idx)
             labels = train_labels[idx]
             probs, z = _forward_from_states(
                 model, states, model.theta, config.noise, config.shots, rng
@@ -390,7 +393,7 @@ def _fit(model, train_states, train_labels, test_states, test_labels, config) ->
 
 
 def _evaluate_states(model, states, labels, noise, shots, rng) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy) of already-encoded states at the model's theta."""
+    """(accuracy, mean cross-entropy) of factored, already-encoded states at the model's theta."""
     probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
     predicted = np.argmax(probs, axis=1)  # ties resolve to the smallest class
     return float(np.mean(predicted == labels)), _batch_ce(probs, labels)
@@ -406,8 +409,7 @@ def evaluate(
     """(accuracy, mean cross-entropy) over a dataset."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    _check_width(model, dataset.dim)
-    states = encode_batch(dataset.features, model.encoder, noise)
+    states = _encode(model, dataset.features, noise)
     rng = np.random.Generator(np.random.PCG64(seed))
     return _evaluate_states(model, states, dataset.labels, noise, shots, rng)
 

@@ -226,7 +226,8 @@ def apply_superop_stack(
     """A local 4^k x 4^k Liouville matrix applied on `targets` to every operator in the stack.
 
     stack is (..., 2^n, 2^n). sop is one (4^k, 4^k) matrix for every operator, or a
-    (P, 4^k, 4^k) stack of them whose p-th acts on stack[p].
+    (P, 4^k, 4^k) stack of them whose p-th acts on stack[p]; its leading axes match
+    the stack's first ones or have size 1.
     """
     k = len(targets)
     points = sop.shape[:-2]
@@ -234,7 +235,7 @@ def apply_superop_stack(
     perm, inverse = _superop_axes(tuple(targets), n_qubits, len(lead), len(points))
     t = stack.reshape(lead + (2,) * (2 * n_qubits)).transpose(perm)
     moved = t.shape
-    t = sop @ t.reshape(points + (4**k, math.prod(moved[len(points) + 2 * k:])))
+    t = sop @ t.reshape(moved[:len(points)] + (4**k, math.prod(moved[len(points) + 2 * k:])))
     return t.reshape(moved).transpose(inverse).reshape(stack.shape)
 
 

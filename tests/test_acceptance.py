@@ -167,7 +167,7 @@ def test_criterion_5_spsa_sanity():
     model.head_bias = np.array([0.1, -0.2])
     X = np.array([[0.5], [2.0], [4.0]])
     y = np.array([0, 1, 0])
-    states = encode_batch(X, enc)
+    states = (encode_batch(X, enc),)  # a factored stack of one dense factor
 
     def loss(t):
         probs, _ = _forward_from_states(model, states, t, None, 0, None)

@@ -231,29 +231,55 @@ def test_mismatched_datasets_exit_3_naming_the_file(tmp_path, capsys, case):
     assert len(err) == 1 and str(other) in err[0]
 
 
-def test_register_that_cannot_fit_in_memory_is_refused_before_allocating(tmp_path):
-    import os
+def run_capped(*argv, cap=3 << 30):
+    """`python -m quidlab.cli argv` with its address space capped at cap bytes."""
     import resource
     import subprocess
     import sys
 
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    stack_row = 16 * 4**12  # bytes of one 12-qubit density matrix
-    per_class = max(60, memory // stack_row + 2)  # the reference half alone cannot fit
-    cap = 2 << 30
-
     def cap_address_space():  # an attempted allocation then fails fast instead of paging
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "quidlab.cli", "ess-validate", "--qubits", "12", "--classes",
-         "2", "--per-class", str(per_class), "--dim", "8", "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, preexec_fn=cap_address_space, timeout=300,
-    )
+    return subprocess.run([sys.executable, "-m", "quidlab.cli", *argv], capture_output=True,
+                          text=True, preexec_fn=cap_address_space, timeout=300)
+
+
+def test_register_that_cannot_fit_in_memory_is_refused_before_allocating(tmp_path):
+    import os
+
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    stack_row = 16 * 4**12  # bytes of one 12-qubit density matrix
+    per_class = max(60, memory // stack_row + 2)  # the reference half alone cannot fit
+    proc = run_capped("ess-validate", "--qubits", "12", "--classes", "2", "--per-class",
+                      str(per_class), "--dim", "8", "--out", str(tmp_path / "out"), cap=2 << 30)
     assert proc.returncode == 4, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert " rows at 12 qubits" in proc.stderr
+
+
+TWELVE_QUBITS = ["--qubits", "12", "--classes", "2", "--per-class", "3", "--dim", "8"]
+
+
+def test_full_cone_readout_that_cannot_fit_in_memory_is_refused(tmp_path):
+    # pqc6's light cones span the register: its (12, 4096, 4096) observable stack is 3 GiB
+    proc = run_capped("train", *TWELVE_QUBITS, "--pqc", "pqc6", "--epochs", "1",
+                      "--out", str(tmp_path / "out"))
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "observables on 12 qubits" in proc.stderr
+
+
+@pytest.mark.parametrize("pqc", ["pqc1", "pqc8"])
+def test_narrow_cone_templates_train_and_evaluate_at_twelve_qubits(tmp_path, pqc):
+    # cones of one qubit (pqc1) and at most four (pqc8, one layer) never expand the register
+    out = tmp_path / "out"
+    proc = run_capped("train", *TWELVE_QUBITS, "--pqc", pqc, "--epochs", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_capped("evaluate", "--model", str(out / "model.json"), *TWELVE_QUBITS[2:])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("accuracy=")
 
 
 def experiment_args(data, out, workers="1"):

@@ -147,11 +147,11 @@ def test_ensemble_training_and_vote_encode_each_row_once(monkeypatch):
     tr, te = split(ds, 0.75, stratified=True, seed=4)
     encoded_rows = []
     for module in (quidlab.qnn, quidlab.defense):
-        def counting(X, cfg, model=None, real=module.encode_batch):
+        def counting(X, cfg, model=None, real=module._encode_factors):
             encoded_rows.append(len(X))
             return real(X, cfg, model)
 
-        monkeypatch.setattr(module, "encode_batch", counting)
+        monkeypatch.setattr(module, "_encode_factors", counting)
     cfg = DefenseConfig(train=TrainConfig(epochs=2, seed=3), k=3, partition_seed=3)
     ensemble, _ = train_ensemble(tr, te, cfg, prototype())
     assert sorted(encoded_rows) == sorted([len(tr), len(te)])

@@ -4,12 +4,23 @@ import os
 import numpy as np
 import pytest
 
-from quidlab.encode import EncoderConfig, encode, encode_batch, encoding_gates, scale_features
+from quidlab.encode import EncoderConfig, encode, encode_batch, scale_features
 from quidlab.errors import CapacityError, DegenerateInputError, ShapeError
 from quidlab.noise import NoiseModel, noisy_apply
 from quidlab.simcore import GateOp, apply_channel_stack, apply_gate, ground_state
 
 encode_module = importlib.import_module("quidlab.encode")  # quidlab.encode is also the function
+
+
+def encoding_gates(dim, cfg):
+    """The angle-encoding circuit, slots unbound: H on every qubit, then each qubit's
+    block of features as alternating RZ/RX gates; the oracle tests walk it gate by gate."""
+    gates = [GateOp("H", (q,)) for q in range(cfg.n_qubits)]
+    f = cfg.features_per_qubit
+    for q in range(cfg.n_qubits):
+        for j in range(min(f, dim - q * f)):
+            gates.append(GateOp("RZ" if j % 2 == 0 else "RX", (q,), 0.0))
+    return gates
 
 
 def equatorial(angle):
@@ -161,6 +172,17 @@ def test_capacity_bound_is_physical_memory_without_a_cgroup_limit(monkeypatch, t
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert encode_module._memory_limit() == physical
     assert encode_batch(np.ones((3, 4)), EncoderConfig("amplitude", 2)).shape == (3, 4, 4)
+
+
+def test_capacity_bound_is_an_address_space_limit_below_physical_memory(monkeypatch, tmp_path):
+    import resource
+
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    monkeypatch.setattr(encode_module, "_CGROUP_MEMORY_MAX", str(tmp_path / "none"))
+    monkeypatch.setattr(resource, "getrlimit", lambda kind: (physical // 4, resource.RLIM_INFINITY))
+    assert encode_module._memory_limit() == physical // 4
+    monkeypatch.setattr(resource, "getrlimit", lambda kind: (2 * physical, 2 * physical))
+    assert encode_module._memory_limit() == physical
 
 
 @pytest.mark.parametrize("cfg", [EncoderConfig("angle", 7, 1), EncoderConfig("amplitude", 7)],

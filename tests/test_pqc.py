@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_pure_state
-from quidlab.encode import EncoderConfig, encode_batch
+from quidlab.encode import EncoderConfig, _encode_factors, _kron_factors
 from quidlab.noise import NoiseModel
 from quidlab.pqc import (
     PRESETS,
     PqcTemplate,
     TemplateGate,
+    _light_cones,
+    _readout_factors,
     apply_pqc,
     apply_pqc_stack,
     build_template,
     load_template,
     save_template,
-    z_observables,
+    z_expectations,
 )
 from quidlab.simcore import DensityMatrix, expect_z_stack, ground_state
 
@@ -148,23 +150,42 @@ def schrodinger_z(states, tpl, theta, model):
 
 
 def heisenberg_z(states, tpl, theta, model):
-    """Tr(rho O_q) against the pulled-back observables."""
-    return np.einsum("bij,qji->bq", states, z_observables(tpl, theta, model)).real
+    """Tr(rho O_q) against the pulled-back observables, the states one dense factor."""
+    return z_expectations((states,), tpl, theta, model)
+
+
+def factored_inputs(n, rng, model):
+    """Factored stacks of 3 rows: angle, amplitude filling every qubit, amplitude with padding."""
+    angle = EncoderConfig("angle", n, 2)
+    yield _encode_factors(rng.uniform(0, 2 * np.pi, (3, 2 * n)), angle, model)
+    amplitude = EncoderConfig("amplitude", n)
+    yield _encode_factors(rng.uniform(0.1, 1.0, (3, 1 << n)), amplitude, model)
+    if n > 1:  # two features fill one data qubit; the other n - 1 are tau factors
+        yield _encode_factors(rng.uniform(0.1, 1.0, (3, 2)), amplitude, model)
+
+
+def cone_z(factors, tpl, theta, model):
+    """z_expectations on the factors as given and as the classifier hands them over."""
+    got = z_expectations(factors, tpl, theta, model)
+    assert np.max(np.abs(z_expectations(_readout_factors(factors, tpl), tpl, theta, model)
+                         - got)) <= 1e-12
+    return got
 
 
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("name", PRESETS)
 def test_heisenberg_readout_matches_kraus_forward(name, layers, noise, rng):
+    # dense states (one factor) and the encoders' factored stacks, two points at once
     model = READOUT_NOISE[noise]
     for n in range(1 if name == "pqc1" else 2, 6):
         tpl = build_template(name, n, layers)
-        theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
-        angle = encode_batch(rng.uniform(0, 2 * np.pi, (3, 2 * n)), EncoderConfig("angle", n, 2), model)
-        amplitude = encode_batch(rng.uniform(0.1, 1.0, (3, 1 << n)), EncoderConfig("amplitude", n), model)
-        for states in (angle, amplitude):
-            got = heisenberg_z(states, tpl, theta, model)
-            assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
+        thetas = rng.uniform(-np.pi, np.pi, (2, tpl.param_count))
+        for factors in factored_inputs(n, rng, model):
+            states = _kron_factors(factors)
+            want = np.stack([schrodinger_z(states, tpl, theta, model) for theta in thetas])
+            assert np.max(np.abs(heisenberg_z(states, tpl, thetas, model) - want)) <= 1e-12
+            assert np.max(np.abs(cone_z(factors, tpl, thetas, model) - want)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,9 +263,12 @@ def test_template_without_slots_readout_matches_kraus_forward(noise, tmp_path, r
     theta = np.zeros(0)
     got = heisenberg_z(states, tpl, theta, model)
     assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
-    stacked = z_observables(tpl, np.zeros((2, 0)), model)
-    assert stacked.shape == (2, 2, 4, 4)
-    assert np.array_equal(stacked[1], z_observables(tpl, theta, model))
+    stacked = heisenberg_z(states, tpl, np.zeros((2, 0)), model)
+    assert stacked.shape == (2, 4, 2)
+    assert np.array_equal(stacked[1], got)
+    for factors in factored_inputs(2, rng, model):
+        want = schrodinger_z(_kron_factors(factors), tpl, theta, model)
+        assert np.max(np.abs(cone_z(factors, tpl, theta, model) - want)) <= 1e-12
 
 
 def test_template_without_gates_reads_out_plain_z(rng):
@@ -257,21 +281,24 @@ def test_template_without_gates_reads_out_plain_z(rng):
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
 def test_point_stack_readout_equals_one_point_at_a_time(noise, rng):
     model = READOUT_NOISE[noise]
+    states = np.stack([random_density_matrix(rng, 3) for _ in range(4)])
     templates = [build_template(name, 3, 2) for name in PRESETS]
     for tpl in templates + [PqcTemplate.from_json(HAND_WRITTEN)]:
         thetas = rng.uniform(-np.pi, np.pi, (3, tpl.param_count))
-        stacked = z_observables(tpl, thetas, model)
-        assert stacked.shape == (3, 3, 8, 8)
-        single = np.stack([z_observables(tpl, theta, model) for theta in thetas])
+        stacked = heisenberg_z(states, tpl, thetas, model)
+        assert stacked.shape == (3, 4, 3)
+        single = np.stack([heisenberg_z(states, tpl, theta, model) for theta in thetas])
         assert np.max(np.abs(stacked - single)) <= 1e-15
 
 
 def test_zero_noise_readout_is_bit_identical_to_noiseless(rng):
+    states = np.stack([random_density_matrix(rng, 3) for _ in range(4)])
     for name in PRESETS:
         tpl = build_template(name, 3, 2)
         theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
-        clean = z_observables(tpl, theta, None)
-        assert np.array_equal(z_observables(tpl, theta, NoiseModel.from_error_rate(0.0)), clean)
+        clean = heisenberg_z(states, tpl, theta, None)
+        zero = heisenberg_z(states, tpl, theta, NoiseModel.from_error_rate(0.0))
+        assert np.array_equal(zero, clean)
 
 
 def test_readout_noise_cache_keeps_levels_apart(rng):
@@ -292,5 +319,37 @@ def test_readout_fuses_gates_into_few_contractions(name, contractions, monkeypat
     apply = pqc.apply_superop_stack
     monkeypatch.setattr(pqc, "apply_superop_stack", lambda *a: calls.append(a) or apply(*a))
     tpl = build_template(name, 4)
-    z_observables(tpl, np.zeros(tpl.param_count), NoiseModel.from_error_rate(0.05))
+    states = np.stack([random_density_matrix(np.random.default_rng(0), 4)])
+    heisenberg_z(states, tpl, np.zeros(tpl.param_count), NoiseModel.from_error_rate(0.05))
     assert len(calls) == contractions
+
+
+@pytest.mark.parametrize("name,n,cones", [
+    ("pqc1", 5, {(q,): (q,) for q in range(5)}),
+    ("pqc6", 4, {(0, 1, 2, 3): (0, 1, 2, 3)}),
+    # the last CRX layer pairs (2, 1), the one before (1, 0) and (3, 2)
+    ("pqc8", 4, {(0, 1): (0,), (0, 1, 2, 3): (1, 2), (2, 3): (3,)}),
+])
+def test_light_cones_of_the_presets(name, n, cones):
+    tpl = build_template(name, n, 1)
+    found = {span: qubits for span, qubits, _gates in _light_cones(tpl, (1,) * n)}
+    assert found == cones  # on single-qubit factors a register is its cone
+
+
+def test_narrow_cones_read_out_without_expanding(rng):
+    # twelve single-qubit factors: no dense register is built for pqc1 or one-layer pqc8
+    model = NoiseModel.from_error_rate(0.05)
+    factors = _encode_factors(rng.uniform(0, 2 * np.pi, (3, 12)), EncoderConfig("angle", 12), model)
+    for name in ("pqc1", "pqc8"):
+        tpl = build_template(name, 12, 1)
+        assert _readout_factors(factors, tpl) is factors
+        assert max(len(span) for span, _, _ in _light_cones(tpl, (1,) * 12)) <= 4
+        z = z_expectations(factors, tpl, rng.uniform(-np.pi, np.pi, tpl.param_count), model)
+        assert z.shape == (3, 12) and np.all(np.abs(z) <= 1.0)
+
+
+def test_light_cone_readout_refuses_states_of_another_register_size(rng):
+    factors = _encode_factors(rng.uniform(0, 2 * np.pi, (2, 3)), EncoderConfig("angle", 3), None)
+    tpl = build_template("pqc1", 4)
+    with pytest.raises(ValueError, match="3 qubits but template wants 4"):
+        z_expectations(factors, tpl, np.zeros(tpl.param_count))
