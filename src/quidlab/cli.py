@@ -191,6 +191,7 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
+        self.started = time.time()
         self.file: dict = {}
         if args.config:
             self.file = read_json(args.config)
@@ -303,7 +304,7 @@ class _Options:
         return merged
 
 
-def _manifest(out: str, options: _Options, started: float, extra: dict | None = None) -> None:
+def _manifest(out: str, options: _Options, extra: dict | None = None) -> None:
     resolved = options.resolved()
     blob = json.dumps(resolved, sort_keys=True, default=str).encode()
     payload = {
@@ -316,8 +317,8 @@ def _manifest(out: str, options: _Options, started: float, extra: dict | None = 
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "started_unix": started,
-        "wall_seconds": time.time() - started,
+        "started_unix": options.started,
+        "wall_seconds": time.time() - options.started,
     }
     if extra:
         payload.update(extra)
@@ -331,8 +332,7 @@ def _scaled(ds: LabeledDataset, cfg: EncoderConfig) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen_data(args) -> int:
-    options = _Options(args)
+def cmd_gen_data(options: _Options) -> int:
     out_path = options.get("out")
     if out_path is None:
         raise UsageError("--out is required (CSV file path)")
@@ -353,10 +353,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_ess_validate(args) -> int:
-    options = _Options(args)
+def cmd_ess_validate(options: _Options) -> int:
     out = options.outdir()
-    started = time.time()
     _raw, ds, cfg, _tag = options.scaled_dataset()
     model = options.noise_model()
     metric = options.get("metric", None)
@@ -373,14 +371,12 @@ def cmd_ess_validate(args) -> int:
     write_table(os.path.join(out, "class_stats.csv"),
                 ["metric", "class", "intra_mean", "inter_mean"], class_rows)
     write_json(os.path.join(out, "summary.json"), summary)
-    _manifest(out, options, started)
+    _manifest(out, options)
     return 0
 
 
-def cmd_encode_compare(args) -> int:
-    options = _Options(args)
+def cmd_encode_compare(options: _Options) -> int:
     out = options.outdir()
-    started = time.time()
     ds, _tag = options.dataset()
     cfgs = [options.encoder_for(ds.dim, "angle"), options.encoder_for(ds.dim, "amplitude")]
     ds = _scaled(ds, cfgs[0])
@@ -398,14 +394,12 @@ def cmd_encode_compare(args) -> int:
     )
     for c in cells:
         print(f"{c.encoder} p={c.noise_p}: accuracy={c.accuracy:.4f}")
-    _manifest(out, options, started)
+    _manifest(out, options)
     return 0
 
 
-def cmd_poison(args) -> int:
-    options = _Options(args)
+def cmd_poison(options: _Options) -> int:
     out = options.outdir()
-    started = time.time()
     eps = options.get("epsilon")
     if len(eps) != 1:
         raise UsageError("poison takes exactly one --epsilon value")
@@ -432,7 +426,7 @@ def cmd_poison(args) -> int:
         f"poisoned {outcome.poisoned_indices.size}/{len(ds)} samples "
         f"({outcome.flip_count()} labels changed)"
     )
-    _manifest(out, options, started)
+    _manifest(out, options)
     return 0
 
 
@@ -441,10 +435,8 @@ def _build_model(options: _Options, cfg: EncoderConfig, ds: LabeledDataset, seed
     return init_model(cfg, template, ds.n_classes, seed=seed, n_features=ds.dim)
 
 
-def cmd_train(args) -> int:
-    options = _Options(args)
+def cmd_train(options: _Options) -> int:
     out = options.outdir()
-    started = time.time()
     ds, _tag = options.dataset()
     test_path = options.get("test")
     seed = options.get("seed")
@@ -467,12 +459,11 @@ def cmd_train(args) -> int:
                   zip(report.train_loss, report.test_loss, report.test_accuracy))
     final_acc = report.test_accuracy[-1] if report.test_accuracy else float("nan")
     print(f"final test accuracy: {final_acc:.4f}")
-    _manifest(out, options, started, {"wall_seconds_train": report.wall_seconds})
+    _manifest(out, options, {"wall_seconds_train": report.wall_seconds})
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    options = _Options(args)
+def cmd_evaluate(options: _Options) -> int:
     model_path = options.get("model")
     if model_path is None:
         raise UsageError("--model is required")
@@ -494,6 +485,7 @@ def cmd_evaluate(args) -> int:
     print(f"accuracy={acc:.4f} loss={loss:.4f}")
     if out:
         write_json(os.path.join(out, "eval.json"), {"accuracy": acc, "loss": loss})
+        _manifest(out, options)
     return 0
 
 
@@ -519,10 +511,8 @@ def _run_experiment_cell(payload: dict) -> dict:
                 "traceback": traceback.format_exc()}
 
 
-def cmd_experiment(args) -> int:
-    options = _Options(args)
+def cmd_experiment(options: _Options) -> int:
     out = options.outdir()
-    started = time.time()
     workers, emit_plot_data = options.get("workers"), options.get("emit_plot_data")
     _raw, ds, cfg, tag = options.scaled_dataset()
     seed = options.get("seed")
@@ -578,14 +568,12 @@ def cmd_experiment(args) -> int:
                 continue
             _write_curves(os.path.join(out, f"curves_eps{eps}_{mode}.csv"), r["curves"])
     extra = {"cell_errors": errors, "cell_tracebacks": tracebacks} if errors else None
-    _manifest(out, options, started, extra)
+    _manifest(out, options, extra)
     return 0
 
 
-def cmd_defend(args) -> int:
-    options = _Options(args)
+def cmd_defend(options: _Options) -> int:
     out = options.outdir()
-    started = time.time()
     _raw, ds, cfg, tag = options.scaled_dataset()
     seed = options.get("seed")
     train_set, test_set = options.train_test(ds)
@@ -620,7 +608,7 @@ def cmd_defend(args) -> int:
         ["epsilon", "no_defense_accuracy", "defense_accuracy"],
         rows,
     )
-    _manifest(out, options, started, {"k": defense.k})
+    _manifest(out, options, {"k": defense.k})
     return 0
 
 
@@ -682,7 +670,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_Options(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

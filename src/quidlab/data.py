@@ -4,7 +4,7 @@ The on-disk format is a plain CSV with d feature columns followed by one
 integer label column; an optional single header line is allowed. Features are
 stored raw; callers scale them into the encoder range (encode.scale_features)
 before encoding. read_json is the one reader of the JSON inputs (config file,
-noise model, PQC template, checkpoint, partition map); write_table and
+noise model, PQC template, checkpoint); write_table and
 write_json are the one writers of result tables and JSON files.
 """
 

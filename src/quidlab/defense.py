@@ -6,25 +6,23 @@ Partitioning orders sample indices by a seeded hash and deals them
 round-robin, so partitions are balanced, deterministic, and independent of
 labels. Member i trains with seed base+i; with k=1 the single member sees
 the whole training set at the base seed and reproduces undefended training
-bit-for-bit.
+bit-for-bit. Every member shares the prototype's encoder and template, so
+both sets and the vote's features are each encoded once, through qnn._encode.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledDataset, read_json, write_json
-from .errors import DataFormatError
+from .data import LabeledDataset
+from .encode import _rows
 from .noise import NoiseModel
-from .qnn import QnnModel, TrainConfig, TrainReport, load_model, save_model
-from .qnn import _check_width, _encode_sets, _fit, _forward_from_states  # shared paths
-from .encode import _encode_factors, _rows
-from .pqc import _readout_factors
+from .qnn import QnnModel, TrainConfig, TrainReport
+from .qnn import _encode, _fit, _forward_from_states  # shared paths
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.defense, so they stay importable from this module.
@@ -84,11 +82,13 @@ def train_ensemble(
 ) -> tuple[EnsembleModel, list[TrainReport]]:
     """One model per partition with distinct derived seeds; each set is encoded once."""
     parts = partition(train_set, cfg.k, cfg.partition_seed)
-    train_states, test_states = _encode_sets(prototype, train_set, test_set, cfg.train.noise)
+    noise = cfg.train.noise
+    train_states, train_labels = _encode(prototype, train_set.features, noise, train_set.labels)
+    test_states, test_labels = _encode(prototype, test_set.features, noise, test_set.labels)
     members: list[QnnModel] = []
     reports: list[TrainReport] = []
     for j, part in enumerate(parts):
-        labels = train_set.labels[part]
+        labels = train_labels[part]
         missing = train_set.n_classes - np.unique(labels).size
         if missing:
             warnings.warn(
@@ -96,7 +96,7 @@ def train_ensemble(
             )
         member_cfg = replace(cfg.train, seed=cfg.train.seed + j)
         report = _fit(prototype.copy(), _rows(train_states, part), labels, test_states,
-                      test_set.labels, member_cfg)
+                      test_labels, member_cfg)
         members.append(report.model)
         reports.append(report)
     return EnsembleModel(members, assignment_from_parts(parts, len(train_set))), reports
@@ -112,20 +112,13 @@ def member_predictions(
     """(k, n_samples) argmax predictions of every member, from one encoding of the features."""
     if not ensemble.members:
         raise ValueError("empty ensemble")
-    encoder = ensemble.members[0].encoder
-    if any(member.encoder != encoder for member in ensemble.members):
-        raise ValueError("ensemble members use different encoders")
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    for member in ensemble.members:
-        _check_width(member, features.shape[1])
-    factors = _encode_factors(features, encoder, noise)
-    templates = {member.template for member in ensemble.members}  # members share one, as a rule
-    states = {tpl: _readout_factors(factors, tpl) for tpl in templates}
+    if len({(m.encoder, m.template, m.n_features) for m in ensemble.members}) > 1:
+        raise ValueError("ensemble members use different encoders, templates or feature counts")
+    states, _ = _encode(ensemble.members[0], features, noise)
     preds = []
     for j, member in enumerate(ensemble.members):
         rng = np.random.Generator(np.random.PCG64(seed + j))
-        probs, _ = _forward_from_states(member, states[member.template], member.theta, noise,
-                                        shots, rng)
+        probs, _ = _forward_from_states(member, states, member.theta, noise, shots, rng)
         preds.append(np.argmax(probs, axis=1))
     return np.stack(preds)
 
@@ -157,27 +150,3 @@ def evaluate_ensemble(
         lambda col: np.argmax(np.bincount(col, minlength=n_classes)), 0, preds
     )
     return float(np.mean(votes == dataset.labels))
-
-
-def save_ensemble(ensemble: EnsembleModel, directory) -> None:
-    os.makedirs(directory, exist_ok=True)
-    for j, member in enumerate(ensemble.members):
-        save_model(member, os.path.join(directory, f"member_{j}.json"))
-    write_json(os.path.join(directory, "partition_map.json"),
-               {"k": ensemble.k, "assignment": ensemble.assignment.tolist()})
-
-
-def load_ensemble(directory) -> EnsembleModel:
-    """Read an ensemble directory; any malformed content raises DataFormatError."""
-    path = os.path.join(directory, "partition_map.json")
-    meta = read_json(path)
-    try:
-        k = int(meta["k"])
-        assignment = np.array(meta["assignment"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed partition map ({exc!r})") from exc
-    members = [load_model(os.path.join(directory, f"member_{j}.json")) for j in range(k)]
-    for j, member in enumerate(members):
-        if member.encoder != members[0].encoder:
-            raise DataFormatError(f"{directory}/member_{j}.json: encoder differs from member_0's")
-    return EnsembleModel(members, assignment)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_json, write_json
+from .data import read_json
 from .errors import DataFormatError
 from .simcore import GATE_ARITY, DensityMatrix, GateOp, KrausChannel
 from .simcore import adjoint_superop, apply_channel_stack, apply_gate_stack
@@ -166,9 +166,3 @@ def load_noise_model(path) -> NoiseModel:
         else:
             per_gate[key] = tuple(entries)
     return NoiseModel(per_gate=per_gate, default=default)
-
-
-def save_noise_model(model: NoiseModel, path) -> None:
-    raw = {name: [list(e) for e in entries] for name, entries in sorted(model.per_gate.items())}
-    raw["default"] = [list(e) for e in model.default]
-    write_json(path, raw)

@@ -14,6 +14,9 @@ readout plan cached per template, noise model and factor widths, and takes a
 stack of parameter points at once. The Schrodinger path (pqc.apply_pqc /
 apply_pqc_stack) remains as the test oracle.
 
+Every entry point that takes features, here and in defense, checks and
+encodes them through one gate, _encode.
+
 A training step forwards the batch at the current theta, draws the SPSA
 direction delta, then pulls back theta + c*delta and theta - c*delta as one
 two-point stack, through spsa_estimate's paired form. The generator draws the
@@ -194,8 +197,7 @@ def forward(
     seed: int = 0,
 ) -> np.ndarray:
     """Class probabilities for one (already scaled) feature vector."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    states = _encode(model, x, noise)
+    states, _ = _encode(model, np.reshape(x, (1, -1)), noise)
     rng = np.random.Generator(np.random.PCG64(seed))
     probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
     return probs[0]
@@ -248,19 +250,25 @@ def _spsa_pair(model, states, labels, config: TrainConfig, rng) -> np.ndarray:
     return spsa_estimate(pair_loss, model.theta, SPSA_C, rng, paired=True)
 
 
-def _encode(model: QnnModel, X: np.ndarray, noise: NoiseModel | None) -> tuple:
-    """The factored stack of X's states as the model's readout takes it (pqc._readout_factors);
-    X must have the model's feature width."""
-    _check_width(model, X.shape[1])
-    return _readout_factors(_encode_factors(X, model.encoder, noise), model.template)
+def _encode(model: QnnModel, X, noise: NoiseModel | None, labels=None) -> tuple:
+    """The model-input gate: (X's states as pqc._readout_factors gives them, int64 labels).
 
-
-def _encode_xy(model, X, y, noise) -> tuple[tuple, np.ndarray]:
-    """Factored states and int labels of one non-empty (X, y) batch."""
+    Refuses an empty X, a width other than n_features (None: unknown) and labels outside
+    [0, n_classes) or not one per row, each with ValueError.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
+    if X.size == 0:
         raise ValueError("empty batch")
-    return _encode(model, X, noise), np.asarray(y, dtype=np.int64)
+    if model.n_features is not None and X.shape[1] != model.n_features:
+        raise ValueError(f"model is built for {model.n_features} features, "
+                         f"the data has {X.shape[1]}")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != X.shape[:1]:
+            raise ValueError(f"{labels.size} labels for {X.shape[0]} rows")
+        if np.any((labels < 0) | (labels >= model.n_classes)):
+            raise ValueError(f"labels outside the model's {model.n_classes} classes")
+    return _readout_factors(_encode_factors(X, model.encoder, noise), model.template), labels
 
 
 def spsa_gradient(
@@ -271,7 +279,7 @@ def spsa_gradient(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """SPSA estimate of the batch-mean loss gradient w.r.t. the quantum parameters."""
-    states, y = _encode_xy(model, X, y, config.noise)
+    states, y = _encode(model, X, config.noise, y)
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(config.seed))
     return _spsa_pair(model, states, y, config, rng)
@@ -286,14 +294,12 @@ def head_gradient(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact softmax cross-entropy gradients (dW, db) at the current parameters."""
-    states, y = _encode_xy(model, X, y, noise)
+    states, y = _encode(model, X, noise, y)
     probs, z = _forward_from_states(model, states, model.theta, noise, shots, rng)
-    return _head_grads_from(probs, z, y, model.n_classes)
+    return _head_grads_from(probs, z, y)
 
 
-def _head_grads_from(
-    probs: np.ndarray, z: np.ndarray, y: np.ndarray, n_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _head_grads_from(probs: np.ndarray, z: np.ndarray, y: np.ndarray) -> tuple:
     dlogits = probs.copy()
     dlogits[np.arange(len(y)), y] -= 1.0
     dlogits /= len(y)
@@ -316,21 +322,6 @@ class _Adam:
         return param - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _check_width(model: QnnModel, dim: int) -> None:
-    """Refuse features of another width than the model's (unknown for old checkpoints)."""
-    if model.n_features is not None and dim != model.n_features:
-        raise ValueError(f"model is built for {model.n_features} features, the data has {dim}")
-
-
-def _encode_sets(model, train_set: LabeledDataset, test_set: LabeledDataset, noise):
-    """Check a train/test pair against the model's head, then encode each set once, factored."""
-    if len(train_set) == 0 or len(test_set) == 0:
-        raise ValueError("train and test sets must be non-empty")
-    if train_set.n_classes > model.n_classes or test_set.n_classes > model.n_classes:
-        raise ValueError("dataset classes exceed the model head")
-    return tuple(_encode(model, ds.features, noise) for ds in (train_set, test_set))
-
-
 def train(
     model: QnnModel,
     train_set: LabeledDataset,
@@ -342,8 +333,10 @@ def train(
     Both gradients are evaluated at the pre-update parameters of each batch,
     then both groups step. Fully deterministic given config.seed.
     """
-    train_states, test_states = _encode_sets(model, train_set, test_set, config.noise)
-    return _fit(model, train_states, train_set.labels, test_states, test_set.labels, config)
+    train_states, train_labels = _encode(model, train_set.features, config.noise,
+                                         train_set.labels)
+    test_states, test_labels = _encode(model, test_set.features, config.noise, test_set.labels)
+    return _fit(model, train_states, train_labels, test_states, test_labels, config)
 
 
 def _fit(model, train_states, train_labels, test_states, test_labels, config) -> TrainReport:
@@ -370,7 +363,7 @@ def _fit(model, train_states, train_labels, test_states, test_labels, config) ->
                 model, states, model.theta, config.noise, config.shots, rng
             )
             batch_losses.append(_batch_ce(probs, labels))
-            grad_w, grad_b = _head_grads_from(probs, z, labels, model.n_classes)
+            grad_w, grad_b = _head_grads_from(probs, z, labels)
             if config.train_theta:
                 grad_theta = _spsa_pair(model, states, labels, config, rng)
                 model.theta = adam_theta.step(model.theta, grad_theta)
@@ -407,11 +400,9 @@ def evaluate(
     seed: int = 0,
 ) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) over a dataset."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    states = _encode(model, dataset.features, noise)
+    states, labels = _encode(model, dataset.features, noise, dataset.labels)
     rng = np.random.Generator(np.random.PCG64(seed))
-    return _evaluate_states(model, states, dataset.labels, noise, shots, rng)
+    return _evaluate_states(model, states, labels, noise, shots, rng)
 
 
 # ---------------------------------------------------------------------------

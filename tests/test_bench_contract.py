@@ -3,8 +3,14 @@
 perfbench/spans.py replaces module attributes (``quidlab.qnn.encode_batch``,
 ``quidlab.cli.split``, ...) with timing wrappers; a refactor that drops one
 makes ``perfbench/run.py --trace 1`` fail with AttributeError.
+
+The import contract stands in for a linter: every import in quidlab's modules
+is used, and an import kept only for the tracer (marked ``# noqa: F401``) names
+an attribute that spans.py wraps on that module. A deletion that leaves an
+import dead fails here.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -12,6 +18,9 @@ import os
 import pytest
 
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "quidlab")
+# __init__.py is left out: its imports are the package's exports
+MODULES = sorted(f[:-3] for f in os.listdir(SRC_DIR) if f.endswith(".py") and f != "__init__.py")
 
 
 def _wrapped_attributes():
@@ -27,3 +36,34 @@ def _wrapped_attributes():
 def test_wrapped_attribute_exists(owner, name):
     module = importlib.import_module(f"quidlab.{owner}")
     assert callable(getattr(module, name, None)), f"quidlab.{owner}.{name}"
+
+
+def _imports(module):
+    """([(bound name, marked noqa: F401)] for each import of the module, names it reads)."""
+    with open(os.path.join(SRC_DIR, f"{module}.py")) as fh:
+        source = fh.read()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            noqa = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            imported += [(alias.asname or alias.name.split(".")[0], noqa) for alias in node.names]
+    return imported, {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    imported, used = _imports(module)
+    unused = [name for name, noqa in imported if not noqa and name not in used]
+    assert not unused, f"quidlab.{module} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_tracer_only_imports_are_wrapped(module):
+    wrapped = {name for owner, name in _wrapped_attributes() if owner == module}
+    imported, _used = _imports(module)
+    unwrapped = [name for name, noqa in imported if noqa and name not in wrapped]
+    assert not unwrapped, f"quidlab.{module} keeps {unwrapped} for a wrapper spans.py lacks"

@@ -183,6 +183,8 @@ def test_train_and_evaluate_roundtrip(tmp_path):
                "--out", str(tmp_path / "eval")) == 0
     payload = json.loads((tmp_path / "eval" / "eval.json").read_text())
     assert 0.0 <= payload["accuracy"] <= 1.0
+    manifest = json.loads((tmp_path / "eval" / "manifest.json").read_text())
+    assert manifest["command"] == "evaluate" and manifest["wall_seconds"] >= 0.0
 
 
 def test_evaluate_checkpoint_without_slots(tmp_path):
@@ -203,6 +205,8 @@ def test_evaluate_checkpoint_without_slots(tmp_path):
                "--out", str(tmp_path / "eval")) == 0
     payload = json.loads((tmp_path / "eval" / "eval.json").read_text())
     assert 0.0 <= payload["accuracy"] <= 1.0
+    manifest = json.loads((tmp_path / "eval" / "manifest.json").read_text())
+    assert manifest["command"] == "evaluate" and manifest["wall_seconds"] >= 0.0
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import quidlab.defense
 import quidlab.qnn
 
 from quidlab.data import LabeledDataset, split, synth_clusters
@@ -11,15 +10,12 @@ from quidlab.defense import (
     DefenseConfig,
     EnsembleModel,
     evaluate_ensemble,
-    load_ensemble,
     member_predictions,
     partition,
-    save_ensemble,
     train_ensemble,
     vote,
 )
 from quidlab.encode import EncoderConfig, scale_features
-from quidlab.errors import DataFormatError
 from quidlab.noise import NoiseModel
 from quidlab.pqc import build_template
 from quidlab.qnn import TrainConfig, init_model, train
@@ -146,12 +142,12 @@ def test_ensemble_training_and_vote_encode_each_row_once(monkeypatch):
     ds = tiny_dataset()
     tr, te = split(ds, 0.75, stratified=True, seed=4)
     encoded_rows = []
-    for module in (quidlab.qnn, quidlab.defense):
-        def counting(X, cfg, model=None, real=module._encode_factors):
-            encoded_rows.append(len(X))
-            return real(X, cfg, model)
 
-        monkeypatch.setattr(module, "_encode_factors", counting)
+    def counting(X, cfg, model=None, real=quidlab.qnn._encode_factors):
+        encoded_rows.append(len(X))
+        return real(X, cfg, model)
+
+    monkeypatch.setattr(quidlab.qnn, "_encode_factors", counting)
     cfg = DefenseConfig(train=TrainConfig(epochs=2, seed=3), k=3, partition_seed=3)
     ensemble, _ = train_ensemble(tr, te, cfg, prototype())
     assert sorted(encoded_rows) == sorted([len(tr), len(te)])
@@ -160,14 +156,18 @@ def test_ensemble_training_and_vote_encode_each_row_once(monkeypatch):
     assert encoded_rows == [len(te)]
 
 
-def test_members_with_different_encoders_are_refused(tmp_path):
-    other = init_model(EncoderConfig("angle", 4, 3), build_template("pqc1", 4, 1), 4, seed=1)
-    mixed = EnsembleModel([prototype(), other], np.zeros(2, dtype=np.int64))
-    with pytest.raises(ValueError, match="encoders"):
-        member_predictions(mixed, tiny_dataset().features)
-    save_ensemble(mixed, tmp_path / "ens")
-    with pytest.raises(DataFormatError, match="member_1.json"):
-        load_ensemble(tmp_path / "ens")
+def test_members_with_different_encoders_are_refused():
+    # members must share one encoder, one template and one feature count
+    angle = EncoderConfig("angle", 4, 2)
+    others = [
+        init_model(EncoderConfig("angle", 4, 3), build_template("pqc1", 4, 1), 4, seed=1),
+        init_model(angle, build_template("pqc6", 4, 1), 4, seed=1),
+        init_model(angle, build_template("pqc1", 4, 1), 4, seed=1, n_features=8),
+    ]
+    for other in others:
+        mixed = EnsembleModel([prototype(), other], np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="different encoders, templates or feature counts"):
+            member_predictions(mixed, tiny_dataset().features)
 
 
 def test_ensemble_accuracy_on_clean_separable_data():
@@ -210,34 +210,3 @@ def test_vote_stability_under_bounded_partition_corruption():
     # corrupting ceil(gap/2) members CAN flip a 5-0 vote to 3-2? no: 3 of 5
     flipped = [constant_model(1)] * 3 + list(base[:2])
     assert vote(EnsembleModel(flipped, ensemble.assignment), x) == 1
-
-
-def test_ensemble_checkpoint_roundtrip(tmp_path):
-    ds = tiny_dataset()
-    tr, te = split(ds, 0.75, stratified=True, seed=4)
-    cfg = DefenseConfig(train=TrainConfig(epochs=1, seed=2), k=2, partition_seed=2)
-    ensemble, _ = train_ensemble(tr, te, cfg, prototype())
-    save_ensemble(ensemble, tmp_path / "ens")
-    back = load_ensemble(tmp_path / "ens")
-    assert back.k == ensemble.k
-    assert np.array_equal(back.assignment, ensemble.assignment)
-    for a, b in zip(back.members, ensemble.members):
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.head_weights, b.head_weights)
-
-
-@pytest.mark.parametrize(
-    "partition_map",
-    ["{not json", '{"assignment": [0, 1]}', '{"k": 1}', '{"k": "two", "assignment": []}', "[3]"],
-)
-def test_load_ensemble_rejects_malformed_partition_map(tmp_path, partition_map):
-    (tmp_path / "partition_map.json").write_text(partition_map)
-    with pytest.raises(DataFormatError, match="partition_map.json"):
-        load_ensemble(tmp_path)
-
-
-def test_load_ensemble_rejects_malformed_member(tmp_path):
-    (tmp_path / "partition_map.json").write_text('{"k": 1, "assignment": [0]}')
-    (tmp_path / "member_0.json").write_text('{"format_version": 1}')
-    with pytest.raises(DataFormatError, match="member_0.json"):
-        load_ensemble(tmp_path)

@@ -13,7 +13,6 @@ from quidlab.noise import (
     depolarizing,
     load_noise_model,
     noisy_apply,
-    save_noise_model,
 )
 from quidlab.simcore import (
     DensityMatrix,
@@ -156,9 +155,6 @@ def test_load_noise_model_roundtrip(tmp_path):
     assert model.default == (("depolarizing", 0.05),)
     assert model.entries_for("RZ") == ()  # override: RZ noise-free
     assert model.entries_for("h") == (("depolarizing", 0.05),)
-    out = tmp_path / "copy.json"
-    save_noise_model(model, out)
-    assert load_noise_model(out) == model
 
 
 def test_load_noise_model_rejects_bad_files(tmp_path):

@@ -362,7 +362,8 @@ def test_checkpoint_keeps_its_feature_count_and_version_1_still_loads(tmp_path):
 
 
 def test_library_paths_refuse_a_dataset_of_another_width():
-    # every public path that encodes features for a model
+    # every public path that encodes features for a model; those that take labels also
+    # refuse labels outside the model's head
     from quidlab.defense import (DefenseConfig, EnsembleModel, evaluate_ensemble,
                                  member_predictions, train_ensemble, vote)
 
@@ -386,6 +387,21 @@ def test_library_paths_refuse_a_dataset_of_another_width():
     for call in entry_points:
         with pytest.raises(ValueError, match="8 features.* 7"):
             call(narrow)
+    # labels outside the 4-class head: 4 in a 5-class dataset, and a raw -1
+    outside = LabeledDataset(wide.features, np.where(wide.labels == 3, 4, wide.labels), 5)
+    minus_one = np.where(wide.labels == 3, -1, wide.labels)
+    label_entry_points = [
+        lambda: evaluate(model, outside),
+        lambda: train(model, wide, outside, config),
+        lambda: train_ensemble(outside, wide, DefenseConfig(config, k=2), model),
+        lambda: head_gradient(model, wide.features, minus_one),
+        lambda: spsa_gradient(model, wide.features, minus_one, config),
+    ]
+    for call in label_entry_points:
+        with pytest.raises(ValueError, match="labels outside the model's 4 classes"):
+            call()
+    with pytest.raises(ValueError, match="15 labels for 16 rows"):
+        head_gradient(model, wide.features, wide.labels[:-1])
     assert 0.0 <= evaluate(model, wide)[0] <= 1.0
     assert 0.0 <= evaluate_ensemble(ensemble, wide) <= 1.0
     assert forward(model, wide.features[0]).shape == (4,)
