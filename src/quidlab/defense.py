@@ -83,8 +83,9 @@ def train_ensemble(
     """One model per partition with distinct derived seeds; each set is encoded once."""
     parts = partition(train_set, cfg.k, cfg.partition_seed)
     noise = cfg.train.noise
-    train_states, train_labels = _encode(prototype, train_set.features, noise, train_set.labels)
-    test_states, test_labels = _encode(prototype, test_set.features, noise, test_set.labels)
+    (train_states, train_labels), (test_states, test_labels) = _encode(
+        prototype, noise, (train_set.features, train_set.labels),
+        (test_set.features, test_set.labels))
     members: list[QnnModel] = []
     reports: list[TrainReport] = []
     for j, part in enumerate(parts):
@@ -114,7 +115,7 @@ def member_predictions(
         raise ValueError("empty ensemble")
     if len({(m.encoder, m.template, m.n_features) for m in ensemble.members}) > 1:
         raise ValueError("ensemble members use different encoders, templates or feature counts")
-    states, _ = _encode(ensemble.members[0], features, noise)
+    [(states, _)] = _encode(ensemble.members[0], noise, (features, None))
     preds = []
     for j, member in enumerate(ensemble.members):
         rng = np.random.Generator(np.random.PCG64(seed + j))

@@ -16,9 +16,11 @@ apply_pqc_stack pushes states forward through every gate and Kraus operator
 and is the test oracle. z_expectations reads <Z_q> in the Heisenberg picture
 instead: each Z_q is pulled back over its light cone only, through fused local
 adjoint superoperators, and contracted with the factors of the encoded states
-that the cone touches. What does not depend on theta is decided once per
-(template, noise entries of each gate, factor widths) and cached as a readout
-plan; a call takes one point or a stack of points.
+that the cone touches. All that does not depend on theta is cached per
+(template, noise entries of each gate name, factor widths) as a readout plan:
+the fusion blocks, each slot-bound gate's adjoint map as coefficients in its
+half angle, and each block's axis order. A call, on one point or a stack of
+points, is array work only.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .encode import _check_memory, _expand, _kron_factors
 from .errors import DataFormatError
 from .noise import NoiseModel, adjoint_noise_superop, noisy_apply_stack
 from .simcore import DensityMatrix, GateOp, apply_gate_stack, gate_matrix
-from .simcore import adjoint_superop, apply_superop_stack, rotation_matrices
+from .simcore import adjoint_superop, contract_superop
 
 PRESETS = ("pqc1", "pqc6", "pqc8")
 
@@ -79,6 +81,21 @@ class PqcTemplate:
         for g in self.gates:
             if any(q >= self.n_qubits for q in g.targets):
                 raise ValueError(f"template {self.name}: targets {g.targets} out of range")
+        # the readout's cache keys compare and hash these plain tuples, built once
+        key = (self.name, self.n_qubits, self.layers, self.param_count,
+               tuple((g.gate, tuple(g.targets), g.slot, g.angle) for g in self.gates))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_names", tuple(dict.fromkeys(g.gate for g in self.gates)))
+
+    def __eq__(self, other):
+        return self._key == other._key if isinstance(other, PqcTemplate) else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt through __init__, so a pool worker hashes it afresh
+        return PqcTemplate, (self.name, self.n_qubits, self.layers, self.gates, self.param_count)
 
     def to_json(self) -> dict:
         entries = []
@@ -219,28 +236,45 @@ def apply_pqc_stack(
     return stack
 
 
-def _rotation_halves(half_angles, arity, slots, is_z, noise) -> np.ndarray:
-    """(P, G, 4^k, 4^k) adjoint Liouville maps, U-half then noise half, at every point.
+# the half angles a at which _trig_coefficients samples a gate's map, and the DFT that takes
+# five samples to the coefficients of 1, cos a, sin a, cos 2a, sin 2a
+_SAMPLES = 2 * np.pi * np.arange(5) / 5
+_DFT = np.vstack([np.full(5, 0.2)]
+                 + [0.4 * f(j * _SAMPLES) for j in (1, 2) for f in (np.cos, np.sin)])
 
-    The G gates are one arity's slot-bound rotations (1: RX/RZ, 2: CRX/CRZ): slots[g]
-    is the slot gate g reads, is_z[g] whether it is RZ/CRZ, and noise the stack of
-    their adjoint noise halves (identity for none), or None when no gate has noise.
+
+def _trig_coefficients(name: str, noise) -> np.ndarray:
+    """(5, 4^k, 4^k) C with adjoint_superop(U(theta)) @ noise = sum_j C[j] f_j(theta / 2).
+
+    f is (1, cos, sin, cos 2., sin 2.): U's entries are 1 or linear in cos a and sin a of
+    the half angle a, so each entry of the map is a trigonometric polynomial of degree 2
+    in a (the structure of Mitarai et al., arXiv:1803.00745, and Rotosolve, Ostaszewski
+    et al., arXiv:1905.09692), which five equispaced samples fix exactly.
     """
-    angle = half_angles[:, slots]
-    u = rotation_matrices(angle, is_z)
-    if arity == 2:  # controlled: the rotation acts on the control's |1> block
-        controlled = np.zeros(angle.shape + (4, 4), dtype=complex)
-        controlled[..., 0, 0] = controlled[..., 1, 1] = 1.0
-        controlled[..., 2:, 2:] = u
-        u = controlled
-    d = u.shape[-1]
-    sop = np.einsum("...pr,...qc->...rcpq", u.conj(), u).reshape(angle.shape + (d * d, d * d))
-    return sop if noise is None else sop @ noise
+    samples = np.stack([adjoint_superop((gate_matrix(name, 2.0 * a),)) for a in _SAMPLES])
+    if noise is not None:
+        samples = samples @ noise
+    return np.tensordot(_DFT, samples, axes=1)
+
+
+def _rotation_maps(points: np.ndarray, slots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(P, G, 4^k, 4^k) adjoint maps of G slot-bound gates of arity k at (P, param_count) points.
+
+    Gate g reads slots[g]; coeffs is the (G, 5, 2 * 16^k) real view of its
+    _trig_coefficients. One cos, one sin and one matmul for all gates and points.
+    """
+    angles = points[:, slots, None] * (0.5, 1.0)  # a and 2a
+    basis = np.ones(angles.shape[:-1] + (1, 5))
+    basis[..., 0, 1::2] = np.cos(angles)
+    basis[..., 0, 2::2] = np.sin(angles)
+    d = math.isqrt(coeffs.shape[-1] // 2)
+    return (basis @ coeffs).view(complex).reshape(angles.shape[:2] + (d, d))
 
 
 # Peak memory of a readout group as a multiple of its observable and state stacks; tracemalloc
-# measured at most 2.75x for dense pqc6 (6-7 qubits, P = 1, 2), 3.0x for a 0.2 MiB pqc8 one
-_READOUT_PEAK = 3.0
+# measured at most 3.15x for dense pqc6 and pqc8 (6-7 qubits, P = 1, 2, one row), where the
+# observables are live three times over in a contraction and the rotation maps add the rest
+_READOUT_PEAK = 3.2
 _CHECK_FLOOR = 1 << 26  # bytes below which a readout skips the memory-limit lookup
 
 
@@ -282,24 +316,45 @@ def _fuse(gates) -> list:
     return blocks + [((q,), tuple(block)) for q, block in pending.items()]
 
 
+def _layouts(blocks, m: int) -> tuple:
+    """contract_superop's axis order per (targets, leading axes of its map) block, each taken
+    from the previous block's, on a (P, G, 2, ..., 2) stack of m-qubit observables; and the
+    order back to (P, G, rows, columns). Axes a block leaves behind keep their order."""
+    layout = list(range(2 + 2 * m))
+    perms = []
+    for targets, lead in blocks:
+        front = list(range(lead)) + [2 + q for q in targets] + [2 + m + q for q in targets]
+        order = front + [a for a in layout if a not in front]
+        perms.append(tuple(layout.index(a) for a in order))
+        layout = order
+    return perms, tuple(layout.index(a) for a in range(len(layout)))
+
+
+def _noise_entries(tpl: PqcTemplate, model: NoiseModel | None) -> tuple:
+    """The readout plan's noise key: the model's entries for each distinct gate name of tpl."""
+    return () if model is None else tuple(model.entries_for(name) for name in tpl._names)
+
+
 @functools.lru_cache(maxsize=64)
 def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
-    """The pull-back of tpl, entries[i] the noise entries after gate i; cached.
+    """The pull-back of tpl under the noise entries of _noise_entries; cached.
 
     Each register of _light_cones pulls its Z_q back through its gates, fused into
     blocks. Registers of equal factor widths and block shapes form a group, pulled
-    back as one stack. Returns the (arity, slots, is_z, noise) arguments of
-    _rotation_halves per arity, and per group (qubits, diagonals of their Z_q, the
-    factor indices of their registers (one row if all equal), (targets, factors) per
-    block). A factor is a fixed map, or (arity, index into the per-call halves); if
-    the group's registers differ, with a group axis.
+    back as one stack. Returns the (arity, slots, coefficients) arguments of
+    _rotation_maps per arity, and per group (qubits, diagonals of their Z_q, the
+    factor indices of their registers (one row if all equal), blocks, the final order
+    of _layouts). A block is (its contract_superop order, arity, factors); a factor is
+    a fixed map, or (arity, index into the per-call rotation maps); if the group's
+    registers differ, with a group axis.
     """
+    noise_of = dict(zip(tpl._names, entries))
     ops = bound_gates(tpl, np.zeros(tpl.param_count))  # validates names and arities
-    slot_gates: dict[int, list] = {1: [], 2: []}  # arity -> (slot, is_z, noise half) per gate
+    slot_gates: dict[int, list] = {1: [], 2: []}  # arity -> (slot, coefficients) per gate
     maps = []
-    for gate, op, gate_entries in zip(tpl.gates, ops, entries):
+    for gate, op in zip(tpl.gates, ops):
         k = len(op.targets)
-        noise = adjoint_noise_superop(gate_entries, k)
+        noise = adjoint_noise_superop(noise_of.get(gate.gate, ()), k)
         if gate.slot is None:
             sop = adjoint_superop((gate_matrix(op.name, op.param),))
             sop = sop if noise is None else sop @ noise
@@ -307,7 +362,7 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
             maps.append(sop)
         else:
             maps.append((k, len(slot_gates[k])))
-            slot_gates[k].append((gate.slot, op.name.endswith("Z"), noise))
+            slot_gates[k].append((gate.slot, _trig_coefficients(op.name, noise)))
     first = np.cumsum((0,) + widths)
     registers: dict[tuple, list] = {}
     for span, qubits, chosen in _light_cones(tpl, widths):
@@ -322,21 +377,23 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
     for members in registers.values():
         qubits, diags, spans, member_blocks = zip(*sorted(members))  # qubits ascending
         blocks = member_blocks[0]
-        if any(mb is not blocks for mb in member_blocks):  # (P or 1, G, d, d) maps
+        differ = any(mb is not blocks for mb in member_blocks)
+        if differ:  # (P or 1, G, d, d) maps
             blocks = tuple((t, tuple(
                 (f[0], np.array([mb[b][1][i][1] for mb in member_blocks])) if isinstance(f, tuple)
                 else np.stack([mb[b][1][i] for mb in member_blocks])[None]
                 for i, f in enumerate(fs))) for b, (t, fs) in enumerate(blocks))
+        perms, final = _layouts([(t, 2 if differ else int(any(isinstance(f, tuple) for f in fs)))
+                                 for t, fs in blocks], len(diags[0]).bit_length() - 1)
+        blocks = tuple((perm, len(t), fs) for perm, (t, fs) in zip(perms, blocks))
         span = np.array(spans[:1] if len(set(spans)) == 1 else spans)
-        groups.append((np.array(qubits), np.array(diags), span, blocks))
+        groups.append((np.array(qubits), np.array(diags), span, blocks, final))
     rotations = []
     for k, group in slot_gates.items():
         if group:
-            slots, is_z, noises = zip(*group)
-            eye = np.eye(4**k, dtype=complex)
-            noise = None if all(x is None for x in noises) else np.stack(
-                [eye if x is None else x for x in noises])
-            rotations.append((k, np.array(slots, dtype=np.intp), np.array(is_z), noise))
+            slots, coeffs = zip(*group)
+            coeffs = np.stack(coeffs).reshape(len(coeffs), 5, -1).view(float)
+            rotations.append((k, np.array(slots, dtype=np.intp), coeffs))
     return tuple(rotations), tuple(groups)
 
 
@@ -377,8 +434,9 @@ def z_expectations(
 
     Heisenberg picture (Nielsen & Chuang, section 8.2): walking the gates from last to
     first, Z_q passes through the adjoint of each gate's after-gate noise, then U^dag O U,
-    one local 4x4 or 16x16 Liouville matrix per gate. The U(theta) halves of all points
-    are built in one step, and each plan block is one contraction for all points. Then
+    one local 4x4 or 16x16 Liouville matrix per gate. The maps of all points come from
+    the plan's coefficients in one step per arity (_rotation_maps), and each plan block
+    is one contraction for all points (simcore.contract_superop). Then
     z_q = Tr((⊗_{f in span} rho_f) O_q): pqc1 reads 2x2 observables against one-qubit
     angle factors, and a dense factor (_readout_factors) reads dense ones.
     """
@@ -391,24 +449,25 @@ def z_expectations(
     if sum(widths) != tpl.n_qubits:
         raise ValueError(f"states have {sum(widths)} qubits but template wants {tpl.n_qubits}")
     points = theta.reshape((math.prod(theta.shape[:-1]), tpl.param_count))
-    entries = tuple(() if model is None else model.entries_for(g.gate) for g in tpl.gates)
-    rotations, groups = _readout_plan(tpl, entries, widths)
-    halves = {rot[0]: _rotation_halves(0.5 * points, *rot) for rot in rotations}
+    rotations, groups = _readout_plan(tpl, _noise_entries(tpl, model), widths)
+    rotation = {k: _rotation_maps(points, slots, coeffs) for k, slots, coeffs in rotations}
     rows = max(map(len, factors))
     z = np.empty((len(points), rows, tpl.n_qubits))
-    for qubits, diag, span, blocks in groups:
+    for qubits, diag, span, blocks, final in groups:
         n_obs, dim = diag.shape
-        _check_readout(len(points), n_obs, dim.bit_length() - 1, rows * len(span))
+        m = dim.bit_length() - 1
+        _check_readout(len(points), n_obs, m, rows * len(span))
         obs = np.zeros((len(points), n_obs, dim * dim), dtype=complex)
         obs[:, :, :: dim + 1] = diag
-        obs = obs.reshape(len(points), n_obs, dim, dim)
-        for targets, maps in blocks:
+        obs = obs.reshape((len(points), n_obs) + (2,) * (2 * m))
+        for perm, k, maps in blocks:
             sop = None
             for f in maps:
-                f = halves[f[0]][:, f[1]] if isinstance(f, tuple) else f
+                f = rotation[f[0]][:, f[1]] if isinstance(f, tuple) else f
                 sop = f if sop is None else f @ sop
-            obs = apply_superop_stack(obs, sop, targets, dim.bit_length() - 1)
-        flat = obs.reshape(obs.shape[:2] + (-1,)).conj()  # Tr(rho O) = sum_ij rho_ij conj(O_ij)
+            obs = contract_superop(obs, sop, perm, k)
+        flat = obs.transpose(final).reshape(len(points), n_obs, dim * dim)
+        np.conjugate(flat, out=flat)  # Tr(rho O) = sum_ij rho_ij conj(O_ij)
         if len(span) == 1:  # every register of the group is the same factors
             states = _kron_factors([factors[f] for f in span[0]])
             z_group = states.reshape(len(states), -1) @ flat.swapaxes(1, 2)  # a product per point

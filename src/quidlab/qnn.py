@@ -197,7 +197,7 @@ def forward(
     seed: int = 0,
 ) -> np.ndarray:
     """Class probabilities for one (already scaled) feature vector."""
-    states, _ = _encode(model, np.reshape(x, (1, -1)), noise)
+    [(states, _)] = _encode(model, noise, (np.reshape(x, (1, -1)), None))
     rng = np.random.Generator(np.random.PCG64(seed))
     probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
     return probs[0]
@@ -250,25 +250,31 @@ def _spsa_pair(model, states, labels, config: TrainConfig, rng) -> np.ndarray:
     return spsa_estimate(pair_loss, model.theta, SPSA_C, rng, paired=True)
 
 
-def _encode(model: QnnModel, X, noise: NoiseModel | None, labels=None) -> tuple:
-    """The model-input gate: (X's states as pqc._readout_factors gives them, int64 labels).
+def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
+    """The model-input gate: per (X, labels or None) set, (X's states as
+    pqc._readout_factors gives them, int64 labels or None).
 
-    Refuses an empty X, a width other than n_features (None: unknown) and labels outside
-    [0, n_classes) or not one per row, each with ValueError.
+    Checks every set before it encodes any. Refuses an empty X, a width other than
+    n_features (None: unknown) and labels outside [0, n_classes) or not one per row,
+    each with ValueError.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.size == 0:
-        raise ValueError("empty batch")
-    if model.n_features is not None and X.shape[1] != model.n_features:
-        raise ValueError(f"model is built for {model.n_features} features, "
-                         f"the data has {X.shape[1]}")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != X.shape[:1]:
-            raise ValueError(f"{labels.size} labels for {X.shape[0]} rows")
-        if np.any((labels < 0) | (labels >= model.n_classes)):
-            raise ValueError(f"labels outside the model's {model.n_classes} classes")
-    return _readout_factors(_encode_factors(X, model.encoder, noise), model.template), labels
+    checked = []
+    for X, labels in sets:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.size == 0:
+            raise ValueError("empty batch")
+        if model.n_features is not None and X.shape[1] != model.n_features:
+            raise ValueError(f"model is built for {model.n_features} features, "
+                             f"the data has {X.shape[1]}")
+        if labels is not None:
+            labels = np.asarray(labels, dtype=np.int64)
+            if labels.shape != X.shape[:1]:
+                raise ValueError(f"{labels.size} labels for {X.shape[0]} rows")
+            if np.any((labels < 0) | (labels >= model.n_classes)):
+                raise ValueError(f"labels outside the model's {model.n_classes} classes")
+        checked.append((X, labels))
+    return [(_readout_factors(_encode_factors(X, model.encoder, noise), model.template), labels)
+            for X, labels in checked]
 
 
 def spsa_gradient(
@@ -279,7 +285,7 @@ def spsa_gradient(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """SPSA estimate of the batch-mean loss gradient w.r.t. the quantum parameters."""
-    states, y = _encode(model, X, config.noise, y)
+    [(states, y)] = _encode(model, config.noise, (X, y))
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(config.seed))
     return _spsa_pair(model, states, y, config, rng)
@@ -294,7 +300,7 @@ def head_gradient(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact softmax cross-entropy gradients (dW, db) at the current parameters."""
-    states, y = _encode(model, X, noise, y)
+    [(states, y)] = _encode(model, noise, (X, y))
     probs, z = _forward_from_states(model, states, model.theta, noise, shots, rng)
     return _head_grads_from(probs, z, y)
 
@@ -333,9 +339,9 @@ def train(
     Both gradients are evaluated at the pre-update parameters of each batch,
     then both groups step. Fully deterministic given config.seed.
     """
-    train_states, train_labels = _encode(model, train_set.features, config.noise,
-                                         train_set.labels)
-    test_states, test_labels = _encode(model, test_set.features, config.noise, test_set.labels)
+    (train_states, train_labels), (test_states, test_labels) = _encode(
+        model, config.noise, (train_set.features, train_set.labels),
+        (test_set.features, test_set.labels))
     return _fit(model, train_states, train_labels, test_states, test_labels, config)
 
 
@@ -400,7 +406,7 @@ def evaluate(
     seed: int = 0,
 ) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) over a dataset."""
-    states, labels = _encode(model, dataset.features, noise, dataset.labels)
+    [(states, labels)] = _encode(model, noise, (dataset.features, dataset.labels))
     rng = np.random.Generator(np.random.PCG64(seed))
     return _evaluate_states(model, states, labels, noise, shots, rng)
 

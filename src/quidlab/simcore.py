@@ -220,6 +220,19 @@ def _superop_axes(
     return tuple(perm), tuple(int(a) for a in np.argsort(perm))
 
 
+def contract_superop(t: np.ndarray, sop: np.ndarray, perm: tuple, k: int) -> np.ndarray:
+    """A local 4^k x 4^k Liouville matrix applied to the tensor t with its axes put in order perm.
+
+    In that order t's first axes match sop's leading ones (or those have size 1), then come
+    the k target row and k target column axes. The result keeps the order, so a caller can
+    carry it from map to map and restore it once.
+    """
+    t = t.transpose(perm)
+    shape = t.shape
+    lead = sop.ndim - 2
+    return (sop @ t.reshape(shape[:lead] + (4**k, math.prod(shape[lead + 2 * k:])))).reshape(shape)
+
+
 def apply_superop_stack(
     stack: np.ndarray, sop: np.ndarray, targets: tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
@@ -229,14 +242,10 @@ def apply_superop_stack(
     (P, 4^k, 4^k) stack of them whose p-th acts on stack[p]; its leading axes match
     the stack's first ones or have size 1.
     """
-    k = len(targets)
-    points = sop.shape[:-2]
     lead = stack.shape[:-2]
-    perm, inverse = _superop_axes(tuple(targets), n_qubits, len(lead), len(points))
-    t = stack.reshape(lead + (2,) * (2 * n_qubits)).transpose(perm)
-    moved = t.shape
-    t = sop @ t.reshape(moved[:len(points)] + (4**k, math.prod(moved[len(points) + 2 * k:])))
-    return t.reshape(moved).transpose(inverse).reshape(stack.shape)
+    perm, inverse = _superop_axes(tuple(targets), n_qubits, len(lead), sop.ndim - 2)
+    t = contract_superop(stack.reshape(lead + (2,) * (2 * n_qubits)), sop, perm, len(targets))
+    return t.transpose(inverse).reshape(stack.shape)
 
 
 def apply_gate_stack(stack: np.ndarray, gate: GateOp, n_qubits: int) -> np.ndarray:

@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_pure_state
 from quidlab.encode import EncoderConfig, _encode_factors, _kron_factors
-from quidlab.noise import NoiseModel
+from quidlab.noise import NoiseModel, adjoint_noise_superop
 from quidlab.pqc import (
+    _READOUT_PEAK,
     PRESETS,
     PqcTemplate,
     TemplateGate,
+    _layouts,
     _light_cones,
+    _noise_entries,
     _readout_factors,
+    _readout_plan,
+    _rotation_maps,
     apply_pqc,
     apply_pqc_stack,
     build_template,
@@ -21,7 +26,8 @@ from quidlab.pqc import (
     save_template,
     z_expectations,
 )
-from quidlab.simcore import DensityMatrix, expect_z_stack, ground_state
+from quidlab.simcore import (DensityMatrix, adjoint_superop, apply_superop_stack,
+                             contract_superop, expect_z_stack, gate_matrix, ground_state)
 
 
 @pytest.mark.parametrize(
@@ -280,15 +286,17 @@ def test_template_without_gates_reads_out_plain_z(rng):
 
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
 def test_point_stack_readout_equals_one_point_at_a_time(noise, rng):
+    # bit for bit, on dense states and on factored ones (pqc1 reads one grouped stack)
     model = READOUT_NOISE[noise]
     states = np.stack([random_density_matrix(rng, 3) for _ in range(4)])
     templates = [build_template(name, 3, 2) for name in PRESETS]
     for tpl in templates + [PqcTemplate.from_json(HAND_WRITTEN)]:
         thetas = rng.uniform(-np.pi, np.pi, (3, tpl.param_count))
-        stacked = heisenberg_z(states, tpl, thetas, model)
-        assert stacked.shape == (3, 4, 3)
-        single = np.stack([heisenberg_z(states, tpl, theta, model) for theta in thetas])
-        assert np.max(np.abs(stacked - single)) <= 1e-15
+        for factors in [(states,)] + list(factored_inputs(3, rng, model)):
+            stacked = z_expectations(factors, tpl, thetas, model)
+            assert stacked.shape == (3, len(factors[-1]), 3)
+            single = np.stack([z_expectations(factors, tpl, theta, model) for theta in thetas])
+            assert np.array_equal(stacked, single)
 
 
 def test_zero_noise_readout_is_bit_identical_to_noiseless(rng):
@@ -316,8 +324,8 @@ def test_readout_fuses_gates_into_few_contractions(name, contractions, monkeypat
     import quidlab.pqc as pqc
 
     calls = []
-    apply = pqc.apply_superop_stack
-    monkeypatch.setattr(pqc, "apply_superop_stack", lambda *a: calls.append(a) or apply(*a))
+    contract = pqc.contract_superop
+    monkeypatch.setattr(pqc, "contract_superop", lambda *a: calls.append(a) or contract(*a))
     tpl = build_template(name, 4)
     states = np.stack([random_density_matrix(np.random.default_rng(0), 4)])
     heisenberg_z(states, tpl, np.zeros(tpl.param_count), NoiseModel.from_error_rate(0.05))
@@ -353,3 +361,102 @@ def test_light_cone_readout_refuses_states_of_another_register_size(rng):
     tpl = build_template("pqc1", 4)
     with pytest.raises(ValueError, match="3 qubits but template wants 4"):
         z_expectations(factors, tpl, np.zeros(tpl.param_count))
+
+
+@pytest.mark.parametrize("noise", list(READOUT_NOISE))
+@pytest.mark.parametrize("name", ["RX", "RZ", "CRX", "CRZ"])
+def test_plan_coefficients_give_each_gates_adjoint_map(name, noise, rng):
+    # the plan's trigonometric coefficients against the map built from the gate at theta
+    model = READOUT_NOISE[noise]
+    k = len(name) - 1
+    tpl = PqcTemplate("one", k, 1, (TemplateGate(name, tuple(range(k)), slot=0),), 1)
+    [(arity, slots, coeffs)], _groups = _readout_plan(tpl, _noise_entries(tpl, model), (k,))
+    assert arity == k
+    thetas = np.concatenate([[0.0, np.pi, -np.pi, 2 * np.pi, 1e3], rng.uniform(-9, 9, 16)])
+    maps = _rotation_maps(thetas[:, None], slots, coeffs)[:, 0]
+    noise_half = adjoint_noise_superop(model.entries_for(name) if model else (), k)
+    for theta, got in zip(thetas, maps):
+        want = adjoint_superop((gate_matrix(name, theta),))
+        want = want if noise_half is None else want @ noise_half
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def two_copy_contraction(stack, sop, targets, n):
+    """The contraction that restores the axis order after every map: transpose-copy, matmul,
+    transpose-copy back. The oracle for the carried layouts."""
+    lead, n_points = stack.shape[:-2], sop.ndim - 2
+    rows = [len(lead) + q for q in targets]
+    front = list(range(n_points)) + rows + [q + n for q in rows]
+    perm = front + [a for a in range(len(lead) + 2 * n) if a not in front]
+    t = stack.reshape(lead + (2,) * (2 * n)).transpose(perm)
+    moved = t.shape
+    t = sop @ t.reshape(moved[:n_points] + (4 ** len(targets), -1))
+    return t.reshape(moved).transpose(np.argsort(perm)).reshape(stack.shape)
+
+
+def test_layouts_carried_across_blocks_match_restoring_after_each(rng):
+    # contract_superop in the plan's carried axis orders, restored once at the end, and
+    # apply_superop_stack, against the oracle; targets out of order and apart, and maps
+    # with no, point, and point and group leading axes
+    m, P, G = 4, 3, 2
+    blocks = [((3, 1), 1), ((0,), 0), ((2,), 2), ((0, 3), 2), ((1, 2), 0), ((2, 0), 1)]
+    leads = {0: (), 1: (P,), 2: (P, G)}
+    shape = (P, G, 1 << m, 1 << m)
+    obs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    perms, final = _layouts(blocks, m)
+    carried, stepped, want = obs.reshape((P, G) + (2,) * (2 * m)), obs, obs
+    for (targets, lead), perm in zip(blocks, perms):
+        d = (4 ** len(targets),) * 2
+        sop = rng.standard_normal(leads[lead] + d) + 1j * rng.standard_normal(leads[lead] + d)
+        carried = contract_superop(carried, sop, perm, len(targets))
+        stepped = apply_superop_stack(stepped, sop, targets, m)
+        want = two_copy_contraction(want, sop, targets, m)
+        assert np.max(np.abs(stepped - want)) <= 1e-12 * np.max(np.abs(want))
+    got = carried.transpose(final).reshape(shape)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_readout_plan_lookup_builds_nothing_for_an_equal_template(monkeypatch, rng):
+    import pickle
+
+    import quidlab.pqc as pqc
+
+    model = NoiseModel.from_error_rate(0.05)
+    factors = _encode_factors(rng.uniform(0, 2 * np.pi, (3, 8)), EncoderConfig("angle", 4, 2),
+                              model)
+    tpl = build_template("pqc6", 4)
+    theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
+    first = z_expectations(factors, tpl, theta, model)
+    built = pqc._readout_plan.cache_info().misses
+    compared = []
+    eq = TemplateGate.__eq__
+    monkeypatch.setattr(TemplateGate, "__eq__", lambda a, b: compared.append(a) or eq(a, b))
+    for again in (build_template("pqc6", 4), pickle.loads(pickle.dumps(tpl))):  # equal, not tpl
+        assert again is not tpl and again == tpl and hash(again) == hash(tpl)
+        assert np.array_equal(z_expectations(factors, again, theta, model), first)
+    assert pqc._readout_plan.cache_info().misses == built
+    assert compared == []
+    assert build_template("pqc6", 4, 2) != tpl and build_template("pqc8", 4) != tpl
+
+
+@pytest.mark.parametrize("name", ["pqc6", "pqc8"])
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("points", [1, 2])
+def test_dense_readout_peaks_within_the_capacity_factor(name, n, points, rng):
+    # _check_readout sizes a group at _READOUT_PEAK times its observable and state stacks
+    import tracemalloc
+
+    model = NoiseModel.from_error_rate(0.05)
+    tpl = build_template(name, n)
+    factors = _encode_factors(rng.uniform(0, 2 * np.pi, (1, n)), EncoderConfig("angle", n), model)
+    states = (_kron_factors(factors),)  # one dense group of n observables, one row
+    theta = rng.uniform(-np.pi, np.pi, (points, tpl.param_count))
+    z_expectations(states, tpl, theta, model)  # the plan, built once
+    tracemalloc.start()
+    try:
+        z_expectations(states, tpl, theta, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured at most 3.15x, pqc6 at 6 qubits and two points, where the rotation maps weigh most
+    assert peak + states[0].nbytes <= _READOUT_PEAK * 16 * 4**n * (points * n + 1), peak

@@ -407,6 +407,29 @@ def test_library_paths_refuse_a_dataset_of_another_width():
     assert forward(model, wide.features[0]).shape == (4,)
 
 
+def test_training_checks_both_sets_before_encoding_either(monkeypatch):
+    # a bad test set is refused before the training set, which comes first, is encoded
+    from quidlab.defense import DefenseConfig, train_ensemble
+
+    encoded = []
+    real = qnn._encode_factors
+    monkeypatch.setattr(qnn, "_encode_factors", lambda *a: encoded.append(a) or real(*a))
+    model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4,
+                       n_features=8)
+    good = separable_dataset(per_class=50)
+    outside = LabeledDataset(good.features, np.where(good.labels == 3, 4, good.labels), 5)
+    narrow = good.replace(features=good.features[:, :7])
+    config = TrainConfig(epochs=1)
+    for bad, match in ((outside, "labels outside the model's 4 classes"), (narrow, "8 features")):
+        for call in (lambda: train(model, good, bad, config),
+                     lambda: train_ensemble(good, bad, DefenseConfig(config, k=2), model)):
+            with pytest.raises(ValueError, match=match):
+                call()
+            assert encoded == []
+    train(model, good, good, TrainConfig(epochs=0))
+    assert len(encoded) == 2
+
+
 def test_model_shape_validation():
     enc = EncoderConfig("angle", 2, 2)
     tpl = build_template("pqc1", 2, 1)
