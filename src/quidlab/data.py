@@ -20,6 +20,21 @@ from .errors import DataFormatError
 
 # synthetic feature range and default encoder scale range: one angle period
 DEFAULT_RANGE = (0.0, 2.0 * math.pi)
+SYNTH_RETRIES = 1000  # draws of the class means before synth_clusters gives up
+
+
+def class_ids(labels, n_classes: int, whose: str = "the dataset's") -> np.ndarray:
+    """labels as int64 class ids; ValueError for a fractional or non-finite value, or an id
+    outside [0, n_classes)."""
+    values = np.asarray(labels)
+    if values.dtype.kind not in "biu":
+        values = values.astype(float)
+        whole = np.isfinite(values) & (np.round(values) == values)
+        if not whole.all():
+            raise ValueError(f"labels must be whole numbers, got {values[~whole][0]}")
+    if values.size and (values.min() < 0 or values.max() >= n_classes):
+        raise ValueError(f"labels outside {whose} {n_classes} classes")
+    return values.astype(np.int64)
 
 
 @dataclass
@@ -31,15 +46,13 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = class_ids(self.labels, self.n_classes)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
             )
         if self.features.shape[1] < 1:
             raise ValueError("feature dimension must be >= 1")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
-            raise ValueError(f"labels outside [0, {self.n_classes})")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -150,13 +163,11 @@ def synth_clusters(
     per_class: int,
     spread: float = 0.25,
     seed: int = 0,
-    value_range: tuple[float, float] = DEFAULT_RANGE,
-    max_retries: int = 1000,
 ) -> LabeledDataset:
-    """Gaussian blobs around class means drawn uniformly in the value range.
+    """Gaussian blobs around class means drawn uniformly in DEFAULT_RANGE.
 
-    Means are redrawn until every pair is at least range_width/(2C) apart
-    (Euclidean); samples are clipped back into the range.
+    Means are redrawn, up to SYNTH_RETRIES times, until every pair is at least
+    range_width/(2C) apart (Euclidean); samples are clipped back into the range.
     """
     if n_classes < 2:
         raise ValueError("n_classes must be at least 2")
@@ -164,13 +175,13 @@ def synth_clusters(
         raise ValueError("per_class must be positive")
     if dim < 1:
         raise ValueError("dim must be positive")
-    if spread < 0:
-        raise ValueError("spread must be non-negative")
-    lo, hi = value_range
+    if not 0 <= spread < math.inf:
+        raise ValueError("spread must be non-negative and finite")
+    lo, hi = DEFAULT_RANGE
     min_sep = (hi - lo) / (2.0 * n_classes)
     rng = np.random.Generator(np.random.PCG64(seed))
     means = None
-    for _ in range(max_retries):
+    for _ in range(SYNTH_RETRIES):
         cand = rng.uniform(lo, hi, size=(n_classes, dim))
         dists = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=-1)
         dists[np.diag_indices(n_classes)] = np.inf
@@ -179,7 +190,7 @@ def synth_clusters(
             break
     if means is None:
         raise ValueError(
-            f"could not draw {n_classes} means {min_sep:.3g} apart in {max_retries} tries"
+            f"could not draw {n_classes} means {min_sep:.3g} apart in {SYNTH_RETRIES} tries"
         )
     features = np.empty((n_classes * per_class, dim))
     labels = np.empty(n_classes * per_class, dtype=np.int64)

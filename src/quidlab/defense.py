@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class DefenseConfig:
 @dataclass
 class EnsembleModel:
     members: list[QnnModel]
-    assignment: np.ndarray = field(repr=False)  # sample index -> partition id
 
     @property
     def k(self) -> int:
@@ -63,15 +62,6 @@ def partition(dataset: LabeledDataset, k: int, seed: int) -> list[np.ndarray]:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     order = sorted(range(n), key=lambda i: (_index_hash(seed, i), i))
     return [np.sort(np.array(order[j::k], dtype=np.int64)) for j in range(k)]
-
-
-def assignment_from_parts(parts: list[np.ndarray], n: int) -> np.ndarray:
-    assignment = np.full(n, -1, dtype=np.int64)
-    for j, part in enumerate(parts):
-        assignment[part] = j
-    if (assignment < 0).any():
-        raise ValueError("partition does not cover every index")
-    return assignment
 
 
 def train_ensemble(
@@ -100,7 +90,7 @@ def train_ensemble(
                       test_labels, member_cfg)
         members.append(report.model)
         reports.append(report)
-    return EnsembleModel(members, assignment_from_parts(parts, len(train_set))), reports
+    return EnsembleModel(members), reports
 
 
 def member_predictions(

@@ -280,7 +280,6 @@ class EncodingCell:
     encoder: str
     noise_p: float
     accuracy: float
-    wall_seconds: float
 
 
 def encoder_label(cfg: EncoderConfig) -> str:
@@ -307,7 +306,5 @@ def compare_encodings(
                 dataset, cfg, metric, model=NoiseModel.from_error_rate(p),
                 holdout_fraction=holdout_fraction, seed=seed,
             )
-            cells.append(
-                EncodingCell(encoder_label(cfg), float(p), report.accuracy, report.wall_seconds)
-            )
+            cells.append(EncodingCell(encoder_label(cfg), float(p), report.accuracy))
     return cells

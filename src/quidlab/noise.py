@@ -1,17 +1,21 @@
 """Noise channels and per-gate noise models.
 
 A NoiseModel maps lowercase gate names to a tuple of (channel kind, parameter)
-entries; gates without an entry fall back to the model default. noisy_apply
-runs the gate and then feeds every touched qubit through the listed channels
-in order, which mirrors a simulator that injects noise after each gate.
-Two-qubit gates get independent single-qubit noise on each touched qubit.
-Channels are built once per distinct entry tuple (channels_for_entries).
+entries; gates without an entry fall back to the model default. The model is
+the one check of its entries: keys are lowercase simcore gate names, kinds
+come from CHANNEL_KINDS and parameters are real numbers in [0, 1], not
+booleans. load_noise_model checks only the file's JSON shape, then builds one.
+noisy_apply runs the gate and then feeds every touched qubit through the
+listed channels in order, which mirrors a simulator that injects noise after
+each gate. Two-qubit gates get independent single-qubit noise on each touched
+qubit. Channels are built once per distinct entry tuple (channels_for_entries).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +83,18 @@ def adjoint_noise_superop(entries: tuple[tuple[str, float], ...], arity: int) ->
     return sop
 
 
+def _checked_entries(key, entries) -> tuple[tuple[str, float], ...]:
+    """entries as (kind, float parameter) pairs; ValueError naming key for a bad kind or value."""
+    checked = []
+    for kind, param in entries:
+        if kind not in CHANNEL_KINDS:
+            raise ValueError(f"entry {key!r} names unknown channel {kind!r}")
+        if isinstance(param, bool) or not isinstance(param, numbers.Real) or not 0 <= param <= 1:
+            raise ValueError(f"entry {key!r} parameter {param!r} is not a number in [0, 1]")
+        checked.append((kind, float(param)))
+    return tuple(checked)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-gate noise: lowercase gate name -> ((kind, parameter), ...)."""
@@ -87,24 +103,19 @@ class NoiseModel:
     default: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
+        gates = {name.lower() for name in GATE_ARITY}
+        for name in self.per_gate:
+            if name not in gates:
+                raise ValueError(f"unknown gate key {name!r}; expected one of {sorted(gates)}")
         # entry tuples key the channel caches, so lists given by a caller become tuples
         object.__setattr__(self, "per_gate", {
-            name: tuple((kind, param) for kind, param in entries)
-            for name, entries in self.per_gate.items()
+            name: _checked_entries(name, entries) for name, entries in self.per_gate.items()
         })
-        object.__setattr__(self, "default", tuple((kind, param) for kind, param in self.default))
-        for entries in list(self.per_gate.values()) + [self.default]:
-            for kind, param in entries:
-                if kind not in CHANNEL_KINDS:
-                    raise ValueError(f"unknown channel kind {kind!r}")
-                if not 0.0 <= param <= 1.0:
-                    raise ValueError(f"{kind} parameter {param} out of [0, 1]")
+        object.__setattr__(self, "default", _checked_entries("default", self.default))
 
     @classmethod
     def from_error_rate(cls, p: float) -> "NoiseModel":
         """Amplitude damping then depolarizing after every gate, both at p."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"error rate must be in [0, 1], got {p}")
         return cls(default=(("amplitude_damping", p), ("depolarizing", p)))
 
     def entries_for(self, gate_name: str) -> tuple[tuple[str, float], ...]:
@@ -130,39 +141,16 @@ def noisy_apply(rho: DensityMatrix, gate: GateOp, model: NoiseModel) -> DensityM
     return DensityMatrix(rho.n_qubits, out[0])
 
 
-_VALID_KEYS = {name.lower() for name in GATE_ARITY} | {"default"}
-
-
 def load_noise_model(path) -> NoiseModel:
-    """Read the JSON noise-model file format (see README)."""
+    """Read the JSON noise-model file format (see README); NoiseModel checks the entries."""
     raw = read_json(path)
-    per_gate: dict[str, tuple[tuple[str, float], ...]] = {}
-    default: tuple[tuple[str, float], ...] = ()
     for key, value in raw.items():
-        if key not in _VALID_KEYS:
-            raise DataFormatError(
-                f"{path}: unknown key {key!r}; expected gate names {sorted(_VALID_KEYS)}"
-            )
-        if not isinstance(value, list):
-            raise DataFormatError(f"{path}: entry {key!r} must be an array of pairs")
-        entries = []
-        for item in value:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise DataFormatError(
-                    f"{path}: entry {key!r} holds {item!r}, expected [channel, parameter]"
-                )
-            kind, param = item
-            if kind not in CHANNEL_KINDS:
-                raise DataFormatError(
-                    f"{path}: entry {key!r} names unknown channel {kind!r}"
-                )
-            if type(param) not in (int, float) or not 0.0 <= param <= 1.0:
-                raise DataFormatError(
-                    f"{path}: entry {key!r} parameter {param!r} is not a number in [0, 1]"
-                )
-            entries.append((kind, float(param)))
-        if key == "default":
-            default = tuple(entries)
-        else:
-            per_gate[key] = tuple(entries)
-    return NoiseModel(per_gate=per_gate, default=default)
+        if not (isinstance(value, list)
+                and all(isinstance(item, list) and len(item) == 2 for item in value)):
+            raise DataFormatError(f"{path}: entry {key!r} must be an array of "
+                                  "[channel, parameter] pairs")
+    try:
+        return NoiseModel(per_gate={k: v for k, v in raw.items() if k != "default"},
+                          default=raw.get("default", ()))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

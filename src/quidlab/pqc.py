@@ -1,7 +1,9 @@
 """Declarative parameterized-circuit templates.
 
 Templates are plain data: an ordered gate list whose entries either bind a
-trainable slot or carry a fixed angle. The shipped presets are the
+trainable slot or carry a fixed angle. Each TemplateGate runs simcore.GateOp's
+check when built, so a template that constructs also reads out, saves and
+loads; from_json only parses. The shipped presets are the
 non-entangling rotation circuit (pqc1), the all-to-all controlled-rotation
 circuit (pqc6) and the block controlled-rotation circuit (pqc8); layer
 repetition duplicates the gate list with fresh slots.
@@ -61,6 +63,8 @@ class TemplateGate:
             or not math.isfinite(self.angle)
         ):
             raise ValueError(f"fixed angle {self.angle!r} is not a finite number")
+        # known name, arity, distinct non-negative targets, an angle iff parametric
+        GateOp(self.gate, self.targets, None if self.slot is None and self.angle is None else 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,15 +130,13 @@ class PqcTemplate:
                 )
                 for e in raw["gates"]
             )
-            tpl = cls(
+            return cls(
                 name=raw["name"],
                 n_qubits=int(raw["n_qubits"]),
                 layers=int(raw["layers"]),
                 gates=gates,
                 param_count=int(raw["param_count"]),
             )
-            bound_gates(tpl, np.zeros(tpl.param_count))  # unknown gate names, bad arities
-            return tpl
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"malformed template registry entry: {exc}") from exc
 
@@ -349,7 +351,7 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
     registers differ, with a group axis.
     """
     noise_of = dict(zip(tpl._names, entries))
-    ops = bound_gates(tpl, np.zeros(tpl.param_count))  # validates names and arities
+    ops = bound_gates(tpl, np.zeros(tpl.param_count))
     slot_gates: dict[int, list] = {1: [], 2: []}  # arity -> (slot, coefficients) per gate
     maps = []
     for gate, op in zip(tpl.gates, ops):

@@ -27,16 +27,18 @@ count, and it is the order one-point calls would draw in.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, read_json, write_json
+from .data import LabeledDataset, class_ids, read_json, write_json
 from .encode import EncoderConfig, _encode_factors, _rows
 from .errors import DataFormatError
 from .noise import NoiseModel
 from .pqc import PqcTemplate, _readout_factors, z_expectations
+from .simcore import sample_shots
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.qnn, so they stay importable from this module.
@@ -122,13 +124,12 @@ class TrainConfig:
     seed: int = 0
     noise: NoiseModel | None = None
     shots: int = 0  # 0: analytic expectations
-    train_theta: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.shots < 0:
@@ -141,7 +142,6 @@ class TrainReport:
     test_loss: list[float]
     test_accuracy: list[float]
     model: QnnModel
-    seed: int
     wall_seconds: float
 
 
@@ -151,24 +151,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _batch_ce(probs: np.ndarray, labels: np.ndarray) -> float:
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+
+
 def cross_entropy(probs: np.ndarray, label: int) -> float:
     """-log probs[label], clamped at PROB_FLOOR."""
     probs = np.asarray(probs, dtype=float)
     if not 0 <= label < probs.shape[-1]:
         raise IndexError(f"label {label} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(float(probs[label]), PROB_FLOOR)))
-
-
-def _sample_shots(
-    z: np.ndarray, shots: int, rng: np.random.Generator | None
-) -> np.ndarray:
-    """Empirical <Z> from `shots` Bernoulli draws per entry of z (z itself when 0)."""
-    if not shots:
-        return z
-    if rng is None:
-        raise ValueError("shot sampling needs a generator")
-    p_plus = np.clip((1.0 + z) / 2.0, 0.0, 1.0)
-    return 2.0 * rng.binomial(shots, p_plus) / shots - 1.0
+    return _batch_ce(probs[None], np.array([label]))
 
 
 def _forward_from_states(
@@ -184,7 +177,7 @@ def _forward_from_states(
     theta is one point (param_count,) or a (P, param_count) stack; a stack gives
     results with a leading point axis, and draws the shots point by point.
     """
-    z = _sample_shots(z_expectations(states, model.template, theta, noise), shots, rng)
+    z = sample_shots(z_expectations(states, model.template, theta, noise), shots, rng)
     logits = z @ model.head_weights.T + model.head_bias
     return softmax(logits), z
 
@@ -201,11 +194,6 @@ def forward(
     rng = np.random.Generator(np.random.PCG64(seed))
     probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
     return probs[0]
-
-
-def _batch_ce(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
 def spsa_estimate(
@@ -255,8 +243,8 @@ def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
     pqc._readout_factors gives them, int64 labels or None).
 
     Checks every set before it encodes any. Refuses an empty X, a width other than
-    n_features (None: unknown) and labels outside [0, n_classes) or not one per row,
-    each with ValueError.
+    n_features (None: unknown), labels that data.class_ids refuses for the model's
+    n_classes and labels not one per row, each with ValueError.
     """
     checked = []
     for X, labels in sets:
@@ -267,11 +255,9 @@ def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
             raise ValueError(f"model is built for {model.n_features} features, "
                              f"the data has {X.shape[1]}")
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
+            labels = class_ids(labels, model.n_classes, "the model's")
             if labels.shape != X.shape[:1]:
                 raise ValueError(f"{labels.size} labels for {X.shape[0]} rows")
-            if np.any((labels < 0) | (labels >= model.n_classes)):
-                raise ValueError(f"labels outside the model's {model.n_classes} classes")
         checked.append((X, labels))
     return [(_readout_factors(_encode_factors(X, model.encoder, noise), model.template), labels)
             for X, labels in checked]
@@ -370,9 +356,8 @@ def _fit(model, train_states, train_labels, test_states, test_labels, config) ->
             )
             batch_losses.append(_batch_ce(probs, labels))
             grad_w, grad_b = _head_grads_from(probs, z, labels)
-            if config.train_theta:
-                grad_theta = _spsa_pair(model, states, labels, config, rng)
-                model.theta = adam_theta.step(model.theta, grad_theta)
+            grad_theta = _spsa_pair(model, states, labels, config, rng)
+            model.theta = adam_theta.step(model.theta, grad_theta)
             model.head_weights = adam_w.step(model.head_weights, grad_w)
             model.head_bias = adam_b.step(model.head_bias, grad_b)
         train_loss.append(float(np.mean(batch_losses)))
@@ -386,7 +371,6 @@ def _fit(model, train_states, train_labels, test_states, test_labels, config) ->
         test_loss=test_loss,
         test_accuracy=test_accuracy,
         model=model,
-        seed=config.seed,
         wall_seconds=time.perf_counter() - started,
     )
 

@@ -37,7 +37,7 @@ _CANONICAL_NAME = {name.lower(): name for name in GATE_ARITY}
 def canonical_gate_name(name: str) -> str:
     try:
         return _CANONICAL_NAME[name.lower()]
-    except KeyError:
+    except (AttributeError, KeyError):
         raise ValueError(f"unknown gate name {name!r}") from None
 
 
@@ -328,11 +328,20 @@ def expect_z(rho: DensityMatrix, qubit: int) -> float:
     return float(expect_z_stack(rho.data[None], qubit, rho.n_qubits)[0])
 
 
+def sample_shots(z: np.ndarray, shots: int, rng: np.random.Generator | None) -> np.ndarray:
+    """Empirical <Z> from `shots` Bernoulli draws per entry of z, with P(+1) = (1 + z)/2
+    (z itself when shots is 0)."""
+    if not shots:
+        return z
+    if rng is None:
+        raise ValueError("shot sampling needs a generator")
+    p_plus = np.clip((1.0 + z) / 2.0, 0.0, 1.0)
+    return 2.0 * rng.binomial(shots, p_plus) / shots - 1.0
+
+
 def sample_expect_z(rho: DensityMatrix, qubit: int, shots: int, seed: int) -> float:
-    """Empirical <Z> from `shots` Bernoulli draws with P(+1) = (1 + <Z>)/2."""
+    """Empirical <Z> of one qubit from `shots` draws of sample_shots."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p_plus = min(1.0, max(0.0, (1.0 + expect_z(rho, qubit)) / 2.0))
     rng = np.random.Generator(np.random.PCG64(seed))
-    ups = int(rng.binomial(shots, p_plus))
-    return 2.0 * ups / shots - 1.0
+    return float(sample_shots(expect_z(rho, qubit), shots, rng))

@@ -509,6 +509,12 @@ BAD_INPUTS = [
      '"n_qubits": 1, "layers": 1, "param_count": 0, "gates": [{"gate": "FOO", '
      '"targets": [0]}]}, "theta": [], "head_weights": [[1], [0]], "head_bias": [0, 0], '
      '"n_classes": 2}', 3),
+    ("checkpoint gate not a string", ["evaluate", "--model", "{f}", "--data", "{data}"],
+     "model.json", '{"format_version": 1, "encoder": {"kind": "angle", "n_qubits": 1, '
+     '"features_per_qubit": 2, "scale_range": [0, 1]}, "template": {"name": "t", '
+     '"n_qubits": 1, "layers": 1, "param_count": 0, "gates": [{"gate": 5, '
+     '"targets": [0]}]}, "theta": [], "head_weights": [[1], [0]], "head_bias": [0, 0], '
+     '"n_classes": 2}', 3),
     *[(f"checkpoint template {what}", ["evaluate", "--model", "{f}", "--data", "{data}"],
        "model.json", '{"format_version": 1, "encoder": {"kind": "angle", "n_qubits": 1, '
        '"features_per_qubit": 2, "scale_range": [0, 1]}, "template": {"name": "t", '

@@ -87,15 +87,9 @@ def test_synth_mean_separation_floor():
 
 
 def test_synth_infeasible_separation_errors():
-    # 16 means on a line, each pair >= width/32 apart, is unlikely in one draw
-    failed = False
-    for seed in range(50):
-        try:
-            synth_clusters(16, 1, 1, seed=seed, max_retries=1)
-        except ValueError:
-            failed = True
-            break
-    assert failed
+    # 64 means on a line, each pair >= width/128 apart, fail every one of the retries
+    with pytest.raises(ValueError, match="could not draw 64 means"):
+        synth_clusters(64, 1, 1, seed=0)
 
 
 def test_synth_validation():
@@ -103,6 +97,9 @@ def test_synth_validation():
         synth_clusters(1, 2, 5)
     with pytest.raises(ValueError):
         synth_clusters(2, 0, 5)
+    for spread in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="spread"):
+            synth_clusters(2, 2, 5, spread=spread)
 
 
 def test_split_sizes_and_determinism():
@@ -144,8 +141,13 @@ def test_split_degenerate_fraction():
 def test_dataset_validation():
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the dataset's 2 classes"):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), 2)
+    for labels in ([0.0, 1.5], [0.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            LabeledDataset(np.zeros((2, 2)), np.array(labels), 2)
+    whole = LabeledDataset(np.zeros((2, 2)), np.array([1.0, 0.0]), 2).labels
+    assert whole.dtype == np.int64 and whole.tolist() == [1, 0]
 
 
 def test_read_json_returns_the_top_level_object(tmp_path):

@@ -75,24 +75,19 @@ def test_partition_independent_of_labels():
 
 def test_vote_counting():
     x = np.full(8, np.pi)
-    agree = EnsembleModel([constant_model(2)] * 3, np.zeros(3, dtype=np.int64))
+    agree = EnsembleModel([constant_model(2)] * 3)
     assert vote(agree, x) == 2
-    mixed = EnsembleModel(
-        [constant_model(0), constant_model(1), constant_model(1)],
-        np.zeros(3, dtype=np.int64),
-    )
+    mixed = EnsembleModel([constant_model(0), constant_model(1), constant_model(1)])
     assert vote(mixed, x) == 1
-    tie = EnsembleModel(
-        [constant_model(0), constant_model(1)], np.zeros(2, dtype=np.int64)
-    )
+    tie = EnsembleModel([constant_model(0), constant_model(1)])
     assert vote(tie, x) == 0  # tie goes to the smallest class index
     with pytest.raises(ValueError):
-        vote(EnsembleModel([], np.zeros(0, dtype=np.int64)), x)
+        vote(EnsembleModel([]), x)
 
 
 def test_vote_matches_members_when_unanimous():
     ds = tiny_dataset()
-    ens = EnsembleModel([constant_model(3)] * 5, np.zeros(5, dtype=np.int64))
+    ens = EnsembleModel([constant_model(3)] * 5)
     preds = member_predictions(ens, ds.features)
     assert np.all(preds == 3)
     for x in ds.features[:3]:
@@ -165,7 +160,7 @@ def test_members_with_different_encoders_are_refused():
         init_model(angle, build_template("pqc1", 4, 1), 4, seed=1, n_features=8),
     ]
     for other in others:
-        mixed = EnsembleModel([prototype(), other], np.zeros(2, dtype=np.int64))
+        mixed = EnsembleModel([prototype(), other])
         with pytest.raises(ValueError, match="different encoders, templates or feature counts"):
             member_predictions(mixed, tiny_dataset().features)
 
@@ -195,7 +190,7 @@ def test_vote_stability_under_bounded_partition_corruption():
     # members can flip the vote: fewer than ceil(gap/2) cannot
     x = np.full(8, np.pi)
     base = [constant_model(0) for _ in range(5)]
-    ensemble = EnsembleModel(list(base), np.zeros(5, dtype=np.int64))
+    ensemble = EnsembleModel(list(base))
     preds = member_predictions(ensemble, x.reshape(1, -1))[:, 0]
     counts = np.bincount(preds, minlength=4)
     top = int(np.argmax(counts))
@@ -206,7 +201,7 @@ def test_vote_stability_under_bounded_partition_corruption():
         corrupted = list(base)
         for j in range(m):
             corrupted[j] = constant_model(1)  # worst case: all push the runner-up
-        assert vote(EnsembleModel(corrupted, ensemble.assignment), x) == top
+        assert vote(EnsembleModel(corrupted), x) == top
     # corrupting ceil(gap/2) members CAN flip a 5-0 vote to 3-2? no: 3 of 5
     flipped = [constant_model(1)] * 3 + list(base[:2])
-    assert vote(EnsembleModel(flipped, ensemble.assignment), x) == 1
+    assert vote(EnsembleModel(flipped), x) == 1

@@ -64,6 +64,17 @@ def test_parameter_range_errors():
         amplitude_damping(-0.1)
     with pytest.raises(ValueError):
         depolarizing(1.5)
+    # a library model checks its entries as a noise-model file's are checked
+    for per_gate, match in (({"frobnicate": ()}, "'frobnicate'"), ({"RX": ()}, "'RX'"),
+                            ({"rx": (("depolarizing", True),)}, "'rx' parameter True"),
+                            ({"rx": (("depolarizing", float("nan")),)}, "'rx' parameter nan"),
+                            ({"rz": (("phase_flip", 0.1),)}, "'rz' names unknown channel")):
+        with pytest.raises(ValueError, match=match):
+            NoiseModel(per_gate=per_gate)
+    with pytest.raises(ValueError, match="'default' parameter 1.5"):
+        NoiseModel.from_error_rate(1.5)
+    [(_, param)] = NoiseModel(per_gate={"h": [["depolarizing", np.int64(1)]]}).per_gate["h"]
+    assert type(param) is float and param == 1.0
 
 
 def test_noisy_apply_zero_model_is_plain_apply(rng):

@@ -123,6 +123,11 @@ def test_slot_invariant_enforced():
         PqcTemplate("bad", 1, 1, gates, 2)
     with pytest.raises(ValueError):
         TemplateGate("RX", (0,), slot=1, angle=0.5)
+    # each gate runs GateOp's check when built, not at its first readout
+    for gate, targets, slot in (("FOO", (0,), None), ("RX", (0,), None), ("H", (0,), 0),
+                                ("CRX", (1, 1), 0), ("CNOT", (0,), None), ("RZ", (-1,), 0)):
+        with pytest.raises(ValueError):
+            TemplateGate(gate, targets, slot=slot)
 
 
 def test_fixed_angle_entries_apply():

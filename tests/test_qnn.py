@@ -288,17 +288,6 @@ def test_train_reaches_high_accuracy_on_separable_clusters():
     assert all(l >= 0.0 for l in report.train_loss + report.test_loss)
 
 
-def test_head_only_training_monotonically_decreases_loss():
-    ds = separable_dataset()
-    tr, te = split(ds, 0.75, stratified=True, seed=2)
-    model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4, seed=2)
-    report = train(
-        model, tr, te, TrainConfig(epochs=15, batch_size=64, seed=2, train_theta=False)
-    )
-    diffs = np.diff(report.train_loss)
-    assert np.all(diffs < 0)
-
-
 def test_evaluate_tie_break_and_counts():
     model = small_model(n_classes=4)  # uniform probs -> argmax 0
     ds = LabeledDataset(np.full((5, 4), np.pi), np.zeros(5, dtype=np.int64), 4)
@@ -371,7 +360,7 @@ def test_library_paths_refuse_a_dataset_of_another_width():
                        n_features=8)
     wide = separable_dataset(per_class=4)
     narrow = wide.replace(features=wide.features[:, :7])
-    ensemble = EnsembleModel([model, model.copy()], np.zeros(len(wide), dtype=np.int64))
+    ensemble = EnsembleModel([model, model.copy()])
     config = TrainConfig(epochs=1)
     entry_points = [
         lambda ds: evaluate(model, ds),
@@ -402,6 +391,16 @@ def test_library_paths_refuse_a_dataset_of_another_width():
             call()
     with pytest.raises(ValueError, match="15 labels for 16 rows"):
         head_gradient(model, wide.features, wide.labels[:-1])
+    # fractional labels inside the head's range are refused, not truncated
+    halves = wide.labels * 0.5
+    fractional = wide.replace()
+    fractional.labels = halves
+    for call in (lambda: LabeledDataset(wide.features, halves, 4),
+                 lambda: head_gradient(model, wide.features, halves),
+                 lambda: train(model, fractional, wide, config),
+                 lambda: train(model, wide, fractional, config)):
+        with pytest.raises(ValueError, match="labels must be whole numbers"):
+            call()
     assert 0.0 <= evaluate(model, wide)[0] <= 1.0
     assert 0.0 <= evaluate_ensemble(ensemble, wide) <= 1.0
     assert forward(model, wide.features[0]).shape == (4,)
@@ -437,3 +436,6 @@ def test_model_shape_validation():
         QnnModel(enc, tpl, np.zeros(tpl.param_count + 1), np.zeros((2, 2)), np.zeros(2), 2)
     with pytest.raises(ValueError):
         QnnModel(enc, tpl, np.zeros(tpl.param_count), np.zeros((2, 3)), np.zeros(2), 2)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)

@@ -17,6 +17,7 @@ from quidlab.simcore import (
     ground_state,
     rotation_matrices,
     sample_expect_z,
+    sample_shots,
 )
 
 
@@ -138,6 +139,15 @@ def test_sample_expect_z_deterministic_and_exact():
     assert -1.0 <= a <= 1.0
     with pytest.raises(ValueError):
         sample_expect_z(rho, 0, 0, seed=1)
+    # one binomial draw of the seeded generator, as the classifier's batches draw it
+    for angle in (0.3, 2.0, np.pi):
+        state = apply_gate(rho, GateOp("RX", (0,), angle))
+        z = expect_z(state, 0)
+        p_plus = min(1.0, max(0.0, (1.0 + z) / 2.0))
+        ups = np.random.Generator(np.random.PCG64(7)).binomial(1000, p_plus)
+        got = sample_expect_z(state, 0, 1000, seed=7)
+        assert got == 2.0 * ups / 1000 - 1.0
+        assert sample_shots(np.array([z]), 1000, np.random.Generator(np.random.PCG64(7)))[0] == got
 
 
 def test_sample_expect_z_concentration_monte_carlo():
