@@ -23,6 +23,7 @@ from .encode import _rows
 from .noise import NoiseModel
 from .qnn import QnnModel, TrainConfig, TrainReport
 from .qnn import _encode, _fit, _forward_from_states  # shared paths
+from .simcore import whole
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.defense, so they stay importable from this module.
@@ -37,6 +38,8 @@ class DefenseConfig:
     partition_seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "partition_seed"):
+            object.__setattr__(self, name, whole(getattr(self, name), name))
         if self.k < 1:
             raise ValueError("k must be >= 1")
 

@@ -35,7 +35,8 @@ import numpy as np
 from .data import DEFAULT_RANGE
 from .errors import CapacityError, DegenerateInputError, ShapeError
 from .noise import NoiseModel, adjoint_noise_superop
-from .simcore import MAX_QUBITS, DensityMatrix, apply_superop_stack, gate_matrix, rotation_matrices
+from .simcore import MAX_QUBITS, DensityMatrix, apply_superop_stack, finite, gate_matrix, whole
+from .simcore import rotation_matrices
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.encode, so they stay importable from this module.
@@ -52,11 +53,14 @@ class EncoderConfig:
     def __post_init__(self):
         if self.kind not in ("angle", "amplitude"):
             raise ValueError(f"encoder kind must be angle|amplitude, got {self.kind!r}")
+        for name in ("n_qubits", "features_per_qubit"):
+            object.__setattr__(self, name, whole(getattr(self, name), name))
+        lo, hi = (finite(v, "scale_range") for v in self.scale_range)
+        object.__setattr__(self, "scale_range", (lo, hi))
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}]")
         if self.kind == "angle" and self.features_per_qubit < 1:
             raise ValueError("features_per_qubit must be positive")
-        lo, hi = self.scale_range
         if not lo < hi:
             raise ValueError(f"scale_range must be increasing, got {self.scale_range}")
 

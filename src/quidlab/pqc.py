@@ -1,9 +1,10 @@
 """Declarative parameterized-circuit templates.
 
 Templates are plain data: an ordered gate list whose entries either bind a
-trainable slot or carry a fixed angle. Each TemplateGate runs simcore.GateOp's
-check when built, so a template that constructs also reads out, saves and
-loads; from_json only parses. The shipped presets are the
+trainable slot or carry a fixed angle. Each TemplateGate builds its
+simcore.GateOp when built and keeps that gate's normal form (canonical name,
+int targets, float angle), so a template that constructs also reads out, saves
+and loads; from_json only parses. The shipped presets are the
 non-entangling rotation circuit (pqc1), the all-to-all controlled-rotation
 circuit (pqc6) and the block controlled-rotation circuit (pqc8); layer
 repetition duplicates the gate list with fresh slots.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +38,8 @@ from .data import read_json, write_json
 from .encode import _check_memory, _expand, _kron_factors
 from .errors import DataFormatError
 from .noise import NoiseModel, adjoint_noise_superop, noisy_apply_stack
-from .simcore import DensityMatrix, GateOp, apply_gate_stack, gate_matrix
-from .simcore import adjoint_superop, contract_superop
+from .simcore import DensityMatrix, GateOp, apply_gate_stack, gate_matrix, whole
+from .simcore import _layouts, adjoint_superop, contract_superop
 
 PRESETS = ("pqc1", "pqc6", "pqc8")
 
@@ -54,17 +54,12 @@ class TemplateGate:
     def __post_init__(self):
         if self.slot is not None and self.angle is not None:
             raise ValueError("a template gate binds a slot or a fixed angle, not both")
-        if self.slot is not None and (
-            isinstance(self.slot, bool) or not isinstance(self.slot, numbers.Integral)
-        ):
-            raise ValueError(f"slot {self.slot!r} is not an integer")
-        if self.angle is not None and (
-            isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real)
-            or not math.isfinite(self.angle)
-        ):
-            raise ValueError(f"fixed angle {self.angle!r} is not a finite number")
-        # known name, arity, distinct non-negative targets, an angle iff parametric
-        GateOp(self.gate, self.targets, None if self.slot is None and self.angle is None else 0.0)
+        slot = None if self.slot is None else whole(self.slot, "slot")
+        op = GateOp(self.gate, self.targets, self.angle if slot is None else 0.0)
+        object.__setattr__(self, "gate", op.name)
+        object.__setattr__(self, "targets", op.targets)
+        object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "angle", op.param if slot is None else None)
 
 
 @dataclass(frozen=True)
@@ -76,6 +71,10 @@ class PqcTemplate:
     param_count: int
 
     def __post_init__(self):
+        for name, low in (("n_qubits", 1), ("layers", 1), ("param_count", 0)):
+            object.__setattr__(self, name, whole(getattr(self, name), name))
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         slots = sorted(g.slot for g in self.gates if g.slot is not None)
         if slots != list(range(self.param_count)):
             raise ValueError(
@@ -87,7 +86,7 @@ class PqcTemplate:
                 raise ValueError(f"template {self.name}: targets {g.targets} out of range")
         # the readout's cache keys compare and hash these plain tuples, built once
         key = (self.name, self.n_qubits, self.layers, self.param_count,
-               tuple((g.gate, tuple(g.targets), g.slot, g.angle) for g in self.gates))
+               tuple((g.gate, g.targets, g.slot, g.angle) for g in self.gates))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_names", tuple(dict.fromkeys(g.gate for g in self.gates)))
@@ -124,7 +123,7 @@ class PqcTemplate:
             gates = tuple(
                 TemplateGate(
                     gate=e["gate"],
-                    targets=tuple(e["targets"]),
+                    targets=e["targets"],
                     slot=e.get("slot"),
                     angle=e.get("angle"),
                 )
@@ -132,10 +131,10 @@ class PqcTemplate:
             )
             return cls(
                 name=raw["name"],
-                n_qubits=int(raw["n_qubits"]),
-                layers=int(raw["layers"]),
+                n_qubits=raw["n_qubits"],
+                layers=raw["layers"],
                 gates=gates,
-                param_count=int(raw["param_count"]),
+                param_count=raw["param_count"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"malformed template registry entry: {exc}") from exc
@@ -153,10 +152,6 @@ def _rotation_columns(n: int, start: int) -> tuple[list[TemplateGate], int]:
     gates = [TemplateGate("RX", (q,), slot=start + q) for q in range(n)]
     gates += [TemplateGate("RZ", (q,), slot=start + n + q) for q in range(n)]
     return gates, start + 2 * n
-
-
-def _layer_pqc1(n: int, start: int) -> tuple[list[TemplateGate], int]:
-    return _rotation_columns(n, start)
 
 
 def _layer_pqc6(n: int, start: int) -> tuple[list[TemplateGate], int]:
@@ -184,17 +179,13 @@ def _layer_pqc8(n: int, start: int) -> tuple[list[TemplateGate], int]:
     return gates, slot
 
 
-_LAYER_BUILDERS = {"pqc1": _layer_pqc1, "pqc6": _layer_pqc6, "pqc8": _layer_pqc8}
+_LAYER_BUILDERS = {"pqc1": _rotation_columns, "pqc6": _layer_pqc6, "pqc8": _layer_pqc8}
 
 
 def build_template(name: str, n_qubits: int, layers: int = 1) -> PqcTemplate:
     """Instantiate a preset for a register size, repeating layers with fresh slots."""
     if name not in PRESETS:
         raise ValueError(f"unknown template {name!r}; presets are {PRESETS}")
-    if layers < 1:
-        raise ValueError("layers must be positive")
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be positive")
     if name in ("pqc6", "pqc8") and n_qubits < 2:
         raise ValueError(f"{name} entangles qubit pairs; needs n_qubits >= 2")
     gates: list[TemplateGate] = []
@@ -212,15 +203,8 @@ def bound_gates(tpl: PqcTemplate, theta: np.ndarray) -> list[GateOp]:
         raise ValueError(
             f"template {tpl.name} expects {tpl.param_count} parameters, got {theta.shape}"
         )
-    ops = []
-    for g in tpl.gates:
-        if g.slot is not None:
-            ops.append(GateOp(g.gate, g.targets, float(theta[g.slot])))
-        elif g.angle is not None:
-            ops.append(GateOp(g.gate, g.targets, g.angle))
-        else:
-            ops.append(GateOp(g.gate, g.targets))
-    return ops
+    return [GateOp(g.gate, g.targets, g.angle if g.slot is None else theta[g.slot])
+            for g in tpl.gates]
 
 
 def apply_pqc_stack(
@@ -318,20 +302,6 @@ def _fuse(gates) -> list:
     return blocks + [((q,), tuple(block)) for q, block in pending.items()]
 
 
-def _layouts(blocks, m: int) -> tuple:
-    """contract_superop's axis order per (targets, leading axes of its map) block, each taken
-    from the previous block's, on a (P, G, 2, ..., 2) stack of m-qubit observables; and the
-    order back to (P, G, rows, columns). Axes a block leaves behind keep their order."""
-    layout = list(range(2 + 2 * m))
-    perms = []
-    for targets, lead in blocks:
-        front = list(range(lead)) + [2 + q for q in targets] + [2 + m + q for q in targets]
-        order = front + [a for a in layout if a not in front]
-        perms.append(tuple(layout.index(a) for a in order))
-        layout = order
-    return perms, tuple(layout.index(a) for a in range(len(layout)))
-
-
 def _noise_entries(tpl: PqcTemplate, model: NoiseModel | None) -> tuple:
     """The readout plan's noise key: the model's entries for each distinct gate name of tpl."""
     return () if model is None else tuple(model.entries_for(name) for name in tpl._names)
@@ -346,30 +316,29 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
     back as one stack. Returns the (arity, slots, coefficients) arguments of
     _rotation_maps per arity, and per group (qubits, diagonals of their Z_q, the
     factor indices of their registers (one row if all equal), blocks, the final order
-    of _layouts). A block is (its contract_superop order, arity, factors); a factor is
-    a fixed map, or (arity, index into the per-call rotation maps); if the group's
-    registers differ, with a group axis.
+    of simcore._layouts on the (P, G, 2, ..., 2) observables). A block is (its
+    contract_superop order, arity, factors); a factor is a fixed map, or (arity, index
+    into the per-call rotation maps); if the group's registers differ, with a group axis.
     """
     noise_of = dict(zip(tpl._names, entries))
-    ops = bound_gates(tpl, np.zeros(tpl.param_count))
     slot_gates: dict[int, list] = {1: [], 2: []}  # arity -> (slot, coefficients) per gate
     maps = []
-    for gate, op in zip(tpl.gates, ops):
-        k = len(op.targets)
+    for gate in tpl.gates:
+        k = len(gate.targets)
         noise = adjoint_noise_superop(noise_of.get(gate.gate, ()), k)
         if gate.slot is None:
-            sop = adjoint_superop((gate_matrix(op.name, op.param),))
+            sop = adjoint_superop((gate_matrix(gate.gate, gate.angle),))
             sop = sop if noise is None else sop @ noise
             sop.setflags(write=False)
             maps.append(sop)
         else:
             maps.append((k, len(slot_gates[k])))
-            slot_gates[k].append((gate.slot, _trig_coefficients(op.name, noise)))
+            slot_gates[k].append((gate.slot, _trig_coefficients(gate.gate, noise)))
     first = np.cumsum((0,) + widths)
     registers: dict[tuple, list] = {}
     for span, qubits, chosen in _light_cones(tpl, widths):
         local = {w: i for i, w in enumerate(w for f in span for w in range(first[f], first[f + 1]))}
-        blocks = _fuse([(tuple(local[w] for w in ops[i].targets), maps[i]) for i in chosen])
+        blocks = _fuse([(tuple(local[w] for w in tpl.gates[i].targets), maps[i]) for i in chosen])
         shape = tuple((t, tuple(isinstance(f, tuple) for f in fs)) for t, fs in blocks)
         m = len(local)  # the diagonals of Z_0..Z_{m-1} on the register
         signs = 1.0 - 2.0 * ((np.arange(1 << m) >> (m - 1 - np.arange(m))[:, None]) & 1)
@@ -385,8 +354,9 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
                 (f[0], np.array([mb[b][1][i][1] for mb in member_blocks])) if isinstance(f, tuple)
                 else np.stack([mb[b][1][i] for mb in member_blocks])[None]
                 for i, f in enumerate(fs))) for b, (t, fs) in enumerate(blocks))
-        perms, final = _layouts([(t, 2 if differ else int(any(isinstance(f, tuple) for f in fs)))
-                                 for t, fs in blocks], len(diags[0]).bit_length() - 1)
+        leads = tuple((t, 2 if differ else int(any(isinstance(f, tuple) for f in fs)))
+                      for t, fs in blocks)
+        perms, final = _layouts(leads, len(diags[0]).bit_length() - 1, 2)
         blocks = tuple((perm, len(t), fs) for perm, (t, fs) in zip(perms, blocks))
         span = np.array(spans[:1] if len(set(spans)) == 1 else spans)
         groups.append((np.array(qubits), np.array(diags), span, blocks, final))

@@ -27,9 +27,8 @@ count, and it is the order one-point calls would draw in.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .encode import EncoderConfig, _encode_factors, _rows
 from .errors import DataFormatError
 from .noise import NoiseModel
 from .pqc import PqcTemplate, _readout_factors, z_expectations
-from .simcore import sample_shots
+from .simcore import finite, sample_shots, whole
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.qnn, so they stay importable from this module.
@@ -65,21 +64,18 @@ class QnnModel:
     n_features: int | None = None  # feature count the model is built for; None when unknown
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.head_weights = np.asarray(self.head_weights, dtype=float)
-        self.head_bias = np.asarray(self.head_bias, dtype=float)
-        if self.theta.shape != (self.template.param_count,):
-            raise ValueError(
-                f"theta has shape {self.theta.shape}, template wants "
-                f"({self.template.param_count},)"
-            )
-        if self.head_weights.shape != (self.n_classes, self.encoder.n_qubits):
-            raise ValueError(
-                f"head weights {self.head_weights.shape} != "
-                f"({self.n_classes}, {self.encoder.n_qubits})"
-            )
-        if self.head_bias.shape != (self.n_classes,):
-            raise ValueError(f"head bias {self.head_bias.shape} != ({self.n_classes},)")
+        self.n_classes = whole(self.n_classes, "n_classes")
+        if self.n_features is not None:
+            self.n_features = whole(self.n_features, "n_features")
+        for name, shape in (("theta", (self.template.param_count,)),
+                            ("head_weights", (self.n_classes, self.encoder.n_qubits)),
+                            ("head_bias", (self.n_classes,))):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, not {shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has a non-finite entry")
+            setattr(self, name, value)
         if self.encoder.n_qubits != self.template.n_qubits:
             raise ValueError("encoder and template disagree on register size")
         if self.n_features is not None and not 1 <= self.n_features <= self.encoder.capacity():
@@ -87,15 +83,8 @@ class QnnModel:
                              f"of {self.encoder.capacity()}")
 
     def copy(self) -> "QnnModel":
-        return QnnModel(
-            self.encoder,
-            self.template,
-            self.theta.copy(),
-            self.head_weights.copy(),
-            self.head_bias.copy(),
-            self.n_classes,
-            self.n_features,
-        )
+        return replace(self, theta=self.theta.copy(), head_weights=self.head_weights.copy(),
+                       head_bias=self.head_bias.copy())
 
 
 def init_model(
@@ -126,14 +115,13 @@ class TrainConfig:
     shots: int = 0  # 0: analytic expectations
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.shots < 0:
-            raise ValueError("shots must be >= 0")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("shots", 0), ("seed", 0)):
+            setattr(self, name, whole(getattr(self, name), name))
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        self.learning_rate = finite(self.learning_rate, "learning_rate")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass
@@ -431,19 +419,18 @@ def load_model(path) -> QnnModel:
         enc = raw["encoder"]
         encoder = EncoderConfig(
             kind=enc["kind"],
-            n_qubits=int(enc["n_qubits"]),
-            features_per_qubit=int(enc["features_per_qubit"]),
-            scale_range=tuple(enc["scale_range"]),
+            n_qubits=enc["n_qubits"],
+            features_per_qubit=enc["features_per_qubit"],
+            scale_range=enc["scale_range"],
         )
         return QnnModel(
             encoder=encoder,
             template=PqcTemplate.from_json(raw["template"]),
-            theta=np.array(raw["theta"], dtype=float),
-            head_weights=np.array(raw["head_weights"], dtype=float),
-            head_bias=np.array(raw["head_bias"], dtype=float),
-            n_classes=int(raw["n_classes"]),
-            n_features=None if version == 1 or raw["n_features"] is None
-            else int(raw["n_features"]),
+            theta=raw["theta"],
+            head_weights=raw["head_weights"],
+            head_bias=raw["head_bias"],
+            n_classes=raw["n_classes"],
+            n_features=None if version == 1 else raw["n_features"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint ({exc!r})") from exc

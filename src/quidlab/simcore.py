@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +19,9 @@ import numpy as np
 from .errors import CapacityError, ShapeError
 
 MAX_QUBITS = 12
+_FLOAT_MAX = np.finfo(float).max
 
-# gate name -> number of target qubits (None: any register-sized target list)
+# gate name -> number of target qubits (StatePrep, a noise-model key only: the whole register)
 GATE_ARITY = {
     "H": 1,
     "RX": 1,
@@ -34,6 +36,31 @@ PARAMETRIC_GATES = frozenset({"RX", "RZ", "CRX", "CRZ"})
 _CANONICAL_NAME = {name.lower(): name for name in GATE_ARITY}
 
 
+def whole(value, what: str) -> int:
+    """value as an int; ValueError naming what unless it is an integer, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def finite(value, what: str) -> float:
+    """value as a float; ValueError naming what unless it is a finite real, not a boolean."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= _FLOAT_MAX):  # NaN, the infinities and too large an int fail
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _qubits(targets) -> tuple[int, ...]:
+    """targets as a tuple of distinct, non-negative int qubit indices; ValueError otherwise."""
+    qubits = tuple(whole(q, "qubit index") for q in targets)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate targets in {qubits}")
+    if any(q < 0 for q in qubits):
+        raise ValueError(f"negative qubit index in {qubits}")
+    return qubits
+
+
 def canonical_gate_name(name: str) -> str:
     try:
         return _CANONICAL_NAME[name.lower()]
@@ -43,28 +70,28 @@ def canonical_gate_name(name: str) -> str:
 
 @dataclass(frozen=True)
 class GateOp:
-    """A single circuit operation: gate name, target qubits, optional angle."""
+    """A single circuit operation: canonical gate name, int target qubits, float angle or None."""
 
     name: str
     targets: tuple[int, ...]
     param: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "name", canonical_gate_name(self.name))
-        object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate targets in {self.targets}")
-        if any(q < 0 for q in self.targets):
-            raise ValueError(f"negative qubit index in {self.targets}")
-        arity = GATE_ARITY[self.name]
-        if arity is not None and len(self.targets) != arity:
+        name = canonical_gate_name(self.name)
+        if name == "StatePrep":
+            raise ValueError("StatePrep is not a circuit gate; the encoder prepares states")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "targets", _qubits(self.targets))
+        if len(self.targets) != GATE_ARITY[name]:
             raise ValueError(
-                f"{self.name} takes {arity} target(s), got {len(self.targets)}"
+                f"{name} takes {GATE_ARITY[name]} target(s), got {len(self.targets)}"
             )
-        if (self.param is not None) != (self.name in PARAMETRIC_GATES):
+        if (self.param is not None) != (name in PARAMETRIC_GATES):
             raise ValueError(
-                f"{self.name}: param must be present iff the gate is parameterized"
+                f"{name}: param must be present iff the gate is parameterized"
             )
+        if self.param is not None:
+            object.__setattr__(self, "param", finite(self.param, f"{name} angle"))
 
 
 @dataclass(frozen=True)
@@ -131,12 +158,7 @@ class DensityMatrix:
 
 def ground_state(n_qubits: int) -> DensityMatrix:
     """|0...0><0...0| on n_qubits qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    dim = 1 << n_qubits
-    data = np.zeros((dim, dim), dtype=complex)
-    data[0, 0] = 1.0
-    return DensityMatrix(n_qubits, data)
+    return basis_state(n_qubits, 0)
 
 
 def basis_state(n_qubits: int, index: int) -> DensityMatrix:
@@ -207,17 +229,20 @@ def adjoint_superop(operators) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _superop_axes(
-    targets: tuple[int, ...], n_qubits: int, n_lead: int, n_points: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order putting the point axes, then the target row and column axes first; its inverse.
-
-    The axes are those of a stack with n_lead leading axes viewed as 2 x ... x 2.
-    """
-    rows = [n_lead + q for q in targets]
-    front = list(range(n_points)) + rows + [q + n_qubits for q in rows]
-    perm = front + [a for a in range(n_lead + 2 * n_qubits) if a not in front]
-    return tuple(perm), tuple(int(a) for a in np.argsort(perm))
+def _layouts(blocks: tuple, n_qubits: int, n_lead: int) -> tuple:
+    """contract_superop's axis order per (targets, leading axes of its map) block, each taken
+    from the previous block's, on a stack with n_lead leading axes of n_qubits-qubit operators
+    viewed as 2 x ... x 2; and the order back to the stack's. Axes a block leaves behind keep
+    their order. Cached."""
+    layout = list(range(n_lead + 2 * n_qubits))
+    perms = []
+    for targets, lead in blocks:
+        front = list(range(lead)) + [n_lead + q for q in targets]
+        front += [n_lead + n_qubits + q for q in targets]
+        order = front + [a for a in layout if a not in front]
+        perms.append(tuple(layout.index(a) for a in order))
+        layout = order
+    return tuple(perms), tuple(layout.index(a) for a in range(len(layout)))
 
 
 def contract_superop(t: np.ndarray, sop: np.ndarray, perm: tuple, k: int) -> np.ndarray:
@@ -243,16 +268,12 @@ def apply_superop_stack(
     the stack's first ones or have size 1.
     """
     lead = stack.shape[:-2]
-    perm, inverse = _superop_axes(tuple(targets), n_qubits, len(lead), sop.ndim - 2)
+    (perm,), inverse = _layouts(((tuple(targets), sop.ndim - 2),), n_qubits, len(lead))
     t = contract_superop(stack.reshape(lead + (2,) * (2 * n_qubits)), sop, perm, len(targets))
     return t.transpose(inverse).reshape(stack.shape)
 
 
 def apply_gate_stack(stack: np.ndarray, gate: GateOp, n_qubits: int) -> np.ndarray:
-    if gate.name == "StatePrep":
-        raise ValueError(
-            "StatePrep has no unitary; prepared states are built by the encoder"
-        )
     if any(q >= n_qubits for q in gate.targets):
         raise IndexError(f"gate targets {gate.targets} exceed register of {n_qubits}")
     return apply_operator_stack(stack, gate_matrix(gate.name, gate.param), gate.targets, n_qubits)
@@ -261,6 +282,7 @@ def apply_gate_stack(stack: np.ndarray, gate: GateOp, n_qubits: int) -> np.ndarr
 def apply_channel_stack(
     stack: np.ndarray, ch: KrausChannel, targets: tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
+    targets = _qubits(targets)
     if len(targets) != ch.n_qubits:
         raise ShapeError(
             f"channel acts on {ch.n_qubits} qubit(s), got {len(targets)} target(s)"
@@ -269,7 +291,7 @@ def apply_channel_stack(
         raise IndexError(f"channel targets {targets} exceed register of {n_qubits}")
     out = np.zeros_like(stack)
     for k in ch.operators:
-        out += apply_operator_stack(stack, k, tuple(targets), n_qubits)
+        out += apply_operator_stack(stack, k, targets, n_qubits)
     return out
 
 
@@ -319,7 +341,7 @@ def apply_channel(
     rho: DensityMatrix, ch: KrausChannel, targets: tuple[int, ...]
 ) -> DensityMatrix:
     """rho -> sum_k K_k rho K_k^dag on the listed target qubits."""
-    out = apply_channel_stack(rho.data[None], ch, tuple(targets), rho.n_qubits)
+    out = apply_channel_stack(rho.data[None], ch, targets, rho.n_qubits)
     return DensityMatrix(rho.n_qubits, out[0])
 
 
@@ -341,7 +363,7 @@ def sample_shots(z: np.ndarray, shots: int, rng: np.random.Generator | None) -> 
 
 def sample_expect_z(rho: DensityMatrix, qubit: int, shots: int, seed: int) -> float:
     """Empirical <Z> of one qubit from `shots` draws of sample_shots."""
-    if shots < 1:
+    if whole(shots, "shots") < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return float(sample_shots(expect_z(rho, qubit), shots, rng))

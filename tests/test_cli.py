@@ -491,6 +491,20 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
+def _checkpoint(gate=None, encoder=(), template=(), **fields) -> str:
+    """A version-1 checkpoint of a two-qubit angle model whose template is one RX on slot 0,
+    with that gate entry, and encoder, template and top-level fields, replaced."""
+    return json.dumps({
+        "format_version": 1, "theta": [0.3], "head_weights": [[1, 0], [0, 1]],
+        "head_bias": [0, 0], "n_classes": 2,
+        "encoder": {"kind": "angle", "n_qubits": 2, "features_per_qubit": 1,
+                    "scale_range": [0, 1], **dict(encoder)},
+        "template": {"name": "t", "n_qubits": 2, "layers": 1, "param_count": 1,
+                     "gates": [gate or {"gate": "RX", "targets": [0], "slot": 0}],
+                     **dict(template)},
+        **fields})
+
+
 BAD_INPUTS = [
     # (name, subcommand args, file to write under tmp_path, its content, exit code);
     # content None makes the file a directory, bytes are written raw
@@ -527,6 +541,19 @@ BAD_INPUTS = [
           ("angle NaN", "0", '"angle": NaN', ""),
           ("angle true", "0", '"angle": true', ""),
           ("slot 0.0", "1", '"slot": 0.0', "0"),
+      ]],
+    # each number is checked where the loaded object is built, never truncated with int()
+    *[(f"checkpoint {what}", ["evaluate", "--model", "{f}", "--data", "{data}"],
+       "model.json", content, 3)
+      for what, content in [
+          ("template targets [0.7]", _checkpoint({"gate": "RX", "targets": [0.7], "slot": 0})),
+          ("template targets [true]", _checkpoint({"gate": "RX", "targets": [True], "slot": 0})),
+          ("template gate StatePrep", _checkpoint({"gate": "StatePrep", "targets": [0, 1]},
+                                                  template={"param_count": 0}, theta=[])),
+          ("template n_qubits 2.5", _checkpoint(template={"n_qubits": 2.5})),
+          ("n_classes 2.9", _checkpoint(n_classes=2.9)),
+          ("features_per_qubit 2.5", _checkpoint(encoder={"features_per_qubit": 2.5})),
+          ("theta NaN", _checkpoint(theta=[float("nan")])),
       ]],
     ("config qubits not a number", ["ess-validate", "--data", "{data}", "--config", "{f}"],
      "cfg.json", '{"qubits": "four"}', 2),

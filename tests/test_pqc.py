@@ -13,7 +13,6 @@ from quidlab.pqc import (
     PRESETS,
     PqcTemplate,
     TemplateGate,
-    _layouts,
     _light_cones,
     _noise_entries,
     _readout_factors,
@@ -26,7 +25,7 @@ from quidlab.pqc import (
     save_template,
     z_expectations,
 )
-from quidlab.simcore import (DensityMatrix, adjoint_superop, apply_superop_stack,
+from quidlab.simcore import (DensityMatrix, _layouts, adjoint_superop, apply_superop_stack,
                              contract_superop, expect_z_stack, gate_matrix, ground_state)
 
 
@@ -105,6 +104,13 @@ def test_registry_roundtrip(tmp_path):
         loaded = load_template(path)
         assert loaded == tpl
         assert loaded.gates == tpl.gates
+    # a gate keeps GateOp's normal form, which to_json writes
+    tpl = PqcTemplate("t", 2, 1, (TemplateGate("crz", [np.int64(1), 0], angle=np.float32(0.5)),
+                                  TemplateGate("rx", (0,), slot=np.int64(0))), 1)
+    crz, rx = tpl.gates
+    assert (crz.gate, crz.targets, crz.angle, rx.gate, rx.slot) == ("CRZ", (1, 0), 0.5, "RX", 0)
+    assert {type(v) for v in (*crz.targets, rx.slot)} == {int} and type(crz.angle) is float
+    assert [e["gate"] for e in tpl.to_json()["gates"]] == ["CRZ", "RX"]
 
 
 def test_layers_use_fresh_slots():
@@ -125,9 +131,16 @@ def test_slot_invariant_enforced():
         TemplateGate("RX", (0,), slot=1, angle=0.5)
     # each gate runs GateOp's check when built, not at its first readout
     for gate, targets, slot in (("FOO", (0,), None), ("RX", (0,), None), ("H", (0,), 0),
-                                ("CRX", (1, 1), 0), ("CNOT", (0,), None), ("RZ", (-1,), 0)):
+                                ("CRX", (1, 1), 0), ("CNOT", (0,), None), ("RZ", (-1,), 0),
+                                ("RX", (0.7,), 0), ("RX", (True,), 0), ("RZ", (1.0,), 0),
+                                ("StatePrep", (0,), None)):
         with pytest.raises(ValueError):
             TemplateGate(gate, targets, slot=slot)
+    for field in ("n_qubits", "layers", "param_count"):
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=field):
+                PqcTemplate("t", **{"n_qubits": 1, "layers": 1, "param_count": 0, "gates": (),
+                                    field: bad})
 
 
 def test_fixed_angle_entries_apply():
@@ -408,7 +421,7 @@ def test_layouts_carried_across_blocks_match_restoring_after_each(rng):
     leads = {0: (), 1: (P,), 2: (P, G)}
     shape = (P, G, 1 << m, 1 << m)
     obs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    perms, final = _layouts(blocks, m)
+    perms, final = _layouts(tuple(blocks), m, 2)
     carried, stepped, want = obs.reshape((P, G) + (2,) * (2 * m)), obs, obs
     for (targets, lead), perm in zip(blocks, perms):
         d = (4 ** len(targets),) * 2

@@ -436,6 +436,31 @@ def test_model_shape_validation():
         QnnModel(enc, tpl, np.zeros(tpl.param_count + 1), np.zeros((2, 2)), np.zeros(2), 2)
     with pytest.raises(ValueError):
         QnnModel(enc, tpl, np.zeros(tpl.param_count), np.zeros((2, 3)), np.zeros(2), 2)
-    for lr in (0.0, float("nan"), float("inf")):
+    for lr in (0.0, float("nan"), float("inf"), True):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
+    # counts are integers and parameters finite, checked where each is built
+    from quidlab.defense import DefenseConfig
+
+    for make, field in ((lambda: TrainConfig(shots=2.5), "shots"),
+                        (lambda: TrainConfig(epochs=True), "epochs"),
+                        (lambda: TrainConfig(batch_size=np.float64(32)), "batch_size"),
+                        (lambda: TrainConfig(seed=2.5), "seed"),
+                        (lambda: DefenseConfig(TrainConfig(), k=2.5), "k"),
+                        (lambda: DefenseConfig(TrainConfig(), partition_seed=True),
+                         "partition_seed"),
+                        (lambda: EncoderConfig("angle", True), "n_qubits"),
+                        (lambda: EncoderConfig("angle", 2, 1.5), "features_per_qubit"),
+                        (lambda: EncoderConfig("angle", 2, 1, (0.0, np.inf)), "scale_range"),
+                        (lambda: QnnModel(enc, tpl, np.zeros(tpl.param_count), np.zeros((2, 2)),
+                                          np.zeros(2), 2.0), "n_classes"),
+                        (lambda: QnnModel(enc, tpl, np.zeros(tpl.param_count), np.zeros((2, 2)),
+                                          np.zeros(2), 2, 2.0), "n_features"),
+                        (lambda: QnnModel(enc, tpl, np.full(tpl.param_count, np.nan),
+                                          np.zeros((2, 2)), np.zeros(2), 2), "theta"),
+                        (lambda: QnnModel(enc, tpl, np.zeros(tpl.param_count),
+                                          np.full((2, 2), np.inf), np.zeros(2), 2), "head")):
+        with pytest.raises(ValueError, match=field):
+            make()
+    config = TrainConfig(epochs=np.int64(2), learning_rate=np.float32(0.5))
+    assert type(config.epochs) is int and type(config.learning_rate) is float

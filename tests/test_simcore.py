@@ -9,6 +9,7 @@ from quidlab.simcore import (
     GateOp,
     KrausChannel,
     apply_channel,
+    apply_channel_stack,
     apply_gate,
     apply_rotations_batch,
     basis_state,
@@ -74,6 +75,16 @@ def test_gateop_validation():
         GateOp("H", (0,), 0.5)  # spurious angle
     with pytest.raises(ValueError):
         GateOp("XX", (0,))
+    # targets are distinct non-negative integers and angles finite reals, not booleans
+    for name, targets, param in (("RX", (0,), float("nan")), ("RX", (0,), True),
+                                 ("RZ", (0,), float("inf")), ("RX", (0.7,), 1.0),
+                                 ("H", (True,), None), ("CNOT", (0, -1), None),
+                                 ("StatePrep", (0,), None)):
+        with pytest.raises(ValueError):
+            GateOp(name, targets, param)
+    op = GateOp("crz", (np.int64(1), 0), np.float32(0.5))
+    assert (op.name, op.targets, op.param) == ("CRZ", (1, 0), 0.5)
+    assert type(op.targets[0]) is int and type(op.param) is float
 
 
 def test_cnot_and_controlled_rotations_on_full_register():
@@ -109,6 +120,11 @@ def test_depolarizing_fixes_maximally_mixed():
 def test_channel_arity_mismatch():
     with pytest.raises(ShapeError):
         apply_channel(ground_state(2), depolarizing(0.1), (0, 1))
+    # a target that is not a non-negative integer is refused, never read as another axis
+    stack = np.stack([ground_state(1).data, basis_state(1, 1).data])
+    for targets in ((-1,), (0.5,), (True,)):
+        with pytest.raises(ValueError):
+            apply_channel_stack(stack, depolarizing(0.4), targets, 1)
 
 
 def test_expect_z_examples():
@@ -137,8 +153,9 @@ def test_sample_expect_z_deterministic_and_exact():
     b = sample_expect_z(plus, 0, 1000, seed=42)
     assert a == b
     assert -1.0 <= a <= 1.0
-    with pytest.raises(ValueError):
-        sample_expect_z(rho, 0, 0, seed=1)
+    for shots in (0, 2.5, True):  # 2.5 would draw 2 shots and divide by 2.5
+        with pytest.raises(ValueError, match="shots"):
+            sample_expect_z(rho, 0, shots, seed=1)
     # one binomial draw of the seeded generator, as the classifier's batches draw it
     for angle in (0.3, 2.0, np.pi):
         state = apply_gate(rho, GateOp("RX", (0,), angle))
