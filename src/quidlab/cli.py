@@ -34,6 +34,7 @@ from .noise import NoiseModel, load_noise_model
 from .pqc import PRESETS, build_template
 from .poison import MODES, PoisonSpec, apply_poison, write_outcome_csv
 from .qnn import QnnModel, TrainConfig, evaluate, init_model, load_model, save_model, train
+from .simcore import finite, whole
 
 # Not called here; perfbench/spans.py installs its timing wrapper on this
 # attribute of quidlab.cli, so it stays importable from this module.
@@ -53,20 +54,9 @@ def _derive_seed(*parts) -> int:
 # the option table: every flag and config key, its converter, default and help
 
 def _number(kind: type):
-    """int() or float(); booleans, NaN, inf and fractional integers are refused."""
-    def convert(value):
-        try:
-            if isinstance(value, bool):
-                raise TypeError("boolean")
-            out = kind(value)
-            if kind is float and not math.isfinite(out):
-                raise ValueError("not finite")
-            if kind is int and isinstance(value, float) and out != value:
-                raise ValueError("not integral")
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"expected a finite {kind.__name__}, got {value!r}") from None
-        return out
-    return convert
+    """A flag's text through int() or float(), then every value through whole or finite."""
+    check = whole if kind is int else finite
+    return lambda value: check(kind(value) if isinstance(value, str) else value, "value")
 
 
 def _within(convert, ok, rule: str):
@@ -137,7 +127,7 @@ OPTIONS = {
     "lr": (_FLOAT, 0.01, "learning rate"),
     "batch": (_INT, 32, "minibatch size"),
     "shots": (_COUNT, 0, "measurement shots (0: exact expectations)"),
-    "train_fraction": (_FRACTION, 0.7, "training share of the stratified split"),
+    "train_fraction": (_FLOAT, 0.7, "training share of the stratified split"),
     "test": (_TEXT, None, "separate test CSV (else split --data)"),
     "model": (_TEXT, None, "checkpoint JSON"),
     "metric": (lambda v: canonical_metric(_TEXT(v)), "frobenius", "|".join(METRICS) + " (or hs)"),
@@ -416,10 +406,11 @@ def cmd_poison(options: _Options) -> int:
     # labels (and, for bilevel, the drawn features) land on the raw dataset,
     # so an epsilon=0 run writes a byte-identical copy of the input
     written = ds.replace(labels=outcome.dataset.labels.copy())
-    if mode == "bilevel_random" and outcome.poisoned_indices.size:
-        written.features[outcome.poisoned_indices] = outcome.dataset.features[
-            outcome.poisoned_indices
-        ]
+    if mode == "bilevel_random":  # drawn in encoder units: invert scale_features' halved map
+        idx, (lo, hi) = outcome.poisoned_indices, cfg.scale_range
+        mins, maxs = ds.features.min(axis=0) / 2.0, ds.features.max(axis=0) / 2.0
+        share = (outcome.dataset.features[idx] - lo) / (hi - lo)
+        written.features[idx] = 2.0 * np.clip(mins + share * (maxs - mins), mins, maxs)
     save_csv(written, os.path.join(out, "poisoned.csv"))
     write_outcome_csv(outcome, os.path.join(out, "outcome.csv"))
     print(
@@ -437,7 +428,7 @@ def _build_model(options: _Options, cfg: EncoderConfig, ds: LabeledDataset, seed
 
 def cmd_train(options: _Options) -> int:
     out = options.outdir()
-    ds, _tag = options.dataset()
+    _raw, ds, cfg, _tag = options.scaled_dataset()
     test_path = options.get("test")
     seed = options.get("seed")
     if test_path is not None:
@@ -446,12 +437,10 @@ def cmd_train(options: _Options) -> int:
         if test_set.dim != ds.dim or test_set.n_classes > ds.n_classes:
             raise DataFormatError(f"{test_path}: {test_set.dim} features and {test_set.n_classes} "
                                   f"classes do not fit --data's {ds.dim} and {ds.n_classes}")
+        test_set = _scaled(test_set, cfg)
     else:
         train_set, test_set = options.train_test(ds)
-    cfg = options.encoder_for(ds.dim)
     model = _build_model(options, cfg, ds, seed)
-    train_set = _scaled(train_set, cfg)
-    test_set = _scaled(test_set, cfg)
     noise = options.noise_model()
     report = train(model, train_set, test_set, options.train_config(seed, noise))
     save_model(report.model, os.path.join(out, "model.json"), seed=seed)
@@ -587,11 +576,8 @@ def cmd_defend(options: _Options) -> int:
         poison_seed = _derive_seed(seed, tag, eps, "poison")
         train_seed = _derive_seed(seed, tag, eps, "train")
         prototype = _build_model(options, cfg, ds, train_seed)
-        if eps > 0:
-            spec = PoisonSpec(eps, "quid", metric, seed=poison_seed, noise=noise)
-            poisoned = apply_poison(train_set, spec, cfg).dataset
-        else:
-            poisoned = train_set
+        spec = PoisonSpec(eps, "quid", metric, seed=poison_seed, noise=noise)
+        poisoned = apply_poison(train_set, spec, cfg).dataset
         config = replace(defense.train, seed=train_seed)
         undefended = train(prototype.copy(), poisoned, test_set, config)
         no_def_acc = undefended.test_accuracy[-1] if undefended.test_accuracy else float("nan")

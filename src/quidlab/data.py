@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError
+from .simcore import finite, whole
 
 # synthetic feature range and default encoder scale range: one angle period
 DEFAULT_RANGE = (0.0, 2.0 * math.pi)
@@ -29,9 +30,9 @@ def class_ids(labels, n_classes: int, whose: str = "the dataset's") -> np.ndarra
     values = np.asarray(labels)
     if values.dtype.kind not in "biu":
         values = values.astype(float)
-        whole = np.isfinite(values) & (np.round(values) == values)
-        if not whole.all():
-            raise ValueError(f"labels must be whole numbers, got {values[~whole][0]}")
+        integral = np.isfinite(values) & (np.round(values) == values)
+        if not integral.all():
+            raise ValueError(f"labels must be whole numbers, got {values[~integral][0]}")
     if values.size and (values.min() < 0 or values.max() >= n_classes):
         raise ValueError(f"labels outside {whose} {n_classes} classes")
     return values.astype(np.int64)
@@ -169,14 +170,16 @@ def synth_clusters(
     Means are redrawn, up to SYNTH_RETRIES times, until every pair is at least
     range_width/(2C) apart (Euclidean); samples are clipped back into the range.
     """
+    n_classes, dim, seed = whole(n_classes, "n_classes"), whole(dim, "dim"), whole(seed, "seed")
+    per_class, spread = whole(per_class, "per_class"), finite(spread, "spread")
     if n_classes < 2:
         raise ValueError("n_classes must be at least 2")
     if per_class < 1:
         raise ValueError("per_class must be positive")
     if dim < 1:
         raise ValueError("dim must be positive")
-    if not 0 <= spread < math.inf:
-        raise ValueError("spread must be non-negative and finite")
+    if spread < 0:
+        raise ValueError("spread must be non-negative")
     lo, hi = DEFAULT_RANGE
     min_sep = (hi - lo) / (2.0 * n_classes)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -213,6 +216,7 @@ def split(
     seed: int = 0,
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic train/test split, optionally stratified by class."""
+    train_fraction, seed = finite(train_fraction, "train_fraction"), whole(seed, "seed")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = len(dataset)

@@ -60,7 +60,7 @@ def _index_hash(seed: int, index: int) -> int:
 
 def partition(dataset: LabeledDataset, k: int, seed: int) -> list[np.ndarray]:
     """k disjoint covering index sets, balanced to within one sample."""
-    n = len(dataset)
+    n, k, seed = len(dataset), whole(k, "k"), whole(seed, "seed")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     order = sorted(range(n), key=lambda i: (_index_hash(seed, i), i))

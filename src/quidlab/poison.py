@@ -19,6 +19,7 @@ from .encode import EncoderConfig, _encode_factors
 from .errors import AttackInfeasibleError
 from .ess import _class_means, _distances, canonical_metric
 from .noise import NoiseModel
+from .simcore import finite, whole
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.poison, so they stay importable from this module.
@@ -37,8 +38,12 @@ class PoisonSpec:
     noise: NoiseModel | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", finite(self.epsilon, "epsilon"))
+        object.__setattr__(self, "seed", whole(self.seed, "seed"))
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         canonical_metric(self.metric)
@@ -70,9 +75,9 @@ def split_poison_set(
     dataset: LabeledDataset, epsilon: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint covering (clean, poison) index sets; |poison| = round(eps * n)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    return _draw_poison_set(len(dataset), epsilon, np.random.Generator(np.random.PCG64(seed)))
+    spec = PoisonSpec(epsilon, seed=seed)
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    return _draw_poison_set(len(dataset), spec.epsilon, rng)
 
 
 def _poisoned(dataset: LabeledDataset, spec: PoisonSpec, relabel) -> PoisonOutcome:

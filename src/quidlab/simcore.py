@@ -51,13 +51,16 @@ def finite(value, what: str) -> float:
     return float(value)
 
 
-def _qubits(targets) -> tuple[int, ...]:
-    """targets as a tuple of distinct, non-negative int qubit indices; ValueError otherwise."""
+def _qubits(targets, n_qubits: int | None = None) -> tuple[int, ...]:
+    """targets as a tuple of distinct, non-negative int qubit indices; ValueError otherwise,
+    and IndexError for an index outside a register of n_qubits, when given."""
     qubits = tuple(whole(q, "qubit index") for q in targets)
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate targets in {qubits}")
     if any(q < 0 for q in qubits):
         raise ValueError(f"negative qubit index in {qubits}")
+    if n_qubits is not None and any(q >= n_qubits for q in qubits):
+        raise IndexError(f"targets {qubits} exceed register of {n_qubits}")
     return qubits
 
 
@@ -268,27 +271,25 @@ def apply_superop_stack(
     the stack's first ones or have size 1.
     """
     lead = stack.shape[:-2]
-    (perm,), inverse = _layouts(((tuple(targets), sop.ndim - 2),), n_qubits, len(lead))
+    targets = _qubits(targets, n_qubits)
+    (perm,), inverse = _layouts(((targets, sop.ndim - 2),), n_qubits, len(lead))
     t = contract_superop(stack.reshape(lead + (2,) * (2 * n_qubits)), sop, perm, len(targets))
     return t.transpose(inverse).reshape(stack.shape)
 
 
 def apply_gate_stack(stack: np.ndarray, gate: GateOp, n_qubits: int) -> np.ndarray:
-    if any(q >= n_qubits for q in gate.targets):
-        raise IndexError(f"gate targets {gate.targets} exceed register of {n_qubits}")
-    return apply_operator_stack(stack, gate_matrix(gate.name, gate.param), gate.targets, n_qubits)
+    targets = _qubits(gate.targets, n_qubits)
+    return apply_operator_stack(stack, gate_matrix(gate.name, gate.param), targets, n_qubits)
 
 
 def apply_channel_stack(
     stack: np.ndarray, ch: KrausChannel, targets: tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
-    targets = _qubits(targets)
+    targets = _qubits(targets, n_qubits)
     if len(targets) != ch.n_qubits:
         raise ShapeError(
             f"channel acts on {ch.n_qubits} qubit(s), got {len(targets)} target(s)"
         )
-    if any(q >= n_qubits for q in targets):
-        raise IndexError(f"channel targets {targets} exceed register of {n_qubits}")
     out = np.zeros_like(stack)
     for k in ch.operators:
         out += apply_operator_stack(stack, k, targets, n_qubits)

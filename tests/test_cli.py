@@ -172,6 +172,45 @@ def test_bilevel_poison_randomizes_features(tmp_path):
     assert changed.all()
 
 
+def test_bilevel_poison_writes_drawn_rows_in_the_data_units(tmp_path):
+    # features in [0, 100], one column constant: drawn rows map back through the scaling
+    rng = np.random.Generator(np.random.PCG64(2))
+    raw = np.column_stack([rng.uniform(0, 100, size=(40, 2)), np.full(40, 7.25)])
+    data = tmp_path / "wide.csv"
+    data.write_text("".join(f"{','.join(map(repr, row.tolist()))},{i % 2}\n"
+                            for i, row in enumerate(raw)))
+    out = tmp_path / "bi"
+    assert run("poison", "--data", str(data), "--mode", "bilevel_random", "--epsilon", "0.5",
+               "--qubits", "2", "--seed", "5", "--out", str(out)) == 0
+    poisoned = load_csv(out / "poisoned.csv").features
+    rows = (out / "outcome.csv").read_text().strip().splitlines()[1:]
+    flagged = [int(r.split(",")[0]) for r in rows if r.endswith(",1")]
+    assert len(flagged) == 20
+    drawn = poisoned[flagged]
+    assert np.all(drawn >= raw.min(axis=0)) and np.all(drawn <= raw.max(axis=0))
+    assert np.all(drawn[:, 2] == 7.25) and np.ptp(drawn[:, 0]) > 10.0
+
+
+def test_train_scales_the_dataset_once_then_splits_like_the_sweeps(tmp_path):
+    from quidlab.data import split
+    from quidlab.encode import EncoderConfig, scale_features
+    from quidlab.pqc import build_template
+    from quidlab.qnn import TrainConfig, init_model, save_model, train
+
+    data = gen(tmp_path, per_class="12")
+    out = tmp_path / "run"
+    assert run("train", "--data", str(data), "--qubits", "4", "--epochs", "2", "--seed", "9",
+               "--train-fraction", "0.6", "--out", str(out)) == 0
+    ds = load_csv(data)
+    cfg = EncoderConfig("angle", 4, 2)
+    scaled = ds.replace(features=scale_features(ds.features, cfg.scale_range))
+    train_set, test_set = split(scaled, 0.6, stratified=True, seed=9)
+    model = init_model(cfg, build_template("pqc1", 4, 1), ds.n_classes, seed=9, n_features=ds.dim)
+    report = train(model, train_set, test_set, TrainConfig(epochs=2, seed=9))
+    save_model(report.model, tmp_path / "want.json", seed=9)
+    assert (out / "model.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 def test_train_and_evaluate_roundtrip(tmp_path):
     data = gen(tmp_path)
     out = tmp_path / "run"
@@ -563,6 +602,16 @@ BAD_INPUTS = [
      "cfg.json", '{"epsilon": "0.x"}', 2),
     ("config fractional seed", ["ess-validate", "--data", "{data}", "--config", "{f}"],
      "cfg.json", '{"seed": 1.5}', 2),
+    # an integer option needs a JSON integer, as its flag needs an integer's text
+    ("--qubits config 4.0", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"qubits": 4.0}', 2),
+    ("--seed config 1e3", ["ess-validate", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"seed": 1e3}', 2),
+    ("--qubits 4.0", ["ess-validate", "--data", "{data}", "--qubits", "4.0"], "unused", "", 2),
+    ("--epsilon config true", ["poison", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"epsilon": true}', 2),
+    ("--k config true", ["defend", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"k": true}', 2),
     ("csv nan feature", ["train", "--data", "{f}", "--epochs", "1"],
      "nan.csv", "0.1,0.2,0\n0.3,nan,1\n0.5,0.6,0\n0.7,0.8,1\n", 3),
     ("csv inf feature", ["train", "--data", "{f}", "--epochs", "1"],

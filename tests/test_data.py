@@ -97,9 +97,14 @@ def test_synth_validation():
         synth_clusters(1, 2, 5)
     with pytest.raises(ValueError):
         synth_clusters(2, 0, 5)
-    for spread in (-1.0, float("nan"), float("inf")):
+    for spread in (-1.0, float("nan"), float("inf"), True):
         with pytest.raises(ValueError, match="spread"):
             synth_clusters(2, 2, 5, spread=spread)
+    # counts and the seed are integers, never a boolean or a float cast to one
+    for args, kwargs in (((2.0, 2, 5), {}), ((2, True, 5), {}), ((2, 2, 5.5), {}),
+                         ((2, 2, 5), {"seed": True}), ((2, 2, 5), {"seed": 1.0})):
+        with pytest.raises(ValueError):
+            synth_clusters(*args, **kwargs)
 
 
 def test_split_sizes_and_determinism():
@@ -136,6 +141,9 @@ def test_split_degenerate_fraction():
         split(ds, 0.999999, stratified=False, seed=1)
     with pytest.raises(ValueError):
         split(ds, 1.5, stratified=False, seed=1)
+    for fraction, seed in ((True, 1), (0.5, True), (0.5, 1.0)):
+        with pytest.raises(ValueError):
+            split(ds, fraction, seed=seed)
 
 
 def test_dataset_validation():

@@ -50,6 +50,10 @@ def test_partition_edges():
         partition(ds, len(ds) + 1, seed=0)
     with pytest.raises(ValueError):
         partition(ds, 0, seed=0)
+    # True is neither one partition nor the seed "True"
+    for k, seed in ((True, 0), (2, True), (2.0, 0), (2, 0.5)):
+        with pytest.raises(ValueError):
+            partition(ds, k, seed)
 
 
 def test_partition_deterministic_disjoint_covering():

@@ -128,6 +128,9 @@ def test_split_poison_set_limits():
     assert poison.size == 0 and clean.size == len(ds)
     clean, poison = split_poison_set(ds, 1.0, seed=1)
     assert clean.size == 0 and poison.size == len(ds)
+    for epsilon, seed in ((1.5, 1), (True, 1), (0.5, True), (0.5, 2.5)):
+        with pytest.raises(ValueError):
+            split_poison_set(ds, epsilon, seed)
 
 
 def test_split_poison_set_deterministic_half():
@@ -320,3 +323,8 @@ def test_poison_spec_validation():
         PoisonSpec(0.5, "gradient_cancel")
     with pytest.raises(ValueError):
         PoisonSpec(0.5, "quid", metric="hellinger")
+    # a boolean ratio or seed, a fractional seed and a negative one are refused, not cast
+    for kwargs in ({"epsilon": True}, {"epsilon": 0.5, "seed": True},
+                   {"epsilon": 0.5, "seed": 2.5}, {"epsilon": 0.5, "seed": -1}):
+        with pytest.raises(ValueError):
+            PoisonSpec(**kwargs)

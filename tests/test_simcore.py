@@ -8,10 +8,12 @@ from quidlab.simcore import (
     DensityMatrix,
     GateOp,
     KrausChannel,
+    adjoint_superop,
     apply_channel,
     apply_channel_stack,
     apply_gate,
     apply_rotations_batch,
+    apply_superop_stack,
     basis_state,
     expect_z,
     gate_matrix,
@@ -125,6 +127,16 @@ def test_channel_arity_mismatch():
     for targets in ((-1,), (0.5,), (True,)):
         with pytest.raises(ValueError):
             apply_channel_stack(stack, depolarizing(0.4), targets, 1)
+
+
+def test_superop_stack_refuses_targets_outside_the_register():
+    # -1 would land on the batch axis, and 2 names no axis of a 2-qubit state
+    stack = np.stack([basis_state(2, 0).data, basis_state(2, 3).data])
+    flip = adjoint_superop((gate_matrix("RX", np.pi),))
+    for targets, error in (((-1,), ValueError), ((2,), IndexError), ((0.5,), ValueError)):
+        with pytest.raises(error):
+            apply_superop_stack(stack, flip, targets, 2)
+    assert np.allclose(np.trace(apply_superop_stack(stack, flip, (1,), 2), axis1=1, axis2=2), 1)
 
 
 def test_expect_z_examples():
