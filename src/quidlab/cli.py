@@ -53,20 +53,19 @@ def _derive_seed(*parts) -> int:
 # ---------------------------------------------------------------------------
 # the option table: every flag and config key, its converter, default and help
 
-def _number(kind: type):
-    """A flag's text through int() or float(), then every value through whole or finite."""
+def _number(kind: type, low=None, high=None):
+    """A flag's text through int() or float(), then every value through whole or finite,
+    which also hold it to [low, high]."""
     check = whole if kind is int else finite
-    return lambda value: check(kind(value) if isinstance(value, str) else value, "value")
+    return lambda value: check(kind(value) if isinstance(value, str) else value, "value",
+                               low, high)
 
 
-def _within(convert, ok, rule: str):
-    """convert, then refuse a value for which ok() is false."""
-    def check(value):
-        out = convert(value)
-        if not ok(out):
-            raise ValueError(f"must be {rule}, got {out}")
-        return out
-    return check
+def _fraction(value) -> float:
+    out = _FLOAT(value)
+    if not 0.0 < out < 1.0:
+        raise ValueError(f"value must be in (0, 1), got {out}")
+    return out
 
 
 def _instance(kind: type, what: str):
@@ -98,10 +97,8 @@ def _items(convert):
     return convert_all
 
 
-_INT, _FLOAT = _number(int), _number(float)
+_INT, _FLOAT, _COUNT = _number(int), _number(float), _number(int, 0)
 _TEXT, _BOOL = _instance(str, "a string"), _instance(bool, "true or false")
-_COUNT = _within(_INT, lambda v: v >= 0, ">= 0")
-_FRACTION = _within(_FLOAT, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _ENCODERS = ("angle", "amplitude")
 _CELL_MODES = ("none", *MODES)
 
@@ -131,14 +128,13 @@ OPTIONS = {
     "test": (_TEXT, None, "separate test CSV (else split --data)"),
     "model": (_TEXT, None, "checkpoint JSON"),
     "metric": (lambda v: canonical_metric(_TEXT(v)), "frobenius", "|".join(METRICS) + " (or hs)"),
-    "holdout": (_FRACTION, 0.5, "held-out share"),
+    "holdout": (_fraction, 0.5, "held-out share"),
     "noise_levels": (_items(_FLOAT), (0.0, 0.05, 0.1), "comma list of error rates"),
     "mode": (_one_of(MODES), "quid", "|".join(MODES)),
-    "epsilon": (_items(_within(_FLOAT, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")), (0.0,),
-                "comma list of poison ratios"),
+    "epsilon": (_items(_number(float, 0, 1)), (0.0,), "comma list of poison ratios"),
     "modes": (_items(_one_of(_CELL_MODES)), ("none", "random_flip", "quid"),
               "comma list from " + ",".join(_CELL_MODES)),
-    "workers": (_within(_INT, lambda v: v >= 1, ">= 1"), 1, "worker processes"),
+    "workers": (_number(int, 1), 1, "worker processes"),
     "emit_plot_data": (_BOOL, False, "also write each cell's training curves"),
     "k": (_INT, 3, "ensemble members"),
 }
@@ -665,6 +661,9 @@ def main(argv=None) -> int:
         return 3
     except (QuidlabError, ValueError, IndexError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 4
 
 

@@ -47,13 +47,13 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
+        self.n_classes = whole(self.n_classes, "n_classes", 1)
         self.labels = class_ids(self.labels, self.n_classes)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
             )
-        if self.features.shape[1] < 1:
-            raise ValueError("feature dimension must be >= 1")
+        whole(self.features.shape[1], "dim", 1)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -170,16 +170,9 @@ def synth_clusters(
     Means are redrawn, up to SYNTH_RETRIES times, until every pair is at least
     range_width/(2C) apart (Euclidean); samples are clipped back into the range.
     """
-    n_classes, dim, seed = whole(n_classes, "n_classes"), whole(dim, "dim"), whole(seed, "seed")
-    per_class, spread = whole(per_class, "per_class"), finite(spread, "spread")
-    if n_classes < 2:
-        raise ValueError("n_classes must be at least 2")
-    if per_class < 1:
-        raise ValueError("per_class must be positive")
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if spread < 0:
-        raise ValueError("spread must be non-negative")
+    n_classes, dim = whole(n_classes, "n_classes", 2), whole(dim, "dim", 1)
+    per_class, seed = whole(per_class, "per_class", 1), whole(seed, "seed", 0)
+    spread = finite(spread, "spread", 0)
     lo, hi = DEFAULT_RANGE
     min_sep = (hi - lo) / (2.0 * n_classes)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -216,7 +209,7 @@ def split(
     seed: int = 0,
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic train/test split, optionally stratified by class."""
-    train_fraction, seed = finite(train_fraction, "train_fraction"), whole(seed, "seed")
+    train_fraction, seed = finite(train_fraction, "train_fraction"), whole(seed, "seed", 0)
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = len(dataset)
@@ -224,7 +217,7 @@ def split(
     if stratified:
         train_idx: list[np.ndarray] = []
         test_idx: list[np.ndarray] = []
-        for c in range(dataset.n_classes):
+        for c in np.unique(dataset.labels):  # an absent class draws nothing
             members = np.flatnonzero(dataset.labels == c)
             perm = members[rng.permutation(members.size)]
             cut = int(round(train_fraction * members.size))

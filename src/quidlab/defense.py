@@ -38,10 +38,8 @@ class DefenseConfig:
     partition_seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "partition_seed"):
-            object.__setattr__(self, name, whole(getattr(self, name), name))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        for name, low in (("k", 1), ("partition_seed", None)):
+            object.__setattr__(self, name, whole(getattr(self, name), name, low))
 
 
 @dataclass
@@ -60,9 +58,8 @@ def _index_hash(seed: int, index: int) -> int:
 
 def partition(dataset: LabeledDataset, k: int, seed: int) -> list[np.ndarray]:
     """k disjoint covering index sets, balanced to within one sample."""
-    n, k, seed = len(dataset), whole(k, "k"), whole(seed, "seed")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    n = len(dataset)
+    k, seed = whole(k, "k", 1, n), whole(seed, "seed")
     order = sorted(range(n), key=lambda i: (_index_hash(seed, i), i))
     return [np.sort(np.array(order[j::k], dtype=np.int64)) for j in range(k)]
 

@@ -53,14 +53,12 @@ class EncoderConfig:
     def __post_init__(self):
         if self.kind not in ("angle", "amplitude"):
             raise ValueError(f"encoder kind must be angle|amplitude, got {self.kind!r}")
-        for name in ("n_qubits", "features_per_qubit"):
-            object.__setattr__(self, name, whole(getattr(self, name), name))
+        for name, low in (("n_qubits", None), ("features_per_qubit", 1)):
+            object.__setattr__(self, name, whole(getattr(self, name), name, low))
         lo, hi = (finite(v, "scale_range") for v in self.scale_range)
         object.__setattr__(self, "scale_range", (lo, hi))
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}]")
-        if self.kind == "angle" and self.features_per_qubit < 1:
-            raise ValueError("features_per_qubit must be positive")
         if not lo < hi:
             raise ValueError(f"scale_range must be increasing, got {self.scale_range}")
 
@@ -204,9 +202,9 @@ def _encode_factors(X: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise ValueError("cannot encode an empty batch")
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+    usable = np.isfinite(X).all(axis=1)
+    if not usable.all():
+        bad = int(np.flatnonzero(~usable)[0])
         raise DegenerateInputError(f"sample {bad} has a non-finite feature (NaN or infinity)")
     _check_dim(X.shape[1], cfg)
     if cfg.kind == "angle":

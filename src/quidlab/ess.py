@@ -34,7 +34,7 @@ from .data import LabeledDataset, split
 from .encode import EncoderConfig, _encode_factors, _expand, _rows
 from .errors import ShapeError
 from .noise import NoiseModel
-from .simcore import DensityMatrix
+from .simcore import DensityMatrix, finite
 
 # Not called here; perfbench/spans.py installs its timing wrapper on this
 # attribute of quidlab.ess, so it stays importable from this module.
@@ -240,10 +240,11 @@ def _validate_metrics(
 ) -> list[EssReport]:
     """validate_ess for each metric, encoding the reference and holdout rows once."""
     metrics = [canonical_metric(metric) for metric in metrics]
+    holdout_fraction = finite(holdout_fraction, "holdout_fraction")
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     reference, holdout = split(dataset, train_fraction=1.0 - holdout_fraction, seed=seed)
-    if dataset.n_classes < 2 or np.unique(reference.labels).size < 2:
+    if np.unique(reference.labels).size < 2:
         raise ValueError("need at least 2 classes for labeling validation")
     ref_states = _encode_factors(reference.features, cfg, model)
     query_states = _encode_factors(holdout.features, cfg, model)

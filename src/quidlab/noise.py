@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import read_json
 from .errors import DataFormatError
-from .simcore import GATE_ARITY, DensityMatrix, GateOp, KrausChannel
+from .simcore import GATE_ARITY, DensityMatrix, GateOp, KrausChannel, finite
 from .simcore import adjoint_superop, apply_channel_stack, apply_gate_stack
 
 CHANNEL_KINDS = ("amplitude_damping", "depolarizing")
@@ -30,8 +29,7 @@ CHANNEL_KINDS = ("amplitude_damping", "depolarizing")
 
 def amplitude_damping(gamma: float) -> KrausChannel:
     """Decay channel: K0 = diag(1, sqrt(1-gamma)), K1 = sqrt(gamma)|0><1|."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    gamma = finite(gamma, "gamma", 0, 1)
     k0 = [[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]
     k1 = [[0.0, math.sqrt(gamma)], [0.0, 0.0]]
     return KrausChannel([k0, k1])
@@ -39,8 +37,7 @@ def amplitude_damping(gamma: float) -> KrausChannel:
 
 def depolarizing(p: float) -> KrausChannel:
     """rho -> (1-p) rho + p I/2 via the Kraus set {I, X, Y, Z} weighted by p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    p = finite(p, "p", 0, 1)
     wi, wp = math.sqrt(1.0 - 3.0 * p / 4.0), math.sqrt(p / 4.0)
     ki = [[wi, 0.0], [0.0, wi]]
     kx = [[0.0, wp], [wp, 0.0]]
@@ -89,9 +86,7 @@ def _checked_entries(key, entries) -> tuple[tuple[str, float], ...]:
     for kind, param in entries:
         if kind not in CHANNEL_KINDS:
             raise ValueError(f"entry {key!r} names unknown channel {kind!r}")
-        if isinstance(param, bool) or not isinstance(param, numbers.Real) or not 0 <= param <= 1:
-            raise ValueError(f"entry {key!r} parameter {param!r} is not a number in [0, 1]")
-        checked.append((kind, float(param)))
+        checked.append((kind, finite(param, f"entry {key!r} parameter", 0, 1)))
     return tuple(checked)
 
 

@@ -38,12 +38,8 @@ class PoisonSpec:
     noise: NoiseModel | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", finite(self.epsilon, "epsilon"))
-        object.__setattr__(self, "seed", whole(self.seed, "seed"))
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "epsilon", finite(self.epsilon, "epsilon", 0, 1))
+        object.__setattr__(self, "seed", whole(self.seed, "seed", 0))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         canonical_metric(self.metric)

@@ -72,9 +72,7 @@ class PqcTemplate:
 
     def __post_init__(self):
         for name, low in (("n_qubits", 1), ("layers", 1), ("param_count", 0)):
-            object.__setattr__(self, name, whole(getattr(self, name), name))
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+            object.__setattr__(self, name, whole(getattr(self, name), name, low))
         slots = sorted(g.slot for g in self.gates if g.slot is not None)
         if slots != list(range(self.param_count)):
             raise ValueError(
@@ -186,8 +184,8 @@ def build_template(name: str, n_qubits: int, layers: int = 1) -> PqcTemplate:
     """Instantiate a preset for a register size, repeating layers with fresh slots."""
     if name not in PRESETS:
         raise ValueError(f"unknown template {name!r}; presets are {PRESETS}")
-    if name in ("pqc6", "pqc8") and n_qubits < 2:
-        raise ValueError(f"{name} entangles qubit pairs; needs n_qubits >= 2")
+    if name in ("pqc6", "pqc8"):  # their layers entangle qubit pairs
+        whole(n_qubits, "n_qubits", 2)
     gates: list[TemplateGate] = []
     slot = 0
     for _ in range(layers):

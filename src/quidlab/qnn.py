@@ -64,9 +64,9 @@ class QnnModel:
     n_features: int | None = None  # feature count the model is built for; None when unknown
 
     def __post_init__(self):
-        self.n_classes = whole(self.n_classes, "n_classes")
+        self.n_classes = whole(self.n_classes, "n_classes", 1)
         if self.n_features is not None:
-            self.n_features = whole(self.n_features, "n_features")
+            self.n_features = whole(self.n_features, "n_features", 1)
         for name, shape in (("theta", (self.template.param_count,)),
                             ("head_weights", (self.n_classes, self.encoder.n_qubits)),
                             ("head_bias", (self.n_classes,))):
@@ -78,7 +78,7 @@ class QnnModel:
             setattr(self, name, value)
         if self.encoder.n_qubits != self.template.n_qubits:
             raise ValueError("encoder and template disagree on register size")
-        if self.n_features is not None and not 1 <= self.n_features <= self.encoder.capacity():
+        if self.n_features is not None and self.n_features > self.encoder.capacity():
             raise ValueError(f"{self.n_features} features do not fit the encoder's capacity "
                              f"of {self.encoder.capacity()}")
 
@@ -116,9 +116,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 0), ("batch_size", 1), ("shots", 0), ("seed", 0)):
-            setattr(self, name, whole(getattr(self, name), name))
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+            setattr(self, name, whole(getattr(self, name), name, low))
         self.learning_rate = finite(self.learning_rate, "learning_rate")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")

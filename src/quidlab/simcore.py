@@ -36,29 +36,39 @@ PARAMETRIC_GATES = frozenset({"RX", "RZ", "CRX", "CRZ"})
 _CANONICAL_NAME = {name.lower(): name for name in GATE_ARITY}
 
 
-def whole(value, what: str) -> int:
-    """value as an int; ValueError naming what unless it is an integer, not a boolean."""
+def _within(value, what: str, low, high):
+    """value; ValueError naming what if it lies outside the closed range [low, high], a
+    bound of None leaving that side open."""
+    if (low is not None and value < low) or (high is not None and value > high):
+        rule = (f"<= {high}" if low is None else f">= {low}" if high is None
+                else f"in [{low}, {high}]")
+        raise ValueError(f"{what} must be {rule}, got {value}")
+    return value
+
+
+def whole(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """value as an int; ValueError naming what unless it is an integer, not a boolean, in
+    [low, high]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return _within(int(value), what, low, high)
 
 
-def finite(value, what: str) -> float:
-    """value as a float; ValueError naming what unless it is a finite real, not a boolean."""
+def finite(value, what: str, low: float | None = None, high: float | None = None) -> float:
+    """value as a float; ValueError naming what unless it is a finite real, not a boolean, in
+    [low, high]."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not abs(value) <= _FLOAT_MAX):  # NaN, the infinities and too large an int fail
         raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    return _within(float(value), what, low, high)
 
 
 def _qubits(targets, n_qubits: int | None = None) -> tuple[int, ...]:
     """targets as a tuple of distinct, non-negative int qubit indices; ValueError otherwise,
     and IndexError for an index outside a register of n_qubits, when given."""
-    qubits = tuple(whole(q, "qubit index") for q in targets)
+    qubits = tuple(whole(q, "qubit index", 0) for q in targets)
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate targets in {qubits}")
-    if any(q < 0 for q in qubits):
-        raise ValueError(f"negative qubit index in {qubits}")
     if n_qubits is not None and any(q >= n_qubits for q in qubits):
         raise IndexError(f"targets {qubits} exceed register of {n_qubits}")
     return qubits
@@ -364,7 +374,6 @@ def sample_shots(z: np.ndarray, shots: int, rng: np.random.Generator | None) -> 
 
 def sample_expect_z(rho: DensityMatrix, qubit: int, shots: int, seed: int) -> float:
     """Empirical <Z> of one qubit from `shots` draws of sample_shots."""
-    if whole(shots, "shots") < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = whole(shots, "shots", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     return float(sample_shots(expect_z(rho, qubit), shots, rng))

@@ -301,6 +301,16 @@ def test_register_that_cannot_fit_in_memory_is_refused_before_allocating(tmp_pat
     assert " rows at 12 qubits" in proc.stderr
 
 
+def test_allocation_that_fails_is_a_runtime_error_without_traceback(tmp_path):
+    # 4 classes x 1e8 rows x 8 features is 23.8 GiB: numpy's allocation fails under the cap
+    proc = run_capped("gen-data", "--out", str(tmp_path / "x.csv"), "--per-class",
+                      "100000000", "--dim", "8", cap=3_000_000 << 10)
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
+
+
 TWELVE_QUBITS = ["--qubits", "12", "--classes", "2", "--per-class", "3", "--dim", "8"]
 
 
@@ -631,6 +641,7 @@ BAD_INPUTS = [
      "unused", "", 2),
     ("--noise-levels 0,3", ["encode-compare", "--data", "{data}", "--noise-levels", "0,3"],
      "unused", "", 2),
+    ("--epsilon 0,1.5", ["poison", "--data", "{data}", "--epsilon", "0,1.5"], "unused", "", 2),
     ("--shots -1 (evaluate)", ["evaluate", "--model", "{f}", "--data", "{data}", "--shots", "-1"],
      "model.json", "{}", 2),
     ("--train-fraction 1.5", ["train", "--data", "{data}", "--train-fraction", "1.5"],
@@ -730,3 +741,83 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
         assert name.split()[0] in proc.stderr
     if name == "--config unknown key":
         assert "epochz" in proc.stderr
+
+
+def _range_rules():
+    """(row id, call, field its range message starts with): one row per checked field."""
+    from quidlab.data import LabeledDataset, split, synth_clusters
+    from quidlab.defense import DefenseConfig, partition
+    from quidlab.encode import EncoderConfig
+    from quidlab.ess import validate_ess
+    from quidlab.noise import NoiseModel, amplitude_damping, depolarizing
+    from quidlab.poison import PoisonSpec
+    from quidlab.pqc import PqcTemplate, build_template
+    from quidlab.qnn import QnnModel, TrainConfig, init_model
+    from quidlab.simcore import _qubits, ground_state, sample_expect_z
+
+    ds = LabeledDataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
+    enc, tpl = EncoderConfig("angle", 2, 1), build_template("pqc1", 2)
+
+    def model(**fields):
+        return QnnModel(**{"encoder": enc, "template": tpl, "theta": np.zeros(tpl.param_count),
+                           "head_weights": np.zeros((2, 2)), "head_bias": np.zeros(2),
+                           "n_classes": 2, **fields})
+
+    def template(**fields):
+        return PqcTemplate(**{"name": "t", "n_qubits": 1, "layers": 1, "gates": (),
+                              "param_count": 0, **fields})
+
+    return [
+        ("qubit index -1", lambda: _qubits((-1,)), "qubit index"),
+        ("sample_expect_z shots 0", lambda: sample_expect_z(ground_state(1), 0, 0, 0), "shots"),
+        ("template n_qubits 0", lambda: template(n_qubits=0), "n_qubits"),
+        ("template layers 0", lambda: template(layers=0), "layers"),
+        ("template param_count -1", lambda: template(param_count=-1), "param_count"),
+        ("pqc6 on 1 qubit", lambda: build_template("pqc6", 1), "n_qubits"),
+        ("features_per_qubit 0", lambda: EncoderConfig("angle", 2, 0), "features_per_qubit"),
+        ("model n_features 0", lambda: model(n_features=0), "n_features"),
+        ("epochs -1", lambda: TrainConfig(epochs=-1), "epochs"),
+        ("batch_size 0", lambda: TrainConfig(batch_size=0), "batch_size"),
+        ("train shots -1", lambda: TrainConfig(shots=-1), "shots"),
+        ("train seed -1", lambda: TrainConfig(seed=-1), "seed"),
+        ("DefenseConfig k 0", lambda: DefenseConfig(TrainConfig(), k=0), "k"),
+        ("partition k 0", lambda: partition(ds, 0, 0), "k"),
+        ("partition k 5 of 4 rows", lambda: partition(ds, 5, 0), "k"),
+        ("epsilon 1.5", lambda: PoisonSpec(1.5), "epsilon"),
+        ("poison seed -1", lambda: PoisonSpec(0.5, seed=-1), "seed"),
+        ("dataset dim 0", lambda: LabeledDataset(np.zeros((2, 0)), np.array([0, 0]), 1), "dim"),
+        ("synth n_classes 1", lambda: synth_clusters(1, 2, 5), "n_classes"),
+        ("synth per_class 0", lambda: synth_clusters(2, 2, 0), "per_class"),
+        ("synth dim 0", lambda: synth_clusters(2, 0, 5), "dim"),
+        ("synth spread -1", lambda: synth_clusters(2, 2, 5, spread=-1.0), "spread"),
+        ("synth seed -1", lambda: synth_clusters(2, 2, 5, seed=-1), "seed"),
+        ("split seed -1", lambda: split(ds, 0.5, seed=-1), "seed"),
+        ("noise entry 1.5", lambda: NoiseModel.from_error_rate(1.5), "entry 'default' parameter"),
+        # refused here, accepted or a TypeError before the range rule took bounds
+        ("depolarizing True", lambda: depolarizing(True), "p"),
+        ("amplitude_damping True", lambda: amplitude_damping(True), "gamma"),
+        ("model n_classes 0", lambda: init_model(enc, tpl, 0), "n_classes"),
+        ("dataset n_classes 2.5", lambda: LabeledDataset(ds.features, ds.labels, 2.5),
+         "n_classes"),
+        ("holdout_fraction '0.5'", lambda: validate_ess(ds, enc, "frobenius",
+                                                         holdout_fraction="0.5"),
+         "holdout_fraction"),
+    ]
+
+
+RANGE_RULES = _range_rules()
+
+
+@pytest.mark.parametrize("make, field", [r[1:] for r in RANGE_RULES],
+                         ids=[r[0] for r in RANGE_RULES])
+def test_every_range_message_starts_with_its_field(make, field):
+    # cli._configured names the flag from a message's first word, so each names its field
+    from quidlab import cli
+
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value).startswith(f"{field} must be "), info.value
+    key = cli._FIELD_KEYS.get(field, field)
+    if key in cli.OPTIONS:
+        with pytest.raises(cli.UsageError, match=f"^{cli._flag(key)}: {field} must be "):
+            cli._configured(make)

@@ -146,6 +146,22 @@ def test_split_degenerate_fraction():
             split(ds, fraction, seed=seed)
 
 
+def test_split_loops_over_the_classes_present():
+    # a declared class count of 1e9 on 20 rows: the split never walks the absent ids
+    import time
+
+    rows = synth_clusters(2, 2, 10, seed=3)
+    labels = np.where(rows.labels == 1, 10**9 - 1, 0)
+    wide = LabeledDataset(rows.features, labels, 10**9)
+    start = time.perf_counter()
+    tr, te = split(wide, 0.5, seed=1)
+    assert time.perf_counter() - start < 0.5
+    # the same rows as the split of the same labels declared compactly
+    compact_tr, compact_te = split(rows, 0.5, seed=1)
+    assert np.array_equal(tr.features, compact_tr.features)
+    assert np.array_equal(te.features, compact_te.features)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), 2)

@@ -66,12 +66,14 @@ def test_parameter_range_errors():
         depolarizing(1.5)
     # a library model checks its entries as a noise-model file's are checked
     for per_gate, match in (({"frobnicate": ()}, "'frobnicate'"), ({"RX": ()}, "'RX'"),
-                            ({"rx": (("depolarizing", True),)}, "'rx' parameter True"),
-                            ({"rx": (("depolarizing", float("nan")),)}, "'rx' parameter nan"),
+                            ({"rx": (("depolarizing", True),)},
+                             "'rx' parameter must be a finite number, got True"),
+                            ({"rx": (("depolarizing", float("nan")),)},
+                             "'rx' parameter must be a finite number, got nan"),
                             ({"rz": (("phase_flip", 0.1),)}, "'rz' names unknown channel")):
         with pytest.raises(ValueError, match=match):
             NoiseModel(per_gate=per_gate)
-    with pytest.raises(ValueError, match="'default' parameter 1.5"):
+    with pytest.raises(ValueError, match=r"'default' parameter must be in \[0, 1\], got 1.5"):
         NoiseModel.from_error_rate(1.5)
     [(_, param)] = NoiseModel(per_gate={"h": [["depolarizing", np.int64(1)]]}).per_gate["h"]
     assert type(param) is float and param == 1.0

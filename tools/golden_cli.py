@@ -40,7 +40,8 @@ PER_GATE_NOISE = {
     "h": [["amplitude_damping", 0.2], ["depolarizing", 0.0], ["depolarizing", 0.07]],
     "default": [["depolarizing", 0.05], ["amplitude_damping", 0.03]],
 }
-# (output directory name, subcommand arguments); {data} and {out} are filled in
+# (output directory name, subcommand arguments); {data} and {out} are filled in, and
+# --data {data} is added unless the arguments name their own --data
 COMMANDS = [
     ("ess-validate", ["ess-validate", "--noise", "0.05"]),
     # 8 features on 3 qubits: 3 features per qubit, the last block partial
@@ -61,6 +62,10 @@ COMMANDS = [
     ("defend-k3-shots", ["defend", "--k", "3", "--shots", "16", *TRAIN]),
     ("defend-k1", ["defend", "--k", "1", "--epsilon", "0,0.2", *TRAIN]),
     ("encode-compare", ["encode-compare"]),
+    # OUT/label-gap.csv: the data without class 2, so its labels are 0, 1 and 3
+    ("train-label-gap", ["train", "--data", "{out}/label-gap.csv", *TRAIN]),
+    ("experiment-label-gap", ["experiment", "--data", "{out}/label-gap.csv", "--modes",
+                              "none,random_flip,quid", "--epsilon", "0.3", *TRAIN]),
 ]
 
 
@@ -147,9 +152,13 @@ def main(argv: list[str]) -> int:
     with open(os.path.join(out, "per-gate-noise.json"), "w") as fh:
         json.dump(PER_GATE_NOISE, fh)
     run(env, out, ["gen-data", "--per-class", "20", "--out", data])
+    with open(data) as rows, open(os.path.join(out, "label-gap.csv"), "w") as fh:
+        fh.writelines(row for row in rows if row.rsplit(",", 1)[1].strip() != "2")
     for name, args in COMMANDS:
         args = [a.format(data=data, out=out) for a in args]
-        run(env, out, [*args, "--data", data, "--out", os.path.join(out, name)])
+        if "--data" not in args:
+            args += ["--data", data]
+        run(env, out, [*args, "--out", os.path.join(out, name)])
     found = results(out)
     print("\n".join(f"{hashlib.sha256(found[rel]).hexdigest()}  {rel}" for rel in sorted(found)))
     return 0
