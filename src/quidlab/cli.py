@@ -18,7 +18,7 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -664,6 +664,9 @@ def main(argv=None) -> int:
         return 4
     except MemoryError as exc:  # numpy's names the array it could not allocate
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 4
+    except BrokenExecutor as exc:  # a pool worker died abruptly, as under the OOM killer
+        print(f"error: a pool worker died: {exc}", file=sys.stderr)
         return 4
 
 

@@ -114,6 +114,11 @@ def member_predictions(
     return np.stack(preds)
 
 
+def _plurality(preds: np.ndarray) -> np.ndarray:
+    """Each column's most frequent class in (k, n) member predictions; ties go to the smallest."""
+    return np.argmax((preds[:, :, None] == np.arange(preds.max() + 1)).sum(axis=0), axis=1)
+
+
 def vote(
     ensemble: EnsembleModel,
     x: np.ndarray,
@@ -121,10 +126,10 @@ def vote(
     shots: int = 0,
     seed: int = 0,
 ) -> int:
-    """Plurality over member predictions; ties go to the smallest class index."""
+    """Plurality over member predictions (_plurality)."""
     preds = member_predictions(ensemble, np.asarray(x, dtype=float).reshape(1, -1),
-                               noise, shots, seed)[:, 0]
-    return int(np.argmax(np.bincount(preds)))
+                               noise, shots, seed)
+    return int(_plurality(preds)[0])
 
 
 def evaluate_ensemble(
@@ -136,8 +141,4 @@ def evaluate_ensemble(
 ) -> float:
     """Majority-vote accuracy over a dataset."""
     preds = member_predictions(ensemble, dataset.features, noise, shots, seed)
-    n_classes = max(int(preds.max()) + 1, dataset.n_classes)
-    votes = np.apply_along_axis(
-        lambda col: np.argmax(np.bincount(col, minlength=n_classes)), 0, preds
-    )
-    return float(np.mean(votes == dataset.labels))
+    return float(np.mean(_plurality(preds) == dataset.labels))

@@ -35,12 +35,12 @@ import numpy as np
 from .data import DEFAULT_RANGE
 from .errors import CapacityError, DegenerateInputError, ShapeError
 from .noise import NoiseModel, adjoint_noise_superop
-from .simcore import MAX_QUBITS, DensityMatrix, apply_superop_stack, finite, gate_matrix, whole
-from .simcore import rotation_matrices
+from .simcore import MAX_QUBITS, DensityMatrix, apply_rotations_batch, apply_superop_stack
+from .simcore import finite, gate_matrix, whole
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.encode, so they stay importable from this module.
-from .simcore import apply_channel_stack, apply_operator_stack, apply_rotations_batch  # noqa: F401
+from .simcore import apply_channel_stack, apply_operator_stack  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,10 @@ def _angle_factors(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) 
     factors = np.empty((cfg.n_qubits, b, 2, 2), dtype=complex)  # rho_q for every qubit q
     factors[:] = _noisy(np.outer(h[:, 0], h[:, 0].conj())[None], model, "H")  # N(H|0><0|H)
     for j in range(min(f, dim)):  # feature j of each qubit's block: columns j, j + f, ...
-        z = j % 2 == 0  # RZ first, then alternating with RX
-        u = rotation_matrices(x[:, j::f].T / 2.0, z)  # (qubits with a feature j, B, 2, 2)
-        rho = factors[:len(u)]
-        rho[:] = _noisy(np.einsum("...ij,...jk,...lk->...il", u, rho, u.conj()), model,
-                        "RZ" if z else "RX")  # u rho u^dag
+        name = "RZ" if j % 2 == 0 else "RX"  # RZ first, then alternating with RX
+        angles = x[:, j::f].T  # (qubits with a feature j, B)
+        rho = factors[:len(angles)]
+        rho[:] = _noisy(apply_rotations_batch(rho, name, 0, angles, 1), model, name)
     return tuple(factors)
 
 

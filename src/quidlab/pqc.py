@@ -184,8 +184,9 @@ def build_template(name: str, n_qubits: int, layers: int = 1) -> PqcTemplate:
     """Instantiate a preset for a register size, repeating layers with fresh slots."""
     if name not in PRESETS:
         raise ValueError(f"unknown template {name!r}; presets are {PRESETS}")
-    if name in ("pqc6", "pqc8"):  # their layers entangle qubit pairs
-        whole(n_qubits, "n_qubits", 2)
+    # checked before any gate is built; pqc6 and pqc8 layers entangle qubit pairs
+    n_qubits = whole(n_qubits, "n_qubits", 2 if name in ("pqc6", "pqc8") else 1)
+    layers = whole(layers, "layers", 1)
     gates: list[TemplateGate] = []
     slot = 0
     for _ in range(layers):

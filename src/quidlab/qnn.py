@@ -92,6 +92,7 @@ def init_model(
     n_features: int | None = None,
 ) -> QnnModel:
     """Random quantum parameters in [-pi, pi); zeroed head for a uniform cold start."""
+    n_classes = whole(n_classes, "n_classes", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     theta = rng.uniform(-np.pi, np.pi, size=template.param_count)
     return QnnModel(

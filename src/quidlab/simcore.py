@@ -1,10 +1,10 @@
 """Dense density-matrix simulation.
 
 States are 2^n x 2^n complex matrices. Qubit 0 is the most significant bit
-of the basis index; gates and channels are lifted onto the full register by
-tensor contraction on the touched axes, so no full-register operator is ever
-materialised. All stack-level helpers accept arrays of shape (batch, d, d)
-and broadcast over the batch axis.
+of the basis index. Every gate, channel and per-row rotation reaches a stack as
+a local Liouville matrix, contracted on the touched axes by apply_superop_stack,
+so no full-register operator is ever materialised. All stack-level helpers
+accept arrays of shape (batch, d, d) and broadcast over the batch axis.
 """
 
 from __future__ import annotations
@@ -212,21 +212,20 @@ def gate_matrix(name: str, param: float | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # stack-level primitives (shape (batch, 2^n, 2^n))
 
-def _contract(op_tensor: np.ndarray, tensor: np.ndarray, axes: list[int]) -> np.ndarray:
-    k = len(axes)
-    moved = np.tensordot(op_tensor, tensor, axes=(tuple(range(k, 2 * k)), tuple(axes)))
-    return np.moveaxis(moved, tuple(range(k)), tuple(axes))
+def _forward_superop(operators) -> np.ndarray:
+    """Liouville matrix sum_k kron(K_k, conj(K_k)) of rho -> sum_k K_k rho K_k^dag, rho flattened
+    row-major as in adjoint_superop. The K_k lie on the third-last axis; axes before it are
+    kept, one map per entry."""
+    ks = np.asarray(operators, dtype=complex)
+    d = ks.shape[-1]
+    return np.einsum("...kij,...klm->...iljm", ks, ks.conj()).reshape(ks.shape[:-3] + (d * d,) * 2)
+
 
 def apply_operator_stack(
     stack: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
     """K rho K^dag for every state in the stack, K lifted onto `targets`."""
-    k = len(targets)
-    op = np.asarray(mat, dtype=complex).reshape((2,) * (2 * k))
-    t = stack.reshape((stack.shape[0],) + (2,) * (2 * n_qubits))
-    t = _contract(op, t, [1 + q for q in targets])
-    t = _contract(op.conj(), t, [1 + n_qubits + q for q in targets])
-    return t.reshape(stack.shape)
+    return apply_superop_stack(stack, _forward_superop([mat]), targets, n_qubits)
 
 
 def adjoint_superop(operators) -> np.ndarray:
@@ -288,22 +287,15 @@ def apply_superop_stack(
 
 
 def apply_gate_stack(stack: np.ndarray, gate: GateOp, n_qubits: int) -> np.ndarray:
-    targets = _qubits(gate.targets, n_qubits)
-    return apply_operator_stack(stack, gate_matrix(gate.name, gate.param), targets, n_qubits)
+    return apply_operator_stack(stack, gate_matrix(gate.name, gate.param), gate.targets, n_qubits)
 
 
 def apply_channel_stack(
     stack: np.ndarray, ch: KrausChannel, targets: tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
-    targets = _qubits(targets, n_qubits)
     if len(targets) != ch.n_qubits:
-        raise ShapeError(
-            f"channel acts on {ch.n_qubits} qubit(s), got {len(targets)} target(s)"
-        )
-    out = np.zeros_like(stack)
-    for k in ch.operators:
-        out += apply_operator_stack(stack, k, targets, n_qubits)
-    return out
+        raise ShapeError(f"channel acts on {ch.n_qubits} qubit(s), got {len(targets)} target(s)")
+    return apply_superop_stack(stack, _forward_superop(ch.operators), targets, n_qubits)
 
 
 def rotation_matrices(half_angles, is_z) -> np.ndarray:
@@ -322,13 +314,13 @@ def rotation_matrices(half_angles, is_z) -> np.ndarray:
 def apply_rotations_batch(
     stack: np.ndarray, name: str, qubit: int, angles: np.ndarray, n_qubits: int
 ) -> np.ndarray:
-    """Apply RZ/RX on one qubit with a different angle per stacked state (one 4x4 map each)."""
+    """Apply RZ/RX on one qubit with a different angle per stacked state (one 4x4 map each);
+    angles has the stack's leading shape."""
     name = canonical_gate_name(name)
     if name not in ("RX", "RZ"):
         raise ValueError(f"per-sample angles only supported for RX/RZ, got {name}")
     u = rotation_matrices(np.asarray(angles, dtype=float) / 2.0, name == "RZ")
-    sop = np.einsum("bij,bkl->bikjl", u, u.conj()).reshape(-1, 4, 4)  # rho -> u rho u^dag
-    return apply_superop_stack(stack, sop, (qubit,), n_qubits)
+    return apply_superop_stack(stack, _forward_superop(u[..., None, :, :]), (qubit,), n_qubits)
 
 
 def expect_z_stack(stack: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:

@@ -388,6 +388,30 @@ def test_experiment_pool_never_outnumbers_cells(tmp_path, monkeypatch):
     assert sizes == [6]  # 2 epsilons x 3 modes
 
 
+def test_experiment_dead_pool_worker_exits_4_with_one_line(tmp_path):
+    # a worker that dies abruptly, as under the OOM killer, breaks the pool
+    import subprocess
+    import sys
+
+    script = tmp_path / "dying_cells.py"
+    script.write_text(
+        "import os, sys\n"
+        "from quidlab import cli\n\n"
+        "def _run_experiment_cell(payload):\n"
+        "    os._exit(9)\n\n"
+        "if __name__ == '__main__':\n"
+        "    cli._run_experiment_cell = _run_experiment_cell\n"
+        "    sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    data = gen(tmp_path, per_class="12")
+    proc = subprocess.run([sys.executable, str(script),
+                           *experiment_args(data, tmp_path / "e", workers="2")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "pool worker" in proc.stderr
+
+
 def test_experiment_unknown_mode_exits_2(tmp_path):
     data = gen(tmp_path, per_class="12")
     assert run("experiment", "--data", str(data), "--modes", "none,gradient",
@@ -802,6 +826,11 @@ def _range_rules():
         ("holdout_fraction '0.5'", lambda: validate_ess(ds, enc, "frobenius",
                                                          holdout_fraction="0.5"),
          "holdout_fraction"),
+        # checked before any gate or head is built, where range() or np.zeros would fail first
+        ("pqc1 n_qubits 2.5", lambda: build_template("pqc1", 2.5, 1), "n_qubits"),
+        ("pqc1 layers 2.5", lambda: build_template("pqc1", 2, 2.5), "layers"),
+        ("pqc1 layers '2'", lambda: build_template("pqc1", 2, "2"), "layers"),
+        ("model n_classes -1", lambda: init_model(enc, tpl, -1), "n_classes"),
     ]
 
 

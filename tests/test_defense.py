@@ -9,6 +9,7 @@ from quidlab.data import LabeledDataset, split, synth_clusters
 from quidlab.defense import (
     DefenseConfig,
     EnsembleModel,
+    _plurality,
     evaluate_ensemble,
     member_predictions,
     partition,
@@ -87,6 +88,15 @@ def test_vote_counting():
     assert vote(tie, x) == 0  # tie goes to the smallest class index
     with pytest.raises(ValueError):
         vote(EnsembleModel([]), x)
+
+
+def test_plurality_matches_a_per_row_count_with_ties_to_the_smallest_class(rng):
+    # the one plurality rule behind vote and evaluate_ensemble, against one bincount per row
+    for k, n, classes in ((1, 5, 3), (2, 40, 2), (4, 40, 4), (5, 60, 7)):
+        preds = rng.integers(0, classes, size=(k, n))
+        want = [np.argmax(np.bincount(col)) for col in preds.T]
+        assert np.array_equal(_plurality(preds), want)
+    assert list(_plurality(np.array([[3, 1, 2], [1, 3, 2]]))) == [1, 1, 2]
 
 
 def test_vote_matches_members_when_unanimous():

@@ -5,6 +5,7 @@ from conftest import random_density_matrix
 from quidlab.errors import CapacityError, ShapeError
 from quidlab.noise import amplitude_damping, depolarizing
 from quidlab.simcore import (
+    PARAMETRIC_GATES,
     DensityMatrix,
     GateOp,
     KrausChannel,
@@ -12,6 +13,7 @@ from quidlab.simcore import (
     apply_channel,
     apply_channel_stack,
     apply_gate,
+    apply_gate_stack,
     apply_rotations_batch,
     apply_superop_stack,
     basis_state,
@@ -267,3 +269,51 @@ def test_rotation_builder_and_per_row_rotations_match_the_gate_oracle(rng, name)
         for rho, angle, got in zip(stack, angles, out):
             want = apply_gate(DensityMatrix(3, rho), GateOp(name, (q,), float(angle))).data
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _lift(op, targets, n):
+    """op on `targets` as a full-register matrix: kron with the identity on the other qubits,
+    then the qubits permuted back into register order."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    back = [int(a) for a in np.argsort(order)]
+    full = np.kron(op, np.eye(1 << (n - len(targets)))).reshape((2,) * (2 * n))
+    return full.transpose(back + [n + a for a in back]).reshape(1 << n, 1 << n)
+
+
+def _random_channel(rng, k, rank=3):
+    """A CPTP map on k qubits from a random isometry cut into `rank` Kraus operators."""
+    d = 1 << k
+    a = rng.standard_normal((rank * d, d)) + 1j * rng.standard_normal((rank * d, d))
+    return KrausChannel(tuple(np.linalg.qr(a)[0].reshape(rank, d, d)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_map_engine_matches_explicit_full_register_kraus_sums(rng, n):
+    # every gate, channel and per-row rotation goes through apply_superop_stack; the oracle
+    # lifts each operator to the full register and sums K rho K^dag over the Kraus set
+    stack = np.stack([random_density_matrix(rng, n) for _ in range(3)])
+
+    def check(got, ops_per_state, targets):
+        for rho, ops, out in zip(stack, ops_per_state, got):
+            lifted = [_lift(k, targets, n) for k in ops]
+            want = sum(m @ rho @ m.conj().T for m in lifted)
+            assert np.max(np.abs(out - want)) <= 1e-12
+
+    angle = float(rng.uniform(-np.pi, np.pi))
+    targets_of = [(q,) for q in range(n)]
+    targets_of += [(a, b) for a in range(n) for b in range(n) if a != b]
+    for targets in targets_of:
+        names = ("H", "RX", "RZ") if len(targets) == 1 else ("CNOT", "CRX", "CRZ")
+        for name in names:
+            gate = GateOp(name, targets, angle if name in PARAMETRIC_GATES else None)
+            mat = gate_matrix(name, gate.param)
+            check(apply_gate_stack(stack, gate, n), [[mat]] * len(stack), targets)
+        for ch in (_random_channel(rng, len(targets)), depolarizing(0.3)):
+            if ch.n_qubits == len(targets):
+                got = apply_channel_stack(stack, ch, targets, n)
+                check(got, [ch.operators] * len(stack), targets)
+    for q in range(n):
+        for name in ("RX", "RZ"):
+            angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=len(stack))
+            got = apply_rotations_batch(stack, name, q, angles, n)
+            check(got, [[gate_matrix(name, a)] for a in angles], (q,))
