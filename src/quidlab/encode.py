@@ -10,10 +10,10 @@ Amplitude encoding: zero-pad, L2-normalise (after dividing each row by its
 largest |x|, so the norm neither over- nor underflows), form the projector.
 With a noise model, every encoding gate routes through the after-gate channels;
 amplitude preparation counts as one opaque StatePrep touching every qubit. Noise
-reaches each qubit as one fused forward 4x4 Liouville map (Wood, Biamonte &
-Cory, arXiv:1111.6950). Both channel kinds map real matrices to real ones, so
-amplitude states are evolved in float64 and returned complex with a zero
-imaginary part. Features must be finite.
+reaches each qubit as the gate's cached 4x4 Liouville map (noise.noise_superop;
+Wood, Biamonte & Cory, arXiv:1111.6950). Both channel kinds map real matrices
+to real ones, so that map is real, amplitude states are evolved in float64 and
+returned complex with a zero imaginary part. Features must be finite.
 
 Both encoders build a factored stack: a tuple of (B_f, d_f, d_f) arrays, B_f
 the row count or 1 (shared by every row); row r is the Kronecker product of the
@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import DEFAULT_RANGE
 from .errors import CapacityError, DegenerateInputError, ShapeError
-from .noise import NoiseModel, adjoint_noise_superop
+from .noise import NoiseModel, noise_superop
 from .simcore import MAX_QUBITS, DensityMatrix, apply_rotations_batch, apply_superop_stack
 from .simcore import finite, gate_matrix, whole
 
@@ -122,21 +122,8 @@ def _angle_factors(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) 
 
 def _noisy(stack: np.ndarray, model: NoiseModel | None, gate_name: str) -> np.ndarray:
     """A stack of one-qubit states after the gate's after-gate noise (unchanged without any)."""
-    noise = _forward_noise(model, gate_name)
+    noise = None if model is None else noise_superop(model.entries_for(gate_name), 1)
     return stack if noise is None else apply_superop_stack(stack, noise, (0,), 1)
-
-
-def _forward_noise(model: NoiseModel | None, gate_name: str) -> np.ndarray | None:
-    """One qubit's after-gate noise as a forward 4x4 Liouville map; None when none applies.
-
-    It is the conjugate transpose of the cached adjoint map, taken real when it has no
-    imaginary part (as for both channel kinds), so real states stay real.
-    """
-    sop = None if model is None else adjoint_noise_superop(model.entries_for(gate_name), 1)
-    if sop is None:
-        return None
-    sop = sop.conj().T
-    return sop if sop.imag.any() else sop.real
 
 
 def _kron_factors(factors) -> np.ndarray:
@@ -188,7 +175,7 @@ def _amplitude_factors(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | No
     psi[:, :dim] = x / np.linalg.norm(x, axis=1)[:, None]
     data = psi[:, :, None] * psi[:, None, :]
     tau = np.diag([1.0, 0.0])[None]  # a padding qubit's |0><0|
-    noise = _forward_noise(model, "StatePrep")
+    noise = None if model is None else noise_superop(model.entries_for("StatePrep"), 1)
     if noise is not None:
         tau = apply_superop_stack(tau, noise, (0,), 1)
         for q in range(m):  # rebinding data frees each input stack before the next map

@@ -8,7 +8,7 @@ booleans. load_noise_model checks only the file's JSON shape, then builds one.
 noisy_apply runs the gate and then feeds every touched qubit through the
 listed channels in order, which mirrors a simulator that injects noise after
 each gate. Two-qubit gates get independent single-qubit noise on each touched
-qubit. Channels are built once per distinct entry tuple (channels_for_entries).
+qubit. Channels and their composed map (noise_superop) are built once per entry tuple.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .data import read_json
 from .errors import DataFormatError
 from .simcore import GATE_ARITY, DensityMatrix, GateOp, KrausChannel, finite
-from .simcore import adjoint_superop, apply_channel_stack, apply_gate_stack
+from .simcore import _forward_superop, apply_channel_stack, apply_gate_stack
 
 CHANNEL_KINDS = ("amplitude_damping", "depolarizing")
 
@@ -61,11 +61,12 @@ def channels_for_entries(entries: tuple[tuple[str, float], ...]) -> tuple[KrausC
 
 
 @functools.lru_cache(maxsize=64)
-def adjoint_noise_superop(entries: tuple[tuple[str, float], ...], arity: int) -> np.ndarray | None:
-    """Read-only Liouville matrix of the adjoint of a gate's after-gate noise; cached.
+def noise_superop(entries: tuple[tuple[str, float], ...], arity: int) -> np.ndarray | None:
+    """Read-only Liouville matrix of a gate's after-gate noise; cached.
 
     The gate touches `arity` qubits and each gets the entries' channels in order, as in
-    noisy_apply_stack; the matrix is 4^arity square. None when no channel applies.
+    noisy_apply_stack; the matrix is 4^arity square, real when it has no imaginary part
+    (as for both channel kinds). None when no channel applies.
     """
     channels = channels_for_entries(entries)
     if not channels:
@@ -73,9 +74,10 @@ def adjoint_noise_superop(entries: tuple[tuple[str, float], ...], arity: int) ->
     sop = np.eye(4**arity, dtype=complex)
     for slot in range(arity):
         left, right = np.eye(1 << slot), np.eye(1 << (arity - 1 - slot))
-        for ch in channels:  # forward order: each later channel's adjoint acts first
+        for ch in channels:
             lifted = [np.kron(np.kron(left, k), right) for k in ch.operators]
-            sop = sop @ adjoint_superop(lifted)
+            sop = _forward_superop(lifted) @ sop
+    sop = sop if sop.imag.any() else sop.real
     sop.setflags(write=False)
     return sop
 

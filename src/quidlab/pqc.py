@@ -17,13 +17,14 @@ higher-indexed qubit.
 
 apply_pqc_stack pushes states forward through every gate and Kraus operator
 and is the test oracle. z_expectations reads <Z_q> in the Heisenberg picture
-instead: each Z_q is pulled back over its light cone only, through fused local
-adjoint superoperators, and contracted with the factors of the encoded states
-that the cone touches. All that does not depend on theta is cached per
-(template, noise entries of each gate name, factor widths) as a readout plan:
-the fusion blocks, each slot-bound gate's adjoint map as coefficients in its
-half angle, and each block's axis order. A call, on one point or a stack of
-points, is array work only.
+instead: each Z_q is pulled back over its light cone only, through transposed
+fused local Liouville maps, and contracted with the factors of the encoded
+states that the cone touches. The two share only simcore._forward_superop,
+which the tests check against explicit Kraus sums. All that does not depend on
+theta is cached per (template, noise entries of each gate name, factor widths)
+as a readout plan: the fusion blocks, each slot-bound gate's map as
+coefficients in its half angle, and each block's axis order. A call, on one
+point or a stack of points, is array work only.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import numpy as np
 from .data import read_json, write_json
 from .encode import _check_memory, _expand, _kron_factors
 from .errors import DataFormatError
-from .noise import NoiseModel, adjoint_noise_superop, noisy_apply_stack
+from .noise import NoiseModel, noise_superop, noisy_apply_stack
 from .simcore import DensityMatrix, GateOp, apply_gate_stack, gate_matrix, whole
-from .simcore import _layouts, adjoint_superop, contract_superop
+from .simcore import _forward_superop, _layouts, contract_superop
 
 PRESETS = ("pqc1", "pqc6", "pqc8")
 
@@ -229,21 +230,21 @@ _DFT = np.vstack([np.full(5, 0.2)]
 
 
 def _trig_coefficients(name: str, noise) -> np.ndarray:
-    """(5, 4^k, 4^k) C with adjoint_superop(U(theta)) @ noise = sum_j C[j] f_j(theta / 2).
+    """(5, 4^k, 4^k) C with (noise @ _forward_superop([U(theta)])).T = sum_j C[j] f_j(theta / 2).
 
     f is (1, cos, sin, cos 2., sin 2.): U's entries are 1 or linear in cos a and sin a of
     the half angle a, so each entry of the map is a trigonometric polynomial of degree 2
     in a (the structure of Mitarai et al., arXiv:1803.00745, and Rotosolve, Ostaszewski
     et al., arXiv:1905.09692), which five equispaced samples fix exactly.
     """
-    samples = np.stack([adjoint_superop((gate_matrix(name, 2.0 * a),)) for a in _SAMPLES])
+    samples = _forward_superop([[gate_matrix(name, 2.0 * a)] for a in _SAMPLES])
     if noise is not None:
-        samples = samples @ noise
-    return np.tensordot(_DFT, samples, axes=1)
+        samples = noise @ samples
+    return np.tensordot(_DFT, samples.swapaxes(1, 2), axes=1)
 
 
 def _rotation_maps(points: np.ndarray, slots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """(P, G, 4^k, 4^k) adjoint maps of G slot-bound gates of arity k at (P, param_count) points.
+    """(P, G, 4^k, 4^k) transposed maps of G slot-bound gates of arity k at (P, param_count) points.
 
     Gate g reads slots[g]; coeffs is the (G, 5, 2 * 16^k) real view of its
     _trig_coefficients. One cos, one sin and one matmul for all gates and points.
@@ -268,7 +269,7 @@ def _light_cones(tpl: PqcTemplate, widths: tuple) -> tuple:
     """(span, qubits, gates) per register of the Z_q light cones on widths-qubit factors.
 
     Walking the gates from last to first, a gate that touches Z_q's cone joins it with
-    all its targets; any other gate drops out, as every adjoint channel fixes the
+    all its targets; any other gate drops out, as every pulled-back map fixes the
     identity (Farhi, Goldstone & Gutmann, arXiv:1411.4028). A register is the factors
     (span) a cone touches; gates are those in any of its cones, last first. Cached.
     """
@@ -324,10 +325,10 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
     maps = []
     for gate in tpl.gates:
         k = len(gate.targets)
-        noise = adjoint_noise_superop(noise_of.get(gate.gate, ()), k)
+        noise = noise_superop(noise_of.get(gate.gate, ()), k)
         if gate.slot is None:
-            sop = adjoint_superop((gate_matrix(gate.gate, gate.angle),))
-            sop = sop if noise is None else sop @ noise
+            sop = _forward_superop([gate_matrix(gate.gate, gate.angle)])
+            sop = (sop if noise is None else noise @ sop).T
             sop.setflags(write=False)
             maps.append(sop)
         else:
@@ -404,12 +405,14 @@ def z_expectations(
     (quidlab.encode), at theta (param_count,) or a stack (..., param_count) of points.
 
     Heisenberg picture (Nielsen & Chuang, section 8.2): walking the gates from last to
-    first, Z_q passes through the adjoint of each gate's after-gate noise, then U^dag O U,
-    one local 4x4 or 16x16 Liouville matrix per gate. The maps of all points come from
-    the plan's coefficients in one step per arity (_rotation_maps), and each plan block
-    is one contraction for all points (simcore.contract_superop). Then
-    z_q = Tr((⊗_{f in span} rho_f) O_q): pqc1 reads 2x2 observables against one-qubit
-    angle factors, and a dense factor (_readout_factors) reads dense ones.
+    first, Z_q passes through F^T, F the local 4x4 or 16x16 Liouville matrix of a gate and
+    its after-gate noise. The adjoint is F's conjugate transpose, so the real Z_q comes
+    back as Y_q = conj(O_q), O_q its Heisenberg observable. The maps of all points come
+    from the plan's coefficients in one step per arity (_rotation_maps), and each plan
+    block is one contraction for all points (simcore.contract_superop). Then
+    z_q = Tr(rho O_q) = sum_ij rho_ij Y_q,ij, rho = ⊗_{f in span} rho_f: pqc1 reads 2x2
+    observables against one-qubit angle factors, and a dense factor (_readout_factors)
+    reads dense ones.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 0 or theta.shape[-1] != tpl.param_count:
@@ -438,7 +441,6 @@ def z_expectations(
                 sop = f if sop is None else f @ sop
             obs = contract_superop(obs, sop, perm, k)
         flat = obs.transpose(final).reshape(len(points), n_obs, dim * dim)
-        np.conjugate(flat, out=flat)  # Tr(rho O) = sum_ij rho_ij conj(O_ij)
         if len(span) == 1:  # every register of the group is the same factors
             states = _kron_factors([factors[f] for f in span[0]])
             z_group = states.reshape(len(states), -1) @ flat.swapaxes(1, 2)  # a product per point

@@ -145,7 +145,7 @@ def _batch_ce(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def cross_entropy(probs: np.ndarray, label: int) -> float:
     """-log probs[label], clamped at PROB_FLOOR."""
-    probs = np.asarray(probs, dtype=float)
+    probs, label = np.asarray(probs, dtype=float), whole(label, "label")
     if not 0 <= label < probs.shape[-1]:
         raise IndexError(f"label {label} out of range for {probs.shape[-1]} classes")
     return _batch_ce(probs[None], np.array([label]))

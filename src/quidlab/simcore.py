@@ -121,7 +121,7 @@ class KrausChannel:
         if dim not in (2, 4) or any(k.shape != (dim, dim) for k in ops):
             raise ShapeError("Kraus operators must all be 2x2 or all 4x4")
         total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
+        if not np.max(np.abs(total - np.eye(dim))) <= 1e-10:  # NaN and inf fail too
             raise ValueError("Kraus completeness violated: sum K^dag K != I")
         for k in ops:
             k.setflags(write=False)
@@ -140,6 +140,7 @@ class DensityMatrix:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.n_qubits = whole(self.n_qubits, "n_qubits", 1)
         self.data = np.asarray(self.data, dtype=complex)
         dim = 1 << self.n_qubits
         if self.data.shape != (dim, dim):
@@ -156,16 +157,16 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.data) ** 2))
 
     def validate(self, trace_atol=1e-9, herm_atol=1e-10, psd_atol=1e-9) -> None:
-        """Raise ValueError if trace-1 / Hermiticity / PSD invariants fail."""
+        """Raise ValueError if trace-1 / Hermiticity / PSD invariants fail; NaN fails each."""
         tr = np.trace(self.data)
-        if abs(tr - 1.0) > trace_atol:
+        if not abs(tr - 1.0) <= trace_atol:
             raise ValueError(f"trace {tr} deviates from 1 beyond {trace_atol}")
         herm = np.max(np.abs(self.data - self.data.conj().T))
-        if herm > herm_atol:
+        if not herm <= herm_atol:
             raise ValueError(f"Hermiticity defect {herm} beyond {herm_atol}")
         sym = 0.5 * (self.data + self.data.conj().T)
         lo = float(np.linalg.eigvalsh(sym)[0])
-        if lo < -psd_atol:
+        if not lo >= -psd_atol:
             raise ValueError(f"negative eigenvalue {lo} beyond -{psd_atol}")
 
 
@@ -176,6 +177,7 @@ def ground_state(n_qubits: int) -> DensityMatrix:
 
 def basis_state(n_qubits: int, index: int) -> DensityMatrix:
     """|index><index| in the computational basis."""
+    n_qubits, index = whole(n_qubits, "n_qubits"), whole(index, "basis index")
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     dim = 1 << n_qubits
@@ -191,13 +193,8 @@ def gate_matrix(name: str, param: float | None = None) -> np.ndarray:
     name = canonical_gate_name(name)
     if name == "H":
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    if name == "RX":
-        c, s = math.cos(param / 2), math.sin(param / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if name == "RZ":
-        return np.array(
-            [[np.exp(-0.5j * param), 0], [0, np.exp(0.5j * param)]], dtype=complex
-        )
+    if name in ("RX", "RZ"):
+        return rotation_matrices(param / 2, name == "RZ")
     if name == "CNOT":
         m = np.eye(4, dtype=complex)
         m[2:, 2:] = np.array([[0, 1], [1, 0]])
@@ -214,8 +211,9 @@ def gate_matrix(name: str, param: float | None = None) -> np.ndarray:
 
 def _forward_superop(operators) -> np.ndarray:
     """Liouville matrix sum_k kron(K_k, conj(K_k)) of rho -> sum_k K_k rho K_k^dag, rho flattened
-    row-major as in adjoint_superop. The K_k lie on the third-last axis; axes before it are
-    kept, one map per entry."""
+    row-major (Wood, Biamonte & Cory, arXiv:1111.6950); A then B is B @ A, and the conjugate
+    transpose is the adjoint O -> sum_k K_k^dag O K_k. The K_k lie on the third-last axis;
+    axes before it are kept, one map per entry."""
     ks = np.asarray(operators, dtype=complex)
     d = ks.shape[-1]
     return np.einsum("...kij,...klm->...iljm", ks, ks.conj()).reshape(ks.shape[:-3] + (d * d,) * 2)
@@ -226,18 +224,6 @@ def apply_operator_stack(
 ) -> np.ndarray:
     """K rho K^dag for every state in the stack, K lifted onto `targets`."""
     return apply_superop_stack(stack, _forward_superop([mat]), targets, n_qubits)
-
-
-def adjoint_superop(operators) -> np.ndarray:
-    """Liouville matrix of O -> sum_k K_k^dag O K_k on the operators' qubits.
-
-    With O flattened row-major, entry ((r, c), (r', c')) is sum_k conj(K_k[r', r]) K_k[c', c],
-    so the matrix is sum_k kron(K_k^dag, K_k^T) (Wood, Biamonte & Cory, arXiv:1111.6950).
-    Maps compose by matrix product: A applied first, then B, is B @ A.
-    """
-    ks = np.asarray(operators, dtype=complex)
-    d = ks.shape[-1]
-    return np.einsum("kpr,kqc->rcpq", ks.conj(), ks).reshape(d * d, d * d)
 
 
 @functools.lru_cache(maxsize=256)
@@ -301,7 +287,7 @@ def apply_channel_stack(
 def rotation_matrices(half_angles, is_z) -> np.ndarray:
     """(..., 2, 2) RZ unitaries where is_z holds, RX elsewhere, at the given half angles.
 
-    is_z broadcasts against half_angles. The one RX/RZ builder besides gate_matrix.
+    is_z broadcasts against half_angles. The one RX/RZ formula; gate_matrix uses it too.
     """
     c, s = np.cos(half_angles), np.sin(half_angles)
     u = np.zeros(np.broadcast(c, is_z).shape + (2, 2), dtype=complex)
@@ -324,6 +310,7 @@ def apply_rotations_batch(
 
 
 def expect_z_stack(stack: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+    qubit = whole(qubit, "qubit")
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"qubit {qubit} out of range for {n_qubits} qubits")
     diag = np.einsum("bii->bi", stack).real
@@ -366,6 +353,6 @@ def sample_shots(z: np.ndarray, shots: int, rng: np.random.Generator | None) -> 
 
 def sample_expect_z(rho: DensityMatrix, qubit: int, shots: int, seed: int) -> float:
     """Empirical <Z> of one qubit from `shots` draws of sample_shots."""
-    shots = whole(shots, "shots", 1)
+    shots, seed = whole(shots, "shots", 1), whole(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     return float(sample_shots(expect_z(rho, qubit), shots, rng))

@@ -7,11 +7,11 @@ from conftest import random_density_matrix
 from quidlab.errors import DataFormatError
 from quidlab.noise import (
     NoiseModel,
-    adjoint_noise_superop,
     amplitude_damping,
     build_channel,
     depolarizing,
     load_noise_model,
+    noise_superop,
     noisy_apply,
 )
 from quidlab.simcore import (
@@ -136,13 +136,19 @@ def test_channels_are_built_once_per_entry_tuple_and_read_only():
     (("depolarizing", 0.05),),
 ], ids=["p0.05", "with-zero-strength", "depolarizing"])
 def test_forward_noise_map_is_the_conjugate_transpose_of_the_adjoint(entries):
-    # the encoders apply sum_k kron(K, K*), composed in channel order, as one 4x4 map
-    forward = np.eye(4, dtype=complex)
+    # the encoders apply sum_k kron(K, K*), composed in channel order, as one 4x4 map; its
+    # conjugate transpose is sum_k kron(K^dag, K^T), composed in reverse channel order
+    forward, adjoint = np.eye(4, dtype=complex), np.eye(4, dtype=complex)
     for kind, param in entries:
         ks = build_channel(kind, param).operators
         forward = sum(np.kron(k, k.conj()) for k in ks) @ forward
-    assert np.max(np.abs(adjoint_noise_superop(entries, 1).conj().T - forward)) <= 1e-15
+        adjoint = adjoint @ sum(np.kron(k.conj().T, k.T) for k in ks)
+    sop = noise_superop(entries, 1)
+    assert np.max(np.abs(sop - forward)) <= 1e-15
+    assert np.max(np.abs(sop.conj().T - adjoint)) <= 1e-15
     assert not forward.imag.any()  # both channel kinds map real matrices to real ones
+    assert sop.dtype == float and not sop.flags.writeable
+    assert noise_superop(entries, 1) is sop  # cached
 
 
 def test_monotone_signal_loss_under_repeated_noisy_identity():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_pure_state
 from quidlab.encode import EncoderConfig, _encode_factors, _kron_factors
-from quidlab.noise import NoiseModel, adjoint_noise_superop
+from quidlab.noise import NoiseModel
 from quidlab.pqc import (
     _READOUT_PEAK,
     PRESETS,
@@ -25,8 +25,8 @@ from quidlab.pqc import (
     save_template,
     z_expectations,
 )
-from quidlab.simcore import (DensityMatrix, _layouts, adjoint_superop, apply_superop_stack,
-                             contract_superop, expect_z_stack, gate_matrix, ground_state)
+from quidlab.simcore import (DensityMatrix, _layouts, apply_superop_stack, contract_superop,
+                             expect_z_stack, gate_matrix, ground_state)
 
 
 @pytest.mark.parametrize(
@@ -384,7 +384,9 @@ def test_light_cone_readout_refuses_states_of_another_register_size(rng):
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
 @pytest.mark.parametrize("name", ["RX", "RZ", "CRX", "CRZ"])
 def test_plan_coefficients_give_each_gates_adjoint_map(name, noise, rng):
-    # the plan's trigonometric coefficients against the map built from the gate at theta
+    # the plan's trigonometric coefficients against the adjoint of the gate and its noise,
+    # O -> U^dag N^dag(O) U, built on each basis matrix E_ij from the Kraus operators. The
+    # plan holds the forward map's transpose, the adjoint's complex conjugate
     model = READOUT_NOISE[noise]
     k = len(name) - 1
     tpl = PqcTemplate("one", k, 1, (TemplateGate(name, tuple(range(k)), slot=0),), 1)
@@ -392,11 +394,20 @@ def test_plan_coefficients_give_each_gates_adjoint_map(name, noise, rng):
     assert arity == k
     thetas = np.concatenate([[0.0, np.pi, -np.pi, 2 * np.pi, 1e3], rng.uniform(-9, 9, 16)])
     maps = _rotation_maps(thetas[:, None], slots, coeffs)[:, 0]
-    noise_half = adjoint_noise_superop(model.entries_for(name) if model else (), k)
+    d = 1 << k
+    kraus = [[np.kron(np.kron(np.eye(1 << q), op), np.eye(1 << (k - 1 - q))) for op in ch.operators]
+             for q in range(k) for ch in (model.channels_for(name) if model else ())]
     for theta, got in zip(thetas, maps):
-        want = adjoint_superop((gate_matrix(name, theta),))
-        want = want if noise_half is None else want @ noise_half
-        assert np.max(np.abs(got - want)) <= 1e-12
+        u = gate_matrix(name, theta)
+        want = np.empty((d * d, d * d), dtype=complex)
+        for col in range(d * d):
+            obs = np.zeros(d * d, dtype=complex)
+            obs[col] = 1.0
+            obs = obs.reshape(d, d)
+            for ops in reversed(kraus):  # the last channel's adjoint acts first
+                obs = sum(op.conj().T @ obs @ op for op in ops)
+            want[:, col] = (u.conj().T @ obs @ u).ravel()
+        assert np.max(np.abs(got - want.conj())) <= 1e-12
 
 
 def two_copy_contraction(stack, sop, targets, n):

@@ -9,7 +9,7 @@ from quidlab.simcore import (
     DensityMatrix,
     GateOp,
     KrausChannel,
-    adjoint_superop,
+    _forward_superop,
     apply_channel,
     apply_channel_stack,
     apply_gate,
@@ -134,7 +134,7 @@ def test_channel_arity_mismatch():
 def test_superop_stack_refuses_targets_outside_the_register():
     # -1 would land on the batch axis, and 2 names no axis of a 2-qubit state
     stack = np.stack([basis_state(2, 0).data, basis_state(2, 3).data])
-    flip = adjoint_superop((gate_matrix("RX", np.pi),))
+    flip = _forward_superop([gate_matrix("RX", np.pi)])
     for targets, error in (((-1,), ValueError), ((2,), IndexError), ((0.5,), ValueError)):
         with pytest.raises(error):
             apply_superop_stack(stack, flip, targets, 2)
@@ -234,6 +234,11 @@ def test_kraus_completeness_rejects_bad_channel():
         KrausChannel([np.eye(2) * 0.5])
     with pytest.raises(ShapeError):
         KrausChannel([np.eye(3)])
+    # NaN compares false with every tolerance, so the check must be written to fail on it
+    for bad in (np.nan, np.inf, -np.inf):
+        for ops in ([[[bad, 0.0], [0.0, 1.0]]], [np.eye(4), np.full((4, 4), bad)]):
+            with pytest.raises(ValueError, match="completeness"), np.errstate(invalid="ignore"):
+                KrausChannel(ops)
 
 
 def test_density_matrix_validate_catches_bad_states():
@@ -243,6 +248,13 @@ def test_density_matrix_validate_catches_bad_states():
     skew = DensityMatrix(1, np.array([[0.5, 0.5], [0.1, 0.5]]))
     with pytest.raises(ValueError):
         skew.validate()
+    # NaN anywhere, or everywhere, fails one of the checks; so does an infinity
+    for bad in (np.nan, np.inf):
+        for entry in ((0, 0), (0, 1), (1, 1), ...):
+            data = np.diag([0.5, 0.5]).astype(complex)
+            data[entry] = bad
+            with pytest.raises(ValueError):
+                DensityMatrix(1, data).validate()
 
 
 def test_stateprep_has_no_unitary():
@@ -250,19 +262,41 @@ def test_stateprep_has_no_unitary():
         apply_gate(ground_state(2), GateOp("StatePrep", (0, 1)))
 
 
+_X = np.array([[0, 1], [1, 0]])
+# the edges of the half-angle period and a large angle, then a grid
+ANGLES = np.concatenate([[0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e3, -1e3],
+                         np.linspace(-20, 20, 81)])
+
+
+def _closed_form(name, angle=None):
+    """A gate's unitary written out from its definition, independent of simcore: RX is
+    cos(t/2) I - i sin(t/2) X, RZ is diag(e^{-it/2}, e^{it/2}), and a controlled gate
+    acts with its target block when the first qubit is 1."""
+    if name == "H":
+        return np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    if name == "RX":
+        return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * _X
+    if name == "RZ":
+        return np.diag(np.exp([-0.5j * angle, 0.5j * angle]))
+    m = np.eye(4, dtype=complex)
+    m[2:, 2:] = _X if name == "CNOT" else _closed_form(name[1:], angle)
+    return m
+
+
 def test_gate_matrix_conventions():
-    assert np.allclose(gate_matrix("RZ", 0.7), np.diag([np.exp(-0.35j), np.exp(0.35j)]))
-    rx = gate_matrix("RX", 0.7)
-    x = np.array([[0, 1], [1, 0]])
-    assert np.allclose(rx, np.cos(0.35) * np.eye(2) - 1j * np.sin(0.35) * x)
+    for name in ("H", "CNOT"):
+        assert np.max(np.abs(gate_matrix(name) - _closed_form(name))) <= 1e-15
+    for name in ("RX", "RZ", "CRX", "CRZ"):
+        for angle in ANGLES:
+            assert np.max(np.abs(gate_matrix(name, angle) - _closed_form(name, angle))) <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["RX", "RZ"])
 def test_rotation_builder_and_per_row_rotations_match_the_gate_oracle(rng, name):
+    mats = rotation_matrices(ANGLES / 2.0, name == "RZ")
+    for angle, mat in zip(ANGLES, mats):
+        assert np.max(np.abs(mat - _closed_form(name, angle))) <= 1e-15
     angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=5)
-    mats = rotation_matrices(angles / 2.0, name == "RZ")
-    for angle, mat in zip(angles, mats):
-        assert np.max(np.abs(mat - gate_matrix(name, angle))) <= 1e-15
     stack = np.stack([random_density_matrix(rng, 3) for _ in angles])
     for q in range(3):
         out = apply_rotations_batch(stack, name, q, angles, 3)
@@ -290,14 +324,24 @@ def _random_channel(rng, k, rank=3):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_map_engine_matches_explicit_full_register_kraus_sums(rng, n):
     # every gate, channel and per-row rotation goes through apply_superop_stack; the oracle
-    # lifts each operator to the full register and sums K rho K^dag over the Kraus set
+    # lifts each operator to the full register and sums K rho K^dag over the Kraus set.
+    # The conjugate transpose of the builder's matrix must be the adjoint map
+    # O -> sum K^dag O K on any operator, as the readout's pull-back relies on
     stack = np.stack([random_density_matrix(rng, n) for _ in range(3)])
+    dim = 1 << n
+    observables = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
 
     def check(got, ops_per_state, targets):
         for rho, ops, out in zip(stack, ops_per_state, got):
             lifted = [_lift(k, targets, n) for k in ops]
             want = sum(m @ rho @ m.conj().T for m in lifted)
             assert np.max(np.abs(out - want)) <= 1e-12
+
+    def check_adjoint(ops, targets):
+        lifted = [_lift(k, targets, n) for k in ops]
+        got = apply_superop_stack(observables, _forward_superop(ops).conj().T, targets, n)
+        for obs, out in zip(observables, got):
+            assert np.max(np.abs(out - sum(m.conj().T @ obs @ m for m in lifted))) <= 1e-12
 
     angle = float(rng.uniform(-np.pi, np.pi))
     targets_of = [(q,) for q in range(n)]
@@ -306,14 +350,16 @@ def test_map_engine_matches_explicit_full_register_kraus_sums(rng, n):
         names = ("H", "RX", "RZ") if len(targets) == 1 else ("CNOT", "CRX", "CRZ")
         for name in names:
             gate = GateOp(name, targets, angle if name in PARAMETRIC_GATES else None)
-            mat = gate_matrix(name, gate.param)
+            mat = _closed_form(name, gate.param)
             check(apply_gate_stack(stack, gate, n), [[mat]] * len(stack), targets)
+            check_adjoint([mat], targets)
         for ch in (_random_channel(rng, len(targets)), depolarizing(0.3)):
             if ch.n_qubits == len(targets):
                 got = apply_channel_stack(stack, ch, targets, n)
                 check(got, [ch.operators] * len(stack), targets)
+                check_adjoint(ch.operators, targets)
     for q in range(n):
         for name in ("RX", "RZ"):
             angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=len(stack))
             got = apply_rotations_batch(stack, name, q, angles, n)
-            check(got, [[gate_matrix(name, a)] for a in angles], (q,))
+            check(got, [[_closed_form(name, a)] for a in angles], (q,))

@@ -55,6 +55,11 @@ COMMANDS = [
                                "trace", "--epsilon", "0.5", "--noise", "0.05"]),
     ("train-pqc8", ["train", "--pqc", "pqc8", "--shots", "64", "--noise", "0.05", *TRAIN]),
     ("train-layers2", ["train", "--layers", "2", "--train-fraction", "0.6", *TRAIN]),
+    # readout under per-gate noise: two-qubit noise maps, the exempt rz, a zero-strength entry
+    ("train-pqc6-per-gate", ["train", "--pqc", "pqc6", "--qubits", "3", "--noise-model",
+                             "{out}/per-gate-noise.json", *TRAIN]),
+    ("train-pqc8-per-gate-shots", ["train", "--pqc", "pqc8", "--noise-model",
+                                   "{out}/per-gate-noise.json", "--shots", "32", *TRAIN]),
     ("evaluate", ["evaluate", "--model", "{out}/train-pqc8/model.json", "--shots", "32"]),
     ("experiment", ["experiment", "--pqc", "pqc6", "--modes",
                     "none,random_flip,quid,bilevel_random", "--epsilon", "0,0.3",
