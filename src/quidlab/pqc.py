@@ -17,14 +17,13 @@ higher-indexed qubit.
 
 apply_pqc_stack pushes states forward through every gate and Kraus operator
 and is the test oracle. z_expectations reads <Z_q> in the Heisenberg picture
-instead: each Z_q is pulled back over its light cone only, through transposed
-fused local Liouville maps, and contracted with the factors of the encoded
-states that the cone touches. The two share only simcore._forward_superop,
-which the tests check against explicit Kraus sums. All that does not depend on
-theta is cached per (template, noise entries of each gate name, factor widths)
-as a readout plan: the fusion blocks, each slot-bound gate's map as
-coefficients in its half angle, and each block's axis order. A call, on one
-point or a stack of points, is array work only.
+instead, in the Pauli basis and real arithmetic: each Z_q's Pauli vector is
+pulled back over its light cone only, through fused local Pauli transfer
+matrices, and contracted with the Pauli forms of the encoded states that the
+cone touches. All that does not depend on theta is cached per (template, noise
+entries of each gate name, factor widths) as a readout plan: the fusion blocks,
+each slot-bound gate name's map as coefficients in its half angle, and each
+block's axis order. A call, on one point or a stack of points, is array work.
 """
 
 from __future__ import annotations
@@ -36,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_json, write_json
-from .encode import _check_memory, _expand, _kron_factors
+from .encode import _check_memory, _kron_factors
 from .errors import DataFormatError
 from .noise import NoiseModel, noise_superop, noisy_apply_stack
 from .simcore import DensityMatrix, GateOp, apply_gate_stack, gate_matrix, whole
-from .simcore import _forward_superop, _layouts, contract_superop
+from .simcore import _forward_superop, _layouts, contract_superop, pauli_form, pauli_pullback
 
 PRESETS = ("pqc1", "pqc6", "pqc8")
 
@@ -230,7 +229,7 @@ _DFT = np.vstack([np.full(5, 0.2)]
 
 
 def _trig_coefficients(name: str, noise) -> np.ndarray:
-    """(5, 4^k, 4^k) C with (noise @ _forward_superop([U(theta)])).T = sum_j C[j] f_j(theta / 2).
+    """(5, 16^k) C, pauli_pullback(noise @ _forward_superop([U(theta)])) = sum_j C[j] f_j(theta/2).
 
     f is (1, cos, sin, cos 2., sin 2.): U's entries are 1 or linear in cos a and sin a of
     the half angle a, so each entry of the map is a trigonometric polynomial of degree 2
@@ -240,26 +239,24 @@ def _trig_coefficients(name: str, noise) -> np.ndarray:
     samples = _forward_superop([[gate_matrix(name, 2.0 * a)] for a in _SAMPLES])
     if noise is not None:
         samples = noise @ samples
-    return np.tensordot(_DFT, samples.swapaxes(1, 2), axes=1)
+    return np.tensordot(_DFT, pauli_pullback(samples), axes=1).reshape(5, -1)
 
 
-def _rotation_maps(points: np.ndarray, slots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """(P, G, 4^k, 4^k) transposed maps of G slot-bound gates of arity k at (P, param_count) points.
-
-    Gate g reads slots[g]; coeffs is the (G, 5, 2 * 16^k) real view of its
-    _trig_coefficients. One cos, one sin and one matmul for all gates and points.
-    """
-    angles = points[:, slots, None] * (0.5, 1.0)  # a and 2a
-    basis = np.ones(angles.shape[:-1] + (1, 5))
-    basis[..., 0, 1::2] = np.cos(angles)
-    basis[..., 0, 2::2] = np.sin(angles)
-    d = math.isqrt(coeffs.shape[-1] // 2)
-    return (basis @ coeffs).view(complex).reshape(angles.shape[:2] + (d, d))
+def _rotation_maps(points: np.ndarray, rotations: tuple) -> dict:
+    """name -> (P, G, 4^k, 4^k) pull-back maps of its G gates at (P, param_count) points, from
+    the plan's (name, slots, _trig_coefficients); one cos, one sin, one matmul per name."""
+    angles = points[..., None] * (0.5, 1.0)  # a and 2a
+    basis = np.ones(points.shape + (5,))
+    basis[..., 1::2] = np.cos(angles)
+    basis[..., 2::2] = np.sin(angles)
+    return {name: (basis[:, slots] @ coeffs).reshape(
+        (len(points), len(slots)) + (math.isqrt(coeffs.shape[-1]),) * 2)
+        for name, slots, coeffs in rotations}
 
 
-# Peak memory of a readout group as a multiple of its observable and state stacks; tracemalloc
-# measured at most 3.15x for dense pqc6 and pqc8 (6-7 qubits, P = 1, 2, one row), where the
-# observables are live three times over in a contraction and the rotation maps add the rest
+# Peak memory of a readout group as a multiple of its real observable and state stacks;
+# tracemalloc measured at most 3.16x for dense pqc6 and pqc8 (6-7 qubits, P = 1, 2, one row),
+# where the observables are live three times over in a contraction and the maps add the rest
 _READOUT_PEAK = 3.2
 _CHECK_FLOOR = 1 << 26  # bytes below which a readout skips the memory-limit lookup
 
@@ -313,37 +310,37 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
 
     Each register of _light_cones pulls its Z_q back through its gates, fused into
     blocks. Registers of equal factor widths and block shapes form a group, pulled
-    back as one stack. Returns the (arity, slots, coefficients) arguments of
-    _rotation_maps per arity, and per group (qubits, diagonals of their Z_q, the
-    factor indices of their registers (one row if all equal), blocks, the final order
-    of simcore._layouts on the (P, G, 2, ..., 2) observables). A block is (its
-    contract_superop order, arity, factors); a factor is a fixed map, or (arity, index
-    into the per-call rotation maps); if the group's registers differ, with a group axis.
+    back as one stack. Returns _rotation_maps' (name, slots, coefficients) per gate name,
+    and per group (qubits, the diagonals of their Z_q's Pauli vectors, the factor indices
+    of their registers (one row if all equal), blocks, the final order of simcore._layouts
+    on the (P, G, 2, ..., 2) observables). A block is (its contract_superop order, arity,
+    factors); a factor is a fixed pull-back map, or (name, index into the per-call rotation
+    maps); if the group's registers differ, with a group axis.
     """
     noise_of = dict(zip(tpl._names, entries))
-    slot_gates: dict[int, list] = {1: [], 2: []}  # arity -> (slot, coefficients) per gate
+    slot_gates: dict[str, tuple] = {}  # gate name -> (its noise, the slots of its gates)
     maps = []
     for gate in tpl.gates:
-        k = len(gate.targets)
-        noise = noise_superop(noise_of.get(gate.gate, ()), k)
+        noise = noise_superop(noise_of.get(gate.gate, ()), len(gate.targets))
         if gate.slot is None:
             sop = _forward_superop([gate_matrix(gate.gate, gate.angle)])
-            sop = (sop if noise is None else noise @ sop).T
+            sop = pauli_pullback(sop if noise is None else noise @ sop)
             sop.setflags(write=False)
             maps.append(sop)
         else:
-            maps.append((k, len(slot_gates[k])))
-            slot_gates[k].append((gate.slot, _trig_coefficients(gate.gate, noise)))
+            slots = slot_gates.setdefault(gate.gate, (noise, []))[1]
+            maps.append((gate.gate, len(slots)))
+            slots.append(gate.slot)
     first = np.cumsum((0,) + widths)
     registers: dict[tuple, list] = {}
     for span, qubits, chosen in _light_cones(tpl, widths):
         local = {w: i for i, w in enumerate(w for f in span for w in range(first[f], first[f + 1]))}
         blocks = _fuse([(tuple(local[w] for w in tpl.gates[i].targets), maps[i]) for i in chosen])
         shape = tuple((t, tuple(isinstance(f, tuple) for f in fs)) for t, fs in blocks)
-        m = len(local)  # the diagonals of Z_0..Z_{m-1} on the register
-        signs = 1.0 - 2.0 * ((np.arange(1 << m) >> (m - 1 - np.arange(m))[:, None]) & 1)
+        m = len(local)  # Z_w's Pauli vector: one-hot on the diagonal, at w's bit
+        ones = np.eye(1 << m)[1 << (m - 1 - np.arange(m))]
         registers.setdefault((tuple(widths[f] for f in span), shape), []).extend(
-            (q, signs[local[q]], span, blocks) for q in qubits)
+            (q, ones[local[q]], span, blocks) for q in qubits)
     groups = []
     for members in registers.values():
         qubits, diags, spans, member_blocks = zip(*sorted(members))  # qubits ascending
@@ -360,18 +357,14 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
         blocks = tuple((perm, len(t), fs) for perm, (t, fs) in zip(perms, blocks))
         span = np.array(spans[:1] if len(set(spans)) == 1 else spans)
         groups.append((np.array(qubits), np.array(diags), span, blocks, final))
-    rotations = []
-    for k, group in slot_gates.items():
-        if group:
-            slots, coeffs = zip(*group)
-            coeffs = np.stack(coeffs).reshape(len(coeffs), 5, -1).view(float)
-            rotations.append((k, np.array(slots, dtype=np.intp), coeffs))
-    return tuple(rotations), tuple(groups)
+    rotations = tuple((name, np.array(slots, dtype=np.intp), _trig_coefficients(name, noise))
+                      for name, (noise, slots) in slot_gates.items())
+    return rotations, tuple(groups)
 
 
 def _check_readout(n_points: int, n_obs: int, n_wires: int, rows: int) -> None:
-    """Refuse a readout whose (P, G, D, D) observables and (rows, D, D) states cannot fit."""
-    need = _READOUT_PEAK * 16 * 4**n_wires * (n_points * n_obs + rows)
+    """Refuse a readout whose real (P, G, D, D) observables and (rows, D, D) states cannot fit."""
+    need = _READOUT_PEAK * 8 * 4**n_wires * (n_points * n_obs + rows)
     if need > _CHECK_FLOOR:
         _check_memory(need, f"reading out {n_obs} observables on {n_wires} qubits")
 
@@ -381,18 +374,19 @@ def _widths(factors: tuple) -> tuple:
 
 
 def _readout_factors(factors: tuple, tpl: PqcTemplate) -> tuple:
-    """A factored stack as tpl's readout takes it: expanded once into one dense factor
-    when some light cone spans every factor (pqc6), else unchanged."""
+    """A factored stack as tpl's readout (_pull_back) takes it: each factor's Pauli form,
+    expanded once into one dense factor when some light cone spans every factor (pqc6)."""
+    factors = tuple(map(pauli_form, factors))
     if len(factors) > 1 and any(
             len(span) == len(factors) for span, _, _ in _light_cones(tpl, _widths(factors))):
         _check_readout(1, tpl.n_qubits, tpl.n_qubits, max(map(len, factors)))
-        return (_expand(factors),)
+        return (_kron_factors(factors),)
     return factors
 
 
 def _stack_rows(arrays: list) -> np.ndarray:
     """The (G, B, d, d) stack of (B or 1, d, d) arrays; one-row arrays broadcast."""
-    out = np.empty((len(arrays), max(map(len, arrays))) + arrays[0].shape[1:], dtype=complex)
+    out = np.empty((len(arrays), max(map(len, arrays))) + arrays[0].shape[1:])
     for g, a in enumerate(arrays):
         out[g] = a
     return out
@@ -402,17 +396,19 @@ def z_expectations(
     factors: tuple, tpl: PqcTemplate, theta: np.ndarray, model: NoiseModel | None = None
 ) -> np.ndarray:
     """(..., B, n) <Z_q> of the template's output for every row of a factored stack
-    (quidlab.encode), at theta (param_count,) or a stack (..., param_count) of points.
+    (quidlab.encode), at theta (param_count,) or a stack (..., param_count) of points; the
+    classifier converts once per encode (_readout_factors) and calls _pull_back itself."""
+    return _pull_back(tuple(map(pauli_form, factors)), tpl, theta, model)
+
+
+def _pull_back(factors: tuple, tpl: PqcTemplate, theta, model: NoiseModel | None) -> np.ndarray:
+    """z_expectations on factors in Pauli form (simcore.pauli_form), in real arithmetic.
 
     Heisenberg picture (Nielsen & Chuang, section 8.2): walking the gates from last to
-    first, Z_q passes through F^T, F the local 4x4 or 16x16 Liouville matrix of a gate and
-    its after-gate noise. The adjoint is F's conjugate transpose, so the real Z_q comes
-    back as Y_q = conj(O_q), O_q its Heisenberg observable. The maps of all points come
-    from the plan's coefficients in one step per arity (_rotation_maps), and each plan
-    block is one contraction for all points (simcore.contract_superop). Then
-    z_q = Tr(rho O_q) = sum_ij rho_ij Y_q,ij, rho = ⊗_{f in span} rho_f: pqc1 reads 2x2
-    observables against one-qubit angle factors, and a dense factor (_readout_factors)
-    reads dense ones.
+    first, Z_q's Pauli vector passes through R^T, R the real 4x4 or 16x16 Pauli transfer
+    matrix of a gate and its after-gate noise (simcore.pauli_pullback), to o_q; each plan
+    block is one contraction for all points (simcore.contract_superop). Then z_q = <o_q, s>,
+    s = ⊗_{f in span} s_f: pqc1 reads 2x2 forms against one-qubit angle factors.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 0 or theta.shape[-1] != tpl.param_count:
@@ -424,14 +420,14 @@ def z_expectations(
         raise ValueError(f"states have {sum(widths)} qubits but template wants {tpl.n_qubits}")
     points = theta.reshape((math.prod(theta.shape[:-1]), tpl.param_count))
     rotations, groups = _readout_plan(tpl, _noise_entries(tpl, model), widths)
-    rotation = {k: _rotation_maps(points, slots, coeffs) for k, slots, coeffs in rotations}
+    rotation = _rotation_maps(points, rotations)
     rows = max(map(len, factors))
     z = np.empty((len(points), rows, tpl.n_qubits))
     for qubits, diag, span, blocks, final in groups:
         n_obs, dim = diag.shape
         m = dim.bit_length() - 1
         _check_readout(len(points), n_obs, m, rows * len(span))
-        obs = np.zeros((len(points), n_obs, dim * dim), dtype=complex)
+        obs = np.zeros((len(points), n_obs, dim * dim))
         obs[:, :, :: dim + 1] = diag
         obs = obs.reshape((len(points), n_obs) + (2,) * (2 * m))
         for perm, k, maps in blocks:
@@ -449,8 +445,8 @@ def z_expectations(
             z_group = (states.reshape(states.shape[:2] + (-1,)) @ flat[..., None])[..., 0]
             z_group = z_group.swapaxes(1, 2)
         if len(groups) == 1:  # its qubits are 0..n-1 in order
-            return z_group.real.reshape(theta.shape[:-1] + z.shape[1:])
-        z[:, :, qubits] = z_group.real
+            return z_group.reshape(theta.shape[:-1] + z.shape[1:])
+        z[:, :, qubits] = z_group
     return z.reshape(theta.shape[:-1] + z.shape[1:])
 
 

@@ -4,15 +4,14 @@ Quantum parameters train with SPSA two-point gradient estimates; the linear
 head trains with exact softmax cross-entropy gradients. Both parameter groups
 update with Adam.
 
-The readout is in the Heisenberg picture and works on the encoders' factored
-stacks (quidlab.encode), never expanding more of the register than a light
-cone needs: pqc.z_expectations pulls each Z_q back over its cone only and
-contracts it with the cone's factors, so pqc1 reads 2x2 observables against
-per-qubit angle states. Only a cone that spans the whole register (pqc6)
-expands the register and reads dense observables. The pull-back follows a
-readout plan cached per template, noise model and factor widths, and takes a
-stack of parameter points at once. The Schrodinger path (pqc.apply_pqc /
-apply_pqc_stack) remains as the test oracle.
+The readout is in the Heisenberg picture, in the Pauli basis: _encode hands
+pqc._pull_back the real Pauli forms of the encoders' factored stacks
+(quidlab.encode), converted once per encode. Each Z_q is pulled back over its
+light cone only and contracted with the cone's factors, so pqc1 reads 2x2 forms
+against per-qubit angle states; only a cone that spans the whole register
+(pqc6) expands it. The pull-back follows a readout plan cached per template,
+noise model and factor widths, and takes a stack of parameter points at once.
+The Schrodinger path (pqc.apply_pqc / apply_pqc_stack) remains the test oracle.
 
 Every entry point that takes features, here and in defense, checks and
 encodes them through one gate, _encode.
@@ -36,7 +35,7 @@ from .data import LabeledDataset, class_ids, read_json, write_json
 from .encode import EncoderConfig, _encode_factors, _rows
 from .errors import DataFormatError
 from .noise import NoiseModel
-from .pqc import PqcTemplate, _readout_factors, z_expectations
+from .pqc import PqcTemplate, _pull_back, _readout_factors
 from .simcore import finite, sample_shots, whole
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
@@ -159,12 +158,12 @@ def _forward_from_states(
     shots: int,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, z) for a factored stack of already-encoded states under parameters theta.
+    """(probs, z) for already-encoded states in Pauli form (_encode) under parameters theta.
 
     theta is one point (param_count,) or a (P, param_count) stack; a stack gives
     results with a leading point axis, and draws the shots point by point.
     """
-    z = sample_shots(z_expectations(states, model.template, theta, noise), shots, rng)
+    z = sample_shots(_pull_back(states, model.template, theta, noise), shots, rng)
     logits = z @ model.head_weights.T + model.head_bias
     return softmax(logits), z
 
@@ -226,7 +225,7 @@ def _spsa_pair(model, states, labels, config: TrainConfig, rng) -> np.ndarray:
 
 
 def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
-    """The model-input gate: per (X, labels or None) set, (X's states as
+    """The model-input gate: per (X, labels or None) set, (X's states in Pauli form as
     pqc._readout_factors gives them, int64 labels or None).
 
     Checks every set before it encodes any. Refuses an empty X, a width other than

@@ -120,8 +120,10 @@ class KrausChannel:
         dim = ops[0].shape[0]
         if dim not in (2, 4) or any(k.shape != (dim, dim) for k in ops):
             raise ShapeError("Kraus operators must all be 2x2 or all 4x4")
+        if not all(np.isfinite(k).all() for k in ops):  # before the sum, which warns on them
+            raise ValueError("Kraus operators must be finite")
         total = sum(k.conj().T @ k for k in ops)
-        if not np.max(np.abs(total - np.eye(dim))) <= 1e-10:  # NaN and inf fail too
+        if not np.max(np.abs(total - np.eye(dim))) <= 1e-10:
             raise ValueError("Kraus completeness violated: sum K^dag K != I")
         for k in ops:
             k.setflags(write=False)
@@ -201,7 +203,7 @@ def gate_matrix(name: str, param: float | None = None) -> np.ndarray:
         return m
     if name in ("CRX", "CRZ"):
         m = np.eye(4, dtype=complex)
-        m[2:, 2:] = gate_matrix(name[1:], param)
+        m[2:, 2:] = rotation_matrices(param / 2, name == "CRZ")
         return m
     raise ValueError(f"{name} has no fixed unitary")
 
@@ -217,6 +219,32 @@ def _forward_superop(operators) -> np.ndarray:
     ks = np.asarray(operators, dtype=complex)
     d = ks.shape[-1]
     return np.einsum("...kij,...klm->...iljm", ks, ks.conj()).reshape(ks.shape[:-3] + (d * d,) * 2)
+
+
+# _PAULI[a, 2r + c] = sigma_a[c, r] for sigma = (I, X, Y, Z), so _PAULI @ vec(rho) = Tr(sigma_a rho)
+_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+
+
+def pauli_form(stack: np.ndarray) -> np.ndarray:
+    """The real (..., 2^n, 2^n) Pauli vectors s_a = Tr(sigma_a rho) of a stack of Hermitian rho,
+    qubit q's Pauli index a_q = 2 h_q + l_q in its row bit h_q and column bit l_q: a Kronecker
+    product of operators has the Kronecker product of their forms."""
+    n = stack.shape[-1].bit_length() - 1
+    for q in range(n):
+        stack = apply_superop_stack(stack, _PAULI, (q,), n)
+    return np.ascontiguousarray(stack.real)
+
+
+def pauli_pullback(sops: np.ndarray) -> np.ndarray:
+    """R^T, real, of Liouville matrices M (..., 4^k, 4^k): R = W M W^dag / 2^k, W vec(rho) =
+    pauli_form(rho), is M's Pauli transfer matrix (Greenbaum, arXiv:1509.02921), and R^T pulls
+    an observable's Pauli vector back through M."""
+    d = math.isqrt(sops.shape[-1])
+    e = np.eye(d * d).reshape(d * d, d, d)  # entry r * d + c: the basis matrix E_rc
+    # row r * d + c of W^T is W vec(E_rc); pauli_form keeps its real part, and of -i E_rc
+    # its imaginary part
+    w = (pauli_form(e) + 1j * pauli_form(-1j * e)).reshape(d * d, -1)
+    return (w.T.conj() @ np.swapaxes(sops, -1, -2) @ w).real / d
 
 
 def apply_operator_stack(
@@ -284,16 +312,13 @@ def apply_channel_stack(
     return apply_superop_stack(stack, _forward_superop(ch.operators), targets, n_qubits)
 
 
-def rotation_matrices(half_angles, is_z) -> np.ndarray:
-    """(..., 2, 2) RZ unitaries where is_z holds, RX elsewhere, at the given half angles.
-
-    is_z broadcasts against half_angles. The one RX/RZ formula; gate_matrix uses it too.
-    """
+def rotation_matrices(half_angles, is_z: bool) -> np.ndarray:
+    """(..., 2, 2) RZ unitaries if is_z, else RX, at the given half angles; the one RX/RZ
+    formula, which gate_matrix uses too."""
     c, s = np.cos(half_angles), np.sin(half_angles)
-    u = np.zeros(np.broadcast(c, is_z).shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = np.where(is_z, c - 1j * s, c)
-    u[..., 1, 1] = np.where(is_z, c + 1j * s, c)
-    u[..., 0, 1] = u[..., 1, 0] = np.where(is_z, 0.0, -1j * s)
+    u = np.zeros(np.shape(c) + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 1, 1] = (c - 1j * s, c + 1j * s) if is_z else (c, c)
+    u[..., 0, 1] = u[..., 1, 0] = 0.0 if is_z else -1j * s
     return u
 
 

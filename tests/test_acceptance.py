@@ -17,7 +17,8 @@ from quidlab.encode import EncoderConfig, encode_batch, scale_features
 from quidlab.ess import distance, validate_ess
 from quidlab.noise import NoiseModel, amplitude_damping, build_channel, depolarizing
 from quidlab.qnn import TrainConfig, _batch_ce, _forward_from_states, init_model, spsa_estimate
-from quidlab.simcore import DensityMatrix, apply_channel, basis_state, expect_z, ground_state
+from quidlab.simcore import (DensityMatrix, apply_channel, basis_state, expect_z, ground_state,
+                             pauli_form)
 from test_poison import run_oracle_comparison
 from test_simcore import _random_circuit
 
@@ -167,7 +168,7 @@ def test_criterion_5_spsa_sanity():
     model.head_bias = np.array([0.1, -0.2])
     X = np.array([[0.5], [2.0], [4.0]])
     y = np.array([0, 1, 0])
-    states = (encode_batch(X, enc),)  # a factored stack of one dense factor
+    states = (pauli_form(encode_batch(X, enc)),)  # one dense factor, as qnn._encode has it
 
     def loss(t):
         probs, _ = _forward_from_states(model, states, t, None, 0, None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density_matrix, random_pure_state
+from conftest import density_from_pauli, pauli_strings, random_density_matrix, random_pure_state
 from quidlab.encode import EncoderConfig, _encode_factors, _kron_factors
 from quidlab.noise import NoiseModel
 from quidlab.pqc import (
@@ -15,6 +15,7 @@ from quidlab.pqc import (
     TemplateGate,
     _light_cones,
     _noise_entries,
+    _pull_back,
     _readout_factors,
     _readout_plan,
     _rotation_maps,
@@ -26,7 +27,7 @@ from quidlab.pqc import (
     z_expectations,
 )
 from quidlab.simcore import (DensityMatrix, _layouts, apply_superop_stack, contract_superop,
-                             expect_z_stack, gate_matrix, ground_state)
+                             expect_z_stack, gate_matrix, ground_state, pauli_form)
 
 
 @pytest.mark.parametrize(
@@ -189,9 +190,10 @@ def factored_inputs(n, rng, model):
 
 
 def cone_z(factors, tpl, theta, model):
-    """z_expectations on the factors as given and as the classifier hands them over."""
+    """z_expectations on the factors as given, and _pull_back on them as the classifier
+    hands them over."""
     got = z_expectations(factors, tpl, theta, model)
-    assert np.max(np.abs(z_expectations(_readout_factors(factors, tpl), tpl, theta, model)
+    assert np.max(np.abs(_pull_back(_readout_factors(factors, tpl), tpl, theta, model)
                          - got)) <= 1e-12
     return got
 
@@ -368,7 +370,7 @@ def test_narrow_cones_read_out_without_expanding(rng):
     factors = _encode_factors(rng.uniform(0, 2 * np.pi, (3, 12)), EncoderConfig("angle", 12), model)
     for name in ("pqc1", "pqc8"):
         tpl = build_template(name, 12, 1)
-        assert _readout_factors(factors, tpl) is factors
+        assert [f.shape for f in _readout_factors(factors, tpl)] == [f.shape for f in factors]
         assert max(len(span) for span, _, _ in _light_cones(tpl, (1,) * 12)) <= 4
         z = z_expectations(factors, tpl, rng.uniform(-np.pi, np.pi, tpl.param_count), model)
         assert z.shape == (3, 12) and np.all(np.abs(z) <= 1.0)
@@ -384,30 +386,44 @@ def test_light_cone_readout_refuses_states_of_another_register_size(rng):
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
 @pytest.mark.parametrize("name", ["RX", "RZ", "CRX", "CRZ"])
 def test_plan_coefficients_give_each_gates_adjoint_map(name, noise, rng):
-    # the plan's trigonometric coefficients against the adjoint of the gate and its noise,
-    # O -> U^dag N^dag(O) U, built on each basis matrix E_ij from the Kraus operators. The
-    # plan holds the forward map's transpose, the adjoint's complex conjugate
+    # the plan's trigonometric coefficients against R^T, the adjoint's Pauli transfer matrix:
+    # R_ab = Tr(sigma_a N(U sigma_b U^dag)) / 2^k for the gate and its noise, from explicit
+    # Kraus sums on explicit Pauli strings, laid out as simcore.pauli_form lays out a vector
     model = READOUT_NOISE[noise]
     k = len(name) - 1
     tpl = PqcTemplate("one", k, 1, (TemplateGate(name, tuple(range(k)), slot=0),), 1)
-    [(arity, slots, coeffs)], _groups = _readout_plan(tpl, _noise_entries(tpl, model), (k,))
-    assert arity == k
+    [(gate, slots, coeffs)], _groups = _readout_plan(tpl, _noise_entries(tpl, model), (k,))
+    assert gate == name
     thetas = np.concatenate([[0.0, np.pi, -np.pi, 2 * np.pi, 1e3], rng.uniform(-9, 9, 16)])
-    maps = _rotation_maps(thetas[:, None], slots, coeffs)[:, 0]
-    d = 1 << k
+    maps = _rotation_maps(thetas[:, None], ((gate, slots, coeffs),))[gate][:, 0]
+    strings = pauli_strings(k).reshape(4**k, 1 << k, 1 << k)
     kraus = [[np.kron(np.kron(np.eye(1 << q), op), np.eye(1 << (k - 1 - q))) for op in ch.operators]
              for q in range(k) for ch in (model.channels_for(name) if model else ())]
     for theta, got in zip(thetas, maps):
         u = gate_matrix(name, theta)
-        want = np.empty((d * d, d * d), dtype=complex)
-        for col in range(d * d):
-            obs = np.zeros(d * d, dtype=complex)
-            obs[col] = 1.0
-            obs = obs.reshape(d, d)
-            for ops in reversed(kraus):  # the last channel's adjoint acts first
-                obs = sum(op.conj().T @ obs @ op for op in ops)
-            want[:, col] = (u.conj().T @ obs @ u).ravel()
-        assert np.max(np.abs(got - want.conj())) <= 1e-12
+        want = np.empty((4**k, 4**k))
+        for b, sigma in enumerate(strings):
+            out = u @ sigma @ u.conj().T
+            for ops in kraus:  # channels in order, after the gate
+                out = sum(op @ out @ op.conj().T for op in ops)
+            traces = np.einsum("aij,ji->a", strings, out) / (1 << k)
+            assert np.max(np.abs(traces.imag)) <= 1e-12
+            want[:, b] = traces.real
+        assert np.max(np.abs(got - want.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_form_round_trips_through_explicit_pauli_strings(n, rng):
+    # s_a = Tr(sigma_a rho) against explicit Pauli strings, and rho = sum_a s_a sigma_a / 2^n
+    rho = np.stack([random_density_matrix(rng, n) for _ in range(3)])
+    strings = pauli_strings(n)
+    traces = np.einsum("hlij,bji->bhl", strings, rho)
+    assert np.max(np.abs(traces.imag)) <= 1e-15
+    form = pauli_form(rho)
+    assert form.dtype == float and form.shape == rho.shape
+    assert np.max(np.abs(form - traces.real)) <= 1e-15
+    assert np.max(np.abs(pauli_form(-1j * rho))) <= 1e-15  # the imaginary part it drops
+    assert np.max(np.abs(density_from_pauli(form) - rho)) <= 1e-15
 
 
 def two_copy_contraction(stack, sop, targets, n):
@@ -478,14 +494,14 @@ def test_dense_readout_peaks_within_the_capacity_factor(name, n, points, rng):
     model = NoiseModel.from_error_rate(0.05)
     tpl = build_template(name, n)
     factors = _encode_factors(rng.uniform(0, 2 * np.pi, (1, n)), EncoderConfig("angle", n), model)
-    states = (_kron_factors(factors),)  # one dense group of n observables, one row
+    states = (pauli_form(_kron_factors(factors)),)  # one dense group of n observables, one row
     theta = rng.uniform(-np.pi, np.pi, (points, tpl.param_count))
-    z_expectations(states, tpl, theta, model)  # the plan, built once
+    _pull_back(states, tpl, theta, model)  # the plan, built once
     tracemalloc.start()
     try:
-        z_expectations(states, tpl, theta, model)
+        _pull_back(states, tpl, theta, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured at most 3.15x, pqc6 at 6 qubits and two points, where the rotation maps weigh most
-    assert peak + states[0].nbytes <= _READOUT_PEAK * 16 * 4**n * (points * n + 1), peak
+    # measured at most 3.16x, pqc6 at 6 qubits and two points, where the rotation maps weigh most
+    assert peak + states[0].nbytes <= _READOUT_PEAK * 8 * 4**n * (points * n + 1), peak

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import density_from_pauli
 from quidlab import qnn
 from quidlab.data import LabeledDataset, split, synth_clusters
 from quidlab.encode import EncoderConfig, _kron_factors, encode_batch, scale_features
 from quidlab.errors import DataFormatError
 from quidlab.noise import NoiseModel
 from quidlab.pqc import apply_pqc_stack, build_template
-from quidlab.simcore import expect_z_stack
+from quidlab.simcore import expect_z_stack, pauli_form
 from quidlab.qnn import (
     QnnModel,
     TrainConfig,
@@ -139,7 +140,7 @@ def test_head_gradient_matches_finite_differences(rng):
     model.head_bias = 0.1 * rng.standard_normal(3)
     X = rng.uniform(0, 2 * np.pi, size=(4, 4))
     y = rng.integers(0, 3, size=4)
-    states = (encode_batch(X, model.encoder),)  # a factored stack of one dense factor
+    states = (pauli_form(encode_batch(X, model.encoder)),)  # one dense factor, as _encode has it
     grad_w, grad_b = head_gradient(model, X, y)
 
     def loss_at(w, b):
@@ -166,11 +167,12 @@ def test_head_gradient_matches_finite_differences(rng):
 def schrodinger_forward(model, states, theta, noise, shots, rng):
     """Forward pass that pushes every state through the PQC: the readout oracle.
 
-    states is a factored stack, expanded here; theta is one point or a stack of
-    points, each pushed forward on its own.
+    states is a factored stack in Pauli form, as qnn._encode gives it, expanded and taken
+    back to density matrices here; theta is one point or a stack of points, each pushed
+    forward on its own.
     """
     n = model.encoder.n_qubits
-    states = _kron_factors(states)
+    states = density_from_pauli(_kron_factors(states))
     points = np.reshape(theta, (-1, model.template.param_count))
     outs = [apply_pqc_stack(states, model.template, t, noise) for t in points]
     z = np.stack([np.column_stack([expect_z_stack(out, q, n) for q in range(n)]) for out in outs])
@@ -204,8 +206,8 @@ def test_training_step_pulls_back_twice(monkeypatch, shots):
     tr, te = split(ds, 0.75, stratified=True, seed=2)
     model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4, seed=2)
     points = []
-    pull_back = qnn.z_expectations
-    monkeypatch.setattr(qnn, "z_expectations",
+    pull_back = qnn._pull_back
+    monkeypatch.setattr(qnn, "_pull_back",
                         lambda states, tpl, theta, noise: points.append(np.shape(theta)) or
                         pull_back(states, tpl, theta, noise))
     train(model, tr, te, TrainConfig(epochs=1, batch_size=8, seed=5, shots=shots))
