@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime/numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -631,6 +632,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="quidlab",

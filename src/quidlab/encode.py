@@ -2,30 +2,31 @@
 
 Angle encoding: a Hadamard on every qubit, then each qubit's contiguous block of
 f features as alternating RZ/RX rotations (RZ first). Every gate and after-gate
-channel acts on one qubit, so the state is the product rho_0 ⊗ ... ⊗ rho_{n-1}.
-Each qubit starts at the same noisy H|0><0|H; feature j of every block (columns
-j, j + f, ...) then maps the 2x2 states of the qubits that have one to
-N(u rho u^dag), one step per feature index for all qubits and rows at once.
-Amplitude encoding: zero-pad, L2-normalise (after dividing each row by its
-largest |x|, so the norm neither over- nor underflows), form the projector.
-With a noise model, every encoding gate routes through the after-gate channels;
-amplitude preparation counts as one opaque StatePrep touching every qubit. Noise
-reaches each qubit as the gate's cached 4x4 Liouville map (noise.noise_superop;
-Wood, Biamonte & Cory, arXiv:1111.6950). Both channel kinds map real matrices
-to real ones, so that map is real, amplitude states are evolved in float64 and
-returned complex with a zero imaginary part. Features must be finite.
+channel acts on one qubit, so the state is the product rho_0 ⊗ ... ⊗ rho_{n-1},
+held as each qubit's real Pauli vector s_a = Tr(sigma_a rho_q), sigma = I, X, Y,
+Z, as simcore.pauli_form lays it out. Each qubit starts at the same noisy H|0>,
+s = (1, 1, 0, 0); feature j of every block (columns j, j + f, ...) turns the
+(X, Y) entries (RZ) or the (Y, Z) entries (RX) by its angle, for all qubits and
+rows at once. Amplitude encoding: zero-pad, L2-normalise (after dividing each
+row by its largest |x|, so the norm neither over- nor underflows), form the
+projector. Every encoding gate routes through the after-gate channels; amplitude
+preparation is one StatePrep touching every qubit. A gate's noise is its cached
+4x4 Liouville map (noise.noise_superop; Wood, Biamonte & Cory, arXiv:1111.6950),
+for angle states its Pauli transfer matrix. It is real, so amplitude states are
+evolved in float64 and returned complex with a zero imaginary part.
 
-Both encoders build a factored stack: a tuple of (B_f, d_f, d_f) arrays, B_f
-the row count or 1 (shared by every row); row r is the Kronecker product of the
-factors' rows, factor 0 most significant. Angle states have one 2x2 factor per
-qubit. d amplitude features fill the last m = max(1, ceil(log2 d)) qubits, and
-the j = n - m padding qubits stay |0><0| under per-qubit StatePrep noise, so the
-state is tau^{⊗j} ⊗ rho_data: j shared (1, 2, 2) factors tau, then the
-(B, 2^m, 2^m) data factor. encode_batch expands the factors.
+Both encoders build a factored stack: a tuple of (B_f, d_f, d_f) arrays, B_f the
+row count or 1 (shared by every row); row r is the Kronecker product of the
+factors' rows, factor 0 most significant. Angle states have one real 2x2 Pauli
+factor per qubit. d amplitude features fill the last m = max(1, ceil(log2 d))
+qubits, the j = n - m padding qubits stay |0><0| under StatePrep noise, and the
+complex density factors are j shared (1, 2, 2) tau, then the (B, 2^m, 2^m) data.
+encode_batch expands density matrices of the factors. Features must be finite.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import resource
 from dataclasses import dataclass
@@ -35,12 +36,12 @@ import numpy as np
 from .data import DEFAULT_RANGE
 from .errors import CapacityError, DegenerateInputError, ShapeError
 from .noise import NoiseModel, noise_superop
-from .simcore import MAX_QUBITS, DensityMatrix, apply_rotations_batch, apply_superop_stack
-from .simcore import finite, gate_matrix, whole
+from .simcore import _PAULI, MAX_QUBITS, DensityMatrix, apply_superop_stack, finite
+from .simcore import pauli_pullback, whole
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
 # attributes of quidlab.encode, so they stay importable from this module.
-from .simcore import apply_channel_stack, apply_operator_stack  # noqa: F401
+from .simcore import apply_channel_stack, apply_operator_stack, apply_rotations_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -109,21 +110,23 @@ def _check_dim(dim: int, cfg: EncoderConfig) -> None:
 def _angle_factors(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) -> tuple:
     b, dim = x.shape
     f = cfg.features_per_qubit
-    h = gate_matrix("H")
-    factors = np.empty((cfg.n_qubits, b, 2, 2), dtype=complex)  # rho_q for every qubit q
-    factors[:] = _noisy(np.outer(h[:, 0], h[:, 0].conj())[None], model, "H")  # N(H|0><0|H)
+    pull = {name: _pauli_noise(() if model is None else model.entries_for(name))
+            for name in ("H", "RZ", "RX")}  # each gate's noise, applied to row vectors
+    s = np.empty((cfg.n_qubits, b, 4))  # every qubit's Pauli vector in every row
+    s[:] = np.array([1.0, 1.0, 0.0, 0.0]) @ pull["H"]  # N(H|0><0|H)
     for j in range(min(f, dim)):  # feature j of each qubit's block: columns j, j + f, ...
-        name = "RZ" if j % 2 == 0 else "RX"  # RZ first, then alternating with RX
         angles = x[:, j::f].T  # (qubits with a feature j, B)
-        rho = factors[:len(angles)]
-        rho[:] = _noisy(apply_rotations_batch(rho, name, 0, angles, 1), model, name)
-    return tuple(factors)
+        v = s[:len(angles)]  # RZ first, turning (X, Y); then alternating with RX, turning (Y, Z)
+        v[..., 1 + j % 2:3 + j % 2].view(complex)[..., 0] *= np.exp(1j * angles)
+        v[:] = v @ pull["RX" if j % 2 else "RZ"]
+    return tuple(s.reshape(cfg.n_qubits, b, 2, 2))
 
 
-def _noisy(stack: np.ndarray, model: NoiseModel | None, gate_name: str) -> np.ndarray:
-    """A stack of one-qubit states after the gate's after-gate noise (unchanged without any)."""
-    noise = None if model is None else noise_superop(model.entries_for(gate_name), 1)
-    return stack if noise is None else apply_superop_stack(stack, noise, (0,), 1)
+@functools.lru_cache(maxsize=64)
+def _pauli_noise(entries: tuple) -> np.ndarray:
+    """R^T, R the Pauli transfer matrix of one qubit's noise for the entries, or I; cached."""
+    noise = noise_superop(entries, 1)
+    return np.eye(4) if noise is None else pauli_pullback(noise)
 
 
 def _kron_factors(factors) -> np.ndarray:
@@ -153,11 +156,15 @@ def _check_capacity(rows: int, n_qubits: int) -> None:
 
 
 def _expand(factors) -> np.ndarray:
-    """The dense stack of a factored stack; a product of factors is capacity-checked first."""
+    """The dense stack of density matrices of a factored stack; a product of factors is
+    capacity-checked first. Each of the angle encoder's real one-qubit Pauli forms s becomes
+    rho = sum_a s_a sigma_a / 2 first: vec(rho) = _PAULI^dag s / 2, as _PAULI _PAULI^dag = 2 I."""
     if len(factors) > 1:
         _check_capacity(max(map(len, factors)),
                         sum(f.shape[1].bit_length() - 1 for f in factors))
-    return _kron_factors(factors)
+    return _kron_factors([f if np.iscomplexobj(f) else
+                          (f.reshape(len(f), 4) @ (_PAULI.conj() / 2)).reshape(f.shape)
+                          for f in factors])
 
 
 def _amplitude_factors(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) -> tuple:

@@ -11,11 +11,13 @@ that live only for the call, one per usable CPU, with the same bits for any
 thread count. Labeling assigns the class whose reference states have the
 smallest mean distance to the query.
 
-One kernel takes dense stacks (one factor) and encode's factored stacks. As
-Tr(rho sigma) = prod_f Tr(rho_f sigma_f), Frobenius and Hilbert-Schmidt multiply
-per-factor Gram matrices; as ||tau ⊗ X|| = ||tau|| ||X|| in the trace and
-Frobenius norms, a factor both stacks share and hold equal (amplitude padding)
-is never expanded into a difference.
+One kernel takes dense stacks (one factor) and encode's factored stacks: complex
+density factors or the angle encoder's real Pauli forms. As Tr(rho sigma) =
+prod_f Tr(rho_f sigma_f), Frobenius and Hilbert-Schmidt multiply per-factor Gram
+matrices, s.t / 2^m of Pauli forms (Wood, Biamonte & Cory, arXiv:1111.6950); the
+trace distance expands density matrices. As ||tau ⊗ X|| = ||tau|| ||X|| in the
+trace and Frobenius norms, a factor both stacks share and hold equal (amplitude
+padding) is never expanded into a difference.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ _ALIASES = {"hs": "hilbert_schmidt", "fro": "frobenius"}
 _EIG_BYTES = 64 << 20
 
 # Frobenius entries with |a-b|^2 below this share of |a|^2+|b|^2 skip the Gram
-# expansion; above it the expansion has erred by at most 5e-14 (measured: angle states
-# at 1-6 qubits 2.7e-14 from factors, 3.0e-14 dense; amplitude at 1-7 qubits 4.6e-14)
+# expansion; above it the expansion has erred by at most 6e-14 (measured: angle states
+# at 1-6 qubits 2.4e-14 from Pauli factors, 3.4e-14 dense; amplitude at 1-7 qubits 5.9e-14)
 _GRAM_NEAR = 1e-4
 
 
@@ -80,30 +82,32 @@ def distance(sigma: DensityMatrix, rho: DensityMatrix, metric: str) -> float:
 def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
     """(m, k) distances between two stacks of density matrices."""
     metric = canonical_metric(metric)
+    A, B = (np.asarray(S, dtype=complex) for S in (A, B))  # _distances reads real as Pauli
     if A.shape[1:] != B.shape[1:]:
         raise ShapeError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
     return _distances((A,), (B,), metric)
 
 
 def _distances(A: tuple, B: tuple, metric: str) -> np.ndarray:
-    """(m, k) distances between two factored stacks of the same factor sizes (canonical metric)."""
+    """(m, k) distances of two factored stacks alike in factor sizes and forms; canonical metric."""
     # A factor both stacks share and hold equal multiplies the trace and Frobenius norms of
     # every difference by its own (a Kronecker product's singular values are the products
     # of its factors'); it is a state, so its trace norm is its trace. The last one stays.
     same = [len(a) == len(b) == 1 and np.array_equal(a, b) for a, b in zip(A[:-1], B[:-1])]
     same.append(False)
-    common = [a[0] for a, s in zip(A, same) if s]
+    common = [_expand((a,))[0] for a, s in zip(A, same) if s]  # as density matrices
     rest_a, rest_b = (tuple(f for f, s in zip(F, same) if not s) for F in (A, B))
     if metric == "trace":
         norm = math.prod(np.trace(c).real for c in common)
         return _trace_distances(_expand(rest_a), _expand(rest_b)) * norm
+    w = math.prod(1.0 / f.shape[1] for f in A if not np.iscomplexobj(f))  # Pauli: s.t / 2^m
     a_flat = [f.reshape(len(f), f.shape[1] ** 2) for f in A]
     b_flat = [f.reshape(len(f), f.shape[1] ** 2) for f in B]
-    gram = reduce(operator.mul, (a.conj() @ b.T for a, b in zip(a_flat, b_flat)))  # Tr(a^dag b)
+    gram = w * reduce(operator.mul, (a.conj() @ b.T for a, b in zip(a_flat, b_flat)))  # Tr(a^dag b)
     if metric == "hilbert_schmidt":
         return 1.0 - np.abs(gram) / math.prod(f.shape[1] for f in A)
-    sq_a = reduce(operator.mul, (np.sum(np.abs(a) ** 2, axis=1) for a in a_flat))
-    sq_b = reduce(operator.mul, (np.sum(np.abs(b) ** 2, axis=1) for b in b_flat))
+    sq_a = w * reduce(operator.mul, (np.sum(np.abs(a) ** 2, axis=1) for a in a_flat))
+    sq_b = w * reduce(operator.mul, (np.sum(np.abs(b) ** 2, axis=1) for b in b_flat))
     scale = sq_a[:, None] + sq_b[None, :]
     sq = scale - 2.0 * gram.real
     # The expansion cancels for near-equal states (2e-8 for a state against

@@ -374,9 +374,9 @@ def _widths(factors: tuple) -> tuple:
 
 
 def _readout_factors(factors: tuple, tpl: PqcTemplate) -> tuple:
-    """A factored stack as tpl's readout (_pull_back) takes it: each factor's Pauli form,
+    """A factored stack as tpl's readout (_pull_back) takes it: each complex factor's Pauli form,
     expanded once into one dense factor when some light cone spans every factor (pqc6)."""
-    factors = tuple(map(pauli_form, factors))
+    factors = tuple(pauli_form(f) if np.iscomplexobj(f) else f for f in factors)
     if len(factors) > 1 and any(
             len(span) == len(factors) for span, _, _ in _light_cones(tpl, _widths(factors))):
         _check_readout(1, tpl.n_qubits, tpl.n_qubits, max(map(len, factors)))
@@ -410,6 +410,8 @@ def _pull_back(factors: tuple, tpl: PqcTemplate, theta, model: NoiseModel | None
     block is one contraction for all points (simcore.contract_superop). Then z_q = <o_q, s>,
     s = ⊗_{f in span} s_f: pqc1 reads 2x2 forms against one-qubit angle factors.
     """
+    if any(np.iscomplexobj(f) for f in factors):  # density matrices; see _readout_factors
+        raise ValueError("the readout expects real Pauli forms (simcore.pauli_form), not complex")
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 0 or theta.shape[-1] != tpl.param_count:
         raise ValueError(

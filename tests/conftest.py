@@ -39,6 +39,12 @@ def density_from_pauli(stack: np.ndarray) -> np.ndarray:
     return np.einsum("...hl,hlij->...ij", stack, pauli_strings(n)) / (1 << n)
 
 
+def density_factors(factors: tuple) -> tuple:
+    """A factored stack as density matrices: its real factors, the angle encoder's Pauli
+    forms, converted by density_from_pauli, its complex ones as they are."""
+    return tuple(f if np.iscomplexobj(f) else density_from_pauli(f) for f in factors)
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(1234))

@@ -864,3 +864,31 @@ def test_every_range_message_starts_with_its_field(make, field):
     if key in cli.OPTIONS:
         with pytest.raises(cli.UsageError, match=f"^{cli._flag(key)}: {field} must be "):
             cli._configured(make)
+
+
+def test_main_calls_in_one_process_match_separate_runs(tmp_path):
+    # the parser is built once per process, so a flag of one call must not reach the next
+    import subprocess
+    import sys
+
+    from quidlab.cli import build_parser
+
+    def argv(out, *flags):
+        return ["gen-data", "--classes", "2", "--dim", "3", "--per-class", "4",
+                *flags, "--out", str(out)]
+
+    calls = [("a.csv", "--seed", "3", "--spread", "0.9"), ("b.csv", "--seed", "4")]
+    (tmp_path / "in").mkdir()
+    (tmp_path / "apart").mkdir()
+    for name, *flags in calls:
+        assert main(argv(tmp_path / "in" / name, *flags)) == 0
+        proc = subprocess.run([sys.executable, "-m", "quidlab.cli",
+                               *argv(tmp_path / "apart" / name, *flags)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert build_parser() is build_parser()
+    for name, *_flags in calls:
+        for suffix in ("", ".provenance.json"):
+            together = (tmp_path / "in" / (name + suffix)).read_bytes()
+            assert together == (tmp_path / "apart" / (name + suffix)).read_bytes(), name
+    assert (tmp_path / "in" / "a.csv").read_bytes() != (tmp_path / "in" / "b.csv").read_bytes()

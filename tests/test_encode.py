@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from quidlab.encode import EncoderConfig, encode, encode_batch, scale_features
+from conftest import pauli_strings
+from quidlab.encode import EncoderConfig, _encode_factors, _kron_factors, encode, encode_batch
+from quidlab.encode import scale_features
 from quidlab.errors import CapacityError, DegenerateInputError, ShapeError
 from quidlab.noise import NoiseModel, noisy_apply
 from quidlab.simcore import GateOp, apply_channel_stack, apply_gate, ground_state
@@ -113,6 +115,33 @@ def test_noisy_angle_matches_noisy_gate_oracle(rng, n, f, dim, model_name):
                 gate = GateOp(gate.name, gate.targets, float(next(angles)))
             rho = apply_gate(rho, gate) if model is None else noisy_apply(rho, gate, model)
         assert np.max(np.abs(state - rho.data)) <= 1e-12
+
+
+# (qubits, features per qubit, feature dimension); the last leaves qubit 2 without a feature
+PAULI_SIZES = [(3, 1, 3), (2, 2, 4), (2, 3, 5), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("model_name", list(ORACLE_MODELS))
+@pytest.mark.parametrize("n,f,dim", PAULI_SIZES, ids=[f"n{n}-f{f}-d{d}" for n, f, d in PAULI_SIZES])
+def test_angle_pauli_vectors_match_pauli_strings_of_the_gate_oracle(rng, n, f, dim, model_name):
+    # the encoder's per-qubit Pauli vectors s_a = Tr(sigma_a rho_q), their Kronecker product
+    # laid out as pauli_strings, against Tr(S rho) of the gate-by-gate noisy register state
+    model = ORACLE_MODELS[model_name]
+    cfg = EncoderConfig("angle", n, f)
+    x = rng.uniform(0, 2 * np.pi, size=(3, dim))
+    factors = _encode_factors(x, cfg, model)
+    assert [(fa.dtype, fa.shape) for fa in factors] == [(np.dtype(float), (3, 2, 2))] * n
+    strings = pauli_strings(n)
+    for row, got in zip(x, _kron_factors(factors)):
+        rho = ground_state(n)
+        angles = iter(row)
+        for gate in encoding_gates(dim, cfg):
+            if gate.param is not None:
+                gate = GateOp(gate.name, gate.targets, float(next(angles)))
+            rho = apply_gate(rho, gate) if model is None else noisy_apply(rho, gate, model)
+        want = np.einsum("hlij,ji->hl", strings, rho.data)
+        assert np.max(np.abs(want.imag)) <= 1e-12
+        assert np.max(np.abs(got - want.real)) <= 1e-12
 
 
 @pytest.mark.parametrize("cfg", [EncoderConfig("angle", 2, 1), EncoderConfig("amplitude", 1)],

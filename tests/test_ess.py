@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density_matrix, random_pure_state
+from conftest import density_from_pauli, random_density_matrix, random_pure_state
 from quidlab import ess
 from quidlab.data import LabeledDataset, synth_clusters
 from quidlab.encode import (
     EncoderConfig,
     _encode_factors,
     _expand,
+    _kron_factors,
     encode,
     encode_batch,
     scale_features,
@@ -28,6 +29,7 @@ from quidlab.ess import (
     validate_ess,
 )
 from quidlab.noise import NoiseModel
+from quidlab.pqc import build_template, z_expectations
 from quidlab.simcore import DensityMatrix, basis_state, ground_state
 
 
@@ -374,6 +376,63 @@ def test_padded_amplitude_states_at_twelve_qubits_keep_every_padding_factor_two_
     assert np.max(np.abs(tables["frobenius"] - want["frobenius"] * tau**4)) <= 1e-12
     overlap = (1.0 - want["hilbert_schmidt"]) * 2**8 * tau**8
     assert np.max(np.abs(tables["hilbert_schmidt"] - (1.0 - overlap / 2**12))) <= 1e-12
+
+
+COMMON_MODELS = {
+    "noiseless": None,
+    "p0.05": NoiseModel.from_error_rate(0.05),
+    "per-gate": NoiseModel(per_gate={"h": (("amplitude_damping", 0.2), ("depolarizing", 0.07))},
+                           default=(("depolarizing", 0.05),)),
+}
+
+
+@pytest.mark.parametrize("model_name", list(COMMON_MODELS))
+@pytest.mark.parametrize("gap", [1e-9, 0.7])
+def test_one_row_angle_stacks_with_equal_factors_match_the_dense_distances(rng, gap, model_name):
+    # one row each: the factors both hold equal (qubit 0, equal features; qubit 2, no feature)
+    # are the common ones, in Pauli form; qubit 1 differs by gap (1e-9: a near Frobenius entry)
+    model = COMMON_MODELS[model_name]
+    cfg = EncoderConfig("angle", 3, 2)
+    x = rng.uniform(0, 2 * np.pi, size=(1, 4))
+    y = x.copy()
+    y[0, 2:] += gap
+    A, B = _encode_factors(x, cfg, model), _encode_factors(y, cfg, model)
+    assert np.array_equal(A[0], B[0]) and np.array_equal(A[2], B[2])
+    assert not np.array_equal(A[1], B[1])
+    dense_a, dense_b = (DensityMatrix(3, _expand(F)[0]) for F in (A, B))
+    for metric in METRICS:
+        got = ess._distances(A, B, metric)
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - distance(dense_a, dense_b, metric)) <= 1e-12, metric
+
+
+def test_public_entry_points_read_real_density_matrices_as_density(rng):
+    # amplitude states of real features are real: as float64 arrays they are still density
+    # matrices, never read as the Pauli forms the angle encoder's real factors hold
+    model = NoiseModel.from_error_rate(0.05)
+    dense = encode_batch(rng.uniform(-1.0, 1.0, size=(5, 4)), EncoderConfig("amplitude", 2), model)
+    assert dense.dtype == complex and not dense.imag.any()
+    real = dense.real
+    for name in ("pqc1", "pqc6"):
+        tpl = build_template(name, 2)
+        theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
+        want = z_expectations((dense,), tpl, theta, model)
+        assert np.max(np.abs(z_expectations((real,), tpl, theta, model) - want)) <= 1e-12
+    for metric in METRICS:
+        want = pairwise_distances(dense[:2], dense[2:], metric)
+        assert np.max(np.abs(pairwise_distances(real[:2], real[2:], metric) - want)) <= 1e-12
+        pair = [distance(DensityMatrix(2, S[0]), DensityMatrix(2, S[1]), metric)
+                for S in (real, dense)]
+        assert abs(pair[0] - pair[1]) <= 1e-12
+    # encode_batch expands the angle encoder's Pauli forms into density matrices
+    x = rng.uniform(0, 2 * np.pi, size=(3, 2))
+    cfg = EncoderConfig("angle", 2)
+    stack = encode_batch(x, cfg, model)
+    assert stack.dtype == complex
+    want = density_from_pauli(_kron_factors(_encode_factors(x, cfg, model)))
+    assert np.max(np.abs(stack - want)) <= 1e-12
+    for state in stack:
+        DensityMatrix(2, state).validate()
 
 
 def _product_stack(rng, dims, rows, shared):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import density_from_pauli, pauli_strings, random_density_matrix, random_pure_state
-from quidlab.encode import EncoderConfig, _encode_factors, _kron_factors
+from conftest import density_factors, density_from_pauli, pauli_strings, random_density_matrix
+from conftest import random_pure_state
+from quidlab.encode import EncoderConfig, _encode_factors, _expand, _kron_factors
 from quidlab.noise import NoiseModel
 from quidlab.pqc import (
     _READOUT_PEAK,
@@ -180,7 +181,8 @@ def heisenberg_z(states, tpl, theta, model):
 
 
 def factored_inputs(n, rng, model):
-    """Factored stacks of 3 rows: angle, amplitude filling every qubit, amplitude with padding."""
+    """Factored stacks of 3 rows as the encoders give them (angle factors in Pauli form):
+    angle, amplitude filling every qubit, amplitude with padding."""
     angle = EncoderConfig("angle", n, 2)
     yield _encode_factors(rng.uniform(0, 2 * np.pi, (3, 2 * n)), angle, model)
     amplitude = EncoderConfig("amplitude", n)
@@ -190,12 +192,24 @@ def factored_inputs(n, rng, model):
 
 
 def cone_z(factors, tpl, theta, model):
-    """z_expectations on the factors as given, and _pull_back on them as the classifier
-    hands them over."""
-    got = z_expectations(factors, tpl, theta, model)
+    """z_expectations on the encoder's factors as density matrices, and _pull_back on them
+    as the classifier hands them over."""
+    got = z_expectations(density_factors(factors), tpl, theta, model)
     assert np.max(np.abs(_pull_back(_readout_factors(factors, tpl), tpl, theta, model)
                          - got)) <= 1e-12
     return got
+
+
+def test_readout_refuses_density_factors(rng):
+    # complex factors are density matrices, not the Pauli forms _pull_back reads; as they
+    # are the amplitude encoder's, _readout_factors converts them
+    factors = _encode_factors(rng.uniform(0.1, 1.0, (3, 4)), EncoderConfig("amplitude", 2), None)
+    tpl = build_template("pqc1", 2)
+    theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
+    with pytest.raises(ValueError, match="Pauli form"):
+        _pull_back(factors, tpl, theta, None)
+    got = _pull_back(_readout_factors(factors, tpl), tpl, theta, None)
+    assert np.max(np.abs(got - z_expectations(factors, tpl, theta))) <= 1e-12
 
 
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
@@ -208,7 +222,7 @@ def test_heisenberg_readout_matches_kraus_forward(name, layers, noise, rng):
         tpl = build_template(name, n, layers)
         thetas = rng.uniform(-np.pi, np.pi, (2, tpl.param_count))
         for factors in factored_inputs(n, rng, model):
-            states = _kron_factors(factors)
+            states = _expand(factors)
             want = np.stack([schrodinger_z(states, tpl, theta, model) for theta in thetas])
             assert np.max(np.abs(heisenberg_z(states, tpl, thetas, model) - want)) <= 1e-12
             assert np.max(np.abs(cone_z(factors, tpl, thetas, model) - want)) <= 1e-12
@@ -293,7 +307,7 @@ def test_template_without_slots_readout_matches_kraus_forward(noise, tmp_path, r
     assert stacked.shape == (2, 4, 2)
     assert np.array_equal(stacked[1], got)
     for factors in factored_inputs(2, rng, model):
-        want = schrodinger_z(_kron_factors(factors), tpl, theta, model)
+        want = schrodinger_z(_expand(factors), tpl, theta, model)
         assert np.max(np.abs(cone_z(factors, tpl, theta, model) - want)) <= 1e-12
 
 
@@ -312,7 +326,7 @@ def test_point_stack_readout_equals_one_point_at_a_time(noise, rng):
     templates = [build_template(name, 3, 2) for name in PRESETS]
     for tpl in templates + [PqcTemplate.from_json(HAND_WRITTEN)]:
         thetas = rng.uniform(-np.pi, np.pi, (3, tpl.param_count))
-        for factors in [(states,)] + list(factored_inputs(3, rng, model)):
+        for factors in [(states,)] + list(map(density_factors, factored_inputs(3, rng, model))):
             stacked = z_expectations(factors, tpl, thetas, model)
             assert stacked.shape == (3, len(factors[-1]), 3)
             single = np.stack([z_expectations(factors, tpl, theta, model) for theta in thetas])
@@ -372,7 +386,8 @@ def test_narrow_cones_read_out_without_expanding(rng):
         tpl = build_template(name, 12, 1)
         assert [f.shape for f in _readout_factors(factors, tpl)] == [f.shape for f in factors]
         assert max(len(span) for span, _, _ in _light_cones(tpl, (1,) * 12)) <= 4
-        z = z_expectations(factors, tpl, rng.uniform(-np.pi, np.pi, tpl.param_count), model)
+        theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
+        z = z_expectations(density_factors(factors), tpl, theta, model)
         assert z.shape == (3, 12) and np.all(np.abs(z) <= 1.0)
 
 
@@ -467,8 +482,8 @@ def test_readout_plan_lookup_builds_nothing_for_an_equal_template(monkeypatch, r
     import quidlab.pqc as pqc
 
     model = NoiseModel.from_error_rate(0.05)
-    factors = _encode_factors(rng.uniform(0, 2 * np.pi, (3, 8)), EncoderConfig("angle", 4, 2),
-                              model)
+    factors = density_factors(_encode_factors(rng.uniform(0, 2 * np.pi, (3, 8)),
+                                              EncoderConfig("angle", 4, 2), model))
     tpl = build_template("pqc6", 4)
     theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
     first = z_expectations(factors, tpl, theta, model)
@@ -494,7 +509,7 @@ def test_dense_readout_peaks_within_the_capacity_factor(name, n, points, rng):
     model = NoiseModel.from_error_rate(0.05)
     tpl = build_template(name, n)
     factors = _encode_factors(rng.uniform(0, 2 * np.pi, (1, n)), EncoderConfig("angle", n), model)
-    states = (pauli_form(_kron_factors(factors)),)  # one dense group of n observables, one row
+    states = (_kron_factors(factors),)  # Pauli forms: one dense group of n observables, one row
     theta = rng.uniform(-np.pi, np.pi, (points, tpl.param_count))
     _pull_back(states, tpl, theta, model)  # the plan, built once
     tracemalloc.start()
