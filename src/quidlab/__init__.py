@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .data import LabeledDataset, load_csv, save_csv, split, synth_clusters
 from .defense import DefenseConfig, EnsembleModel, partition, train_ensemble, vote
-from .encode import EncoderConfig, encode, encode_batch, scale_features
+from .encode import EncoderConfig, encode_batch, scale_features
 from .errors import (
     AttackInfeasibleError,
     CapacityError,
@@ -21,8 +21,8 @@ from .errors import (
     ShapeError,
 )
 from .ess import EssReport, compare_encodings, distance, nearest_class_label, validate_ess
-from .noise import NoiseModel, amplitude_damping, depolarizing, load_noise_model, noisy_apply
-from .pqc import PqcTemplate, apply_pqc, build_template, load_template, save_template
+from .noise import NoiseModel, amplitude_damping, depolarizing, load_noise_model
+from .pqc import PqcTemplate, build_template, load_template, save_template
 from .poison import (
     PoisonOutcome,
     PoisonSpec,
@@ -47,14 +47,4 @@ from .qnn import (
     spsa_gradient,
     train,
 )
-from .simcore import (
-    DensityMatrix,
-    GateOp,
-    KrausChannel,
-    apply_channel,
-    apply_gate,
-    basis_state,
-    expect_z,
-    ground_state,
-    sample_expect_z,
-)
+from .simcore import DensityMatrix, GateOp, KrausChannel

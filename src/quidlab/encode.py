@@ -36,7 +36,7 @@ import numpy as np
 from .data import DEFAULT_RANGE
 from .errors import CapacityError, DegenerateInputError, ShapeError
 from .noise import NoiseModel, noise_superop
-from .simcore import _PAULI, MAX_QUBITS, DensityMatrix, apply_superop_stack, finite
+from .simcore import _PAULI, MAX_QUBITS, apply_superop_stack, finite
 from .simcore import pauli_pullback, whole
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
@@ -210,14 +210,6 @@ def encode_batch(
 ) -> np.ndarray:
     """Encode a (samples, features) matrix into a (samples, 2^n, 2^n) stack."""
     return _expand(_encode_factors(X, cfg, model))
-
-
-def encode(
-    x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None = None
-) -> DensityMatrix:
-    """Encode one feature vector into its density matrix."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return DensityMatrix(cfg.n_qubits, encode_batch(x, cfg, model)[0])
 
 
 def scale_features(X: np.ndarray, scale_range: tuple[float, float] = DEFAULT_RANGE) -> np.ndarray:

@@ -5,10 +5,11 @@ entries; gates without an entry fall back to the model default. The model is
 the one check of its entries: keys are lowercase simcore gate names, kinds
 come from CHANNEL_KINDS and parameters are real numbers in [0, 1], not
 booleans. load_noise_model checks only the file's JSON shape, then builds one.
-noisy_apply runs the gate and then feeds every touched qubit through the
-listed channels in order, which mirrors a simulator that injects noise after
-each gate. Two-qubit gates get independent single-qubit noise on each touched
-qubit. Channels and their composed map (noise_superop) are built once per entry tuple.
+noisy_apply_stack runs the gate on a stack and then feeds every touched qubit
+through the listed channels in order, which mirrors a simulator that injects
+noise after each gate. Two-qubit gates get independent single-qubit noise on
+each touched qubit. Channels and their composed map (noise_superop) are built
+once per entry tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .data import read_json
 from .errors import DataFormatError
-from .simcore import GATE_ARITY, DensityMatrix, GateOp, KrausChannel, finite
+from .simcore import GATE_ARITY, GateOp, KrausChannel, finite
 from .simcore import _forward_superop, apply_channel_stack, apply_gate_stack
 
 CHANNEL_KINDS = ("amplitude_damping", "depolarizing")
@@ -130,12 +131,6 @@ def noisy_apply_stack(stack, gate: GateOp, model: NoiseModel, n_qubits: int):
         for ch in channels:
             out = apply_channel_stack(out, ch, (qubit,), n_qubits)
     return out
-
-
-def noisy_apply(rho: DensityMatrix, gate: GateOp, model: NoiseModel) -> DensityMatrix:
-    """Apply the gate, then the model's channels on each touched qubit in order."""
-    out = noisy_apply_stack(rho.data[None], gate, model, rho.n_qubits)
-    return DensityMatrix(rho.n_qubits, out[0])
 
 
 def load_noise_model(path) -> NoiseModel:

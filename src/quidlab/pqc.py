@@ -38,7 +38,7 @@ from .data import read_json, write_json
 from .encode import _check_memory, _kron_factors
 from .errors import DataFormatError
 from .noise import NoiseModel, noise_superop, noisy_apply_stack
-from .simcore import DensityMatrix, GateOp, apply_gate_stack, gate_matrix, whole
+from .simcore import GateOp, apply_gate_stack, gate_matrix, whole
 from .simcore import _forward_superop, _layouts, contract_superop, pauli_form, pauli_pullback
 
 PRESETS = ("pqc1", "pqc6", "pqc8")
@@ -450,18 +450,3 @@ def _pull_back(factors: tuple, tpl: PqcTemplate, theta, model: NoiseModel | None
             return z_group.reshape(theta.shape[:-1] + z.shape[1:])
         z[:, :, qubits] = z_group
     return z.reshape(theta.shape[:-1] + z.shape[1:])
-
-
-def apply_pqc(
-    rho: DensityMatrix,
-    tpl: PqcTemplate,
-    theta: np.ndarray,
-    model: NoiseModel | None = None,
-) -> DensityMatrix:
-    """Run the template's gates in order with slot i bound to theta[i]."""
-    if rho.n_qubits != tpl.n_qubits:
-        raise ValueError(
-            f"state has {rho.n_qubits} qubits but template wants {tpl.n_qubits}"
-        )
-    out = apply_pqc_stack(rho.data[None], tpl, theta, model)
-    return DensityMatrix(rho.n_qubits, out[0])

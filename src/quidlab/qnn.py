@@ -11,7 +11,7 @@ light cone only and contracted with the cone's factors, so pqc1 reads 2x2 forms
 against per-qubit angle states; only a cone that spans the whole register
 (pqc6) expands it. The pull-back follows a readout plan cached per template,
 noise model and factor widths, and takes a stack of parameter points at once.
-The Schrodinger path (pqc.apply_pqc / apply_pqc_stack) remains the test oracle.
+The Schrodinger path (pqc.apply_pqc_stack) remains the test oracle.
 
 Every entry point that takes features, here and in defense, checks and
 encodes them through one gate, _encode.

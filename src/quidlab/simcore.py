@@ -1,10 +1,12 @@
 """Dense density-matrix simulation.
 
 States are 2^n x 2^n complex matrices. Qubit 0 is the most significant bit
-of the basis index. Every gate, channel and per-row rotation reaches a stack as
-a local Liouville matrix, contracted on the touched axes by apply_superop_stack,
-so no full-register operator is ever materialised. All stack-level helpers
-accept arrays of shape (batch, d, d) and broadcast over the batch axis.
+of the basis index. The API is batched: every gate, channel, rotation and
+readout takes a stack of shape (batch, d, d), one state being a stack of one,
+and broadcasts over the batch axis. DensityMatrix wraps a single state only to
+validate it or read its purity. Every gate, channel and per-row rotation reaches
+a stack as a local Liouville matrix, contracted on the touched axes by
+apply_superop_stack, so no full-register operator is ever materialised.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError
+from .errors import ShapeError
 
 MAX_QUBITS = 12
 _FLOAT_MAX = np.finfo(float).max
@@ -151,9 +153,6 @@ class DensityMatrix:
                 f"got {self.data.shape}"
             )
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, self.data.copy())
-
     def purity(self) -> float:
         # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
         return float(np.sum(np.abs(self.data) ** 2))
@@ -170,24 +169,6 @@ class DensityMatrix:
         lo = float(np.linalg.eigvalsh(sym)[0])
         if not lo >= -psd_atol:
             raise ValueError(f"negative eigenvalue {lo} beyond -{psd_atol}")
-
-
-def ground_state(n_qubits: int) -> DensityMatrix:
-    """|0...0><0...0| on n_qubits qubits."""
-    return basis_state(n_qubits, 0)
-
-
-def basis_state(n_qubits: int, index: int) -> DensityMatrix:
-    """|index><index| in the computational basis."""
-    n_qubits, index = whole(n_qubits, "n_qubits"), whole(index, "basis index")
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    dim = 1 << n_qubits
-    if not 0 <= index < dim:
-        raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")
-    data = np.zeros((dim, dim), dtype=complex)
-    data[index, index] = 1.0
-    return DensityMatrix(n_qubits, data)
 
 
 def gate_matrix(name: str, param: float | None = None) -> np.ndarray:
@@ -343,28 +324,6 @@ def expect_z_stack(stack: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     return diag @ (1.0 - 2.0 * bits)
 
 
-# ---------------------------------------------------------------------------
-# single-state API
-
-def apply_gate(rho: DensityMatrix, gate: GateOp) -> DensityMatrix:
-    """rho -> U rho U^dag with U lifted onto the full register."""
-    out = apply_gate_stack(rho.data[None], gate, rho.n_qubits)
-    return DensityMatrix(rho.n_qubits, out[0])
-
-
-def apply_channel(
-    rho: DensityMatrix, ch: KrausChannel, targets: tuple[int, ...]
-) -> DensityMatrix:
-    """rho -> sum_k K_k rho K_k^dag on the listed target qubits."""
-    out = apply_channel_stack(rho.data[None], ch, targets, rho.n_qubits)
-    return DensityMatrix(rho.n_qubits, out[0])
-
-
-def expect_z(rho: DensityMatrix, qubit: int) -> float:
-    """Tr(rho Z_qubit); the imaginary residue of the diagonal is discarded."""
-    return float(expect_z_stack(rho.data[None], qubit, rho.n_qubits)[0])
-
-
 def sample_shots(z: np.ndarray, shots: int, rng: np.random.Generator | None) -> np.ndarray:
     """Empirical <Z> from `shots` Bernoulli draws per entry of z, with P(+1) = (1 + z)/2
     (z itself when shots is 0)."""
@@ -374,10 +333,3 @@ def sample_shots(z: np.ndarray, shots: int, rng: np.random.Generator | None) -> 
         raise ValueError("shot sampling needs a generator")
     p_plus = np.clip((1.0 + z) / 2.0, 0.0, 1.0)
     return 2.0 * rng.binomial(shots, p_plus) / shots - 1.0
-
-
-def sample_expect_z(rho: DensityMatrix, qubit: int, shots: int, seed: int) -> float:
-    """Empirical <Z> of one qubit from `shots` draws of sample_shots."""
-    shots, seed = whole(shots, "shots", 1), whole(seed, "seed", 0)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return float(sample_shots(expect_z(rho, qubit), shots, rng))

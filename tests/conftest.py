@@ -10,6 +10,14 @@ def random_density_matrix(rng: np.random.Generator, n_qubits: int) -> np.ndarray
     return rho / np.trace(rho).real
 
 
+def basis_stack(n_qubits: int, *indices: int) -> np.ndarray:
+    """(len(indices), 2^n, 2^n) complex stack of the basis projectors |i><i|, one per index."""
+    dim = 1 << n_qubits
+    out = np.zeros((len(indices), dim, dim), dtype=complex)
+    out[np.arange(len(indices)), indices, indices] = 1.0
+    return out
+
+
 def random_pure_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     dim = 1 << n_qubits
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 import quidlab as q
-from conftest import random_density_matrix, random_pure_state
+from conftest import basis_stack, random_density_matrix, random_pure_state
 from quidlab.cli import main as cli_main
 from quidlab.defense import DefenseConfig, evaluate_ensemble, member_predictions, train_ensemble
 from quidlab.encode import EncoderConfig, encode_batch, scale_features
 from quidlab.ess import distance, validate_ess
 from quidlab.noise import NoiseModel, amplitude_damping, build_channel, depolarizing
 from quidlab.qnn import TrainConfig, _batch_ce, _forward_from_states, init_model, spsa_estimate
-from quidlab.simcore import (DensityMatrix, apply_channel, basis_state, expect_z, ground_state,
+from quidlab.simcore import (DensityMatrix, apply_channel_stack, apply_gate_stack, expect_z_stack,
                              pauli_form)
 from test_poison import run_oracle_comparison
 from test_simcore import _random_circuit
@@ -84,10 +84,10 @@ def test_criterion_1_simulator_invariants():
     worst_trace = worst_purity = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 7))
-        rho = ground_state(n)
+        rho = DensityMatrix(n, basis_stack(n, 0)[0])
         for gate in _random_circuit(rng, n, int(rng.integers(1, 51))):
             before = rho.purity()
-            rho = q.apply_gate(rho, gate)
+            rho = DensityMatrix(n, apply_gate_stack(rho.data[None], gate, n)[0])
             worst_purity = max(worst_purity, abs(rho.purity() - before))
         worst_trace = max(worst_trace, abs(np.trace(rho.data).real - 1.0))
         rho.validate(trace_atol=1e-9, herm_atol=1e-10, psd_atol=1e-9)
@@ -108,10 +108,11 @@ def test_criterion_1_simulator_invariants():
 
 def test_criterion_2_closed_form_noise():
     worst = 0.0
+    zero, one = basis_stack(1, 0), basis_stack(1, 1)
     for p in (0.0, 0.01, 0.05, 0.1, 1.0):
-        z = expect_z(apply_channel(ground_state(1), depolarizing(p), (0,)), 0)
+        z = expect_z_stack(apply_channel_stack(zero, depolarizing(p), (0,), 1), 0, 1)[0]
         worst = max(worst, abs(z - (1.0 - p)))
-        z = expect_z(apply_channel(basis_state(1, 1), amplitude_damping(p), (0,)), 0)
+        z = expect_z_stack(apply_channel_stack(one, amplitude_damping(p), (0,), 1), 0, 1)[0]
         worst = max(worst, abs(z - (2.0 * p - 1.0)))
     report(2, worst <= 1e-12, f"max closed-form deviation {worst:.1e}")
 

@@ -777,8 +777,7 @@ def _range_rules():
     from quidlab.poison import PoisonSpec
     from quidlab.pqc import PqcTemplate, build_template
     from quidlab.qnn import QnnModel, TrainConfig, cross_entropy, init_model
-    from quidlab.simcore import (DensityMatrix, _qubits, basis_state, expect_z, ground_state,
-                                 sample_expect_z)
+    from quidlab.simcore import DensityMatrix, _qubits, expect_z_stack
 
     ds = LabeledDataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
     enc, tpl = EncoderConfig("angle", 2, 1), build_template("pqc1", 2)
@@ -794,7 +793,6 @@ def _range_rules():
 
     return [
         ("qubit index -1", lambda: _qubits((-1,)), "qubit index"),
-        ("sample_expect_z shots 0", lambda: sample_expect_z(ground_state(1), 0, 0, 0), "shots"),
         ("template n_qubits 0", lambda: template(n_qubits=0), "n_qubits"),
         ("template layers 0", lambda: template(layers=0), "layers"),
         ("template param_count -1", lambda: template(param_count=-1), "param_count"),
@@ -832,19 +830,12 @@ def _range_rules():
         ("pqc1 layers 2.5", lambda: build_template("pqc1", 2, 2.5), "layers"),
         ("pqc1 layers '2'", lambda: build_template("pqc1", 2, "2"), "layers"),
         ("model n_classes -1", lambda: init_model(enc, tpl, -1), "n_classes"),
-        # single-state API: a boolean read as 0/1 or a float index, refused before the range
+        # a boolean read as 0/1 or a float index, refused before the range
         ("DensityMatrix n_qubits True",
          lambda: DensityMatrix(True, np.diag([1.0, 0.0])), "n_qubits"),
-        ("ground_state n_qubits True", lambda: ground_state(True), "n_qubits"),
-        ("basis_state index True", lambda: basis_state(2, True), "basis index"),
-        ("basis_state index 1.0", lambda: basis_state(2, 1.0), "basis index"),
-        ("expect_z qubit True", lambda: expect_z(ground_state(2), True), "qubit"),
-        ("expect_z qubit 0.5", lambda: expect_z(ground_state(2), 0.5), "qubit"),
-        ("sample_expect_z qubit True",
-         lambda: sample_expect_z(ground_state(2), True, 8, 0), "qubit"),
+        ("expect_z qubit True", lambda: expect_z_stack(np.eye(4)[None], True, 2), "qubit"),
+        ("expect_z qubit 0.5", lambda: expect_z_stack(np.eye(4)[None], 0.5, 2), "qubit"),
         ("cross_entropy label True", lambda: cross_entropy(np.array([0.5, 0.5]), True), "label"),
-        ("sample_expect_z seed True", lambda: sample_expect_z(ground_state(1), 0, 8, True), "seed"),
-        ("sample_expect_z seed 0.5", lambda: sample_expect_z(ground_state(1), 0, 8, 0.5), "seed"),
     ]
 
 

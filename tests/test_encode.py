@@ -1,17 +1,15 @@
-import importlib
 import os
 
 import numpy as np
 import pytest
 
-from conftest import pauli_strings
-from quidlab.encode import EncoderConfig, _encode_factors, _kron_factors, encode, encode_batch
+from conftest import basis_stack, pauli_strings
+from quidlab import encode as encode_module
+from quidlab.encode import EncoderConfig, _encode_factors, _kron_factors, encode_batch
 from quidlab.encode import scale_features
 from quidlab.errors import CapacityError, DegenerateInputError, ShapeError
-from quidlab.noise import NoiseModel, noisy_apply
-from quidlab.simcore import GateOp, apply_channel_stack, apply_gate, ground_state
-
-encode_module = importlib.import_module("quidlab.encode")  # quidlab.encode is also the function
+from quidlab.noise import NoiseModel, noisy_apply_stack
+from quidlab.simcore import DensityMatrix, GateOp, apply_channel_stack, apply_gate_stack
 
 
 def encoding_gates(dim, cfg):
@@ -32,46 +30,44 @@ def equatorial(angle):
 
 def test_angle_single_qubit_zero_is_plus_state():
     cfg = EncoderConfig("angle", 1, 1)
-    rho = encode(np.array([0.0]), cfg)
-    assert np.allclose(rho.data, 0.5 * np.ones((2, 2)), atol=1e-12)
+    [rho] = encode_batch([[0.0]], cfg)
+    assert np.allclose(rho, 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
 @pytest.mark.parametrize("angle", [0.4, np.pi / 2, np.pi, 5.1])
 def test_angle_single_qubit_matches_closed_form(angle):
     cfg = EncoderConfig("angle", 1, 1)
-    rho = encode(np.array([angle]), cfg)
-    assert np.allclose(rho.data, equatorial(angle), atol=1e-12)
+    [rho] = encode_batch([[angle]], cfg)
+    assert np.allclose(rho, equatorial(angle), atol=1e-12)
 
 
 def test_equatorial_frobenius_distance_law():
     # d = sqrt(1 - cos(delta)) for two equatorial single-qubit states
     cfg = EncoderConfig("angle", 1, 1)
     for a, b in [(0.0, np.pi), (0.3, 1.2), (2.0, 5.5)]:
-        ra, rb = encode(np.array([a]), cfg), encode(np.array([b]), cfg)
-        d = np.linalg.norm(ra.data - rb.data)
+        ra, rb = encode_batch([[a], [b]], cfg)
+        d = np.linalg.norm(ra - rb)
         assert d == pytest.approx(np.sqrt(1 - np.cos(a - b)), abs=1e-12)
-    d = np.linalg.norm(
-        encode(np.array([np.pi]), cfg).data - encode(np.array([0.0]), cfg).data
-    )
-    assert d == pytest.approx(np.sqrt(2), abs=1e-12)
+    minus, plus = encode_batch([[np.pi], [0.0]], cfg)
+    assert np.linalg.norm(minus - plus) == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
 def test_angle_matches_explicit_gate_sequence(rng):
-    # the batch encoder agrees with gate-by-gate single-state simulation,
+    # the batch encoder agrees with gate-by-gate simulation of one state,
     # including a partial final block (d=3 on 2 qubits x 2 features)
     cfg = EncoderConfig("angle", 2, 2)
-    x = rng.uniform(0, 2 * np.pi, size=3)
-    rho = ground_state(2)
+    x = rng.uniform(0, 2 * np.pi, size=(1, 3))
+    rho = basis_stack(2, 0)
     seq = [
         GateOp("H", (0,)),
         GateOp("H", (1,)),
-        GateOp("RZ", (0,), x[0]),
-        GateOp("RX", (0,), x[1]),
-        GateOp("RZ", (1,), x[2]),
+        GateOp("RZ", (0,), x[0, 0]),
+        GateOp("RX", (0,), x[0, 1]),
+        GateOp("RZ", (1,), x[0, 2]),
     ]
     for gate in seq:
-        rho = apply_gate(rho, gate)
-    assert np.allclose(encode(x, cfg).data, rho.data, atol=1e-12)
+        rho = apply_gate_stack(rho, gate, 2)
+    assert np.allclose(encode_batch(x, cfg), rho, atol=1e-12)
     names = [(g.name, g.targets) for g in encoding_gates(3, cfg)]
     assert names == [(g.name, g.targets) for g in seq]
 
@@ -108,13 +104,14 @@ def test_noisy_angle_matches_noisy_gate_oracle(rng, n, f, dim, model_name):
     x = rng.uniform(0, 2 * np.pi, size=(3, dim))
     stack = encode_batch(x, cfg, model)
     for row, state in zip(x, stack):
-        rho = ground_state(n)
+        rho = basis_stack(n, 0)
         angles = iter(row)
         for gate in encoding_gates(dim, cfg):
             if gate.param is not None:
                 gate = GateOp(gate.name, gate.targets, float(next(angles)))
-            rho = apply_gate(rho, gate) if model is None else noisy_apply(rho, gate, model)
-        assert np.max(np.abs(state - rho.data)) <= 1e-12
+            rho = (apply_gate_stack(rho, gate, n) if model is None
+                   else noisy_apply_stack(rho, gate, model, n))
+        assert np.max(np.abs(state - rho[0])) <= 1e-12
 
 
 # (qubits, features per qubit, feature dimension); the last leaves qubit 2 without a feature
@@ -133,13 +130,14 @@ def test_angle_pauli_vectors_match_pauli_strings_of_the_gate_oracle(rng, n, f, d
     assert [(fa.dtype, fa.shape) for fa in factors] == [(np.dtype(float), (3, 2, 2))] * n
     strings = pauli_strings(n)
     for row, got in zip(x, _kron_factors(factors)):
-        rho = ground_state(n)
+        rho = basis_stack(n, 0)
         angles = iter(row)
         for gate in encoding_gates(dim, cfg):
             if gate.param is not None:
                 gate = GateOp(gate.name, gate.targets, float(next(angles)))
-            rho = apply_gate(rho, gate) if model is None else noisy_apply(rho, gate, model)
-        want = np.einsum("hlij,ji->hl", strings, rho.data)
+            rho = (apply_gate_stack(rho, gate, n) if model is None
+                   else noisy_apply_stack(rho, gate, model, n))
+        want = np.einsum("hlij,ji->hl", strings, rho[0])
         assert np.max(np.abs(want.imag)) <= 1e-12
         assert np.max(np.abs(got - want.real)) <= 1e-12
 
@@ -273,17 +271,17 @@ def test_noisy_amplitude_matches_the_kraus_loop(rng, n, model_name):
 
 def test_amplitude_basis_vector_gives_ground_state():
     cfg = EncoderConfig("amplitude", 2)
-    rho = encode(np.array([1.0, 0.0, 0.0, 0.0]), cfg)
+    [rho] = encode_batch([[1.0, 0.0, 0.0, 0.0]], cfg)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
-    assert np.allclose(rho.data, expected, atol=1e-15)
+    assert np.allclose(rho, expected, atol=1e-15)
 
 
 def test_amplitude_pads_and_normalises():
     cfg = EncoderConfig("amplitude", 2)
-    rho = encode(np.array([3.0, 4.0]), cfg)
+    [rho] = encode_batch([[3.0, 4.0]], cfg)
     psi = np.array([0.6, 0.8, 0.0, 0.0])
-    assert np.allclose(rho.data, np.outer(psi, psi), atol=1e-12)
+    assert np.allclose(rho, np.outer(psi, psi), atol=1e-12)
 
 
 @pytest.mark.parametrize("row,rescaled", [
@@ -293,22 +291,29 @@ def test_amplitude_pads_and_normalises():
 ])
 def test_amplitude_normalisation_neither_overflows_nor_underflows(row, rescaled):
     cfg = EncoderConfig("amplitude", 1)
-    rho = encode(np.array(row), cfg)
-    rho.validate()
-    assert np.max(np.abs(rho.data - encode(np.array(rescaled), cfg).data)) <= 1e-15
+    [rho] = encode_batch([row], cfg)
+    DensityMatrix(1, rho).validate()
+    assert np.max(np.abs(rho - encode_batch([rescaled], cfg)[0])) <= 1e-15
 
 
 def test_amplitude_zero_vector_is_degenerate():
     cfg = EncoderConfig("amplitude", 2)
     with pytest.raises(DegenerateInputError):
-        encode(np.zeros(4), cfg)
+        encode_batch(np.zeros((1, 4)), cfg)
+
+
+@pytest.mark.parametrize("n", [0, 13, -1])
+def test_encoder_qubit_capacity(n):
+    for kind in ("angle", "amplitude"):
+        with pytest.raises(CapacityError, match=r"n_qubits must be in \[1, 12\]"):
+            EncoderConfig(kind, n)
 
 
 def test_dimension_overflow():
     with pytest.raises(ShapeError):
-        encode(np.ones(3), EncoderConfig("angle", 1, 2))
+        encode_batch(np.ones((1, 3)), EncoderConfig("angle", 1, 2))
     with pytest.raises(ShapeError):
-        encode(np.ones(5), EncoderConfig("amplitude", 2))
+        encode_batch(np.ones((1, 5)), EncoderConfig("amplitude", 2))
 
 
 def test_encodings_are_pure_and_valid(rng):
@@ -316,8 +321,6 @@ def test_encodings_are_pure_and_valid(rng):
         x = rng.uniform(0, 2 * np.pi, size=(5, 6))
         stack = encode_batch(x, cfg)
         for state in stack:
-            from quidlab.simcore import DensityMatrix
-
             dm = DensityMatrix(3, state)
             dm.validate()
             assert dm.purity() == pytest.approx(1.0, abs=1e-9)
@@ -328,8 +331,6 @@ def test_noisy_encoding_keeps_invariants(rng):
     for cfg in (EncoderConfig("angle", 2, 2), EncoderConfig("amplitude", 2)):
         x = rng.uniform(0, 2 * np.pi, size=(4, 4))
         stack = encode_batch(x, cfg, model)
-        from quidlab.simcore import DensityMatrix
-
         for state in stack:
             DensityMatrix(2, state).validate()
 
@@ -340,8 +341,8 @@ def test_angle_periodicity(rng):
     for i in range(4):
         shifted = x.copy()
         shifted[i] += 2 * np.pi
-        a, b = encode(x, cfg), encode(shifted, cfg)
-        assert np.max(np.abs(a.data - b.data)) <= 1e-10
+        a, b = encode_batch([x, shifted], cfg)
+        assert np.max(np.abs(a - b)) <= 1e-10
 
 
 def test_encode_deterministic(rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import density_from_pauli, random_density_matrix, random_pure_state
+from conftest import basis_stack, density_from_pauli, random_density_matrix, random_pure_state
 from quidlab import ess
 from quidlab.data import LabeledDataset, synth_clusters
 from quidlab.encode import (
@@ -13,7 +13,6 @@ from quidlab.encode import (
     _encode_factors,
     _expand,
     _kron_factors,
-    encode,
     encode_batch,
     scale_features,
 )
@@ -30,7 +29,7 @@ from quidlab.ess import (
 )
 from quidlab.noise import NoiseModel
 from quidlab.pqc import build_template, z_expectations
-from quidlab.simcore import DensityMatrix, basis_state, ground_state
+from quidlab.simcore import DensityMatrix
 
 
 def test_metric_names():
@@ -41,16 +40,16 @@ def test_metric_names():
 
 
 def test_distance_examples():
-    zero, one = ground_state(1), basis_state(1, 1)
+    zero, one = (DensityMatrix(1, s) for s in basis_stack(1, 0, 1))
     assert distance(zero, one, "frobenius") == pytest.approx(np.sqrt(2), abs=1e-12)
     assert distance(zero, one, "trace") == pytest.approx(1.0, abs=1e-12)
-    plus = encode(np.array([0.0]), EncoderConfig("angle", 1, 1))
+    plus = DensityMatrix(1, encode_batch([[0.0]], EncoderConfig("angle", 1, 1))[0])
     assert distance(plus, plus, "hs") == pytest.approx(0.5, abs=1e-12)  # 1 - 1/dim
 
 
 def test_distance_dimension_mismatch():
     with pytest.raises(ShapeError):
-        distance(ground_state(1), ground_state(2), "frobenius")
+        distance(DensityMatrix(1, np.eye(2) / 2), DensityMatrix(2, np.eye(4) / 4), "frobenius")
 
 
 @pytest.mark.parametrize("metric", ["frobenius", "trace"])
@@ -468,27 +467,26 @@ def test_factored_distances_property(data):
             assert abs(table[i, j] - want) <= 1e-12, (metric, i, j)
 
 
+def _equatorial(angles):
+    """The one-qubit angle encodings of the angles, one DensityMatrix each."""
+    return [DensityMatrix(1, s) for s in encode_batch(np.c_[angles], EncoderConfig("angle", 1, 1))]
+
+
 def test_nearest_class_antipodal_ordering():
-    cfg = EncoderConfig("angle", 1, 1)
     # two classes of equatorial states around angles 0 and pi
-    reference = [
-        (encode(np.array([a]), cfg), 0) for a in (0.0, 0.15, -0.12)
-    ] + [
-        (encode(np.array([a]), cfg), 1) for a in (np.pi, np.pi + 0.1, np.pi - 0.2)
-    ]
-    query = encode(np.array([0.05]), cfg)
+    states = _equatorial([0.0, 0.15, -0.12, np.pi, np.pi + 0.1, np.pi - 0.2, 0.05, np.pi - 0.05])
+    reference = list(zip(states[:6], [0, 0, 0, 1, 1, 1]))
+    query, far = states[6:]
     assert nearest_class_label(query, reference, "frobenius") == 0
-    far = encode(np.array([np.pi - 0.05]), cfg)
     assert nearest_class_label(far, reference, "frobenius") == 1
 
 
 def test_nearest_class_single_class_and_ties():
-    cfg = EncoderConfig("angle", 1, 1)
-    rho = encode(np.array([1.0]), cfg)
-    assert nearest_class_label(rho, [(encode(np.array([2.0]), cfg), 3)], "trace") == 3
+    rho, other, query = _equatorial([1.0, 2.0, 0.3])
+    assert nearest_class_label(rho, [(other, 3)], "trace") == 3
     # identical reference states under two labels: exact tie, smallest id wins
     ref = [(rho, 1), (rho, 0)]
-    assert nearest_class_label(encode(np.array([0.3]), cfg), ref, "frobenius") == 0
+    assert nearest_class_label(query, ref, "frobenius") == 0
     with pytest.raises(ValueError):
         nearest_class_label(rho, [], "frobenius")
 
@@ -497,8 +495,9 @@ def test_nearest_class_reference_order_invariance(rng):
     cfg = EncoderConfig("angle", 2, 2)
     xs = rng.uniform(0, 2 * np.pi, size=(6, 4))
     labels = [0, 0, 1, 1, 2, 2]
-    reference = [(encode(x, cfg), c) for x, c in zip(xs, labels)]
-    query = encode(rng.uniform(0, 2 * np.pi, size=4), cfg)
+    states = [DensityMatrix(2, s) for s in encode_batch(xs, cfg)]
+    reference = list(zip(states, labels))
+    query = DensityMatrix(2, encode_batch(rng.uniform(0, 2 * np.pi, size=(1, 4)), cfg)[0])
     want = nearest_class_label(query, reference, "frobenius")
     for _ in range(5):
         perm = rng.permutation(len(reference))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
+from conftest import basis_stack, random_density_matrix
 from quidlab.errors import DataFormatError
 from quidlab.noise import (
     NoiseModel,
@@ -12,43 +12,35 @@ from quidlab.noise import (
     depolarizing,
     load_noise_model,
     noise_superop,
-    noisy_apply,
+    noisy_apply_stack,
 )
-from quidlab.simcore import (
-    DensityMatrix,
-    GateOp,
-    apply_channel,
-    apply_gate,
-    basis_state,
-    expect_z,
-    ground_state,
-)
+from quidlab.simcore import GateOp, apply_channel_stack, apply_gate_stack, expect_z_stack
 
 
 def test_amplitude_damping_limits(rng):
-    rho = DensityMatrix(1, random_density_matrix(rng, 1))
-    assert np.allclose(apply_channel(rho, amplitude_damping(0.0), (0,)).data, rho.data, atol=1e-15)
-    out = apply_channel(basis_state(1, 1), amplitude_damping(1.0), (0,))
-    assert np.allclose(out.data, np.diag([1.0, 0.0]), atol=1e-12)
-    out = apply_channel(basis_state(1, 1), amplitude_damping(0.05), (0,))
-    assert expect_z(out, 0) == pytest.approx(2 * 0.05 - 1, abs=1e-12)
+    rho = random_density_matrix(rng, 1)[None]
+    assert np.allclose(apply_channel_stack(rho, amplitude_damping(0.0), (0,), 1), rho, atol=1e-15)
+    out = apply_channel_stack(basis_stack(1, 1), amplitude_damping(1.0), (0,), 1)
+    assert np.allclose(out[0], np.diag([1.0, 0.0]), atol=1e-12)
+    out = apply_channel_stack(basis_stack(1, 1), amplitude_damping(0.05), (0,), 1)
+    assert expect_z_stack(out, 0, 1)[0] == pytest.approx(2 * 0.05 - 1, abs=1e-12)
 
 
 def test_depolarizing_limits(rng):
-    rho = DensityMatrix(1, random_density_matrix(rng, 1))
-    assert np.allclose(apply_channel(rho, depolarizing(0.0), (0,)).data, rho.data, atol=1e-15)
-    out = apply_channel(rho, depolarizing(1.0), (0,))
-    assert np.allclose(out.data, np.eye(2) / 2, atol=1e-12)
-    out = apply_channel(ground_state(1), depolarizing(0.05), (0,))
-    assert np.allclose(np.diag(out.data).real, [0.975, 0.025], atol=1e-12)
+    rho = random_density_matrix(rng, 1)[None]
+    assert np.allclose(apply_channel_stack(rho, depolarizing(0.0), (0,), 1), rho, atol=1e-15)
+    out = apply_channel_stack(rho, depolarizing(1.0), (0,), 1)
+    assert np.allclose(out[0], np.eye(2) / 2, atol=1e-12)
+    out = apply_channel_stack(basis_stack(1, 0), depolarizing(0.05), (0,), 1)
+    assert np.allclose(np.diag(out[0]).real, [0.975, 0.025], atol=1e-12)
 
 
 def test_depolarizing_matches_convex_form(rng):
     # Kraus set realizes (1-p) rho + p I/2 exactly
     for p in (0.1, 0.37, 0.9):
         rho = random_density_matrix(rng, 1)
-        out = apply_channel(DensityMatrix(1, rho), depolarizing(p), (0,))
-        assert np.allclose(out.data, (1 - p) * rho + p * np.eye(2) / 2, atol=1e-12)
+        out = apply_channel_stack(rho[None], depolarizing(p), (0,), 1)
+        assert np.allclose(out[0], (1 - p) * rho + p * np.eye(2) / 2, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["amplitude_damping", "depolarizing"])
@@ -81,17 +73,17 @@ def test_parameter_range_errors():
 
 def test_noisy_apply_zero_model_is_plain_apply(rng):
     model = NoiseModel.from_error_rate(0.0)
-    rho = DensityMatrix(2, random_density_matrix(rng, 2))
+    rho = random_density_matrix(rng, 2)[None]
     gate = GateOp("CRZ", (0, 1), 0.8)
-    noisy = noisy_apply(rho, gate, model)
-    plain = apply_gate(rho, gate)
-    assert np.array_equal(noisy.data, plain.data)  # bit-for-bit
+    noisy = noisy_apply_stack(rho, gate, model, 2)
+    plain = apply_gate_stack(rho, gate, 2)
+    assert np.array_equal(noisy, plain)  # bit-for-bit
 
 
 def test_noisy_apply_flip_then_depolarize():
     model = NoiseModel(per_gate={"rx": (("depolarizing", 0.05),)})
-    out = noisy_apply(ground_state(1), GateOp("RX", (0,), np.pi), model)
-    assert np.allclose(np.diag(out.data).real, [0.025, 0.975], atol=1e-9)
+    out = noisy_apply_stack(basis_stack(1, 0), GateOp("RX", (0,), np.pi), model, 1)
+    assert np.allclose(np.diag(out[0]).real, [0.025, 0.975], atol=1e-9)
 
 
 def test_two_qubit_gate_noise_hits_both_targets(rng):
@@ -100,7 +92,7 @@ def test_two_qubit_gate_noise_hits_both_targets(rng):
     model = NoiseModel.from_error_rate(p)
     rho = random_density_matrix(rng, 2)
     gate = GateOp("CRX", (0, 1), 0.9)
-    out = noisy_apply(DensityMatrix(2, rho), gate, model)
+    [out] = noisy_apply_stack(rho[None], gate, model, 2)
 
     from quidlab.simcore import gate_matrix
 
@@ -112,8 +104,8 @@ def test_two_qubit_gate_noise_hits_both_targets(rng):
                 lifted = np.kron(k, np.eye(2)) if q == 0 else np.kron(np.eye(2), k)
                 acc += lifted @ expected @ lifted.conj().T
             expected = acc
-    assert np.allclose(out.data, expected, atol=1e-12)
-    assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(out, expected, atol=1e-12)
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_channels_are_built_once_per_entry_tuple_and_read_only():
@@ -153,18 +145,18 @@ def test_forward_noise_map_is_the_conjugate_transpose_of_the_adjoint(entries):
 
 def test_monotone_signal_loss_under_repeated_noisy_identity():
     model = NoiseModel.from_error_rate(0.05)
-    rho = ground_state(1)
-    values = [expect_z(rho, 0)]
+    rho = basis_stack(1, 0)
+    values = [expect_z_stack(rho, 0, 1)[0]]
     for _ in range(20):
-        rho = noisy_apply(rho, GateOp("RZ", (0,), 0.0), model)
-        values.append(expect_z(rho, 0))
+        rho = noisy_apply_stack(rho, GateOp("RZ", (0,), 0.0), model, 1)
+        values.append(expect_z_stack(rho, 0, 1)[0])
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     # depolarizing alone decays exactly geometrically
     model = NoiseModel(default=(("depolarizing", 0.05),))
-    rho = ground_state(1)
+    rho = basis_stack(1, 0)
     for k in range(1, 21):
-        rho = noisy_apply(rho, GateOp("RZ", (0,), 0.0), model)
-        assert expect_z(rho, 0) == pytest.approx((1 - 0.05) ** k, abs=1e-12)
+        rho = noisy_apply_stack(rho, GateOp("RZ", (0,), 0.0), model, 1)
+        assert expect_z_stack(rho, 0, 1)[0] == pytest.approx((1 - 0.05) ** k, abs=1e-12)
 
 
 def test_load_noise_model_roundtrip(tmp_path):
@@ -198,8 +190,8 @@ def test_load_noise_model_rejects_bad_files(tmp_path):
 def test_channel_order_damping_before_depolarizing():
     # the two orders disagree on |1><1|, so the pinned order must hold
     model = NoiseModel.from_error_rate(0.2)
-    out = noisy_apply(basis_state(1, 0), GateOp("RX", (0,), np.pi), model)
-    rho = basis_state(1, 1).data
+    [out] = noisy_apply_stack(basis_stack(1, 0), GateOp("RX", (0,), np.pi), model, 1)
+    [rho] = basis_stack(1, 1)
     for ch in (amplitude_damping(0.2), depolarizing(0.2)):
         rho = sum(k @ rho @ k.conj().T for k in ch.operators)
-    assert np.allclose(out.data, rho, atol=1e-10)
+    assert np.allclose(out, rho, atol=1e-10)

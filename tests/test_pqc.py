@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import density_factors, density_from_pauli, pauli_strings, random_density_matrix
-from conftest import random_pure_state
+from conftest import basis_stack, density_factors, density_from_pauli, pauli_strings
+from conftest import random_density_matrix, random_pure_state
 from quidlab.encode import EncoderConfig, _encode_factors, _expand, _kron_factors
 from quidlab.noise import NoiseModel
 from quidlab.pqc import (
@@ -20,7 +20,6 @@ from quidlab.pqc import (
     _readout_factors,
     _readout_plan,
     _rotation_maps,
-    apply_pqc,
     apply_pqc_stack,
     build_template,
     load_template,
@@ -28,7 +27,7 @@ from quidlab.pqc import (
     z_expectations,
 )
 from quidlab.simcore import (DensityMatrix, _layouts, apply_superop_stack, contract_superop,
-                             expect_z_stack, gate_matrix, ground_state, pauli_form)
+                             expect_z_stack, gate_matrix, pauli_form)
 
 
 @pytest.mark.parametrize(
@@ -68,34 +67,35 @@ def test_unknown_or_too_small():
 @pytest.mark.parametrize("name", ["pqc1", "pqc6", "pqc8"])
 def test_zero_angles_are_identity(name, rng):
     tpl = build_template(name, 3, 2)
-    rho = DensityMatrix(3, random_pure_state(rng, 3))
-    out = apply_pqc(rho, tpl, np.zeros(tpl.param_count))
-    assert np.max(np.abs(out.data - rho.data)) <= 1e-10
+    rho = random_pure_state(rng, 3)[None]
+    out = apply_pqc_stack(rho, tpl, np.zeros(tpl.param_count))
+    assert np.max(np.abs(out - rho)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["pqc1", "pqc6", "pqc8"])
 def test_purity_preserved_without_noise(name, rng):
     tpl = build_template(name, 3, 1)
-    rho = DensityMatrix(3, random_pure_state(rng, 3))
+    rho = random_pure_state(rng, 3)
     theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
-    out = apply_pqc(rho, tpl, theta)
-    assert out.purity() == pytest.approx(rho.purity(), abs=1e-9)
+    out = DensityMatrix(3, apply_pqc_stack(rho[None], tpl, theta)[0])
+    assert out.purity() == pytest.approx(DensityMatrix(3, rho).purity(), abs=1e-9)
     out.validate()
 
 
 def test_noise_strictly_reduces_purity_on_pure_input(rng):
     tpl = build_template("pqc1", 2, 1)
-    rho = DensityMatrix(2, random_pure_state(rng, 2))
+    rho = random_pure_state(rng, 2)
     theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
-    out = apply_pqc(rho, tpl, theta, NoiseModel.from_error_rate(0.05))
-    assert out.purity() < rho.purity()
+    [out] = apply_pqc_stack(rho[None], tpl, theta, NoiseModel.from_error_rate(0.05))
+    out = DensityMatrix(2, out)
+    assert out.purity() < DensityMatrix(2, rho).purity()
     out.validate()
 
 
 def test_parameter_length_mismatch():
     tpl = build_template("pqc1", 2, 1)
     with pytest.raises(ValueError):
-        apply_pqc(ground_state(2), tpl, np.zeros(tpl.param_count + 1))
+        apply_pqc_stack(basis_stack(2, 0), tpl, np.zeros(tpl.param_count + 1))
 
 
 def test_registry_roundtrip(tmp_path):
@@ -151,9 +151,9 @@ def test_fixed_angle_entries_apply():
         TemplateGate("RX", (0,), angle=np.pi / 2),
     )
     tpl = PqcTemplate("custom", 1, 1, gates, 1)
-    out = apply_pqc(ground_state(1), tpl, np.array([np.pi / 2]))
+    [out] = apply_pqc_stack(basis_stack(1, 0), tpl, np.array([np.pi / 2]))
     # two quarter-turns = RX(pi): |0> -> |1>
-    assert np.allclose(np.diag(out.data).real, [0.0, 1.0], atol=1e-12)
+    assert np.allclose(np.diag(out).real, [0.0, 1.0], atol=1e-12)
 
 
 READOUT_NOISE = {

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
-from quidlab.errors import CapacityError, ShapeError
+from conftest import basis_stack, random_density_matrix
+from quidlab.errors import ShapeError
 from quidlab.noise import amplitude_damping, depolarizing
 from quidlab.simcore import (
     PARAMETRIC_GATES,
@@ -10,64 +10,41 @@ from quidlab.simcore import (
     GateOp,
     KrausChannel,
     _forward_superop,
-    apply_channel,
     apply_channel_stack,
-    apply_gate,
     apply_gate_stack,
     apply_rotations_batch,
     apply_superop_stack,
-    basis_state,
-    expect_z,
+    expect_z_stack,
     gate_matrix,
-    ground_state,
     rotation_matrices,
-    sample_expect_z,
     sample_shots,
 )
 
 
-def test_ground_state_single_qubit():
-    rho = ground_state(1)
-    assert np.array_equal(rho.data, np.diag([1.0 + 0j, 0.0]))
-
-
-def test_ground_state_two_qubits():
-    rho = ground_state(2)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = 1.0
-    assert np.array_equal(rho.data, expected)
-
-
-@pytest.mark.parametrize("n", [0, 13, -1])
-def test_ground_state_capacity(n):
-    with pytest.raises(CapacityError):
-        ground_state(n)
-
-
 def test_hadamard_on_zero():
-    rho = apply_gate(ground_state(1), GateOp("H", (0,)))
-    assert np.allclose(rho.data, 0.5 * np.ones((2, 2)), atol=1e-12)
+    out = apply_gate_stack(basis_stack(1, 0), GateOp("H", (0,)), 1)
+    assert np.allclose(out[0], 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi, 5.0])
 def test_rz_fixes_zero_state(theta):
-    rho = apply_gate(ground_state(1), GateOp("RZ", (0,), theta))
-    assert np.allclose(rho.data, np.diag([1.0, 0.0]), atol=1e-12)
+    out = apply_gate_stack(basis_stack(1, 0), GateOp("RZ", (0,), theta), 1)
+    assert np.allclose(out[0], np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_rz_on_plus_state_hand_multiplied():
-    plus = apply_gate(ground_state(1), GateOp("H", (0,)))
-    out = apply_gate(plus, GateOp("RZ", (0,), np.pi / 2))
+    plus = apply_gate_stack(basis_stack(1, 0), GateOp("H", (0,)), 1)
+    out = apply_gate_stack(plus, GateOp("RZ", (0,), np.pi / 2), 1)
     # oracle: explicit 2x2 products
     u = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-    expected = u @ plus.data @ u.conj().T
-    assert np.allclose(out.data, expected, atol=1e-12)
-    assert np.allclose(out.data, 0.5 * np.array([[1, -1j], [1j, 1]]), atol=1e-12)
+    expected = u @ plus[0] @ u.conj().T
+    assert np.allclose(out[0], expected, atol=1e-12)
+    assert np.allclose(out[0], 0.5 * np.array([[1, -1j], [1j, 1]]), atol=1e-12)
 
 
 def test_gate_target_out_of_range():
     with pytest.raises(IndexError):
-        apply_gate(ground_state(2), GateOp("H", (2,)))
+        apply_gate_stack(basis_stack(2, 0), GateOp("H", (2,)), 2)
 
 
 def test_gateop_validation():
@@ -93,39 +70,37 @@ def test_gateop_validation():
 
 def test_cnot_and_controlled_rotations_on_full_register():
     # |10> --CNOT--> |11>
-    rho = basis_state(2, 0b10)
-    out = apply_gate(rho, GateOp("CNOT", (0, 1)))
-    assert np.allclose(out.data, basis_state(2, 0b11).data, atol=1e-12)
+    out = apply_gate_stack(basis_stack(2, 0b10), GateOp("CNOT", (0, 1)), 2)
+    assert np.allclose(out, basis_stack(2, 0b11), atol=1e-12)
     # control in |0>: CRX is the identity
-    rho = basis_state(2, 0b01)
-    out = apply_gate(rho, GateOp("CRX", (0, 1), 1.1))
-    assert np.allclose(out.data, rho.data, atol=1e-12)
+    rho = basis_stack(2, 0b01)
+    out = apply_gate_stack(rho, GateOp("CRX", (0, 1), 1.1), 2)
+    assert np.allclose(out, rho, atol=1e-12)
     # control on qubit 1, target qubit 0, non-adjacent order
-    rho = basis_state(2, 0b01)
-    out = apply_gate(rho, GateOp("CRX", (1, 0), np.pi))
-    assert np.allclose(out.data, basis_state(2, 0b11).data, atol=1e-10)
+    out = apply_gate_stack(rho, GateOp("CRX", (1, 0), np.pi), 2)
+    assert np.allclose(out, basis_stack(2, 0b11), atol=1e-10)
 
 
 def test_apply_channel_examples():
-    out = apply_channel(ground_state(1), depolarizing(0.05), (0,))
-    assert np.allclose(np.diag(out.data).real, [0.975, 0.025], atol=1e-12)
-    out = apply_channel(basis_state(1, 1), amplitude_damping(0.05), (0,))
-    assert np.allclose(np.diag(out.data).real, [0.05, 0.95], atol=1e-12)
+    out = apply_channel_stack(basis_stack(1, 0), depolarizing(0.05), (0,), 1)
+    assert np.allclose(np.diag(out[0]).real, [0.975, 0.025], atol=1e-12)
+    out = apply_channel_stack(basis_stack(1, 1), amplitude_damping(0.05), (0,), 1)
+    assert np.allclose(np.diag(out[0]).real, [0.05, 0.95], atol=1e-12)
 
 
 def test_depolarizing_fixes_maximally_mixed():
     for n in (1, 2):
-        mixed = DensityMatrix(n, np.eye(1 << n, dtype=complex) / (1 << n))
+        mixed = np.eye(1 << n, dtype=complex)[None] / (1 << n)
         for q in range(n):
-            out = apply_channel(mixed, depolarizing(0.3), (q,))
-            assert np.allclose(out.data, mixed.data, atol=1e-12)
+            out = apply_channel_stack(mixed, depolarizing(0.3), (q,), n)
+            assert np.allclose(out, mixed, atol=1e-12)
 
 
 def test_channel_arity_mismatch():
     with pytest.raises(ShapeError):
-        apply_channel(ground_state(2), depolarizing(0.1), (0, 1))
+        apply_channel_stack(basis_stack(2, 0), depolarizing(0.1), (0, 1), 2)
     # a target that is not a non-negative integer is refused, never read as another axis
-    stack = np.stack([ground_state(1).data, basis_state(1, 1).data])
+    stack = basis_stack(1, 0, 1)
     for targets in ((-1,), (0.5,), (True,)):
         with pytest.raises(ValueError):
             apply_channel_stack(stack, depolarizing(0.4), targets, 1)
@@ -133,7 +108,7 @@ def test_channel_arity_mismatch():
 
 def test_superop_stack_refuses_targets_outside_the_register():
     # -1 would land on the batch axis, and 2 names no axis of a 2-qubit state
-    stack = np.stack([basis_state(2, 0).data, basis_state(2, 3).data])
+    stack = basis_stack(2, 0, 3)
     flip = _forward_superop([gate_matrix("RX", np.pi)])
     for targets, error in (((-1,), ValueError), ((2,), IndexError), ((0.5,), ValueError)):
         with pytest.raises(error):
@@ -142,51 +117,49 @@ def test_superop_stack_refuses_targets_outside_the_register():
 
 
 def test_expect_z_examples():
-    assert expect_z(ground_state(1), 0) == pytest.approx(1.0, abs=1e-12)
-    plus = apply_gate(ground_state(1), GateOp("H", (0,)))
-    assert expect_z(plus, 0) == pytest.approx(0.0, abs=1e-12)
+    assert expect_z_stack(basis_stack(1, 0), 0, 1)[0] == pytest.approx(1.0, abs=1e-12)
+    plus = apply_gate_stack(basis_stack(1, 0), GateOp("H", (0,)), 1)
+    assert expect_z_stack(plus, 0, 1)[0] == pytest.approx(0.0, abs=1e-12)
     for p in (0.01, 0.05, 0.1):
-        rho = apply_channel(ground_state(1), depolarizing(p), (0,))
-        assert expect_z(rho, 0) == pytest.approx(1.0 - p, abs=1e-12)
+        rho = apply_channel_stack(basis_stack(1, 0), depolarizing(p), (0,), 1)
+        assert expect_z_stack(rho, 0, 1)[0] == pytest.approx(1.0 - p, abs=1e-12)
     with pytest.raises(IndexError):
-        expect_z(ground_state(1), 1)
+        expect_z_stack(basis_stack(1, 0), 1, 1)
 
 
 def test_expect_z_per_qubit_on_product_state():
-    rho = apply_gate(ground_state(3), GateOp("RX", (1,), np.pi))
-    assert expect_z(rho, 0) == pytest.approx(1.0, abs=1e-12)
-    assert expect_z(rho, 1) == pytest.approx(-1.0, abs=1e-12)
-    assert expect_z(rho, 2) == pytest.approx(1.0, abs=1e-12)
+    rho = apply_gate_stack(basis_stack(3, 0), GateOp("RX", (1,), np.pi), 3)
+    assert expect_z_stack(rho, 0, 3)[0] == pytest.approx(1.0, abs=1e-12)
+    assert expect_z_stack(rho, 1, 3)[0] == pytest.approx(-1.0, abs=1e-12)
+    assert expect_z_stack(rho, 2, 3)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _sampled_z(stack, shots, seed):
+    """<Z_0> of every state from `shots` draws of a generator seeded with seed."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return sample_shots(expect_z_stack(stack, 0, 1), shots, rng)
 
 
 def test_sample_expect_z_deterministic_and_exact():
-    rho = ground_state(1)
-    assert sample_expect_z(rho, 0, 1000, seed=7) == 1.0
-    plus = apply_gate(rho, GateOp("H", (0,)))
-    a = sample_expect_z(plus, 0, 1000, seed=42)
-    b = sample_expect_z(plus, 0, 1000, seed=42)
-    assert a == b
+    rho = basis_stack(1, 0)
+    assert _sampled_z(rho, 1000, 7)[0] == 1.0
+    plus = apply_gate_stack(rho, GateOp("H", (0,)), 1)
+    a = _sampled_z(plus, 1000, 42)[0]
+    assert a == _sampled_z(plus, 1000, 42)[0]
     assert -1.0 <= a <= 1.0
-    for shots in (0, 2.5, True):  # 2.5 would draw 2 shots and divide by 2.5
-        with pytest.raises(ValueError, match="shots"):
-            sample_expect_z(rho, 0, shots, seed=1)
-    # one binomial draw of the seeded generator, as the classifier's batches draw it
+    # one binomial draw of the seeded generator per state, as the classifier's batches draw it
     for angle in (0.3, 2.0, np.pi):
-        state = apply_gate(rho, GateOp("RX", (0,), angle))
-        z = expect_z(state, 0)
+        state = apply_gate_stack(rho, GateOp("RX", (0,), angle), 1)
+        z = expect_z_stack(state, 0, 1)[0]
         p_plus = min(1.0, max(0.0, (1.0 + z) / 2.0))
         ups = np.random.Generator(np.random.PCG64(7)).binomial(1000, p_plus)
-        got = sample_expect_z(state, 0, 1000, seed=7)
-        assert got == 2.0 * ups / 1000 - 1.0
-        assert sample_shots(np.array([z]), 1000, np.random.Generator(np.random.PCG64(7)))[0] == got
+        assert _sampled_z(state, 1000, 7)[0] == 2.0 * ups / 1000 - 1.0
 
 
 def test_sample_expect_z_concentration_monte_carlo():
     # binomial concentration at 1000 shots: |mean| <= 0.1 for >= 99% of seeds
-    plus = apply_gate(ground_state(1), GateOp("H", (0,)))
-    hits = sum(
-        abs(sample_expect_z(plus, 0, 1000, seed=s)) <= 0.1 for s in range(10_000)
-    )
+    plus = apply_gate_stack(basis_stack(1, 0), GateOp("H", (0,)), 1)
+    hits = sum(abs(_sampled_z(plus, 1000, s)[0]) <= 0.1 for s in range(10_000))
     assert hits >= 9_900
 
 
@@ -210,10 +183,10 @@ def _random_circuit(rng, n_qubits, n_gates):
 def test_invariants_along_random_circuits(rng):
     for _ in range(60):
         n = int(rng.integers(1, 5))
-        rho = ground_state(n)
+        rho = DensityMatrix(n, basis_stack(n, 0)[0])
         for gate in _random_circuit(rng, n, 100):
             before = rho.purity()
-            rho = apply_gate(rho, gate)
+            rho = DensityMatrix(n, apply_gate_stack(rho.data[None], gate, n)[0])
             assert abs(rho.purity() - before) <= 1e-9  # unitary: purity preserved
         rho.validate()
 
@@ -223,10 +196,9 @@ def test_depolarizing_contracts_purity(rng):
 
     for p in (0.01, 0.05, 0.1):
         for _ in range(10):
-            rho = DensityMatrix(1, random_pure_state(rng, 1))
-            before = rho.purity()
-            after = apply_channel(rho, depolarizing(p), (0,)).purity()
-            assert after < before
+            rho = random_pure_state(rng, 1)
+            out = apply_channel_stack(rho[None], depolarizing(p), (0,), 1)
+            assert DensityMatrix(1, out[0]).purity() < DensityMatrix(1, rho).purity()
 
 
 @pytest.mark.filterwarnings("error")
@@ -260,7 +232,7 @@ def test_density_matrix_validate_catches_bad_states():
 
 def test_stateprep_has_no_unitary():
     with pytest.raises(ValueError):
-        apply_gate(ground_state(2), GateOp("StatePrep", (0, 1)))
+        apply_gate_stack(basis_stack(2, 0), GateOp("StatePrep", (0, 1)), 2)
 
 
 _X = np.array([[0, 1], [1, 0]])
@@ -302,7 +274,7 @@ def test_rotation_builder_and_per_row_rotations_match_the_gate_oracle(rng, name)
     for q in range(3):
         out = apply_rotations_batch(stack, name, q, angles, 3)
         for rho, angle, got in zip(stack, angles, out):
-            want = apply_gate(DensityMatrix(3, rho), GateOp(name, (q,), float(angle))).data
+            want = apply_gate_stack(rho[None], GateOp(name, (q,), float(angle)), 3)[0]
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
