@@ -1,8 +1,8 @@
 """Hybrid quantum classifier: encode -> PQC -> per-qubit <Z> -> linear head.
 
 Quantum parameters train with SPSA two-point gradient estimates; the linear
-head trains with exact softmax cross-entropy gradients. Both parameter groups
-update with Adam.
+head trains with exact softmax cross-entropy gradients. One Adam updates both
+groups as one vector.
 
 The readout is in the Heisenberg picture, in the Pauli basis: _encode hands
 pqc._pull_back the real Pauli forms of the encoders' factored stacks
@@ -16,12 +16,12 @@ The Schrodinger path (pqc.apply_pqc_stack) remains the test oracle.
 Every entry point that takes features, here and in defense, checks and
 encodes them through one gate, _encode.
 
-A training step forwards the batch at the current theta, draws the SPSA
-direction delta, then pulls back theta + c*delta and theta - c*delta as one
-two-point stack, through spsa_estimate's paired form. The generator draws the
-base point's shots, then delta, then the plus point's shots, then the minus
-point's (no shots when shots is 0). The order is the same for every shot
-count, and it is the order one-point calls would draw in.
+A training step draws the SPSA direction delta, then pulls back theta,
+theta + c*delta and theta - c*delta as one three-point stack: row 0 gives the
+batch loss and the head's exact gradient, rows 1 and 2 the SPSA difference
+through spsa_estimate's paired form. The generator draws delta, then the base,
+plus and minus points' shots (no shots when shots is 0); the order is the same
+for every shot count.
 """
 
 from __future__ import annotations
@@ -139,7 +139,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def _batch_ce(probs: np.ndarray, labels: np.ndarray) -> float:
     picked = probs[np.arange(len(labels)), labels]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+    # np.mean's own sum-then-divide, without its per-call overhead; a (P, rows) sum along
+    # the rows would not round as each row's sum does
+    return float(-np.log(np.maximum(picked, PROB_FLOOR)).sum() / len(labels))
 
 
 def cross_entropy(probs: np.ndarray, label: int) -> float:
@@ -306,10 +308,10 @@ def train(
     test_set: LabeledDataset,
     config: TrainConfig,
 ) -> TrainReport:
-    """Mini-batch training: SPSA/Adam for theta, exact/Adam for the head.
+    """Mini-batch training: SPSA for theta, exact gradients for the head, Adam for both.
 
     Both gradients are evaluated at the pre-update parameters of each batch,
-    then both groups step. Fully deterministic given config.seed.
+    then all parameters step together. Fully deterministic given config.seed.
     """
     (train_states, train_labels), (test_states, test_labels) = _encode(
         model, config.noise, (train_set.features, train_set.labels),
@@ -317,14 +319,32 @@ def train(
     return _fit(model, train_states, train_labels, test_states, test_labels, config)
 
 
+def _step_gradient(model, states, labels, config: TrainConfig, rng) -> tuple[float, np.ndarray]:
+    """(batch mean cross-entropy at theta, gradient of (theta, head weights, head bias) as
+    one vector): SPSA for theta, exact for the head, from one three-point pull-back."""
+    base = []
+
+    def step_loss(pair):
+        probs, z = _forward_from_states(model, states, np.concatenate([model.theta[None], pair]),
+                                        config.noise, config.shots, rng)
+        base.append((probs[0], z[0]))
+        return _batch_ce(probs[1], labels), _batch_ce(probs[2], labels)
+
+    grad_theta = spsa_estimate(step_loss, model.theta, SPSA_C, rng, paired=True)
+    [(probs, z)] = base
+    grad_w, grad_b = _head_grads_from(probs, z, labels)
+    return _batch_ce(probs, labels), np.concatenate([grad_theta, grad_w.ravel(), grad_b])
+
+
 def _fit(model, train_states, train_labels, test_states, test_labels, config) -> TrainReport:
     """train() on factored, already-encoded states; the encoder has no trainable parameters."""
     started = time.perf_counter()
     model = model.copy()
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    adam_theta = _Adam(model.theta.shape, config.learning_rate)
-    adam_w = _Adam(model.head_weights.shape, config.learning_rate)
-    adam_b = _Adam(model.head_bias.shape, config.learning_rate)
+    params = np.concatenate([model.theta, model.head_weights.ravel(), model.head_bias])
+    theta_end = model.theta.size
+    weights_end = theta_end + model.head_weights.size
+    adam = _Adam(params.shape, config.learning_rate)  # elementwise: one Adam per group alike
 
     train_loss: list[float] = []
     test_loss: list[float] = []
@@ -335,17 +355,12 @@ def _fit(model, train_states, train_labels, test_states, test_labels, config) ->
         batch_losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            states = _rows(train_states, idx)
-            labels = train_labels[idx]
-            probs, z = _forward_from_states(
-                model, states, model.theta, config.noise, config.shots, rng
-            )
-            batch_losses.append(_batch_ce(probs, labels))
-            grad_w, grad_b = _head_grads_from(probs, z, labels)
-            grad_theta = _spsa_pair(model, states, labels, config, rng)
-            model.theta = adam_theta.step(model.theta, grad_theta)
-            model.head_weights = adam_w.step(model.head_weights, grad_w)
-            model.head_bias = adam_b.step(model.head_bias, grad_b)
+            loss, grad = _step_gradient(model, _rows(train_states, idx), train_labels[idx],
+                                        config, rng)
+            batch_losses.append(loss)
+            params = adam.step(params, grad)
+            model.theta, model.head_bias = params[:theta_end], params[weights_end:]
+            model.head_weights = params[theta_end:weights_end].reshape(model.head_weights.shape)
         train_loss.append(float(np.mean(batch_losses)))
         acc, loss = _evaluate_states(
             model, test_states, test_labels, config.noise, config.shots, rng

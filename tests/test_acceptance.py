@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The attack-effectiveness
-criteria train 18 models and take a few minutes; everything else is fast.
+criteria train 21 models (12 noiseless, 9 at p = 0.05); the whole module runs
+in 6-8 s on 2 vCPUs.
 """
 
 import time

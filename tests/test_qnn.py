@@ -6,7 +6,7 @@ import pytest
 from conftest import density_from_pauli
 from quidlab import qnn
 from quidlab.data import LabeledDataset, split, synth_clusters
-from quidlab.encode import EncoderConfig, _kron_factors, encode_batch, scale_features
+from quidlab.encode import EncoderConfig, _kron_factors, _rows, encode_batch, scale_features
 from quidlab.errors import DataFormatError
 from quidlab.noise import NoiseModel
 from quidlab.pqc import apply_pqc_stack, build_template
@@ -77,6 +77,14 @@ def test_cross_entropy_examples():
     assert clamped == pytest.approx(-np.log(1e-12), abs=1e-9)
     with pytest.raises(IndexError):
         cross_entropy(np.array([0.5, 0.5]), 2)
+
+
+def test_batch_ce_rounds_as_np_mean(rng):
+    probs = softmax(rng.standard_normal((4, 37, 3)))
+    labels = rng.integers(0, 3, size=37)
+    for p in probs:
+        want = float(-np.log(np.maximum(p[np.arange(37), labels], qnn.PROB_FLOOR)).mean())
+        assert _batch_ce(p, labels) == want
 
 
 def test_spsa_zero_on_constant_loss(rng):
@@ -200,8 +208,8 @@ def test_train_matches_schrodinger_forward(monkeypatch, shots):
 
 
 @pytest.mark.parametrize("shots", [0, 64])
-def test_training_step_pulls_back_twice(monkeypatch, shots):
-    # the base point, then theta + c*delta and theta - c*delta as one two-point stack
+def test_training_step_pulls_back_once(monkeypatch, shots):
+    # theta, theta + c*delta and theta - c*delta as one three-point stack per batch
     ds = separable_dataset(per_class=6)
     tr, te = split(ds, 0.75, stratified=True, seed=2)
     model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4, seed=2)
@@ -210,12 +218,94 @@ def test_training_step_pulls_back_twice(monkeypatch, shots):
     monkeypatch.setattr(qnn, "_pull_back",
                         lambda states, tpl, theta, noise: points.append(np.shape(theta)) or
                         pull_back(states, tpl, theta, noise))
-    train(model, tr, te, TrainConfig(epochs=1, batch_size=8, seed=5, shots=shots))
+    train(model, tr, te, TrainConfig(epochs=2, batch_size=8, seed=5, shots=shots))
     batches = -(-len(tr) // 8)
-    step_calls = points[:-1]  # the last call evaluates the test set
-    assert len(step_calls) == 2 * batches
-    assert step_calls[0::2] == [(model.template.param_count,)] * batches
-    assert step_calls[1::2] == [(2, model.template.param_count)] * batches
+    epoch = [(3, model.template.param_count)] * batches + [(model.template.param_count,)]
+    assert points == epoch * 2  # each epoch ends with one test-set readout
+
+
+def old_fit(model, train_states, train_labels, test_states, test_labels, config):
+    """The training loop as it was with a P = 1 readout at theta, the two-point
+    _spsa_pair readout and one _Adam per parameter group: the bit-for-bit reference."""
+    model = model.copy()
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    adams = [_Adam(a.shape, config.learning_rate)
+             for a in (model.theta, model.head_weights, model.head_bias)]
+    train_loss, test_loss, test_accuracy = [], [], []
+    n = len(train_labels)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        batch_losses = []
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo : lo + config.batch_size]
+            states, labels = _rows(train_states, idx), train_labels[idx]
+            probs, z = _forward_from_states(model, states, model.theta, config.noise,
+                                            config.shots, rng)
+            batch_losses.append(_batch_ce(probs, labels))
+            grad_w, grad_b = qnn._head_grads_from(probs, z, labels)
+            grad_theta = qnn._spsa_pair(model, states, labels, config, rng)
+            model.theta = adams[0].step(model.theta, grad_theta)
+            model.head_weights = adams[1].step(model.head_weights, grad_w)
+            model.head_bias = adams[2].step(model.head_bias, grad_b)
+        train_loss.append(float(np.mean(batch_losses)))
+        acc, loss = qnn._evaluate_states(model, test_states, test_labels, config.noise,
+                                         config.shots, rng)
+        test_loss.append(loss)
+        test_accuracy.append(acc)
+    return qnn.TrainReport(train_loss, test_loss, test_accuracy, model, 0.0)
+
+
+def assert_same_training(got, want):
+    for name in ("theta", "head_weights", "head_bias"):
+        assert np.array_equal(getattr(got.model, name), getattr(want.model, name)), name
+    for name in ("train_loss", "test_loss", "test_accuracy"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["pqc1", "pqc6", "pqc8"])
+def test_train_matches_the_old_step_bit_for_bit(monkeypatch, kind, p):
+    # one Adam over the concatenated parameters is elementwise, so nothing moves at shots 0
+    ds = separable_dataset(per_class=6)
+    tr, te = split(ds, 0.75, stratified=True, seed=2)
+    model = init_model(EncoderConfig("angle", 4, 2), build_template(kind, 4, 1), 4, seed=2)
+    cfg = TrainConfig(epochs=2, batch_size=8, seed=5,
+                      noise=NoiseModel.from_error_rate(p) if p else None)
+    got = train(model, tr, te, cfg)
+    monkeypatch.setattr(qnn, "_fit", old_fit)
+    assert_same_training(got, train(model, tr, te, cfg))
+
+
+def test_ensemble_member_matches_the_old_step_bit_for_bit(monkeypatch):
+    from quidlab import defense
+
+    ds = separable_dataset(per_class=6)
+    tr, te = split(ds, 0.75, stratified=True, seed=2)
+    model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4, seed=2)
+    cfg = defense.DefenseConfig(TrainConfig(epochs=2, batch_size=4, seed=5,
+                                            noise=NoiseModel.from_error_rate(0.05)), k=2)
+    _, got = defense.train_ensemble(tr, te, cfg, model)
+    monkeypatch.setattr(defense, "_fit", old_fit)
+    _, want = defense.train_ensemble(tr, te, cfg, model)
+    assert_same_training(got[1], want[1])
+
+
+def test_spsa_gradient_draws_delta_then_the_plus_and_minus_shots():
+    model = small_model(n_classes=3)
+    model.head_weights = np.random.default_rng(1).standard_normal(model.head_weights.shape)
+    X = np.random.default_rng(2).uniform(0, 2 * np.pi, size=(5, 4))
+    y = np.array([0, 1, 2, 1, 0])
+    cfg = TrainConfig(seed=7, shots=32, noise=NoiseModel.from_error_rate(0.05))
+    [(states, labels)] = qnn._encode(model, cfg.noise, (X, y))
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+
+    def pair_loss(thetas):  # one point at a time, on the generator spsa_estimate drew delta from
+        return tuple(_batch_ce(_forward_from_states(model, states, t, cfg.noise, cfg.shots,
+                                                    rng)[0], labels) for t in thetas)
+
+    want = spsa_estimate(pair_loss, model.theta, qnn.SPSA_C, rng, paired=True)
+    got = spsa_gradient(model, X, y, cfg)
+    assert np.any(got) and got.tobytes() == want.tobytes()
 
 
 def test_training_step_estimates_through_spsa_estimate(monkeypatch):
