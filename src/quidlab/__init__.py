@@ -39,12 +39,10 @@ from .qnn import (
     cross_entropy,
     evaluate,
     forward,
-    head_gradient,
     init_model,
     load_model,
     save_model,
     spsa_estimate,
-    spsa_gradient,
     train,
 )
 from .simcore import DensityMatrix, GateOp, KrausChannel

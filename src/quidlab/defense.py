@@ -22,7 +22,7 @@ from .data import LabeledDataset
 from .encode import _rows
 from .noise import NoiseModel
 from .qnn import QnnModel, TrainConfig, TrainReport
-from .qnn import _encode, _fit, _forward_from_states  # shared paths
+from .qnn import _encode, _fit, _forward_from_states, _one_row  # shared paths
 from .simcore import whole
 
 # Not called here; perfbench/spans.py installs its timing wrappers on these
@@ -126,9 +126,8 @@ def vote(
     shots: int = 0,
     seed: int = 0,
 ) -> int:
-    """Plurality over member predictions (_plurality)."""
-    preds = member_predictions(ensemble, np.asarray(x, dtype=float).reshape(1, -1),
-                               noise, shots, seed)
+    """Plurality over member predictions (_plurality) for one feature vector."""
+    preds = member_predictions(ensemble, _one_row(x), noise, shots, seed)
     return int(_plurality(preds)[0])
 
 

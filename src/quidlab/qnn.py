@@ -16,12 +16,12 @@ The Schrodinger path (pqc.apply_pqc_stack) remains the test oracle.
 Every entry point that takes features, here and in defense, checks and
 encodes them through one gate, _encode.
 
-A training step draws the SPSA direction delta, then pulls back theta,
-theta + c*delta and theta - c*delta as one three-point stack: row 0 gives the
-batch loss and the head's exact gradient, rows 1 and 2 the SPSA difference
-through spsa_estimate's paired form. The generator draws delta, then the base,
-plus and minus points' shots (no shots when shots is 0); the order is the same
-for every shot count.
+The one training step, _step_gradient, draws the SPSA direction delta, then pulls
+back theta, theta + c*delta and theta - c*delta as one three-point stack: row 0
+gives the batch loss and the head's exact gradient, rows 1 and 2 the SPSA
+difference through spsa_estimate's paired form. The generator draws delta, then
+the base, plus and minus points' shots (no shots when shots is 0); the order is
+the same for every shot count.
 """
 
 from __future__ import annotations
@@ -147,8 +147,10 @@ def _batch_ce(probs: np.ndarray, labels: np.ndarray) -> float:
 def cross_entropy(probs: np.ndarray, label: int) -> float:
     """-log probs[label], clamped at PROB_FLOOR."""
     probs, label = np.asarray(probs, dtype=float), whole(label, "label")
-    if not 0 <= label < probs.shape[-1]:
-        raise IndexError(f"label {label} out of range for {probs.shape[-1]} classes")
+    if probs.ndim != 1:
+        raise ValueError(f"probs must be one 1-D distribution, got shape {probs.shape}")
+    if not 0 <= label < len(probs):
+        raise IndexError(f"label {label} out of range for {len(probs)} classes")
     return _batch_ce(probs[None], np.array([label]))
 
 
@@ -178,10 +180,18 @@ def forward(
     seed: int = 0,
 ) -> np.ndarray:
     """Class probabilities for one (already scaled) feature vector."""
-    [(states, _)] = _encode(model, noise, (np.reshape(x, (1, -1)), None))
+    [(states, _)] = _encode(model, noise, (_one_row(x), None))
     rng = np.random.Generator(np.random.PCG64(seed))
     probs, _ = _forward_from_states(model, states, model.theta, noise, shots, rng)
     return probs[0]
+
+
+def _one_row(x) -> np.ndarray:
+    """One feature vector as a (1, d) batch; refuses any shape but (d,) or (1, d)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape not in ((x.size,), (1, x.size)):
+        raise ValueError(f"expected one feature vector, (d,) or (1, d), got shape {x.shape}")
+    return x.reshape(1, -1)
 
 
 def spsa_estimate(
@@ -212,20 +222,6 @@ def spsa_estimate(
     return grad / repeats
 
 
-def _spsa_pair(model, states, labels, config: TrainConfig, rng) -> np.ndarray:
-    """spsa_estimate of one encoded batch's mean cross-entropy, with one repeat.
-
-    theta + c*delta and theta - c*delta are pulled back as one two-point stack.
-    The generator draws delta, then the plus point's shots, then the minus point's.
-    """
-
-    def pair_loss(thetas):
-        probs, _ = _forward_from_states(model, states, thetas, config.noise, config.shots, rng)
-        return _batch_ce(probs[0], labels), _batch_ce(probs[1], labels)
-
-    return spsa_estimate(pair_loss, model.theta, SPSA_C, rng, paired=True)
-
-
 def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
     """The model-input gate: per (X, labels or None) set, (X's states in Pauli form as
     pqc._readout_factors gives them, int64 labels or None).
@@ -249,34 +245,6 @@ def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
         checked.append((X, labels))
     return [(_readout_factors(_encode_factors(X, model.encoder, noise), model.template), labels)
             for X, labels in checked]
-
-
-def spsa_gradient(
-    model: QnnModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    config: TrainConfig,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """SPSA estimate of the batch-mean loss gradient w.r.t. the quantum parameters."""
-    [(states, y)] = _encode(model, config.noise, (X, y))
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(config.seed))
-    return _spsa_pair(model, states, y, config, rng)
-
-
-def head_gradient(
-    model: QnnModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    noise: NoiseModel | None = None,
-    shots: int = 0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact softmax cross-entropy gradients (dW, db) at the current parameters."""
-    [(states, y)] = _encode(model, noise, (X, y))
-    probs, z = _forward_from_states(model, states, model.theta, noise, shots, rng)
-    return _head_grads_from(probs, z, y)
 
 
 def _head_grads_from(probs: np.ndarray, z: np.ndarray, y: np.ndarray) -> tuple:

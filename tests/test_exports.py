@@ -32,19 +32,20 @@ EXPORTS = sorted([
     "random_flip", "split_poison_set",
     # qnn
     "QnnModel", "TrainConfig", "TrainReport", "cross_entropy", "evaluate", "forward",
-    "head_gradient", "init_model", "load_model", "save_model", "spsa_estimate",
-    "spsa_gradient", "train",
+    "init_model", "load_model", "save_model", "spsa_estimate", "train",
     # simcore
     "DensityMatrix", "GateOp", "KrausChannel",
 ])
 
-# the single-state wrappers of the batched simulation API, removed from the library
+# the single-state wrappers of the batched simulation API, and the gradient front ends
+# that duplicated the one training step (qnn._step_gradient), removed from the library
 REMOVED = {
     "simcore": ("ground_state", "basis_state", "apply_gate", "apply_channel", "expect_z",
                 "sample_expect_z"),
     "noise": ("noisy_apply",),
     "pqc": ("apply_pqc",),
     "encode": ("encode",),
+    "qnn": ("spsa_gradient", "_spsa_pair", "head_gradient"),
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,13 +21,11 @@ from quidlab.qnn import (
     cross_entropy,
     evaluate,
     forward,
-    head_gradient,
     init_model,
     load_model,
     save_model,
     spsa_estimate,
     softmax,
-    spsa_gradient,
     train,
 )
 
@@ -40,6 +39,18 @@ def small_model(seed=3, n_qubits=2, n_classes=2):
 def separable_dataset(seed=2, per_class=16):
     ds = synth_clusters(4, 8, per_class, spread=0.3, seed=seed)
     return ds.replace(features=scale_features(ds.features))
+
+
+def step_gradient(model, X, y, config=TrainConfig()):
+    """qnn._step_gradient on one encoded batch, with a fresh generator at config.seed:
+    its gradient split into (theta, head weights, head bias)."""
+    [(states, labels)] = qnn._encode(model, config.noise, (X, y))
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    _, grad = qnn._step_gradient(model, states, labels, config, rng)
+    theta_end = model.theta.size
+    weights_end = theta_end + model.head_weights.size
+    return (grad[:theta_end], grad[theta_end:weights_end].reshape(model.head_weights.shape),
+            grad[weights_end:])
 
 
 def test_forward_uniform_with_zero_head(rng):
@@ -61,6 +72,22 @@ def test_forward_probabilities_sum_to_one_under_noise(rng):
         assert (probs >= 0).all()
 
 
+def test_forward_and_vote_take_exactly_one_row(rng):
+    # without n_features, a reshape to one row would read a (2, 4) matrix as 8 features
+    from quidlab.defense import EnsembleModel, vote
+
+    model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 3, seed=2)
+    model.head_weights = rng.standard_normal(model.head_weights.shape)
+    ensemble = EnsembleModel([model, model.copy()])
+    x = rng.uniform(0, 2 * np.pi, size=4)
+    assert np.array_equal(forward(model, x[None]), forward(model, x))
+    assert vote(ensemble, x[None]) == vote(ensemble, x)
+    for bad in (np.stack([x, x]), x.reshape(1, 1, 4), np.float64(0.5)):
+        for call in (forward, lambda m, b: vote(ensemble, b)):
+            with pytest.raises(ValueError, match=f"got shape {re.escape(str(bad.shape))}"):
+                call(model, bad)
+
+
 def test_forward_shots_deterministic(rng):
     model = small_model(n_classes=2)
     model.head_weights = rng.standard_normal(model.head_weights.shape)
@@ -77,6 +104,8 @@ def test_cross_entropy_examples():
     assert clamped == pytest.approx(-np.log(1e-12), abs=1e-9)
     with pytest.raises(IndexError):
         cross_entropy(np.array([0.5, 0.5]), 2)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):  # one distribution, not a batch
+        cross_entropy(np.array([[0.5, 0.5], [0.2, 0.8]]), 1)
 
 
 def test_batch_ce_rounds_as_np_mean(rng):
@@ -91,8 +120,8 @@ def test_spsa_zero_on_constant_loss(rng):
     model = small_model(n_classes=4)  # zero head: loss independent of theta
     X = rng.uniform(0, 2 * np.pi, size=(6, 4))
     y = rng.integers(0, 4, size=6)
-    grad = spsa_gradient(model, X, y, TrainConfig(seed=1))
-    assert np.array_equal(grad, np.zeros_like(model.theta))
+    grad_theta, _, _ = step_gradient(model, X, y, TrainConfig(seed=1))
+    assert np.array_equal(grad_theta, np.zeros_like(model.theta))
 
 
 def test_spsa_estimates_quadratic_gradient():
@@ -118,9 +147,7 @@ def test_spsa_deterministic_given_seed(rng):
     X = rng.uniform(0, 2 * np.pi, size=(5, 4))
     y = rng.integers(0, 2, size=5)
     cfg = TrainConfig(seed=11)
-    assert np.array_equal(
-        spsa_gradient(model, X, y, cfg), spsa_gradient(model, X, y, cfg)
-    )
+    assert np.array_equal(step_gradient(model, X, y, cfg)[0], step_gradient(model, X, y, cfg)[0])
 
 
 def test_head_gradient_zero_at_perfect_prediction():
@@ -130,7 +157,7 @@ def test_head_gradient_zero_at_perfect_prediction():
     model.head_weights = np.array([[500.0, 0.0], [-500.0, 0.0]])
     X = np.array([[np.pi / 2, np.pi / 2, np.pi / 2, np.pi / 2]])
     y = np.array([0])
-    grad_w, grad_b = head_gradient(model, X, y)
+    _, grad_w, grad_b = step_gradient(model, X, y)
     assert np.max(np.abs(grad_w)) < 1e-8
     assert np.max(np.abs(grad_b)) < 1e-8
 
@@ -138,7 +165,7 @@ def test_head_gradient_zero_at_perfect_prediction():
 def test_head_gradient_uniform_single_sample():
     model = small_model(n_classes=4)  # zero head -> uniform probs
     X = np.array([[0.3, 1.0, 2.0, 0.7]])
-    grad_w, grad_b = head_gradient(model, X, np.array([0]))
+    _, grad_w, grad_b = step_gradient(model, X, np.array([0]))
     assert np.allclose(grad_b, [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
 
 
@@ -149,7 +176,7 @@ def test_head_gradient_matches_finite_differences(rng):
     X = rng.uniform(0, 2 * np.pi, size=(4, 4))
     y = rng.integers(0, 3, size=4)
     states = (pauli_form(encode_batch(X, model.encoder)),)  # one dense factor, as _encode has it
-    grad_w, grad_b = head_gradient(model, X, y)
+    _, grad_w, grad_b = step_gradient(model, X, y)
 
     def loss_at(w, b):
         probe = model.copy()
@@ -224,9 +251,20 @@ def test_training_step_pulls_back_once(monkeypatch, shots):
     assert points == epoch * 2  # each epoch ends with one test-set readout
 
 
+def old_spsa_pair(model, states, labels, config, rng):
+    """The old two-point readout: spsa_estimate of the batch's mean cross-entropy, with
+    theta + c*delta and theta - c*delta pulled back as one two-point stack."""
+
+    def pair_loss(thetas):
+        probs, _ = _forward_from_states(model, states, thetas, config.noise, config.shots, rng)
+        return _batch_ce(probs[0], labels), _batch_ce(probs[1], labels)
+
+    return spsa_estimate(pair_loss, model.theta, qnn.SPSA_C, rng, paired=True)
+
+
 def old_fit(model, train_states, train_labels, test_states, test_labels, config):
     """The training loop as it was with a P = 1 readout at theta, the two-point
-    _spsa_pair readout and one _Adam per parameter group: the bit-for-bit reference."""
+    old_spsa_pair readout and one _Adam per parameter group: the bit-for-bit reference."""
     model = model.copy()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     adams = [_Adam(a.shape, config.learning_rate)
@@ -243,7 +281,7 @@ def old_fit(model, train_states, train_labels, test_states, test_labels, config)
                                             config.shots, rng)
             batch_losses.append(_batch_ce(probs, labels))
             grad_w, grad_b = qnn._head_grads_from(probs, z, labels)
-            grad_theta = qnn._spsa_pair(model, states, labels, config, rng)
+            grad_theta = old_spsa_pair(model, states, labels, config, rng)
             model.theta = adams[0].step(model.theta, grad_theta)
             model.head_weights = adams[1].step(model.head_weights, grad_w)
             model.head_bias = adams[2].step(model.head_bias, grad_b)
@@ -290,22 +328,30 @@ def test_ensemble_member_matches_the_old_step_bit_for_bit(monkeypatch):
     assert_same_training(got[1], want[1])
 
 
-def test_spsa_gradient_draws_delta_then_the_plus_and_minus_shots():
+def test_training_step_draws_delta_then_the_base_plus_and_minus_shots():
     model = small_model(n_classes=3)
     model.head_weights = np.random.default_rng(1).standard_normal(model.head_weights.shape)
     X = np.random.default_rng(2).uniform(0, 2 * np.pi, size=(5, 4))
     y = np.array([0, 1, 2, 1, 0])
     cfg = TrainConfig(seed=7, shots=32, noise=NoiseModel.from_error_rate(0.05))
     [(states, labels)] = qnn._encode(model, cfg.noise, (X, y))
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rngs = [np.random.Generator(np.random.PCG64(cfg.seed)) for _ in range(2)]
+    base = []
 
-    def pair_loss(thetas):  # one point at a time, on the generator spsa_estimate drew delta from
+    def step_loss(pair):  # one point at a time, on the generator spsa_estimate drew delta from
+        base.append(_forward_from_states(model, states, model.theta, cfg.noise, cfg.shots,
+                                         rngs[0]))
         return tuple(_batch_ce(_forward_from_states(model, states, t, cfg.noise, cfg.shots,
-                                                    rng)[0], labels) for t in thetas)
+                                                    rngs[0])[0], labels) for t in pair)
 
-    want = spsa_estimate(pair_loss, model.theta, qnn.SPSA_C, rng, paired=True)
-    got = spsa_gradient(model, X, y, cfg)
-    assert np.any(got) and got.tobytes() == want.tobytes()
+    want_theta = spsa_estimate(step_loss, model.theta, qnn.SPSA_C, rngs[0], paired=True)
+    [(probs, z)] = base
+    grad_w, grad_b = qnn._head_grads_from(probs, z, labels)
+    want = np.concatenate([want_theta, grad_w.ravel(), grad_b])
+    loss, got = qnn._step_gradient(model, states, labels, cfg, rngs[1])
+    assert np.any(want_theta) and got.tobytes() == want.tobytes()
+    assert loss == _batch_ce(probs, labels)
+    assert rngs[0].integers(2**62) == rngs[1].integers(2**62)  # and nothing more drawn
 
 
 def test_training_step_estimates_through_spsa_estimate(monkeypatch):
@@ -459,8 +505,6 @@ def test_library_paths_refuse_a_dataset_of_another_width():
         lambda ds: train(model, wide, ds, config),
         lambda ds: train_ensemble(ds, wide, DefenseConfig(config, k=2), model),
         lambda ds: forward(model, ds.features[0]),
-        lambda ds: head_gradient(model, ds.features, ds.labels),
-        lambda ds: spsa_gradient(model, ds.features, ds.labels, config),
         lambda ds: member_predictions(ensemble, ds.features),
         lambda ds: vote(ensemble, ds.features[0]),
         lambda ds: evaluate_ensemble(ensemble, ds),
@@ -468,27 +512,29 @@ def test_library_paths_refuse_a_dataset_of_another_width():
     for call in entry_points:
         with pytest.raises(ValueError, match="8 features.* 7"):
             call(narrow)
-    # labels outside the 4-class head: 4 in a 5-class dataset, and a raw -1
+    # labels outside the 4-class head: 4 in a 5-class dataset, and a raw -1 reassigned
+    # after construction, which LabeledDataset does not see again
     outside = LabeledDataset(wide.features, np.where(wide.labels == 3, 4, wide.labels), 5)
-    minus_one = np.where(wide.labels == 3, -1, wide.labels)
+    minus_one = wide.replace()
+    minus_one.labels = np.where(wide.labels == 3, -1, wide.labels)
     label_entry_points = [
         lambda: evaluate(model, outside),
         lambda: train(model, wide, outside, config),
         lambda: train_ensemble(outside, wide, DefenseConfig(config, k=2), model),
-        lambda: head_gradient(model, wide.features, minus_one),
-        lambda: spsa_gradient(model, wide.features, minus_one, config),
+        lambda: train(model, minus_one, wide, config),
     ]
     for call in label_entry_points:
         with pytest.raises(ValueError, match="labels outside the model's 4 classes"):
             call()
+    short = wide.replace()
+    short.labels = wide.labels[:-1]
     with pytest.raises(ValueError, match="15 labels for 16 rows"):
-        head_gradient(model, wide.features, wide.labels[:-1])
+        train(model, short, wide, config)
     # fractional labels inside the head's range are refused, not truncated
     halves = wide.labels * 0.5
     fractional = wide.replace()
     fractional.labels = halves
     for call in (lambda: LabeledDataset(wide.features, halves, 4),
-                 lambda: head_gradient(model, wide.features, halves),
                  lambda: train(model, fractional, wide, config),
                  lambda: train(model, wide, fractional, config)):
         with pytest.raises(ValueError, match="labels must be whole numbers"):
