@@ -20,9 +20,9 @@ from .errors import (
     QuidlabError,
     ShapeError,
 )
-from .ess import EssReport, compare_encodings, distance, nearest_class_label, validate_ess
+from .ess import EssReport, distance, validate_ess
 from .noise import NoiseModel, amplitude_damping, depolarizing, load_noise_model
-from .pqc import PqcTemplate, build_template, load_template, save_template
+from .pqc import PqcTemplate, build_template
 from .poison import (
     PoisonOutcome,
     PoisonSpec,

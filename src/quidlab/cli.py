@@ -30,16 +30,12 @@ from .data import synth_clusters, write_json, write_table
 from .defense import DefenseConfig, evaluate_ensemble, train_ensemble
 from .encode import EncoderConfig, scale_features
 from .errors import CapacityError, DataFormatError, DegenerateInputError, QuidlabError
-from .ess import METRICS, _validate_metrics, canonical_metric, compare_encodings
+from .ess import METRICS, _validate_metrics, canonical_metric, validate_ess
 from .noise import NoiseModel, load_noise_model
 from .pqc import PRESETS, build_template
 from .poison import MODES, PoisonSpec, apply_poison, write_outcome_csv
 from .qnn import QnnModel, TrainConfig, evaluate, init_model, load_model, save_model, train
 from .simcore import finite, whole
-
-# Not called here; perfbench/spans.py installs its timing wrapper on this
-# attribute of quidlab.cli, so it stays importable from this module.
-from .ess import validate_ess  # noqa: F401
 
 
 class UsageError(QuidlabError):
@@ -369,18 +365,20 @@ def cmd_encode_compare(options: _Options) -> int:
     ds = _scaled(ds, cfgs[0])
     metric = options.get("metric")
     levels = options.get("noise_levels")
-    for p in levels:  # every level is checked before the first cell runs
-        _configured(NoiseModel.from_error_rate, p, flag="--noise-levels")
-    cells = compare_encodings(
-        ds, cfgs, metric, levels, holdout_fraction=options.holdout(ds), seed=options.get("seed"),
-    )
-    write_table(
-        os.path.join(out, "encoding_comparison.csv"),
-        ["encoder", "noise_p", "accuracy"],
-        [[c.encoder, c.noise_p, c.accuracy] for c in cells],
-    )
-    for c in cells:
-        print(f"{c.encoder} p={c.noise_p}: accuracy={c.accuracy:.4f}")
+    # every level is checked before the first cell runs
+    models = [_configured(NoiseModel.from_error_rate, p, flag="--noise-levels") for p in levels]
+    holdout, seed = options.holdout(ds), options.get("seed")
+    rows = []
+    for cfg in cfgs:
+        label = (f"angle-{cfg.n_qubits}q-{cfg.features_per_qubit}f" if cfg.kind == "angle"
+                 else f"amplitude-{cfg.n_qubits}q")
+        for p, model in zip(levels, models):
+            report = validate_ess(ds, cfg, metric, model, holdout, seed)
+            rows.append([label, float(p), report.accuracy])
+    write_table(os.path.join(out, "encoding_comparison.csv"),
+                ["encoder", "noise_p", "accuracy"], rows)
+    for label, p, accuracy in rows:
+        print(f"{label} p={p}: accuracy={accuracy:.4f}")
     _manifest(out, options)
     return 0
 

@@ -4,8 +4,8 @@ The on-disk format is a plain CSV with d feature columns followed by one
 integer label column; an optional single header line is allowed. Features are
 stored raw; callers scale them into the encoder range (encode.scale_features)
 before encoding. read_json is the one reader of the JSON inputs (config file,
-noise model, PQC template, checkpoint); write_table and
-write_json are the one writers of result tables and JSON files.
+noise model, checkpoint); write_table and write_json are the one writers of
+result tables and JSON files.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
+        if self.features.ndim > 2:
+            raise ValueError(f"features must be a 2-D matrix, got shape {self.features.shape}")
         self.n_classes = whole(self.n_classes, "n_classes", 1)
         self.labels = class_ids(self.labels, self.n_classes)
         if self.features.shape[0] != self.labels.shape[0]:

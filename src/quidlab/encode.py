@@ -190,11 +190,18 @@ def _amplitude_factors(x: np.ndarray, cfg: EncoderConfig, model: NoiseModel | No
     return (tau.astype(complex),) * (cfg.n_qubits - m) + (data.astype(complex),)
 
 
+def _feature_matrix(X) -> np.ndarray:
+    """X as a float (samples, features) matrix, a vector as one row; ValueError, naming the
+    shape, for an empty array or one with more than two axes."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim > 2 or X.size == 0:
+        raise ValueError(f"features must be a non-empty 2-D matrix, got shape {X.shape}")
+    return np.atleast_2d(X)
+
+
 def _encode_factors(X: np.ndarray, cfg: EncoderConfig, model: NoiseModel | None) -> tuple:
     """Encode a (samples, features) matrix into a factored stack (module docstring)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise ValueError("cannot encode an empty batch")
+    X = _feature_matrix(X)
     usable = np.isfinite(X).all(axis=1)
     if not usable.all():
         bad = int(np.flatnonzero(~usable)[0])
@@ -214,9 +221,7 @@ def encode_batch(
 
 def scale_features(X: np.ndarray, scale_range: tuple[float, float] = DEFAULT_RANGE) -> np.ndarray:
     """Per-feature min-max map onto scale_range; constant columns go to the midpoint."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.size == 0:
-        raise ValueError("cannot scale an empty feature matrix")
+    X = _feature_matrix(X)
     lo, hi = scale_range
     # halving is exact and leaves every ratio as it was, but keeps the span of a
     # column holding both -1e308 and 1e308 finite

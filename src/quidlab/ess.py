@@ -178,18 +178,6 @@ def _class_means(dists: np.ndarray, ref_labels: np.ndarray) -> tuple[np.ndarray,
     return means, classes
 
 
-def nearest_class_label(
-    rho: DensityMatrix, reference: list[tuple[DensityMatrix, int]], metric: str
-) -> int:
-    """Class with the smallest mean distance to rho; ties go to the lowest id."""
-    if not reference:
-        raise ValueError("empty reference")
-    stack = np.stack([r.data for r, _ in reference])
-    labels = np.array([c for _, c in reference])
-    means, classes = class_mean_distances(rho.data[None], stack, labels, metric)
-    return int(classes[np.argmin(means[0])])
-
-
 @dataclass
 class EssReport:
     metric: str
@@ -278,38 +266,3 @@ def _validate_metrics(
             n_holdout=len(holdout),
         ))
     return reports
-
-
-@dataclass(frozen=True)
-class EncodingCell:
-    encoder: str
-    noise_p: float
-    accuracy: float
-
-
-def encoder_label(cfg: EncoderConfig) -> str:
-    if cfg.kind == "angle":
-        return f"angle-{cfg.n_qubits}q-{cfg.features_per_qubit}f"
-    return f"amplitude-{cfg.n_qubits}q"
-
-
-def compare_encodings(
-    dataset: LabeledDataset,
-    cfgs: list[EncoderConfig],
-    metric: str,
-    noise_levels: list[float],
-    holdout_fraction: float = 0.5,
-    seed: int = 0,
-) -> list[EncodingCell]:
-    """validate_ess per (encoder, noise level), with the split shared across cells."""
-    if not cfgs:
-        raise ValueError("need at least one encoder config")
-    cells = []
-    for cfg in cfgs:
-        for p in noise_levels:
-            report = validate_ess(
-                dataset, cfg, metric, model=NoiseModel.from_error_rate(p),
-                holdout_fraction=holdout_fraction, seed=seed,
-            )
-            cells.append(EncodingCell(encoder_label(cfg), float(p), report.accuracy))
-    return cells

@@ -3,11 +3,11 @@
 Templates are plain data: an ordered gate list whose entries either bind a
 trainable slot or carry a fixed angle. Each TemplateGate builds its
 simcore.GateOp when built and keeps that gate's normal form (canonical name,
-int targets, float angle), so a template that constructs also reads out, saves
-and loads; from_json only parses. The shipped presets are the
-non-entangling rotation circuit (pqc1), the all-to-all controlled-rotation
-circuit (pqc6) and the block controlled-rotation circuit (pqc8); layer
-repetition duplicates the gate list with fresh slots.
+int targets, float angle), so a template that constructs also reads out and
+round-trips through to_json, a checkpoint's template block; from_json only
+parses. The shipped presets are the non-entangling rotation circuit (pqc1), the
+all-to-all controlled-rotation circuit (pqc6) and the block controlled-rotation
+circuit (pqc8); layer repetition duplicates the gate list with fresh slots.
 
 Transcription conventions for the entangling presets: pqc6 iterates controls
 from the last qubit down to the first, each control hitting all other qubits
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_json, write_json
 from .encode import _check_memory, _kron_factors
 from .errors import DataFormatError
 from .noise import NoiseModel, noise_superop, noisy_apply_stack
@@ -135,15 +134,7 @@ class PqcTemplate:
                 param_count=raw["param_count"],
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"malformed template registry entry: {exc}") from exc
-
-
-def save_template(tpl: PqcTemplate, path) -> None:
-    write_json(path, tpl.to_json())
-
-
-def load_template(path) -> PqcTemplate:
-    return PqcTemplate.from_json(read_json(path))
+            raise DataFormatError(f"malformed template: {exc}") from exc
 
 
 def _rotation_columns(n: int, start: int) -> tuple[list[TemplateGate], int]:
@@ -395,9 +386,11 @@ def _stack_rows(arrays: list) -> np.ndarray:
 def z_expectations(
     factors: tuple, tpl: PqcTemplate, theta: np.ndarray, model: NoiseModel | None = None
 ) -> np.ndarray:
-    """(..., B, n) <Z_q> of the template's output for every row of a factored stack
-    (quidlab.encode), at theta (param_count,) or a stack (..., param_count) of points; the
-    classifier converts once per encode (_readout_factors) and calls _pull_back itself."""
+    """(..., B, n) <Z_q> of the template's output for every row of a factored stack of density
+    matrices, at theta (param_count,) or a stack (..., param_count) of points. Every factor, real
+    or complex, is read as (B or 1, 2^k, 2^k) density matrices, as encode_batch returns them; the
+    angle encoder's real Pauli forms (encode._encode_factors) are not, and read wrong here. The
+    classifier converts those once per encode (_readout_factors) and calls _pull_back itself."""
     return _pull_back(tuple(map(pauli_form, factors)), tpl, theta, model)
 
 

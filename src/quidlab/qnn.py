@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import LabeledDataset, class_ids, read_json, write_json
-from .encode import EncoderConfig, _encode_factors, _rows
+from .encode import EncoderConfig, _encode_factors, _feature_matrix, _rows
 from .errors import DataFormatError
 from .noise import NoiseModel
 from .pqc import PqcTemplate, _pull_back, _readout_factors
@@ -226,15 +226,14 @@ def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
     """The model-input gate: per (X, labels or None) set, (X's states in Pauli form as
     pqc._readout_factors gives them, int64 labels or None).
 
-    Checks every set before it encodes any. Refuses an empty X, a width other than
-    n_features (None: unknown), labels that data.class_ids refuses for the model's
-    n_classes and labels not one per row, each with ValueError.
+    Checks every set before it encodes any. Refuses an X that encode._feature_matrix
+    refuses (empty, or more than two axes), a width other than n_features (None:
+    unknown), labels that data.class_ids refuses for the model's n_classes and labels
+    not one per row, each with ValueError.
     """
     checked = []
     for X, labels in sets:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.size == 0:
-            raise ValueError("empty batch")
+        X = _feature_matrix(X)
         if model.n_features is not None and X.shape[1] != model.n_features:
             raise ValueError(f"model is built for {model.n_features} features, "
                              f"the data has {X.shape[1]}")

@@ -5,6 +5,8 @@ import pytest
 
 from quidlab.cli import main
 from quidlab.data import load_csv
+from quidlab.encode import EncoderConfig, scale_features
+from quidlab.ess import validate_ess
 
 
 def run(*argv):
@@ -108,6 +110,24 @@ def test_encode_compare_table_shape(tmp_path):
                "--noise-levels", "0,0.05", "--seed", "3", "--out", str(out)) == 0
     lines = (out / "encoding_comparison.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 2  # two encoders x two levels
+
+
+def test_encode_compare_p0_rows_match_noiseless_validate_ess(tmp_path):
+    data = gen(tmp_path)
+    out = tmp_path / "cmp"
+    assert run("encode-compare", "--data", str(data), "--qubits", "4",
+               "--noise-levels", "0,0.05", "--seed", "5", "--out", str(out)) == 0
+    rows = [line.split(",") for line in
+            (out / "encoding_comparison.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[1]) for row in rows] == [
+        ("angle-4q-2f", "0.0"), ("angle-4q-2f", "0.05"),
+        ("amplitude-4q", "0.0"), ("amplitude-4q", "0.05"),
+    ]
+    ds = load_csv(data)
+    ds = ds.replace(features=scale_features(ds.features))
+    for row, cfg in zip(rows[::2], (EncoderConfig("angle", 4, 2), EncoderConfig("amplitude", 4))):
+        # the p = 0 cell's error-rate model and no model at all label alike
+        assert float(row[2]) == validate_ess(ds, cfg, "frobenius", seed=5).accuracy
 
 
 def test_poison_quid_flips_half(tmp_path):

@@ -172,6 +172,10 @@ def test_dataset_validation():
             LabeledDataset(np.zeros((2, 2)), np.array(labels), 2)
     whole = LabeledDataset(np.zeros((2, 2)), np.array([1.0, 0.0]), 2).labels
     assert whole.dtype == np.int64 and whole.tolist() == [1, 0]
+    with pytest.raises(ValueError, match=r"got shape \(2, 3, 4\)"):
+        LabeledDataset(np.zeros((2, 3, 4)), np.array([0, 1]), 2)
+    empty = LabeledDataset(np.zeros((0, 3)), np.array([], dtype=int), 2)
+    assert (len(empty), empty.dim) == (0, 3)
 
 
 def test_read_json_returns_the_top_level_object(tmp_path):

@@ -179,6 +179,13 @@ def test_members_with_different_encoders_are_refused():
             member_predictions(mixed, tiny_dataset().features)
 
 
+def test_member_predictions_refuse_more_than_two_axes():
+    # n_features=None: no width check stands between the array and the encoder
+    ensemble = EnsembleModel([prototype(), prototype(seed=5)])
+    with pytest.raises(ValueError, match=r"got shape \(2, 2, 4\)"):
+        member_predictions(ensemble, np.zeros((2, 2, 4)))
+
+
 def test_ensemble_accuracy_on_clean_separable_data():
     ds = synth_clusters(4, 8, 60, spread=0.25, seed=4)
     ds = ds.replace(features=scale_features(ds.features))

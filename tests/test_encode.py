@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,10 @@ def test_dimension_overflow():
         encode_batch(np.ones((1, 3)), EncoderConfig("angle", 1, 2))
     with pytest.raises(ShapeError):
         encode_batch(np.ones((1, 5)), EncoderConfig("amplitude", 2))
+    # an empty array or one of more than two axes is no feature matrix
+    for shape in ((0,), (2, 2, 4)):
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}"):
+            encode_batch(np.zeros(shape), EncoderConfig("angle", 4, 2))
 
 
 def test_encodings_are_pure_and_valid(rng):
@@ -367,6 +372,8 @@ def test_scale_features_examples():
     assert np.allclose(out.ravel(), [-np.pi, np.pi])
     with pytest.raises(ValueError):
         scale_features(np.empty((0, 2)))
+    with pytest.raises(ValueError, match=r"got shape \(2, 2, 4\)"):
+        scale_features(np.zeros((2, 2, 4)))
 
 
 def test_scale_features_keeps_a_full_range_column_finite():

@@ -21,9 +21,7 @@ from quidlab.ess import (
     METRICS,
     canonical_metric,
     class_mean_distances,
-    compare_encodings,
     distance,
-    nearest_class_label,
     pairwise_distances,
     validate_ess,
 )
@@ -468,41 +466,43 @@ def test_factored_distances_property(data):
 
 
 def _equatorial(angles):
-    """The one-qubit angle encodings of the angles, one DensityMatrix each."""
-    return [DensityMatrix(1, s) for s in encode_batch(np.c_[angles], EncoderConfig("angle", 1, 1))]
+    """The (len(angles), 2, 2) stack of the angles' one-qubit angle encodings."""
+    return encode_batch(np.c_[angles], EncoderConfig("angle", 1, 1))
+
+
+def _nearest(query, reference, labels, metric):
+    """The class validate_ess labels the query with: argmin of the class-mean distances."""
+    means, classes = class_mean_distances(query[None], reference, labels, metric)
+    return int(classes[np.argmin(means[0])])
 
 
 def test_nearest_class_antipodal_ordering():
     # two classes of equatorial states around angles 0 and pi
     states = _equatorial([0.0, 0.15, -0.12, np.pi, np.pi + 0.1, np.pi - 0.2, 0.05, np.pi - 0.05])
-    reference = list(zip(states[:6], [0, 0, 0, 1, 1, 1]))
+    reference, labels = states[:6], [0, 0, 0, 1, 1, 1]
     query, far = states[6:]
-    assert nearest_class_label(query, reference, "frobenius") == 0
-    assert nearest_class_label(far, reference, "frobenius") == 1
+    assert _nearest(query, reference, labels, "frobenius") == 0
+    assert _nearest(far, reference, labels, "frobenius") == 1
 
 
 def test_nearest_class_single_class_and_ties():
     rho, other, query = _equatorial([1.0, 2.0, 0.3])
-    assert nearest_class_label(rho, [(other, 3)], "trace") == 3
+    assert _nearest(rho, other[None], [3], "trace") == 3
     # identical reference states under two labels: exact tie, smallest id wins
-    ref = [(rho, 1), (rho, 0)]
-    assert nearest_class_label(query, ref, "frobenius") == 0
+    assert _nearest(query, np.stack([rho, rho]), [1, 0], "frobenius") == 0
     with pytest.raises(ValueError):
-        nearest_class_label(rho, [], "frobenius")
+        _nearest(rho, np.empty((0, 2, 2)), [], "frobenius")
 
 
 def test_nearest_class_reference_order_invariance(rng):
     cfg = EncoderConfig("angle", 2, 2)
-    xs = rng.uniform(0, 2 * np.pi, size=(6, 4))
-    labels = [0, 0, 1, 1, 2, 2]
-    states = [DensityMatrix(2, s) for s in encode_batch(xs, cfg)]
-    reference = list(zip(states, labels))
-    query = DensityMatrix(2, encode_batch(rng.uniform(0, 2 * np.pi, size=(1, 4)), cfg)[0])
-    want = nearest_class_label(query, reference, "frobenius")
+    reference = encode_batch(rng.uniform(0, 2 * np.pi, size=(6, 4)), cfg)
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    query = encode_batch(rng.uniform(0, 2 * np.pi, size=(1, 4)), cfg)[0]
+    want = _nearest(query, reference, labels, "frobenius")
     for _ in range(5):
         perm = rng.permutation(len(reference))
-        shuffled = [reference[i] for i in perm]
-        assert nearest_class_label(query, shuffled, "frobenius") == want
+        assert _nearest(query, reference[perm], labels[perm], "frobenius") == want
 
 
 def test_argmin_invariant_under_positive_scaling(rng):
@@ -574,17 +574,6 @@ def test_ess_validate_encodes_each_split_once_for_all_metrics(monkeypatch, tmp_p
                  "--seed", "3", "--out", str(tmp_path / "o")]) == 0
     assert len(rows) == 2 and sum(rows) == 6
     assert (tmp_path / "o" / "report.csv").read_text().count("\n") == 1 + len(METRICS)
-
-
-def test_compare_encodings_basic_columns():
-    ds = _separated_dataset()
-    cfg = EncoderConfig("angle", 4, 2)
-    cells = compare_encodings(ds, [cfg, cfg], "frobenius", [0.0], seed=5)
-    assert cells[0].accuracy == cells[1].accuracy  # identical cfg -> identical column
-    noiseless = validate_ess(ds, cfg, "frobenius", seed=5)
-    assert cells[0].accuracy == noiseless.accuracy  # p=0 column == noiseless run
-    with pytest.raises(ValueError):
-        compare_encodings(ds, [cfg], "frobenius", [-0.1])
 
 
 def depth_skewed_dataset(seed=5, n_classes=4, per_class=40, dim=16):

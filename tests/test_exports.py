@@ -22,11 +22,11 @@ EXPORTS = sorted([
     "AttackInfeasibleError", "CapacityError", "DataFormatError", "DegenerateInputError",
     "QuidlabError", "ShapeError",
     # ess
-    "EssReport", "compare_encodings", "distance", "nearest_class_label", "validate_ess",
+    "EssReport", "distance", "validate_ess",
     # noise
     "NoiseModel", "amplitude_damping", "depolarizing", "load_noise_model",
     # pqc
-    "PqcTemplate", "build_template", "load_template", "save_template",
+    "PqcTemplate", "build_template",
     # poison
     "PoisonOutcome", "PoisonSpec", "apply_poison", "bilevel_random", "quid_poison",
     "random_flip", "split_poison_set",
@@ -37,15 +37,17 @@ EXPORTS = sorted([
     "DensityMatrix", "GateOp", "KrausChannel",
 ])
 
-# the single-state wrappers of the batched simulation API, and the gradient front ends
-# that duplicated the one training step (qnn._step_gradient), removed from the library
+# the single-state wrappers of the batched simulation API, the gradient front ends that
+# duplicated the one training step (qnn._step_gradient), and the ESS and template-file
+# front ends that no run called, removed from the library
 REMOVED = {
     "simcore": ("ground_state", "basis_state", "apply_gate", "apply_channel", "expect_z",
                 "sample_expect_z"),
     "noise": ("noisy_apply",),
-    "pqc": ("apply_pqc",),
+    "pqc": ("apply_pqc", "save_template", "load_template"),
     "encode": ("encode",),
     "qnn": ("spsa_gradient", "_spsa_pair", "head_gradient"),
+    "ess": ("nearest_class_label", "compare_encodings", "EncodingCell", "encoder_label"),
 }
 
 

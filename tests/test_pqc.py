@@ -22,8 +22,6 @@ from quidlab.pqc import (
     _rotation_maps,
     apply_pqc_stack,
     build_template,
-    load_template,
-    save_template,
     z_expectations,
 )
 from quidlab.simcore import (DensityMatrix, _layouts, apply_superop_stack, contract_superop,
@@ -98,12 +96,11 @@ def test_parameter_length_mismatch():
         apply_pqc_stack(basis_stack(2, 0), tpl, np.zeros(tpl.param_count + 1))
 
 
-def test_registry_roundtrip(tmp_path):
+def test_registry_roundtrip():
+    # a template through its JSON text and back, as a checkpoint's template block goes
     for name in ("pqc1", "pqc6", "pqc8"):
         tpl = build_template(name, 4, 2)
-        path = tmp_path / f"{name}.json"
-        save_template(tpl, path)
-        loaded = load_template(path)
+        loaded = PqcTemplate.from_json(json.loads(json.dumps(tpl.to_json())))
         assert loaded == tpl
         assert loaded.gates == tpl.gates
     # a gate keeps GateOp's normal form, which to_json writes
@@ -268,11 +265,9 @@ HAND_WRITTEN = {
 
 
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
-def test_hand_written_template_readout_matches_kraus_forward(noise, tmp_path, rng):
+def test_hand_written_template_readout_matches_kraus_forward(noise, rng):
     model = READOUT_NOISE[noise]
-    path = tmp_path / "hand.json"
-    path.write_text(json.dumps(HAND_WRITTEN))
-    tpl = load_template(path)
+    tpl = PqcTemplate.from_json(HAND_WRITTEN)
     states = np.stack([random_density_matrix(rng, 3) for _ in range(4)])
     for _ in range(3):
         theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
@@ -294,11 +289,9 @@ FIXED_ONLY = {
 
 
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
-def test_template_without_slots_readout_matches_kraus_forward(noise, tmp_path, rng):
+def test_template_without_slots_readout_matches_kraus_forward(noise, rng):
     model = READOUT_NOISE[noise]
-    path = tmp_path / "fixed.json"
-    path.write_text(json.dumps(FIXED_ONLY))
-    tpl = load_template(path)
+    tpl = PqcTemplate.from_json(FIXED_ONLY)
     states = np.stack([random_density_matrix(rng, 2) for _ in range(4)])
     theta = np.zeros(0)
     got = heisenberg_z(states, tpl, theta, model)

@@ -74,6 +74,26 @@ COMMANDS = [
 ]
 
 
+def commands(out: str):
+    """Each run's quidlab arguments in order, gen-data first, with outputs under OUT.
+
+    Writes the input files that later runs read (the noise model, then the
+    label-gap copy of the generated data) before it yields the first run that
+    reads them, so the caller must finish each run before it asks for the next.
+    """
+    data = os.path.join(out, "data.csv")
+    with open(os.path.join(out, "per-gate-noise.json"), "w") as fh:
+        json.dump(PER_GATE_NOISE, fh)
+    yield ["gen-data", "--per-class", "20", "--out", data]
+    with open(data) as rows, open(os.path.join(out, "label-gap.csv"), "w") as fh:
+        fh.writelines(row for row in rows if row.rsplit(",", 1)[1].strip() != "2")
+    for name, args in COMMANDS:
+        args = [a.format(data=data, out=out) for a in args]
+        if "--data" not in args:
+            args += ["--data", data]
+        yield [*args, "--out", os.path.join(out, name)]
+
+
 def run(env: dict, out: str, argv: list[str]) -> None:
     proc = subprocess.run([sys.executable, "-m", "quidlab.cli", *argv], cwd=out, env=env,
                           capture_output=True, text=True)
@@ -153,17 +173,8 @@ def main(argv: list[str]) -> int:
     if os.listdir(out):
         sys.exit(f"{out} is not empty")
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    data = os.path.join(out, "data.csv")
-    with open(os.path.join(out, "per-gate-noise.json"), "w") as fh:
-        json.dump(PER_GATE_NOISE, fh)
-    run(env, out, ["gen-data", "--per-class", "20", "--out", data])
-    with open(data) as rows, open(os.path.join(out, "label-gap.csv"), "w") as fh:
-        fh.writelines(row for row in rows if row.rsplit(",", 1)[1].strip() != "2")
-    for name, args in COMMANDS:
-        args = [a.format(data=data, out=out) for a in args]
-        if "--data" not in args:
-            args += ["--data", data]
-        run(env, out, [*args, "--out", os.path.join(out, name)])
+    for argv in commands(out):
+        run(env, out, argv)
     found = results(out)
     print("\n".join(f"{hashlib.sha256(found[rel]).hexdigest()}  {rel}" for rel in sorted(found)))
     return 0
