@@ -24,16 +24,19 @@ DEFAULT_RANGE = (0.0, 2.0 * math.pi)
 SYNTH_RETRIES = 1000  # draws of the class means before synth_clusters gives up
 
 
-def class_ids(labels, n_classes: int, whose: str = "the dataset's") -> np.ndarray:
-    """labels as int64 class ids; ValueError for a fractional or non-finite value, or an id
-    outside [0, n_classes)."""
+def class_ids(labels, rows: int, n_classes: int | None = None,
+              whose: str = "the dataset's") -> np.ndarray:
+    """labels as int64 class ids, one per row of rows; ValueError for any other shape, a
+    fractional or non-finite value, or (n_classes given) an id outside [0, n_classes)."""
     values = np.asarray(labels)
+    if values.shape != (rows,):
+        raise ValueError(f"{values.size} labels for {rows} rows (labels of shape {values.shape})")
     if values.dtype.kind not in "biu":
         values = values.astype(float)
         integral = np.isfinite(values) & (np.round(values) == values)
         if not integral.all():
             raise ValueError(f"labels must be whole numbers, got {values[~integral][0]}")
-    if values.size and (values.min() < 0 or values.max() >= n_classes):
+    if n_classes is not None and values.size and (values.min() < 0 or values.max() >= n_classes):
         raise ValueError(f"labels outside {whose} {n_classes} classes")
     return values.astype(np.int64)
 
@@ -50,11 +53,7 @@ class LabeledDataset:
         if self.features.ndim > 2:
             raise ValueError(f"features must be a 2-D matrix, got shape {self.features.shape}")
         self.n_classes = whole(self.n_classes, "n_classes", 1)
-        self.labels = class_ids(self.labels, self.n_classes)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError(
-                f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
-            )
+        self.labels = class_ids(self.labels, self.features.shape[0], self.n_classes)
         whole(self.features.shape[1], "dim", 1)
 
     def __len__(self) -> int:

@@ -11,8 +11,9 @@ that live only for the call, one per usable CPU, with the same bits for any
 thread count. Labeling assigns the class whose reference states have the
 smallest mean distance to the query.
 
-One kernel takes dense stacks (one factor) and encode's factored stacks: complex
-density factors or the angle encoder's real Pauli forms. As Tr(rho sigma) =
+pairwise_distances is the one kernel. It reads a dense stack as one complex density
+factor, and takes encode's factored stacks: complex density factors or the angle
+encoder's real Pauli forms; class_mean_distances labels through it. As Tr(rho sigma) =
 prod_f Tr(rho_f sigma_f), Frobenius and Hilbert-Schmidt multiply per-factor Gram
 matrices, s.t / 2^m of Pauli forms (Wood, Biamonte & Cory, arXiv:1111.6950); the
 trace distance expands density matrices. As ||tau ⊗ X|| = ||tau|| ||X|| in the
@@ -32,7 +33,7 @@ from functools import reduce
 
 import numpy as np
 
-from .data import LabeledDataset, split
+from .data import LabeledDataset, class_ids, split
 from .encode import EncoderConfig, _encode_factors, _expand, _rows
 from .errors import ShapeError
 from .noise import NoiseModel
@@ -56,11 +57,11 @@ _GRAM_NEAR = 1e-4
 
 
 def canonical_metric(name: str) -> str:
-    name = name.lower()
-    name = _ALIASES.get(name, name)
-    if name not in METRICS:
+    key = name.lower() if isinstance(name, str) else None
+    key = _ALIASES.get(key, key)
+    if key not in METRICS:
         raise ValueError(f"unknown metric {name!r}; expected one of {METRICS} or 'hs'")
-    return name
+    return key
 
 
 def distance(sigma: DensityMatrix, rho: DensityMatrix, metric: str) -> float:
@@ -79,17 +80,17 @@ def distance(sigma: DensityMatrix, rho: DensityMatrix, metric: str) -> float:
     return float(1.0 - abs(overlap) / sigma.data.shape[0])
 
 
-def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
-    """(m, k) distances between two stacks of density matrices."""
+def pairwise_distances(A: np.ndarray | tuple, B: np.ndarray | tuple, metric: str) -> np.ndarray:
+    """(m, k) distances of two stacks, each a dense (m, d, d) array (density matrices, any
+    dtype) or a factored stack (a tuple, as encode._encode_factors returns it); ShapeError
+    unless both hold square factors alike in count, widths and forms (Pauli or density)."""
     metric = canonical_metric(metric)
-    A, B = (np.asarray(S, dtype=complex) for S in (A, B))  # _distances reads real as Pauli
-    if A.shape[1:] != B.shape[1:]:
-        raise ShapeError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
-    return _distances((A,), (B,), metric)
-
-
-def _distances(A: tuple, B: tuple, metric: str) -> np.ndarray:
-    """(m, k) distances of two factored stacks alike in factor sizes and forms; canonical metric."""
+    A, B = (S if isinstance(S, tuple) else (np.asarray(S, dtype=complex),) for S in (A, B))
+    layout_a, layout_b = ([(f.shape[1:], "density" if np.iscomplexobj(f) else "Pauli")
+                           for f in S] for S in (A, B))
+    if layout_a != layout_b or any(len(w) != 2 or w[0] != w[1] for w, _ in layout_a):
+        raise ShapeError(f"need stacks of square factors alike in count, widths and forms, "
+                         f"got {layout_a} vs {layout_b}")
     # A factor both stacks share and hold equal multiplies the trace and Frobenius norms of
     # every difference by its own (a Kronecker product's singular values are the products
     # of its factors'); it is a state, so its trace norm is its trace. The last one stays.
@@ -159,13 +160,15 @@ def _trace_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def class_mean_distances(
-    queries: np.ndarray, reference: np.ndarray, ref_labels: np.ndarray, metric: str
+    queries: np.ndarray | tuple, reference: np.ndarray | tuple, ref_labels, metric: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean distance from each query to each class present in the reference.
 
+    Stacks as pairwise_distances takes them; one class id per reference row (data.class_ids).
     Returns (means of shape (n_queries, n_present), ascending class ids).
     """
-    ref_labels = np.asarray(ref_labels)
+    rows = max(map(len, reference)) if isinstance(reference, tuple) else len(reference)
+    ref_labels = class_ids(ref_labels, rows)
     if ref_labels.size == 0:
         raise ValueError("empty reference")
     return _class_means(pairwise_distances(queries, reference, metric), ref_labels)
@@ -243,7 +246,7 @@ def _validate_metrics(
     reports = []
     for metric in metrics:
         start = time.perf_counter()
-        dists = _distances(query_states, ref_states, metric)
+        dists = pairwise_distances(query_states, ref_states, metric)
         means, classes = _class_means(dists, reference.labels)
         predicted = classes[np.argmin(means, axis=1)]
         elapsed = time.perf_counter() - start

@@ -17,14 +17,13 @@ import numpy as np
 from .data import LabeledDataset, write_table
 from .encode import EncoderConfig, _encode_factors
 from .errors import AttackInfeasibleError
-from .ess import _class_means, _distances, canonical_metric
+from .ess import canonical_metric, class_mean_distances
 from .noise import NoiseModel
 from .simcore import finite, whole
 
-# Not called here; perfbench/spans.py installs its timing wrappers on these
-# attributes of quidlab.poison, so they stay importable from this module.
+# Not called here; perfbench/spans.py installs its timing wrapper on this
+# attribute of quidlab.poison, so it stays importable from this module.
 from .encode import encode_batch  # noqa: F401
-from .ess import class_mean_distances  # noqa: F401
 
 MODES = ("quid", "random_flip", "bilevel_random")
 
@@ -108,8 +107,7 @@ def _max_distance_labels(
         )
     clean_states = _encode_factors(clean_features, cfg, model)
     poison_states = _encode_factors(poison_features, cfg, model)
-    dists = _distances(poison_states, clean_states, canonical_metric(metric))
-    means, classes = _class_means(dists, clean_labels)
+    means, classes = class_mean_distances(poison_states, clean_states, clean_labels, metric)
     return classes[np.argmax(means, axis=1)]  # first max: ties go to the smallest id
 
 

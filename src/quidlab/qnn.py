@@ -228,8 +228,8 @@ def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
 
     Checks every set before it encodes any. Refuses an X that encode._feature_matrix
     refuses (empty, or more than two axes), a width other than n_features (None:
-    unknown), labels that data.class_ids refuses for the model's n_classes and labels
-    not one per row, each with ValueError.
+    unknown) and labels that data.class_ids refuses for X's rows and the model's
+    n_classes, each with ValueError.
     """
     checked = []
     for X, labels in sets:
@@ -238,9 +238,7 @@ def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
             raise ValueError(f"model is built for {model.n_features} features, "
                              f"the data has {X.shape[1]}")
         if labels is not None:
-            labels = class_ids(labels, model.n_classes, "the model's")
-            if labels.shape != X.shape[:1]:
-                raise ValueError(f"{labels.size} labels for {X.shape[0]} rows")
+            labels = class_ids(labels, X.shape[0], model.n_classes, "the model's")
         checked.append((X, labels))
     return [(_readout_factors(_encode_factors(X, model.encoder, noise), model.template), labels)
             for X, labels in checked]

@@ -178,6 +178,13 @@ def test_dataset_validation():
     assert (len(empty), empty.dim) == (0, 3)
 
 
+def test_dataset_refuses_labels_that_are_not_one_per_row():
+    # one label rule (data.class_ids) for datasets, model inputs and class-mean references
+    for labels in ([[0], [1]], [[0, 1]], 0):
+        with pytest.raises(ValueError, match="labels for 2 rows"):
+            LabeledDataset(np.zeros((2, 2)), np.array(labels), 2)
+
+
 def test_read_json_returns_the_top_level_object(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"k": [1, 2]}')

@@ -122,6 +122,12 @@ def two_cluster_dataset():
     return LabeledDataset(features, labels, 2), EncoderConfig("angle", 1, 1)
 
 
+def test_poison_spec_refuses_a_metric_that_is_not_a_name():
+    for metric in (None, 1, ("frobenius",)):
+        with pytest.raises(ValueError, match="unknown metric"):
+            PoisonSpec(0.1, metric=metric)
+
+
 def test_split_poison_set_limits():
     ds, _ = two_cluster_dataset()
     clean, poison = split_poison_set(ds, 0.0, seed=1)

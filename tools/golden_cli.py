@@ -49,6 +49,8 @@ COMMANDS = [
                                   "{out}/per-gate-noise.json"]),
     ("ess-validate-amplitude", ["ess-validate", "--encoder", "amplitude", "--metric", "trace",
                                 "--noise", "0.05"]),
+    # --holdout is read by cli._fraction; 30 % of the rows are held out
+    ("ess-validate-holdout", ["ess-validate", "--holdout", "0.3"]),
     *[(f"poison-{mode}", ["poison", "--mode", mode, "--epsilon", "0.5"])
       for mode in ("quid", "random_flip", "bilevel_random")],
     ("poison-quid-amplitude", ["poison", "--mode", "quid", "--encoder", "amplitude", "--metric",
