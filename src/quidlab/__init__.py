@@ -10,7 +10,7 @@ partition-vote defense, and a seeded experiment CLI.
 __version__ = "0.1.0"
 
 from .data import LabeledDataset, load_csv, save_csv, split, synth_clusters
-from .defense import DefenseConfig, EnsembleModel, partition, train_ensemble, vote
+from .defense import EnsembleModel, partition, train_ensemble, vote
 from .encode import EncoderConfig, encode_batch, scale_features
 from .errors import (
     AttackInfeasibleError,
@@ -30,13 +30,11 @@ from .poison import (
     bilevel_random,
     quid_poison,
     random_flip,
-    split_poison_set,
 )
 from .qnn import (
     QnnModel,
     TrainConfig,
     TrainReport,
-    cross_entropy,
     evaluate,
     forward,
     init_model,

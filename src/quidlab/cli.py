@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .data import DEFAULT_RANGE, LabeledDataset, load_csv, read_json, save_csv, split
 from .data import synth_clusters, write_json, write_table
-from .defense import DefenseConfig, evaluate_ensemble, train_ensemble
+from .defense import evaluate_ensemble, train_ensemble
 from .encode import EncoderConfig, scale_features
 from .errors import CapacityError, DataFormatError, DegenerateInputError, QuidlabError
 from .ess import METRICS, _validate_metrics, canonical_metric, validate_ess
@@ -82,7 +82,8 @@ def _one_of(choices: tuple[str, ...]):
 
 
 def _items(convert):
-    """A comma string or a JSON list (a lone JSON value is one item), converted item by item."""
+    """A comma string or a JSON list (a lone JSON value is one item) of distinct items,
+    converted item by item; a repeat after conversion (0.3 and 0.30) is refused."""
     def convert_all(value):
         if isinstance(value, str):
             value = [v for v in value.split(",") if v != ""]
@@ -90,7 +91,10 @@ def _items(convert):
             value = [value]
         if not value:
             raise ValueError("needs at least one value")
-        return [convert(v) for v in value]
+        items = [convert(v) for v in value]
+        if len(set(items)) != len(items):
+            raise ValueError(f"repeats a value: {items}")
+        return items
     return convert_all
 
 
@@ -563,9 +567,9 @@ def cmd_defend(options: _Options) -> int:
     train_set, test_set = options.train_test(ds)
     metric = options.get("metric")
     noise = options.noise_model()
-    defense = _configured(DefenseConfig, options.train_config(seed, noise), k=options.get("k"))
-    if defense.k > len(train_set):  # checked before the first training starts
-        raise UsageError(f"--k: k must be in [1, {len(train_set)}], got {defense.k}")
+    training = options.train_config(seed, noise)
+    # partition's own rule, checked before the first training starts
+    k = _configured(whole, options.get("k"), "k", 1, len(train_set))
     rows = []
     for eps in options.get("epsilon", [0.3]):
         poison_seed = _derive_seed(seed, tag, eps, "poison")
@@ -573,23 +577,20 @@ def cmd_defend(options: _Options) -> int:
         prototype = _build_model(options, cfg, ds, train_seed)
         spec = PoisonSpec(eps, "quid", metric, seed=poison_seed, noise=noise)
         poisoned = apply_poison(train_set, spec, cfg).dataset
-        config = replace(defense.train, seed=train_seed)
+        config = replace(training, seed=train_seed)
         undefended = train(prototype.copy(), poisoned, test_set, config)
         no_def_acc = undefended.test_accuracy[-1] if undefended.test_accuracy else float("nan")
-        ensemble, _reports = train_ensemble(
-            poisoned, test_set, replace(defense, train=config, partition_seed=train_seed),
-            prototype,
-        )
+        ensemble, _reports = train_ensemble(poisoned, test_set, config, prototype, k, train_seed)
         def_acc = evaluate_ensemble(ensemble, test_set, noise=noise, shots=config.shots,
                                     seed=_derive_seed(train_seed, "vote"))
         rows.append([eps, no_def_acc, def_acc])
-        print(f"eps={eps}: no-defense={no_def_acc:.4f} defense(k={defense.k})={def_acc:.4f}")
+        print(f"eps={eps}: no-defense={no_def_acc:.4f} defense(k={k})={def_acc:.4f}")
     write_table(
         os.path.join(out, "defense.csv"),
         ["epsilon", "no_defense_accuracy", "defense_accuracy"],
         rows,
     )
-    _manifest(out, options, {"k": defense.k})
+    _manifest(out, options, {"k": k})
     return 0
 
 

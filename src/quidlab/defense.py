@@ -4,10 +4,11 @@ sample can influence.
 
 Partitioning orders sample indices by a seeded hash and deals them
 round-robin, so partitions are balanced, deterministic, and independent of
-labels. Member i trains with seed base+i; with k=1 the single member sees
-the whole training set at the base seed and reproduces undefended training
-bit-for-bit. Every member shares the prototype's encoder and template, so
-both sets and the vote's features are each encoded once, through qnn._encode.
+labels; partition refuses a k outside [1, rows]. Member i of train_ensemble
+trains with seed base+i; with k=1 the single member sees the whole training
+set at the base seed and reproduces undefended training bit-for-bit. Every
+member shares the prototype's encoder and template, so both sets and the
+vote's features are each encoded once, through qnn._encode.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ from .simcore import whole
 # attributes of quidlab.defense, so they stay importable from this module.
 from .encode import encode_batch  # noqa: F401
 from .qnn import train  # noqa: F401
-
-
-@dataclass(frozen=True)
-class DefenseConfig:
-    train: TrainConfig
-    k: int = 3
-    partition_seed: int = 0
-
-    def __post_init__(self):
-        for name, low in (("k", 1), ("partition_seed", None)):
-            object.__setattr__(self, name, whole(getattr(self, name), name, low))
 
 
 @dataclass
@@ -67,12 +57,15 @@ def partition(dataset: LabeledDataset, k: int, seed: int) -> list[np.ndarray]:
 def train_ensemble(
     train_set: LabeledDataset,
     test_set: LabeledDataset,
-    cfg: DefenseConfig,
+    config: TrainConfig,
     prototype: QnnModel,
+    k: int,
+    partition_seed: int,
 ) -> tuple[EnsembleModel, list[TrainReport]]:
-    """One model per partition with distinct derived seeds; each set is encoded once."""
-    parts = partition(train_set, cfg.k, cfg.partition_seed)
-    noise = cfg.train.noise
+    """One model per partition(train_set, k, partition_seed), member j trained under config
+    at seed config.seed + j; each set is encoded once."""
+    parts = partition(train_set, k, partition_seed)
+    noise = config.noise
     (train_states, train_labels), (test_states, test_labels) = _encode(
         prototype, noise, (train_set.features, train_set.labels),
         (test_set.features, test_set.labels))
@@ -85,9 +78,9 @@ def train_ensemble(
             warnings.warn(
                 f"partition {j} is missing {missing} class(es); its model trains on what exists"
             )
-        member_cfg = replace(cfg.train, seed=cfg.train.seed + j)
+        member_config = replace(config, seed=config.seed + j)
         report = _fit(prototype.copy(), _rows(train_states, part), labels, test_states,
-                      test_labels, member_cfg)
+                      test_labels, member_config)
         members.append(report.model)
         reports.append(report)
     return EnsembleModel(members), reports

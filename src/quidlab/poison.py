@@ -5,6 +5,7 @@ clean encoded states are on average farthest from it in the chosen matrix
 distance. Baselines: uniform random label flipping, and bi-level random
 poisoning (random features, then max-distance labels for those features).
 The training set size never changes and clean samples stay bit-identical.
+Each attack refuses a PoisonSpec whose mode names another attack.
 """
 
 from __future__ import annotations
@@ -66,23 +67,16 @@ def _draw_poison_set(n: int, epsilon: float, rng: np.random.Generator):
     return np.sort(perm[m:]), np.sort(perm[:m])
 
 
-def split_poison_set(
-    dataset: LabeledDataset, epsilon: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint covering (clean, poison) index sets; |poison| = round(eps * n)."""
-    spec = PoisonSpec(epsilon, seed=seed)
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    return _draw_poison_set(len(dataset), spec.epsilon, rng)
-
-
-def _poisoned(dataset: LabeledDataset, spec: PoisonSpec, relabel) -> PoisonOutcome:
+def _poisoned(dataset: LabeledDataset, spec: PoisonSpec, mode: str, relabel) -> PoisonOutcome:
     """Draw the poison set, then relabel it with relabel(out, clean_idx, poison_idx, rng).
 
-    The generator seeded by spec.seed draws the poison set first, so every
-    attack poisons split_poison_set(dataset, spec.epsilon, spec.seed)[1]; relabel
-    keeps drawing from it and may overwrite out's poisoned features. It is not
-    called when the poison set is empty.
+    Refuses a spec for an attack other than mode. The generator seeded by spec.seed
+    draws the poison set first (_draw_poison_set), so every attack poisons the same
+    set for the same epsilon and seed; relabel keeps drawing from it and may
+    overwrite out's poisoned features. It is not called when the poison set is empty.
     """
+    if spec.mode != mode:
+        raise ValueError(f"the {mode} attack got a spec for mode {spec.mode!r}")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     clean_idx, poison_idx = _draw_poison_set(len(dataset), spec.epsilon, rng)
     out = dataset.replace()
@@ -122,7 +116,7 @@ def quid_poison(
             out.features[poison_idx], cfg, spec.metric, spec.noise,
         )
 
-    return _poisoned(dataset, spec, relabel)
+    return _poisoned(dataset, spec, "quid", relabel)
 
 
 def random_flip(dataset: LabeledDataset, spec: PoisonSpec) -> PoisonOutcome:
@@ -134,7 +128,7 @@ def random_flip(dataset: LabeledDataset, spec: PoisonSpec) -> PoisonOutcome:
         draws = rng.integers(0, dataset.n_classes - 1, size=poison_idx.size)
         return draws + (draws >= dataset.labels[poison_idx])  # skip the original label
 
-    return _poisoned(dataset, spec, relabel)
+    return _poisoned(dataset, spec, "random_flip", relabel)
 
 
 def bilevel_random(
@@ -150,7 +144,7 @@ def bilevel_random(
             out.features[poison_idx], cfg, spec.metric, spec.noise,
         )
 
-    return _poisoned(dataset, spec, relabel)
+    return _poisoned(dataset, spec, "bilevel_random", relabel)
 
 
 def apply_poison(

@@ -19,9 +19,9 @@ encodes them through one gate, _encode.
 The one training step, _step_gradient, draws the SPSA direction delta, then pulls
 back theta, theta + c*delta and theta - c*delta as one three-point stack: row 0
 gives the batch loss and the head's exact gradient, rows 1 and 2 the SPSA
-difference through spsa_estimate's paired form. The generator draws delta, then
-the base, plus and minus points' shots (no shots when shots is 0); the order is
-the same for every shot count.
+difference through spsa_estimate, which takes both points as one stack. The
+generator draws delta, then the base, plus and minus points' shots (no shots when
+shots is 0); the order is the same for every shot count.
 """
 
 from __future__ import annotations
@@ -144,16 +144,6 @@ def _batch_ce(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).sum() / len(labels))
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """-log probs[label], clamped at PROB_FLOOR."""
-    probs, label = np.asarray(probs, dtype=float), whole(label, "label")
-    if probs.ndim != 1:
-        raise ValueError(f"probs must be one 1-D distribution, got shape {probs.shape}")
-    if not 0 <= label < len(probs):
-        raise IndexError(f"label {label} out of range for {len(probs)} classes")
-    return _batch_ce(probs[None], np.array([label]))
-
-
 def _forward_from_states(
     model: QnnModel,
     states: tuple,
@@ -194,32 +184,15 @@ def _one_row(x) -> np.ndarray:
     return x.reshape(1, -1)
 
 
-def spsa_estimate(
-    loss_fn,
-    theta: np.ndarray,
-    c: float,
-    rng: np.random.Generator,
-    repeats: int = 1,
-    paired: bool = False,
-) -> np.ndarray:
-    """Two-point simultaneous-perturbation gradient estimate.
-
-    Each repeat draws a Rademacher direction delta and forms
-    [loss(theta + c*delta) - loss(theta - c*delta)] / (2c) * delta
-    (the elementwise inverse of a sign vector is itself). With paired, loss_fn
-    takes the (2, ...) stack of both points and returns both losses, so a caller
-    can evaluate the pair as one batch.
-    """
-    theta = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    for _ in range(repeats):
-        delta = rng.integers(0, 2, size=theta.shape) * 2.0 - 1.0
-        if paired:
-            plus, minus = loss_fn(theta + c * np.stack([delta, -delta]))
-        else:
-            plus, minus = loss_fn(theta + c * delta), loss_fn(theta - c * delta)
-        grad += (plus - minus) / (2.0 * c) * delta
-    return grad / repeats
+def spsa_estimate(loss_pair, theta: np.ndarray, c: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Two-point simultaneous-perturbation gradient estimate (Spall, IEEE TAC 37(3), 1992):
+    (plus - minus) / (2c) * delta for a Rademacher direction delta (its own elementwise
+    inverse), where loss_pair maps the (2, ...) stack of theta + c*delta and theta - c*delta
+    to the losses (plus, minus) as one batch."""
+    delta = rng.integers(0, 2, size=np.shape(theta)) * 2.0 - 1.0
+    plus, minus = loss_pair(theta + c * np.stack([delta, -delta]))
+    return (plus - minus) / (2.0 * c) * delta
 
 
 def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
@@ -295,7 +268,7 @@ def _step_gradient(model, states, labels, config: TrainConfig, rng) -> tuple[flo
         base.append((probs[0], z[0]))
         return _batch_ce(probs[1], labels), _batch_ce(probs[2], labels)
 
-    grad_theta = spsa_estimate(step_loss, model.theta, SPSA_C, rng, paired=True)
+    grad_theta = spsa_estimate(step_loss, model.theta, SPSA_C, rng)
     [(probs, z)] = base
     grad_w, grad_b = _head_grads_from(probs, z, labels)
     return _batch_ce(probs, labels), np.concatenate([grad_theta, grad_w.ravel(), grad_b])

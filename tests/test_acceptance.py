@@ -13,7 +13,7 @@ import pytest
 import quidlab as q
 from conftest import basis_stack, random_density_matrix, random_pure_state
 from quidlab.cli import main as cli_main
-from quidlab.defense import DefenseConfig, evaluate_ensemble, member_predictions, train_ensemble
+from quidlab.defense import evaluate_ensemble, member_predictions, train_ensemble
 from quidlab.encode import EncoderConfig, encode_batch, scale_features
 from quidlab.ess import distance, validate_ess
 from quidlab.noise import NoiseModel, amplitude_damping, build_channel, depolarizing
@@ -161,7 +161,8 @@ def test_criterion_4_attack_oracle_equivalence():
 def test_criterion_5_spsa_sanity():
     theta = np.array([1.0, -2.0])
     rng = np.random.Generator(np.random.PCG64(5))
-    grad = spsa_estimate(lambda t: 0.5 * float(t @ t), theta, 0.01, rng, repeats=2000)
+    pair = lambda ts: [0.5 * float(t @ t) for t in ts]  # noqa: E731
+    grad = sum(spsa_estimate(pair, theta, 0.01, rng) for _ in range(2000)) / 2000
     quad_err = np.linalg.norm(grad - theta) / np.linalg.norm(theta)
 
     enc = EncoderConfig("angle", 1, 1)
@@ -181,7 +182,8 @@ def test_criterion_5_spsa_sanity():
         [(loss(model.theta + h * e) - loss(model.theta - h * e)) / (2 * h) for e in np.eye(2)]
     )
     rng = np.random.Generator(np.random.PCG64(55))
-    grad = spsa_estimate(loss, model.theta, 0.01, rng, repeats=2000)
+    pair = lambda ts: [loss(t) for t in ts]  # noqa: E731
+    grad = sum(spsa_estimate(pair, model.theta, 0.01, rng) for _ in range(2000)) / 2000
     circ_err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
     ok = quad_err <= 0.05 and circ_err <= 0.10
     report(5, ok, f"quadratic rel err {quad_err:.3f} (<=5%), circuit rel err {circ_err:.3f} (<=10%)")
@@ -252,9 +254,7 @@ def test_criterion_9_defense_harness(tmp_path):
     proto = init_model(enc, q.build_template("pqc1", 4, 1), 4, seed=9)
     cfg = TrainConfig(epochs=5, seed=9)
     undefended = q.train(proto.copy(), train_set, test_set, cfg)
-    ens1, _ = train_ensemble(
-        train_set, test_set, DefenseConfig(train=cfg, k=1, partition_seed=9), proto
-    )
+    ens1, _ = train_ensemble(train_set, test_set, cfg, proto, k=1, partition_seed=9)
     bitwise = (
         np.array_equal(ens1.members[0].theta, undefended.model.theta)
         and np.array_equal(ens1.members[0].head_weights, undefended.model.head_weights)
@@ -265,9 +265,7 @@ def test_criterion_9_defense_harness(tmp_path):
     poisoned = q.quid_poison(
         train_set, q.PoisonSpec(0.3, "quid", "frobenius", seed=9), enc
     ).dataset
-    ens3, reports = train_ensemble(
-        poisoned, test_set, DefenseConfig(train=cfg, k=3, partition_seed=9), proto
-    )
+    ens3, reports = train_ensemble(poisoned, test_set, cfg, proto, k=3, partition_seed=9)
     preds = member_predictions(ens3, test_set.features)
     plurality = np.array(
         [np.argmax(np.bincount(preds[:, i], minlength=4)) for i in range(preds.shape[1])]

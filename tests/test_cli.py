@@ -739,6 +739,15 @@ BAD_INPUTS = [
     ("--spread -1", ["gen-data", "--spread", "-1"], "unused", "", 2),
     ("--seed -1", ["gen-data", "--seed", "-1"], "unused", "", 2),
     ("--k 50 (defend)", ["defend", "--data", "{data}", "--k", "50"], "unused", "", 2),
+    # a sweep value that repeats after conversion would run the same cell twice
+    ("--epsilon 0.3,0.30 (experiment)", ["experiment", "--data", "{data}", "--epsilon",
+     "0.3,0.30"], "unused", "", 2),
+    ("--modes quid,quid", ["experiment", "--data", "{data}", "--modes", "quid,quid"],
+     "unused", "", 2),
+    ("--noise-levels 0,0.0", ["encode-compare", "--data", "{data}", "--noise-levels", "0,0.0"],
+     "unused", "", 2),
+    ("--epsilon config [0.5, 0.5] (defend)", ["defend", "--data", "{data}", "--config", "{f}"],
+     "cfg.json", '{"epsilon": [0.5, 0.5]}', 2),
     ("noise model not an object", ["ess-validate", "--data", "{data}", "--noise-model", "{f}"],
      "noise.json", '[["depolarizing", 0.1]]', 3),
     # an encoder too small for the data names the flag that sized it
@@ -790,13 +799,13 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
 def _range_rules():
     """(row id, call, field its range message starts with): one row per checked field."""
     from quidlab.data import LabeledDataset, split, synth_clusters
-    from quidlab.defense import DefenseConfig, partition
+    from quidlab.defense import partition, train_ensemble
     from quidlab.encode import EncoderConfig
     from quidlab.ess import validate_ess
     from quidlab.noise import NoiseModel, amplitude_damping, depolarizing
     from quidlab.poison import PoisonSpec
     from quidlab.pqc import PqcTemplate, build_template
-    from quidlab.qnn import QnnModel, TrainConfig, cross_entropy, init_model
+    from quidlab.qnn import QnnModel, TrainConfig, init_model
     from quidlab.simcore import DensityMatrix, _qubits, expect_z_stack
 
     ds = LabeledDataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
@@ -823,7 +832,8 @@ def _range_rules():
         ("batch_size 0", lambda: TrainConfig(batch_size=0), "batch_size"),
         ("train shots -1", lambda: TrainConfig(shots=-1), "shots"),
         ("train seed -1", lambda: TrainConfig(seed=-1), "seed"),
-        ("DefenseConfig k 0", lambda: DefenseConfig(TrainConfig(), k=0), "k"),
+        ("train_ensemble k 0", lambda: train_ensemble(ds, ds, TrainConfig(), model(), 0, 0),
+         "k"),
         ("partition k 0", lambda: partition(ds, 0, 0), "k"),
         ("partition k 5 of 4 rows", lambda: partition(ds, 5, 0), "k"),
         ("epsilon 1.5", lambda: PoisonSpec(1.5), "epsilon"),
@@ -855,7 +865,6 @@ def _range_rules():
          lambda: DensityMatrix(True, np.diag([1.0, 0.0])), "n_qubits"),
         ("expect_z qubit True", lambda: expect_z_stack(np.eye(4)[None], True, 2), "qubit"),
         ("expect_z qubit 0.5", lambda: expect_z_stack(np.eye(4)[None], 0.5, 2), "qubit"),
-        ("cross_entropy label True", lambda: cross_entropy(np.array([0.5, 0.5]), True), "label"),
     ]
 
 

@@ -7,7 +7,6 @@ import quidlab.qnn
 
 from quidlab.data import LabeledDataset, split, synth_clusters
 from quidlab.defense import (
-    DefenseConfig,
     EnsembleModel,
     _plurality,
     evaluate_ensemble,
@@ -114,9 +113,7 @@ def test_k1_reproduces_undefended_training_bit_for_bit():
     proto = prototype()
     cfg = TrainConfig(epochs=4, seed=11)
     undefended = train(proto.copy(), tr, te, cfg)
-    ensemble, reports = train_ensemble(
-        tr, te, DefenseConfig(train=cfg, k=1, partition_seed=11), proto
-    )
+    ensemble, reports = train_ensemble(tr, te, cfg, proto, k=1, partition_seed=11)
     assert len(reports) == 1
     assert np.array_equal(ensemble.members[0].theta, undefended.model.theta)
     assert np.array_equal(ensemble.members[0].head_weights, undefended.model.head_weights)
@@ -134,9 +131,7 @@ def test_k3_members_match_training_on_their_partition_alone():
     tr, te = split(ds, 0.75, stratified=True, seed=4)
     proto = prototype()
     cfg = TrainConfig(epochs=3, seed=5, noise=NoiseModel.from_error_rate(0.05), shots=16)
-    ensemble, reports = train_ensemble(
-        tr, te, DefenseConfig(train=cfg, k=3, partition_seed=5), proto
-    )
+    ensemble, reports = train_ensemble(tr, te, cfg, proto, k=3, partition_seed=5)
     for j, part in enumerate(partition(tr, 3, seed=5)):
         alone = train(proto.copy(), tr.subset(part), te, replace(cfg, seed=cfg.seed + j))
         member = ensemble.members[j]
@@ -157,8 +152,8 @@ def test_ensemble_training_and_vote_encode_each_row_once(monkeypatch):
         return real(X, cfg, model)
 
     monkeypatch.setattr(quidlab.qnn, "_encode_factors", counting)
-    cfg = DefenseConfig(train=TrainConfig(epochs=2, seed=3), k=3, partition_seed=3)
-    ensemble, _ = train_ensemble(tr, te, cfg, prototype())
+    cfg = TrainConfig(epochs=2, seed=3)
+    ensemble, _ = train_ensemble(tr, te, cfg, prototype(), k=3, partition_seed=3)
     assert sorted(encoded_rows) == sorted([len(tr), len(te)])
     encoded_rows.clear()
     evaluate_ensemble(ensemble, te)
@@ -190,8 +185,8 @@ def test_ensemble_accuracy_on_clean_separable_data():
     ds = synth_clusters(4, 8, 60, spread=0.25, seed=4)
     ds = ds.replace(features=scale_features(ds.features))
     tr, te = split(ds, 0.75, stratified=True, seed=4)
-    cfg = DefenseConfig(train=TrainConfig(epochs=20, seed=4), k=3, partition_seed=4)
-    ensemble, reports = train_ensemble(tr, te, cfg, prototype())
+    cfg = TrainConfig(epochs=20, seed=4)
+    ensemble, reports = train_ensemble(tr, te, cfg, prototype(), k=3, partition_seed=4)
     assert len(reports) == 3
     assert evaluate_ensemble(ensemble, te) >= 0.85
 
@@ -201,9 +196,9 @@ def test_missing_class_warning():
     labels = np.array([0, 0, 0, 0, 0, 0, 1, 1])
     ds = LabeledDataset(features, labels, 2)
     proto = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 2, seed=1)
-    cfg = DefenseConfig(train=TrainConfig(epochs=1, seed=1), k=4, partition_seed=1)
+    cfg = TrainConfig(epochs=1, seed=1)
     with pytest.warns(UserWarning, match="missing"):
-        train_ensemble(ds, ds, cfg, proto)
+        train_ensemble(ds, ds, cfg, proto, k=4, partition_seed=1)
 
 
 def test_vote_stability_under_bounded_partition_corruption():

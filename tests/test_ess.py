@@ -403,9 +403,9 @@ def test_attacks_and_validation_reach_the_public_distance_entry_points(monkeypat
     counting(poison, "class_mean_distances", means, lambda result: result[0])
     ds = _separated_dataset()  # 4 classes of 60 rows
     cfg = EncoderConfig("angle", 4, 2)
-    for attack in (quid_poison, bilevel_random):
+    for attack, mode in ((quid_poison, "quid"), (bilevel_random, "bilevel_random")):
         tables.clear(), means.clear()
-        outcome = attack(ds, PoisonSpec(0.1, metric="trace", seed=3), cfg)
+        outcome = attack(ds, PoisonSpec(0.1, mode, metric="trace", seed=3), cfg)
         m = outcome.poisoned_indices.size
         assert m == 24
         assert tables == [(m, len(ds) - m)] and means == [(m, 4)], attack.__name__

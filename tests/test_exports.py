@@ -15,7 +15,7 @@ EXPORTS = sorted([
     # data
     "LabeledDataset", "load_csv", "save_csv", "split", "synth_clusters",
     # defense
-    "DefenseConfig", "EnsembleModel", "partition", "train_ensemble", "vote",
+    "EnsembleModel", "partition", "train_ensemble", "vote",
     # encode
     "EncoderConfig", "encode_batch", "scale_features",
     # errors
@@ -29,24 +29,27 @@ EXPORTS = sorted([
     "PqcTemplate", "build_template",
     # poison
     "PoisonOutcome", "PoisonSpec", "apply_poison", "bilevel_random", "quid_poison",
-    "random_flip", "split_poison_set",
+    "random_flip",
     # qnn
-    "QnnModel", "TrainConfig", "TrainReport", "cross_entropy", "evaluate", "forward",
+    "QnnModel", "TrainConfig", "TrainReport", "evaluate", "forward",
     "init_model", "load_model", "save_model", "spsa_estimate", "train",
     # simcore
     "DensityMatrix", "GateOp", "KrausChannel",
 ])
 
 # the single-state wrappers of the batched simulation API, the gradient front ends that
-# duplicated the one training step (qnn._step_gradient), and the ESS and template-file
-# front ends that no run called, removed from the library
+# duplicated the one training step (qnn._step_gradient), the ESS, template-file, loss and
+# poison-split front ends that no run called, and the defense config that
+# train_ensemble's arguments replace, removed from the library
 REMOVED = {
+    "defense": ("DefenseConfig",),
+    "poison": ("split_poison_set",),
     "simcore": ("ground_state", "basis_state", "apply_gate", "apply_channel", "expect_z",
                 "sample_expect_z"),
     "noise": ("noisy_apply",),
     "pqc": ("apply_pqc", "save_template", "load_template"),
     "encode": ("encode",),
-    "qnn": ("spsa_gradient", "_spsa_pair", "head_gradient"),
+    "qnn": ("spsa_gradient", "_spsa_pair", "head_gradient", "cross_entropy"),
     "ess": ("nearest_class_label", "compare_encodings", "EncodingCell", "encoder_label"),
 }
 

@@ -6,12 +6,18 @@ from quidlab.encode import EncoderConfig
 from quidlab.errors import AttackInfeasibleError
 from quidlab.poison import (
     PoisonSpec,
+    _draw_poison_set,
     apply_poison,
     bilevel_random,
     quid_poison,
     random_flip,
-    split_poison_set,
 )
+
+
+def drawn_split(ds, epsilon, seed):
+    """The (clean, poison) index sets that every attack draws first for epsilon and seed."""
+    return _draw_poison_set(len(ds), epsilon, np.random.Generator(np.random.PCG64(seed)))
+
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: explicit small matrices, python loops, no simulator code
@@ -100,7 +106,7 @@ def run_oracle_comparison(rng, n_instances, metrics=("frobenius", "trace", "hilb
         ds, cfg = random_instance(rng)
         metric = metrics[k % len(metrics)]
         spec = PoisonSpec(epsilon=0.4, mode="quid", metric=metric, seed=int(rng.integers(1 << 30)))
-        clean_idx, poison_idx = split_poison_set(ds, spec.epsilon, spec.seed)
+        clean_idx, poison_idx = drawn_split(ds, spec.epsilon, spec.seed)
         if poison_idx.size == 0 or np.unique(ds.labels[clean_idx]).size < 2:
             continue
         outcome = quid_poison(ds, spec, cfg)
@@ -130,20 +136,20 @@ def test_poison_spec_refuses_a_metric_that_is_not_a_name():
 
 def test_split_poison_set_limits():
     ds, _ = two_cluster_dataset()
-    clean, poison = split_poison_set(ds, 0.0, seed=1)
+    clean, poison = drawn_split(ds, 0.0, 1)
     assert poison.size == 0 and clean.size == len(ds)
-    clean, poison = split_poison_set(ds, 1.0, seed=1)
+    clean, poison = drawn_split(ds, 1.0, 1)
     assert clean.size == 0 and poison.size == len(ds)
     for epsilon, seed in ((1.5, 1), (True, 1), (0.5, True), (0.5, 2.5)):
         with pytest.raises(ValueError):
-            split_poison_set(ds, epsilon, seed)
+            PoisonSpec(epsilon, seed=seed)
 
 
 def test_split_poison_set_deterministic_half():
     rng = np.random.Generator(np.random.PCG64(0))
     ds = LabeledDataset(rng.uniform(size=(10, 2)), rng.integers(0, 2, 10), 2)
-    a = split_poison_set(ds, 0.5, seed=3)
-    b = split_poison_set(ds, 0.5, seed=3)
+    a = drawn_split(ds, 0.5, 3)
+    b = drawn_split(ds, 0.5, 3)
     assert a[1].size == 5 and a[0].size == 5
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert np.intersect1d(a[0], a[1]).size == 0
@@ -152,7 +158,7 @@ def test_split_poison_set_deterministic_half():
 
 def test_round_half_up():
     ds, _ = two_cluster_dataset()  # 6 samples
-    _, poison = split_poison_set(ds, 0.25, seed=1)  # 1.5 -> 2
+    _, poison = drawn_split(ds, 0.25, 1)  # 1.5 -> 2
     assert poison.size == 2
 
 
@@ -169,7 +175,7 @@ def test_quid_flips_to_antipodal_class():
     # poison everything: reference empty would break, so poison half
     for seed in range(5):
         spec = PoisonSpec(0.5, "quid", "frobenius", seed=seed)
-        clean_idx, poison_idx = split_poison_set(ds, 0.5, seed)
+        clean_idx, poison_idx = drawn_split(ds, 0.5, seed)
         if np.unique(ds.labels[clean_idx]).size < 2:
             continue
         outcome = quid_poison(ds, spec, cfg)
@@ -186,7 +192,7 @@ def test_quid_matches_oracle_on_three_class_instance():
     cfg = EncoderConfig("angle", 1, 1)
     for metric in ("frobenius", "trace", "hilbert_schmidt"):
         spec = PoisonSpec(0.25, "quid", metric, seed=9)
-        clean_idx, poison_idx = split_poison_set(ds, 0.25, 9)
+        clean_idx, poison_idx = drawn_split(ds, 0.25, 9)
         outcome = quid_poison(ds, spec, cfg)
         expected = oracle_quid_labels(ds, clean_idx, poison_idx, 1, 1, metric)
         assert np.array_equal(outcome.dataset.labels[poison_idx], expected)
@@ -204,7 +210,7 @@ def test_quid_requires_two_clean_classes():
     cfg = EncoderConfig("angle", 1, 1)
     # force a split whose clean side is single-class
     for seed in range(200):
-        clean_idx, poison_idx = split_poison_set(ds, 0.25, seed)
+        clean_idx, poison_idx = drawn_split(ds, 0.25, seed)
         if poison_idx.size and np.unique(ds.labels[clean_idx]).size < 2:
             with pytest.raises(AttackInfeasibleError):
                 quid_poison(ds, PoisonSpec(0.25, "quid", seed=seed), cfg)
@@ -238,7 +244,7 @@ def test_quid_tie_breaks_to_smallest_class():
     ds = LabeledDataset(features, np.array([1, 0, 0]), 2)
     cfg = EncoderConfig("angle", 1, 1)
     for seed in range(100):
-        clean_idx, poison_idx = split_poison_set(ds, 1 / 3, seed)
+        clean_idx, poison_idx = drawn_split(ds, 1 / 3, seed)
         if 2 in poison_idx:
             outcome = quid_poison(ds, PoisonSpec(1 / 3, "quid", seed=seed), cfg)
             pos = list(outcome.poisoned_indices).index(2)
@@ -295,12 +301,23 @@ def test_bilevel_features_in_range_and_labels_match_quid():
     assert np.array_equal(out.dataset.features[clean_mask], ds.features[clean_mask])
 
 
+def test_each_attack_refuses_a_spec_for_another_attack():
+    ds, cfg = two_cluster_dataset()
+    attacks = {"quid": lambda spec: quid_poison(ds, spec, cfg),
+               "random_flip": lambda spec: random_flip(ds, spec),
+               "bilevel_random": lambda spec: bilevel_random(ds, spec, cfg)}
+    for mode, attack in attacks.items():
+        for other in set(attacks) - {mode}:
+            with pytest.raises(ValueError, match=f"the {mode} attack .* '{other}'"):
+                attack(PoisonSpec(0.5, other, seed=1))
+
+
 @pytest.mark.parametrize("epsilon,seed", [(0.1, 0), (0.25, 3), (0.5, 11), (0.75, 42), (1 / 3, 7)])
 def test_every_attack_poisons_the_split_poison_set(epsilon, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     ds = LabeledDataset(rng.uniform(0, 2 * np.pi, (24, 2)), np.arange(24) % 3, 3)
     cfg = EncoderConfig("angle", 1, 2)
-    clean, want = split_poison_set(ds, epsilon, seed)
+    clean, want = drawn_split(ds, epsilon, seed)
     for mode in ("quid", "random_flip", "bilevel_random"):
         outcome = apply_poison(ds, PoisonSpec(epsilon, mode, seed=seed), cfg)
         assert np.array_equal(outcome.poisoned_indices, want), mode

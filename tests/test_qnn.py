@@ -18,7 +18,6 @@ from quidlab.qnn import (
     _Adam,
     _batch_ce,
     _forward_from_states,
-    cross_entropy,
     evaluate,
     forward,
     init_model,
@@ -98,14 +97,11 @@ def test_forward_shots_deterministic(rng):
 
 
 def test_cross_entropy_examples():
-    assert cross_entropy(np.array([0.25] * 4), 1) == pytest.approx(np.log(4), abs=1e-12)
-    assert cross_entropy(np.array([0.0, 1.0]), 1) == pytest.approx(0.0, abs=1e-12)
-    clamped = cross_entropy(np.array([1e-15, 1 - 1e-15]), 0)
+    assert _batch_ce(np.array([[0.25] * 4]), np.array([1])) == pytest.approx(np.log(4),
+                                                                          abs=1e-12)
+    assert _batch_ce(np.array([[0.0, 1.0]]), np.array([1])) == pytest.approx(0.0, abs=1e-12)
+    clamped = _batch_ce(np.array([[1e-15, 1 - 1e-15]]), np.array([0]))  # at PROB_FLOOR
     assert clamped == pytest.approx(-np.log(1e-12), abs=1e-9)
-    with pytest.raises(IndexError):
-        cross_entropy(np.array([0.5, 0.5]), 2)
-    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):  # one distribution, not a batch
-        cross_entropy(np.array([[0.5, 0.5], [0.2, 0.8]]), 1)
 
 
 def test_batch_ce_rounds_as_np_mean(rng):
@@ -127,18 +123,9 @@ def test_spsa_zero_on_constant_loss(rng):
 def test_spsa_estimates_quadratic_gradient():
     theta = np.array([1.0, -2.0])
     rng = np.random.Generator(np.random.PCG64(1))
-    grad = spsa_estimate(lambda t: 0.5 * float(t @ t), theta, 0.01, rng, repeats=2000)
+    pair = lambda ts: [0.5 * float(t @ t) for t in ts]  # noqa: E731
+    grad = sum(spsa_estimate(pair, theta, 0.01, rng) for _ in range(2000)) / 2000
     assert np.linalg.norm(grad - theta) / np.linalg.norm(theta) <= 0.05
-
-
-def test_paired_spsa_equals_two_separate_evaluations():
-    theta = np.array([0.3, -1.1, 2.0])
-    loss = lambda t: float(np.sin(t).sum() + t @ t)  # noqa: E731
-    pair = lambda ts: (loss(ts[0]), loss(ts[1]))  # noqa: E731
-    rngs = [np.random.Generator(np.random.PCG64(4)) for _ in range(2)]
-    one = spsa_estimate(loss, theta, 0.01, rngs[0], repeats=3)
-    two = spsa_estimate(pair, theta, 0.01, rngs[1], repeats=3, paired=True)
-    assert one.tobytes() == two.tobytes()
 
 
 def test_spsa_deterministic_given_seed(rng):
@@ -259,7 +246,7 @@ def old_spsa_pair(model, states, labels, config, rng):
         probs, _ = _forward_from_states(model, states, thetas, config.noise, config.shots, rng)
         return _batch_ce(probs[0], labels), _batch_ce(probs[1], labels)
 
-    return spsa_estimate(pair_loss, model.theta, qnn.SPSA_C, rng, paired=True)
+    return spsa_estimate(pair_loss, model.theta, qnn.SPSA_C, rng)
 
 
 def old_fit(model, train_states, train_labels, test_states, test_labels, config):
@@ -320,11 +307,10 @@ def test_ensemble_member_matches_the_old_step_bit_for_bit(monkeypatch):
     ds = separable_dataset(per_class=6)
     tr, te = split(ds, 0.75, stratified=True, seed=2)
     model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4, seed=2)
-    cfg = defense.DefenseConfig(TrainConfig(epochs=2, batch_size=4, seed=5,
-                                            noise=NoiseModel.from_error_rate(0.05)), k=2)
-    _, got = defense.train_ensemble(tr, te, cfg, model)
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=5, noise=NoiseModel.from_error_rate(0.05))
+    _, got = defense.train_ensemble(tr, te, cfg, model, 2, 0)
     monkeypatch.setattr(defense, "_fit", old_fit)
-    _, want = defense.train_ensemble(tr, te, cfg, model)
+    _, want = defense.train_ensemble(tr, te, cfg, model, 2, 0)
     assert_same_training(got[1], want[1])
 
 
@@ -344,7 +330,7 @@ def test_training_step_draws_delta_then_the_base_plus_and_minus_shots():
         return tuple(_batch_ce(_forward_from_states(model, states, t, cfg.noise, cfg.shots,
                                                     rngs[0])[0], labels) for t in pair)
 
-    want_theta = spsa_estimate(step_loss, model.theta, qnn.SPSA_C, rngs[0], paired=True)
+    want_theta = spsa_estimate(step_loss, model.theta, qnn.SPSA_C, rngs[0])
     [(probs, z)] = base
     grad_w, grad_b = qnn._head_grads_from(probs, z, labels)
     want = np.concatenate([want_theta, grad_w.ravel(), grad_b])
@@ -361,9 +347,10 @@ def test_training_step_estimates_through_spsa_estimate(monkeypatch):
     calls = []
     estimate = qnn.spsa_estimate
     monkeypatch.setattr(qnn, "spsa_estimate",
-                        lambda *args, **kwargs: calls.append(kwargs) or estimate(*args, **kwargs))
+                        lambda *args, **kwargs: calls.append((len(args), kwargs))
+                        or estimate(*args, **kwargs))
     train(model, tr, te, TrainConfig(epochs=1, batch_size=8, seed=5))
-    assert calls == [{"paired": True}] * -(-len(tr) // 8)
+    assert calls == [(4, {})] * -(-len(tr) // 8)  # four positional arguments, no keyword
 
 
 def test_template_without_slots_trains_and_evaluates():
@@ -491,8 +478,8 @@ def test_checkpoint_keeps_its_feature_count_and_version_1_still_loads(tmp_path):
 def test_library_paths_refuse_a_dataset_of_another_width():
     # every public path that encodes features for a model; those that take labels also
     # refuse labels outside the model's head
-    from quidlab.defense import (DefenseConfig, EnsembleModel, evaluate_ensemble,
-                                 member_predictions, train_ensemble, vote)
+    from quidlab.defense import (EnsembleModel, evaluate_ensemble, member_predictions,
+                                 train_ensemble, vote)
 
     model = init_model(EncoderConfig("angle", 4, 2), build_template("pqc1", 4, 1), 4,
                        n_features=8)
@@ -503,7 +490,7 @@ def test_library_paths_refuse_a_dataset_of_another_width():
     entry_points = [
         lambda ds: evaluate(model, ds),
         lambda ds: train(model, wide, ds, config),
-        lambda ds: train_ensemble(ds, wide, DefenseConfig(config, k=2), model),
+        lambda ds: train_ensemble(ds, wide, config, model, 2, 0),
         lambda ds: forward(model, ds.features[0]),
         lambda ds: member_predictions(ensemble, ds.features),
         lambda ds: vote(ensemble, ds.features[0]),
@@ -520,7 +507,7 @@ def test_library_paths_refuse_a_dataset_of_another_width():
     label_entry_points = [
         lambda: evaluate(model, outside),
         lambda: train(model, wide, outside, config),
-        lambda: train_ensemble(outside, wide, DefenseConfig(config, k=2), model),
+        lambda: train_ensemble(outside, wide, config, model, 2, 0),
         lambda: train(model, minus_one, wide, config),
     ]
     for call in label_entry_points:
@@ -546,7 +533,7 @@ def test_library_paths_refuse_a_dataset_of_another_width():
 
 def test_training_checks_both_sets_before_encoding_either(monkeypatch):
     # a bad test set is refused before the training set, which comes first, is encoded
-    from quidlab.defense import DefenseConfig, train_ensemble
+    from quidlab.defense import train_ensemble
 
     encoded = []
     real = qnn._encode_factors
@@ -559,7 +546,7 @@ def test_training_checks_both_sets_before_encoding_either(monkeypatch):
     config = TrainConfig(epochs=1)
     for bad, match in ((outside, "labels outside the model's 4 classes"), (narrow, "8 features")):
         for call in (lambda: train(model, good, bad, config),
-                     lambda: train_ensemble(good, bad, DefenseConfig(config, k=2), model)):
+                     lambda: train_ensemble(good, bad, config, model, 2, 0)):
             with pytest.raises(ValueError, match=match):
                 call()
             assert encoded == []
@@ -578,15 +565,17 @@ def test_model_shape_validation():
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
     # counts are integers and parameters finite, checked where each is built
-    from quidlab.defense import DefenseConfig
+    from quidlab.defense import partition, train_ensemble
 
+    ds = LabeledDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2)
     for make, field in ((lambda: TrainConfig(shots=2.5), "shots"),
                         (lambda: TrainConfig(epochs=True), "epochs"),
                         (lambda: TrainConfig(batch_size=np.float64(32)), "batch_size"),
                         (lambda: TrainConfig(seed=2.5), "seed"),
-                        (lambda: DefenseConfig(TrainConfig(), k=2.5), "k"),
-                        (lambda: DefenseConfig(TrainConfig(), partition_seed=True),
-                         "partition_seed"),
+                        (lambda: partition(ds, 2.5, 0), "k"),
+                        (lambda: partition(ds, 2, True), "seed"),
+                        (lambda: train_ensemble(ds, ds, TrainConfig(), None, 2.5, 0), "k"),
+                        (lambda: train_ensemble(ds, ds, TrainConfig(), None, 2, True), "seed"),
                         (lambda: EncoderConfig("angle", True), "n_qubits"),
                         (lambda: EncoderConfig("angle", 2, 1.5), "features_per_qubit"),
                         (lambda: EncoderConfig("angle", 2, 1, (0.0, np.inf)), "scale_range"),

@@ -5,6 +5,7 @@ thread (sys.settrace and threading.settrace), while it runs
 
 - the commands of tools/golden_cli.py, in process through quidlab.cli.main and
   with --workers 1 in place of 2, so that every experiment cell runs here;
+- one command line that argparse refuses (REFUSED), which must exit 2;
 - each perfbench workload once at its tiny size (perfbench/run.py's main with
   size="tiny", seed 1, no timed seconds, untraced).
 
@@ -17,8 +18,9 @@ experiment runs the same kind of cells here. Stdlib only; run with
     python tools/traffic.py SRC
 
 where SRC is a tree's `src` directory; the perfbench directory beside it is
-the one that runs. Golden outputs go to a temporary directory. A command that
-exits nonzero, or a workload whose output checks fail, makes the tool exit 1.
+the one that runs. Golden outputs go to a temporary directory. A golden command
+that exits nonzero, REFUSED exiting with any code but 2, or a workload whose
+output checks fail, makes the tool exit 1.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import warnings
 import golden_cli
 
 WORKLOAD_ARGS = ["--seed", "1", "--seconds", "0", "--trace", "0"]
+REFUSED = ["train", "--no-such-flag"]
 
 
 def functions(package: str) -> list[tuple[str, str, int, range]]:
@@ -101,6 +104,18 @@ def golden_runs(out: str) -> None:
             sys.exit(f"exit {code}: quidlab {' '.join(argv)}")
 
 
+def refused_run() -> None:
+    from quidlab import cli
+
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(REFUSED)
+    except SystemExit as exc:  # argparse exits through cli._Parser.error
+        code = exc.code
+    if code != 2:
+        sys.exit(f"exit {code}, not 2: quidlab {' '.join(REFUSED)}")
+
+
 def workload_runs(perfbench: str) -> None:
     sys.path.insert(0, perfbench)
     run = importlib.import_module("run")
@@ -122,6 +137,7 @@ def main(argv: list[str]) -> int:
             warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the runs' own warnings; a failure still exits 1
         golden_runs(out)
+        refused_run()
         workload_runs(os.path.join(os.path.dirname(src), "perfbench"))
     unrun = [(name, path, line) for name, path, line, body in functions(package)
              if not any((path, n) in hits for n in body)]
