@@ -240,12 +240,16 @@ class _Options:
     def encoder_for(self, dim: int, kind: str | None = None) -> EncoderConfig:
         """The --encoder encoder (or the given kind); angle blocks cover dim features by default.
 
-        An encoder too small for dim features is a usage error naming the flag that sized it.
+        An encoder too small for dim features is a usage error naming the flag that sized it,
+        and so is --features-per-qubit given with --encoder amplitude, where it does nothing.
         """
-        kind = kind or self.get("encoder")
+        fpq = self.get("features_per_qubit")
+        if kind is None:
+            kind = self.get("encoder")
+            if kind == "amplitude" and fpq is not None:
+                raise UsageError("--features-per-qubit: does nothing with --encoder amplitude")
         cfg = _configured(EncoderConfig, kind, self.get("qubits"))
         if kind == "angle":
-            fpq = self.get("features_per_qubit")
             if fpq is None:
                 fpq = max(1, math.ceil(dim / cfg.n_qubits))
             cfg = _configured(replace, cfg, features_per_qubit=fpq)

@@ -1,13 +1,12 @@
-"""Declarative parameterized-circuit templates.
+"""Parameterized-circuit templates: presets numbered as in Sim, Johnson & Aspuru-Guzik
+(arXiv:1905.10876).
 
-Templates are plain data: an ordered gate list whose entries either bind a
-trainable slot or carry a fixed angle. Each TemplateGate builds its
-simcore.GateOp when built and keeps that gate's normal form (canonical name,
-int targets, float angle), so a template that constructs also reads out and
-round-trips through to_json, a checkpoint's template block; from_json only
-parses. The shipped presets are the non-entangling rotation circuit (pqc1), the
-all-to-all controlled-rotation circuit (pqc6) and the block controlled-rotation
-circuit (pqc8); layer repetition duplicates the gate list with fresh slots.
+A template is a preset name, a register size and a layer count: the
+non-entangling rotation circuit (pqc1), the all-to-all controlled-rotation
+circuit (pqc6) or the block controlled-rotation circuit (pqc8), each layer
+repeated with fresh slots. Every gate is RX, RZ or CRX and binds one trainable
+slot. to_json writes the gate list too, as a checkpoint's template block, and
+from_json accepts exactly the block of the preset it names.
 
 Transcription conventions for the entangling presets: pqc6 iterates controls
 from the last qubit down to the first, each control hitting all other qubits
@@ -29,15 +28,16 @@ block's axis order. A call, on one point or a stack of points, is array work.
 from __future__ import annotations
 
 import functools
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encode import _check_memory, _kron_factors
 from .errors import DataFormatError
 from .noise import NoiseModel, noise_superop, noisy_apply_stack
-from .simcore import GateOp, apply_gate_stack, gate_matrix, whole
+from .simcore import MAX_QUBITS, GateOp, apply_gate_stack, gate_matrix, whole
 from .simcore import _forward_superop, _layouts, contract_superop, pauli_form, pauli_pullback
 
 PRESETS = ("pqc1", "pqc6", "pqc8")
@@ -45,96 +45,59 @@ PRESETS = ("pqc1", "pqc6", "pqc8")
 
 @dataclass(frozen=True)
 class TemplateGate:
+    """One preset gate: its canonical name, target qubits and the theta slot it binds."""
+
     gate: str
     targets: tuple[int, ...]
-    slot: int | None = None
-    angle: float | None = None
-
-    def __post_init__(self):
-        if self.slot is not None and self.angle is not None:
-            raise ValueError("a template gate binds a slot or a fixed angle, not both")
-        slot = None if self.slot is None else whole(self.slot, "slot")
-        op = GateOp(self.gate, self.targets, self.angle if slot is None else 0.0)
-        object.__setattr__(self, "gate", op.name)
-        object.__setattr__(self, "targets", op.targets)
-        object.__setattr__(self, "slot", slot)
-        object.__setattr__(self, "angle", op.param if slot is None else None)
+    slot: int
 
 
 @dataclass(frozen=True)
 class PqcTemplate:
+    """The preset name on n_qubits, its layer repeated layers times with fresh slots. The three
+    fields fix the gates, so they alone compare and hash, as the readout's cache keys do."""
+
     name: str
     n_qubits: int
-    layers: int
-    gates: tuple[TemplateGate, ...]
-    param_count: int
+    layers: int = 1
+    gates: tuple[TemplateGate, ...] = field(init=False, repr=False, compare=False)
+    param_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, low in (("n_qubits", 1), ("layers", 1), ("param_count", 0)):
-            object.__setattr__(self, name, whole(getattr(self, name), name, low))
-        slots = sorted(g.slot for g in self.gates if g.slot is not None)
-        if slots != list(range(self.param_count)):
-            raise ValueError(
-                f"template {self.name}: slots {slots} are not 0..{self.param_count - 1} "
-                "each used exactly once"
-            )
-        for g in self.gates:
-            if any(q >= self.n_qubits for q in g.targets):
-                raise ValueError(f"template {self.name}: targets {g.targets} out of range")
-        # the readout's cache keys compare and hash these plain tuples, built once
-        key = (self.name, self.n_qubits, self.layers, self.param_count,
-               tuple((g.gate, g.targets, g.slot, g.angle) for g in self.gates))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_names", tuple(dict.fromkeys(g.gate for g in self.gates)))
-
-    def __eq__(self, other):
-        return self._key == other._key if isinstance(other, PqcTemplate) else NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # rebuilt through __init__, so a pool worker hashes it afresh
-        return PqcTemplate, (self.name, self.n_qubits, self.layers, self.gates, self.param_count)
+        if self.name not in PRESETS:
+            raise ValueError(f"unknown template {self.name!r}; presets are {PRESETS}")
+        # checked before any gate is built; pqc6 and pqc8 layers entangle qubit pairs
+        low = 2 if self.name in ("pqc6", "pqc8") else 1
+        object.__setattr__(self, "n_qubits", whole(self.n_qubits, "n_qubits", low, MAX_QUBITS))
+        object.__setattr__(self, "layers", whole(self.layers, "layers", 1))
+        gates, slot = [], 0
+        for _ in range(self.layers):
+            layer, slot = _LAYER_BUILDERS[self.name](self.n_qubits, slot)
+            gates += layer
+        object.__setattr__(self, "gates", tuple(gates))
+        object.__setattr__(self, "param_count", slot)
+        object.__setattr__(self, "_names", tuple(dict.fromkeys(g.gate for g in gates)))
 
     def to_json(self) -> dict:
-        entries = []
-        for g in self.gates:
-            e: dict = {"gate": g.gate, "targets": list(g.targets)}
-            if g.slot is not None:
-                e["slot"] = g.slot
-            if g.angle is not None:
-                e["angle"] = g.angle
-            entries.append(e)
-        return {
-            "name": self.name,
-            "n_qubits": self.n_qubits,
-            "layers": self.layers,
-            "param_count": self.param_count,
-            "gates": entries,
-        }
+        gates = [{"gate": g.gate, "targets": list(g.targets), "slot": g.slot} for g in self.gates]
+        return {"name": self.name, "n_qubits": self.n_qubits, "layers": self.layers,
+                "param_count": self.param_count, "gates": gates}
 
     @classmethod
     def from_json(cls, raw: dict) -> "PqcTemplate":
+        """The preset raw names; DataFormatError unless raw is exactly its to_json() block."""
         try:
-            gates = tuple(
-                TemplateGate(
-                    gate=e["gate"],
-                    targets=e["targets"],
-                    slot=e.get("slot"),
-                    angle=e.get("angle"),
-                )
-                for e in raw["gates"]
-            )
-            return cls(
-                name=raw["name"],
-                n_qubits=raw["n_qubits"],
-                layers=raw["layers"],
-                gates=gates,
-                param_count=raw["param_count"],
-            )
+            layers = whole(raw["layers"], "layers", 1)
+            # one layer first: a layer count that the gate list does not hold builds nothing
+            if len(raw["gates"]) == layers * len(cls(raw["name"], raw["n_qubits"]).gates):
+                tpl = cls(raw["name"], raw["n_qubits"], layers)
+                # as JSON text, so that 0.0 or true is not taken for an int
+                if json.dumps(raw, sort_keys=True) == json.dumps(tpl.to_json(), sort_keys=True):
+                    return tpl
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"malformed template: {exc}") from exc
+        raise DataFormatError(f"malformed template: not the block of preset {raw['name']} on "
+                              f"{raw['n_qubits']} qubits with {layers} layer(s)")
 
 
 def _rotation_columns(n: int, start: int) -> tuple[list[TemplateGate], int]:
@@ -173,17 +136,7 @@ _LAYER_BUILDERS = {"pqc1": _rotation_columns, "pqc6": _layer_pqc6, "pqc8": _laye
 
 def build_template(name: str, n_qubits: int, layers: int = 1) -> PqcTemplate:
     """Instantiate a preset for a register size, repeating layers with fresh slots."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown template {name!r}; presets are {PRESETS}")
-    # checked before any gate is built; pqc6 and pqc8 layers entangle qubit pairs
-    n_qubits = whole(n_qubits, "n_qubits", 2 if name in ("pqc6", "pqc8") else 1)
-    layers = whole(layers, "layers", 1)
-    gates: list[TemplateGate] = []
-    slot = 0
-    for _ in range(layers):
-        layer_gates, slot = _LAYER_BUILDERS[name](n_qubits, slot)
-        gates += layer_gates
-    return PqcTemplate(name, n_qubits, layers, tuple(gates), slot)
+    return PqcTemplate(name, n_qubits, layers)
 
 
 def bound_gates(tpl: PqcTemplate, theta: np.ndarray) -> list[GateOp]:
@@ -193,8 +146,7 @@ def bound_gates(tpl: PqcTemplate, theta: np.ndarray) -> list[GateOp]:
         raise ValueError(
             f"template {tpl.name} expects {tpl.param_count} parameters, got {theta.shape}"
         )
-    return [GateOp(g.gate, g.targets, g.angle if g.slot is None else theta[g.slot])
-            for g in tpl.gates]
+    return [GateOp(g.gate, g.targets, theta[g.slot]) for g in tpl.gates]
 
 
 def apply_pqc_stack(
@@ -305,29 +257,23 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
     and per group (qubits, the diagonals of their Z_q's Pauli vectors, the factor indices
     of their registers (one row if all equal), blocks, the final order of simcore._layouts
     on the (P, G, 2, ..., 2) observables). A block is (its contract_superop order, arity,
-    factors); a factor is a fixed pull-back map, or (name, index into the per-call rotation
-    maps); if the group's registers differ, with a group axis.
+    factors); a factor is (gate name, index into that name's per-call rotation maps), the
+    index an array over the group if the group's registers differ.
     """
     noise_of = dict(zip(tpl._names, entries))
     slot_gates: dict[str, tuple] = {}  # gate name -> (its noise, the slots of its gates)
     maps = []
     for gate in tpl.gates:
         noise = noise_superop(noise_of.get(gate.gate, ()), len(gate.targets))
-        if gate.slot is None:
-            sop = _forward_superop([gate_matrix(gate.gate, gate.angle)])
-            sop = pauli_pullback(sop if noise is None else noise @ sop)
-            sop.setflags(write=False)
-            maps.append(sop)
-        else:
-            slots = slot_gates.setdefault(gate.gate, (noise, []))[1]
-            maps.append((gate.gate, len(slots)))
-            slots.append(gate.slot)
+        slots = slot_gates.setdefault(gate.gate, (noise, []))[1]
+        maps.append((gate.gate, len(slots)))
+        slots.append(gate.slot)
     first = np.cumsum((0,) + widths)
     registers: dict[tuple, list] = {}
     for span, qubits, chosen in _light_cones(tpl, widths):
         local = {w: i for i, w in enumerate(w for f in span for w in range(first[f], first[f + 1]))}
         blocks = _fuse([(tuple(local[w] for w in tpl.gates[i].targets), maps[i]) for i in chosen])
-        shape = tuple((t, tuple(isinstance(f, tuple) for f in fs)) for t, fs in blocks)
+        shape = tuple((t, len(fs)) for t, fs in blocks)
         m = len(local)  # Z_w's Pauli vector: one-hot on the diagonal, at w's bit
         ones = np.eye(1 << m)[1 << (m - 1 - np.arange(m))]
         registers.setdefault((tuple(widths[f] for f in span), shape), []).extend(
@@ -338,12 +284,10 @@ def _readout_plan(tpl: PqcTemplate, entries: tuple, widths: tuple) -> tuple:
         blocks = member_blocks[0]
         differ = any(mb is not blocks for mb in member_blocks)
         if differ:  # (P or 1, G, d, d) maps
-            blocks = tuple((t, tuple(
-                (f[0], np.array([mb[b][1][i][1] for mb in member_blocks])) if isinstance(f, tuple)
-                else np.stack([mb[b][1][i] for mb in member_blocks])[None]
-                for i, f in enumerate(fs))) for b, (t, fs) in enumerate(blocks))
-        leads = tuple((t, 2 if differ else int(any(isinstance(f, tuple) for f in fs)))
-                      for t, fs in blocks)
+            blocks = tuple((t, tuple((name, np.array([mb[b][1][i][1] for mb in member_blocks]))
+                                     for i, (name, _) in enumerate(fs)))
+                           for b, (t, fs) in enumerate(blocks))
+        leads = tuple((t, 2 if differ else 1) for t, _ in blocks)
         perms, final = _layouts(leads, len(diags[0]).bit_length() - 1, 2)
         blocks = tuple((perm, len(t), fs) for perm, (t, fs) in zip(perms, blocks))
         span = np.array(spans[:1] if len(set(spans)) == 1 else spans)
@@ -427,8 +371,8 @@ def _pull_back(factors: tuple, tpl: PqcTemplate, theta, model: NoiseModel | None
         obs = obs.reshape((len(points), n_obs) + (2,) * (2 * m))
         for perm, k, maps in blocks:
             sop = None
-            for f in maps:
-                f = rotation[f[0]][:, f[1]] if isinstance(f, tuple) else f
+            for name, index in maps:
+                f = rotation[name][:, index]
                 sop = f if sop is None else f @ sop
             obs = contract_superop(obs, sop, perm, k)
         flat = obs.transpose(final).reshape(len(points), n_obs, dim * dim)

@@ -26,6 +26,7 @@ shots is 0); the order is the same for every shot count.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .data import LabeledDataset, class_ids, read_json, write_json
 from .encode import EncoderConfig, _encode_factors, _feature_matrix, _rows
-from .errors import DataFormatError
+from .errors import CapacityError, DataFormatError
 from .noise import NoiseModel
 from .pqc import PqcTemplate, _pull_back, _readout_factors
 from .simcore import finite, sample_shots, whole
@@ -69,9 +70,14 @@ class QnnModel:
         for name, shape in (("theta", (self.template.param_count,)),
                             ("head_weights", (self.n_classes, self.encoder.n_qubits)),
                             ("head_bias", (self.n_classes,))):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != shape:
-                raise ValueError(f"{name} has shape {value.shape}, not {shape}")
+            entries = np.asarray(getattr(self, name), dtype=object)
+            if entries.shape != shape:
+                raise ValueError(f"{name} has shape {entries.shape}, not {shape}")
+            # float() would take a numeric string or a boolean; neither is a parameter
+            if not all(issubclass(t, numbers.Real) and t is not bool
+                       for t in {type(v) for v in entries.flat}):
+                raise ValueError(f"{name} has an entry that is not a number")
+            value = entries.astype(float)
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} has a non-finite entry")
             setattr(self, name, value)
@@ -364,7 +370,7 @@ def load_model(path) -> QnnModel:
     """Read a checkpoint; any malformed content raises DataFormatError."""
     raw = read_json(path)
     version = raw.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):  # not true or 1.0
         raise DataFormatError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         enc = raw["encoder"]
@@ -383,5 +389,5 @@ def load_model(path) -> QnnModel:
             n_classes=raw["n_classes"],
             n_features=None if version == 1 else raw["n_features"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, CapacityError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint ({exc!r})") from exc

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -239,28 +240,6 @@ def test_train_and_evaluate_roundtrip(tmp_path):
     curves = (out / "curves.csv").read_text().strip().splitlines()
     assert len(curves) == 4  # header + 3 epochs
     assert run("evaluate", "--model", str(out / "model.json"), "--data", str(data),
-               "--out", str(tmp_path / "eval")) == 0
-    payload = json.loads((tmp_path / "eval" / "eval.json").read_text())
-    assert 0.0 <= payload["accuracy"] <= 1.0
-    manifest = json.loads((tmp_path / "eval" / "manifest.json").read_text())
-    assert manifest["command"] == "evaluate" and manifest["wall_seconds"] >= 0.0
-
-
-def test_evaluate_checkpoint_without_slots(tmp_path):
-    # a template of fixed-angle and slot-free gates only: param_count 0, theta []
-    data = gen(tmp_path, classes="2", dim="2")
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({
-        "format_version": 1,
-        "encoder": {"kind": "angle", "n_qubits": 2, "features_per_qubit": 1,
-                    "scale_range": [0, 1]},
-        "template": {"name": "fixed", "n_qubits": 2, "layers": 1, "param_count": 0,
-                     "gates": [{"gate": "RX", "targets": [0], "angle": 1.0},
-                               {"gate": "H", "targets": [1]},
-                               {"gate": "CNOT", "targets": [0, 1]}]},
-        "theta": [], "head_weights": [[1, 0], [0, 1]], "head_bias": [0, 0], "n_classes": 2,
-    }))
-    assert run("evaluate", "--model", str(model), "--data", str(data),
                "--out", str(tmp_path / "eval")) == 0
     payload = json.loads((tmp_path / "eval" / "eval.json").read_text())
     assert 0.0 <= payload["accuracy"] <= 1.0
@@ -585,18 +564,21 @@ def test_module_entry_point(tmp_path):
 
 
 def _checkpoint(gate=None, encoder=(), template=(), **fields) -> str:
-    """A version-1 checkpoint of a two-qubit angle model whose template is one RX on slot 0,
-    with that gate entry, and encoder, template and top-level fields, replaced."""
+    """A version-1 checkpoint of a two-qubit angle model on the pqc1 preset, with its first
+    gate entry, and encoder, template and top-level fields, replaced."""
+    gates = [{"gate": g, "targets": [q], "slot": 2 * i + q}
+             for i, g in enumerate(("RX", "RZ")) for q in (0, 1)]
     return json.dumps({
-        "format_version": 1, "theta": [0.3], "head_weights": [[1, 0], [0, 1]],
+        "format_version": 1, "theta": [0.3, 0.0, 0.0, 0.0], "head_weights": [[1, 0], [0, 1]],
         "head_bias": [0, 0], "n_classes": 2,
         "encoder": {"kind": "angle", "n_qubits": 2, "features_per_qubit": 1,
                     "scale_range": [0, 1], **dict(encoder)},
-        "template": {"name": "t", "n_qubits": 2, "layers": 1, "param_count": 1,
-                     "gates": [gate or {"gate": "RX", "targets": [0], "slot": 0}],
-                     **dict(template)},
+        "template": {"name": "pqc1", "n_qubits": 2, "layers": 1, "param_count": 4,
+                     "gates": [gate or gates[0]] + gates[1:], **dict(template)},
         **fields})
 
+
+PQC1_GATES = json.loads(_checkpoint())["template"]["gates"]
 
 BAD_INPUTS = [
     # (name, subcommand args, file to write under tmp_path, its content, exit code);
@@ -606,34 +588,30 @@ BAD_INPUTS = [
     ("checkpoint not an object", ["evaluate", "--model", "{f}", "--data", "{data}"],
      "model.json", "[1, 2]", 3),
     ("checkpoint bad shapes", ["evaluate", "--model", "{f}", "--data", "{data}"],
-     "model.json", '{"format_version": 1, "encoder": {"kind": "angle", "n_qubits": 2, '
-     '"features_per_qubit": 1, "scale_range": [0, 1]}, "template": {"name": "t", '
-     '"n_qubits": 2, "layers": 1, "param_count": 0, "gates": []}, "theta": [], '
-     '"head_weights": [1], "head_bias": [0], "n_classes": 2}', 3),
-    ("checkpoint unknown gate", ["evaluate", "--model", "{f}", "--data", "{data}"],
-     "model.json", '{"format_version": 1, "encoder": {"kind": "angle", "n_qubits": 1, '
-     '"features_per_qubit": 2, "scale_range": [0, 1]}, "template": {"name": "t", '
-     '"n_qubits": 1, "layers": 1, "param_count": 0, "gates": [{"gate": "FOO", '
-     '"targets": [0]}]}, "theta": [], "head_weights": [[1], [0]], "head_bias": [0, 0], '
-     '"n_classes": 2}', 3),
-    ("checkpoint gate not a string", ["evaluate", "--model", "{f}", "--data", "{data}"],
-     "model.json", '{"format_version": 1, "encoder": {"kind": "angle", "n_qubits": 1, '
-     '"features_per_qubit": 2, "scale_range": [0, 1]}, "template": {"name": "t", '
-     '"n_qubits": 1, "layers": 1, "param_count": 0, "gates": [{"gate": 5, '
-     '"targets": [0]}]}, "theta": [], "head_weights": [[1], [0]], "head_bias": [0, 0], '
-     '"n_classes": 2}', 3),
-    *[(f"checkpoint template {what}", ["evaluate", "--model", "{f}", "--data", "{data}"],
-       "model.json", '{"format_version": 1, "encoder": {"kind": "angle", "n_qubits": 1, '
-       '"features_per_qubit": 2, "scale_range": [0, 1]}, "template": {"name": "t", '
-       '"n_qubits": 1, "layers": 1, "param_count": ' + count + ', "gates": [{"gate": "RX", '
-       '"targets": [0], ' + entry + '}]}, "theta": [' + theta + '], '
-       '"head_weights": [[1], [0]], "head_bias": [0, 0], "n_classes": 2}', 3)
-      for what, count, entry, theta in [
-          ("angle string", "0", '"angle": "1.0"', ""),
-          ("angle list", "0", '"angle": [1.0]', ""),
-          ("angle NaN", "0", '"angle": NaN', ""),
-          ("angle true", "0", '"angle": true', ""),
-          ("slot 0.0", "1", '"slot": 0.0', "0"),
+     "model.json", _checkpoint(head_weights=[1], head_bias=[0]), 3),
+    # a template block is exactly its preset's, gate list included
+    *[(f"checkpoint {what}", ["evaluate", "--model", "{f}", "--data", "{data}"],
+       "model.json", content, 3)
+      for what, content in [
+          ("unknown gate", _checkpoint({"gate": "FOO", "targets": [0], "slot": 0})),
+          ("gate not a string", _checkpoint({"gate": 5, "targets": [0], "slot": 0})),
+          ("template angle string", _checkpoint({"gate": "RX", "targets": [0], "angle": "1.0"})),
+          ("template angle list", _checkpoint({"gate": "RX", "targets": [0], "angle": [1.0]})),
+          ("template angle NaN", _checkpoint({"gate": "RX", "targets": [0], "angle": math.nan})),
+          ("template angle true", _checkpoint({"gate": "RX", "targets": [0], "angle": True})),
+          ("template fixed angle", _checkpoint({"gate": "RX", "targets": [0], "slot": 0,
+                                                "angle": 0.5})),
+          ("template slot 0.0", _checkpoint({"gate": "RX", "targets": [0], "slot": 0.0})),
+          ("template slot true", _checkpoint({"gate": "RX", "targets": [0], "slot": True})),
+          ("template gate rx", _checkpoint({"gate": "rx", "targets": [0], "slot": 0})),
+          ("template name pqc9", _checkpoint(template={"name": "pqc9"})),
+          ("template name t", _checkpoint(template={"name": "t"})),
+          ("template extra gate", _checkpoint(template={"gates": PQC1_GATES + [
+              {"gate": "RX", "targets": [0], "slot": 4}]})),
+          ("template missing gate", _checkpoint(template={"gates": PQC1_GATES[:-1]})),
+          ("template reordered gates", _checkpoint(template={"gates": PQC1_GATES[::-1]})),
+          ("template param_count 5", _checkpoint(template={"param_count": 5})),
+          ("template layers 1000000000", _checkpoint(template={"layers": 10**9})),
       ]],
     # each number is checked where the loaded object is built, never truncated with int()
     *[(f"checkpoint {what}", ["evaluate", "--model", "{f}", "--data", "{data}"],
@@ -641,12 +619,24 @@ BAD_INPUTS = [
       for what, content in [
           ("template targets [0.7]", _checkpoint({"gate": "RX", "targets": [0.7], "slot": 0})),
           ("template targets [true]", _checkpoint({"gate": "RX", "targets": [True], "slot": 0})),
-          ("template gate StatePrep", _checkpoint({"gate": "StatePrep", "targets": [0, 1]},
-                                                  template={"param_count": 0}, theta=[])),
+          ("template gate StatePrep", _checkpoint({"gate": "StatePrep", "targets": [0, 1]})),
           ("template n_qubits 2.5", _checkpoint(template={"n_qubits": 2.5})),
+          ("template n_qubits 1000000000", _checkpoint(template={"n_qubits": 10**9})),
           ("n_classes 2.9", _checkpoint(n_classes=2.9)),
           ("features_per_qubit 2.5", _checkpoint(encoder={"features_per_qubit": 2.5})),
-          ("theta NaN", _checkpoint(theta=[float("nan")])),
+          ("theta NaN", _checkpoint(theta=[math.nan, 0.0, 0.0, 0.0])),
+          # version and parameter numbers as strict as the template block
+          ("format_version true", _checkpoint(format_version=True)),
+          ("format_version 1.0", _checkpoint(format_version=1.0)),
+          ("format_version 2.0", _checkpoint(format_version=2.0, n_features=2)),
+          ("theta string", _checkpoint(theta=["0.3", 0.0, 0.0, 0.0])),
+          ("theta true", _checkpoint(theta=[True, 0.0, 0.0, 0.0])),
+          ("theta integer 10**400", _checkpoint(theta=[10**400, 0, 0, 0])),
+          ("head_weights string", _checkpoint(head_weights=[["1", 0], [0, 1]])),
+          ("head_weights true", _checkpoint(head_weights=[[True, 0], [0, 1]])),
+          ("head_bias string", _checkpoint(head_bias=["0", 0])),
+          ("head_bias true", _checkpoint(head_bias=[True, 0])),
+          ("encoder n_qubits 13", _checkpoint(encoder={"n_qubits": 13})),
       ]],
     ("config qubits not a number", ["ess-validate", "--data", "{data}", "--config", "{f}"],
      "cfg.json", '{"qubits": "four"}', 2),
@@ -757,6 +747,10 @@ BAD_INPUTS = [
      "--features-per-qubit", "1"], "unused", "", 2),
     ("--qubits 2 (amplitude, 8 features)", ["encode-compare", "--data", "{f}", "--qubits", "2"],
      "wide.csv", "".join(f"{'0.5,' * 8}{i % 2}\n" for i in range(8)), 2),
+    # the amplitude encoder has no features per qubit: the flag would do nothing
+    ("--features-per-qubit 5 (amplitude)", ["train", "--data", "{f}", "--encoder", "amplitude",
+     "--qubits", "3", "--features-per-qubit", "5", "--epochs", "1"],
+     "apart.csv", "".join(f"{i},{7 - i},{i % 2}\n" for i in range(8)), 2),
     # encode-compare always encodes both kinds, so it has no --encoder flag
     ("encode-compare --encoder", ["encode-compare", "--data", "{data}", "--encoder",
      "amplitude"], "unused", "", 2),
@@ -817,14 +811,12 @@ def _range_rules():
                            "n_classes": 2, **fields})
 
     def template(**fields):
-        return PqcTemplate(**{"name": "t", "n_qubits": 1, "layers": 1, "gates": (),
-                              "param_count": 0, **fields})
+        return PqcTemplate(**{"name": "pqc1", "n_qubits": 1, "layers": 1, **fields})
 
     return [
         ("qubit index -1", lambda: _qubits((-1,)), "qubit index"),
         ("template n_qubits 0", lambda: template(n_qubits=0), "n_qubits"),
         ("template layers 0", lambda: template(layers=0), "layers"),
-        ("template param_count -1", lambda: template(param_count=-1), "param_count"),
         ("pqc6 on 1 qubit", lambda: build_template("pqc6", 1), "n_qubits"),
         ("features_per_qubit 0", lambda: EncoderConfig("angle", 2, 0), "features_per_qubit"),
         ("model n_features 0", lambda: model(n_features=0), "n_features"),

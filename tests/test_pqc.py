@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from conftest import basis_stack, density_factors, density_from_pauli, pauli_strings
 from conftest import random_density_matrix, random_pure_state
 from quidlab.encode import EncoderConfig, _encode_factors, _expand, _kron_factors
-from quidlab.noise import NoiseModel
+from quidlab.noise import NoiseModel, noise_superop
 from quidlab.pqc import (
     _READOUT_PEAK,
     PRESETS,
     PqcTemplate,
     TemplateGate,
     _light_cones,
-    _noise_entries,
     _pull_back,
     _readout_factors,
-    _readout_plan,
     _rotation_maps,
+    _trig_coefficients,
     apply_pqc_stack,
     build_template,
     z_expectations,
@@ -60,6 +59,8 @@ def test_unknown_or_too_small():
         build_template("pqc6", 1, 1)
     with pytest.raises(ValueError):
         build_template("pqc1", 4, 0)
+    with pytest.raises(ValueError, match=r"n_qubits must be in \[1, 12\]"):  # no encoder fits more
+        build_template("pqc1", 13, 1)
 
 
 @pytest.mark.parametrize("name", ["pqc1", "pqc6", "pqc8"])
@@ -103,13 +104,8 @@ def test_registry_roundtrip():
         loaded = PqcTemplate.from_json(json.loads(json.dumps(tpl.to_json())))
         assert loaded == tpl
         assert loaded.gates == tpl.gates
-    # a gate keeps GateOp's normal form, which to_json writes
-    tpl = PqcTemplate("t", 2, 1, (TemplateGate("crz", [np.int64(1), 0], angle=np.float32(0.5)),
-                                  TemplateGate("rx", (0,), slot=np.int64(0))), 1)
-    crz, rx = tpl.gates
-    assert (crz.gate, crz.targets, crz.angle, rx.gate, rx.slot) == ("CRZ", (1, 0), 0.5, "RX", 0)
-    assert {type(v) for v in (*crz.targets, rx.slot)} == {int} and type(crz.angle) is float
-    assert [e["gate"] for e in tpl.to_json()["gates"]] == ["CRZ", "RX"]
+    # every preset gate binds a slot, which to_json writes
+    assert all(set(e) == {"gate", "targets", "slot"} for e in tpl.to_json()["gates"])
 
 
 def test_layers_use_fresh_slots():
@@ -120,37 +116,14 @@ def test_layers_use_fresh_slots():
 
 
 def test_slot_invariant_enforced():
-    gates = (
-        TemplateGate("RX", (0,), slot=0),
-        TemplateGate("RZ", (0,), slot=0),  # duplicate slot
-    )
-    with pytest.raises(ValueError):
-        PqcTemplate("bad", 1, 1, gates, 2)
-    with pytest.raises(ValueError):
-        TemplateGate("RX", (0,), slot=1, angle=0.5)
-    # each gate runs GateOp's check when built, not at its first readout
-    for gate, targets, slot in (("FOO", (0,), None), ("RX", (0,), None), ("H", (0,), 0),
-                                ("CRX", (1, 1), 0), ("CNOT", (0,), None), ("RZ", (-1,), 0),
-                                ("RX", (0.7,), 0), ("RX", (True,), 0), ("RZ", (1.0,), 0),
-                                ("StatePrep", (0,), None)):
-        with pytest.raises(ValueError):
-            TemplateGate(gate, targets, slot=slot)
-    for field in ("n_qubits", "layers", "param_count"):
+    # a preset binds each slot once, and its size fields are integers, not booleans
+    for name in PRESETS:
+        tpl = PqcTemplate(name, 3, 2)
+        assert sorted(g.slot for g in tpl.gates) == list(range(tpl.param_count))
+    for field in ("n_qubits", "layers"):
         for bad in (2.5, True):
             with pytest.raises(ValueError, match=field):
-                PqcTemplate("t", **{"n_qubits": 1, "layers": 1, "param_count": 0, "gates": (),
-                                    field: bad})
-
-
-def test_fixed_angle_entries_apply():
-    gates = (
-        TemplateGate("RX", (0,), slot=0),
-        TemplateGate("RX", (0,), angle=np.pi / 2),
-    )
-    tpl = PqcTemplate("custom", 1, 1, gates, 1)
-    [out] = apply_pqc_stack(basis_stack(1, 0), tpl, np.array([np.pi / 2]))
-    # two quarter-turns = RX(pi): |0> -> |1>
-    assert np.allclose(np.diag(out).real, [0.0, 1.0], atol=1e-12)
+                PqcTemplate("pqc1", **{"n_qubits": 1, "layers": 1, field: bad})
 
 
 READOUT_NOISE = {
@@ -241,83 +214,12 @@ def test_heisenberg_readout_property(data):
     assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
 
 
-# every gate kind, fixed angles, a lower-case name, and two-qubit gates between
-# runs of single-qubit gates on the qubits they touch
-HAND_WRITTEN = {
-    "name": "hand", "n_qubits": 3, "layers": 1, "param_count": 7,
-    "gates": [
-        {"gate": "H", "targets": [0]},
-        {"gate": "RX", "targets": [1], "slot": 0},
-        {"gate": "RZ", "targets": [1], "angle": 0.7},
-        {"gate": "CNOT", "targets": [0, 2]},
-        {"gate": "RZ", "targets": [0], "slot": 1},
-        {"gate": "H", "targets": [2]},
-        {"gate": "crz", "targets": [2, 1], "slot": 2},
-        {"gate": "RX", "targets": [0], "angle": -1.3},
-        {"gate": "CRX", "targets": [1, 0], "slot": 3},
-        {"gate": "RZ", "targets": [2], "slot": 4},
-        {"gate": "RX", "targets": [2], "slot": 5},
-        {"gate": "CRZ", "targets": [0, 1], "angle": 2.1},
-        {"gate": "CNOT", "targets": [1, 2]},
-        {"gate": "RX", "targets": [1], "slot": 6},
-    ],
-}
-
-
-@pytest.mark.parametrize("noise", list(READOUT_NOISE))
-def test_hand_written_template_readout_matches_kraus_forward(noise, rng):
-    model = READOUT_NOISE[noise]
-    tpl = PqcTemplate.from_json(HAND_WRITTEN)
-    states = np.stack([random_density_matrix(rng, 3) for _ in range(4)])
-    for _ in range(3):
-        theta = rng.uniform(-np.pi, np.pi, tpl.param_count)
-        got = heisenberg_z(states, tpl, theta, model)
-        assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
-
-
-# no slots at all: param_count 0, so theta is an empty point or a stack of them
-FIXED_ONLY = {
-    "name": "fixed", "n_qubits": 2, "layers": 1, "param_count": 0,
-    "gates": [
-        {"gate": "H", "targets": [0]},
-        {"gate": "RX", "targets": [1], "angle": 1.0},
-        {"gate": "CNOT", "targets": [0, 1]},
-        {"gate": "CRZ", "targets": [1, 0], "angle": -0.7},
-        {"gate": "RZ", "targets": [0], "angle": 0.4},
-    ],
-}
-
-
-@pytest.mark.parametrize("noise", list(READOUT_NOISE))
-def test_template_without_slots_readout_matches_kraus_forward(noise, rng):
-    model = READOUT_NOISE[noise]
-    tpl = PqcTemplate.from_json(FIXED_ONLY)
-    states = np.stack([random_density_matrix(rng, 2) for _ in range(4)])
-    theta = np.zeros(0)
-    got = heisenberg_z(states, tpl, theta, model)
-    assert np.max(np.abs(got - schrodinger_z(states, tpl, theta, model))) <= 1e-12
-    stacked = heisenberg_z(states, tpl, np.zeros((2, 0)), model)
-    assert stacked.shape == (2, 4, 2)
-    assert np.array_equal(stacked[1], got)
-    for factors in factored_inputs(2, rng, model):
-        want = schrodinger_z(_expand(factors), tpl, theta, model)
-        assert np.max(np.abs(cone_z(factors, tpl, theta, model) - want)) <= 1e-12
-
-
-def test_template_without_gates_reads_out_plain_z(rng):
-    tpl = PqcTemplate("empty", 2, 1, (), 0)
-    states = np.stack([random_density_matrix(rng, 2) for _ in range(3)])
-    want = np.column_stack([expect_z_stack(states, q, 2) for q in range(2)])
-    assert np.max(np.abs(heisenberg_z(states, tpl, np.zeros(0), None) - want)) <= 1e-15
-
-
 @pytest.mark.parametrize("noise", list(READOUT_NOISE))
 def test_point_stack_readout_equals_one_point_at_a_time(noise, rng):
     # bit for bit, on dense states and on factored ones (pqc1 reads one grouped stack)
     model = READOUT_NOISE[noise]
     states = np.stack([random_density_matrix(rng, 3) for _ in range(4)])
-    templates = [build_template(name, 3, 2) for name in PRESETS]
-    for tpl in templates + [PqcTemplate.from_json(HAND_WRITTEN)]:
+    for tpl in [build_template(name, 3, 2) for name in PRESETS]:
         thetas = rng.uniform(-np.pi, np.pi, (3, tpl.param_count))
         for factors in [(states,)] + list(map(density_factors, factored_inputs(3, rng, model))):
             stacked = z_expectations(factors, tpl, thetas, model)
@@ -399,11 +301,9 @@ def test_plan_coefficients_give_each_gates_adjoint_map(name, noise, rng):
     # Kraus sums on explicit Pauli strings, laid out as simcore.pauli_form lays out a vector
     model = READOUT_NOISE[noise]
     k = len(name) - 1
-    tpl = PqcTemplate("one", k, 1, (TemplateGate(name, tuple(range(k)), slot=0),), 1)
-    [(gate, slots, coeffs)], _groups = _readout_plan(tpl, _noise_entries(tpl, model), (k,))
-    assert gate == name
+    coeffs = _trig_coefficients(name, noise_superop(model.entries_for(name) if model else (), k))
     thetas = np.concatenate([[0.0, np.pi, -np.pi, 2 * np.pi, 1e3], rng.uniform(-9, 9, 16)])
-    maps = _rotation_maps(thetas[:, None], ((gate, slots, coeffs),))[gate][:, 0]
+    maps = _rotation_maps(thetas[:, None], ((name, np.array([0]), coeffs),))[name][:, 0]
     strings = pauli_strings(k).reshape(4**k, 1 << k, 1 << k)
     kraus = [[np.kron(np.kron(np.eye(1 << q), op), np.eye(1 << (k - 1 - q))) for op in ch.operators]
              for q in range(k) for ch in (model.channels_for(name) if model else ())]

@@ -353,23 +353,6 @@ def test_training_step_estimates_through_spsa_estimate(monkeypatch):
     assert calls == [(4, {})] * -(-len(tr) // 8)  # four positional arguments, no keyword
 
 
-def test_template_without_slots_trains_and_evaluates():
-    # param_count 0: only the head learns, and the SPSA step is an empty vector
-    from quidlab.pqc import PqcTemplate, TemplateGate
-
-    tpl = PqcTemplate("fixed", 2, 1, (TemplateGate("RX", (1,), angle=1.0),
-                                      TemplateGate("CNOT", (0, 1))), 0)
-    ds = synth_clusters(2, 4, 8, spread=0.3, seed=2)
-    ds = ds.replace(features=scale_features(ds.features))
-    tr, te = split(ds, 0.75, stratified=True, seed=2)
-    model = init_model(EncoderConfig("angle", 2, 2), tpl, 2, seed=2)
-    report = train(model, tr, te, TrainConfig(epochs=2, batch_size=4, seed=5, shots=16))
-    assert report.model.theta.shape == (0,)
-    assert len(report.train_loss) == 2
-    assert 0.0 <= evaluate(report.model, te)[0] <= 1.0
-    assert forward(report.model, te.features[0]).shape == (2,)
-
-
 def test_adam_zero_gradient_is_identity():
     adam = _Adam((3,), lr=0.01)
     param = np.array([1.0, -2.0, 0.5])

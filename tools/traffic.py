@@ -11,7 +11,12 @@ thread (sys.settrace and threading.settrace), while it runs
 
 Then it prints one line per function or method under SRC/quidlab none of
 whose body lines ran, as `quidlab.<module>.<qualname>  <file>:<line>`, and
-a last line with the count. Code that runs only in pool worker processes is
+a line with their count. After them it prints, in the same form with the
+statement's first source line appended, each statement in the body of a
+function that did run that itself never ran (a compound statement counts
+as run when its header line ran), and a last line with their count. `raise`
+statements and `except` bodies are left out, as most guard inputs that no
+run gives. Code that runs only in pool worker processes is
 not seen: cli-sweep runs its experiment cells in two workers, but the golden
 experiment runs the same kind of cells here. Stdlib only; run with
 
@@ -30,6 +35,7 @@ import contextlib
 import importlib
 import io
 import json
+import linecache
 import os
 import sys
 import tempfile
@@ -42,8 +48,8 @@ WORKLOAD_ARGS = ["--seed", "1", "--seconds", "0", "--trace", "0"]
 REFUSED = ["train", "--no-such-flag"]
 
 
-def functions(package: str) -> list[tuple[str, str, int, range]]:
-    """(qualified name, file, def line, body lines) of every function in the package."""
+def functions(package: str) -> list[tuple[str, str, int, list]]:
+    """(qualified name, file, def line, body statements) of every function in the package."""
     found = []
 
     def visit(node, prefix, path):
@@ -54,8 +60,7 @@ def functions(package: str) -> list[tuple[str, str, int, range]]:
                 if (len(body) > 1 and isinstance(body[0], ast.Expr)
                         and isinstance(body[0].value, ast.Constant)):
                     body = body[1:]  # a docstring runs no line
-                found.append((f"{prefix}.{name}", path, child.lineno,
-                              range(body[0].lineno, child.end_lineno + 1)))
+                found.append((f"{prefix}.{name}", path, child.lineno, body))
                 visit(child, f"{prefix}.{name}", path)
             elif isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}.{name}", path)
@@ -67,6 +72,24 @@ def functions(package: str) -> list[tuple[str, str, int, range]]:
                 tree = ast.parse(fh.read())
             visit(tree, "quidlab" if file == "__init__.py" else f"quidlab.{file[:-3]}", path)
     return found
+
+
+def statements(body: list):
+    """The statements of a function body and of its nested blocks, but not a raise, an except
+    body, or a nested def or class, whose body is a function of its own."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not isinstance(node, ast.Raise):
+            yield node
+        for block in ("body", "orelse", "finalbody"):
+            yield from statements(getattr(node, block, []))
+
+
+def head(node) -> range:
+    """The lines of which one ran if node did: a compound statement's header, else all of it."""
+    body = getattr(node, "body", None)
+    return range(node.lineno, max(body[0].lineno, node.lineno + 1) if body else node.end_lineno + 1)
 
 
 @contextlib.contextmanager
@@ -139,11 +162,20 @@ def main(argv: list[str]) -> int:
         golden_runs(out)
         refused_run()
         workload_runs(os.path.join(os.path.dirname(src), "perfbench"))
-    unrun = [(name, path, line) for name, path, line, body in functions(package)
-             if not any((path, n) in hits for n in body)]
+    unrun, missed = [], []  # functions none of whose lines ran; unrun statements of the rest
+    for name, path, line, body in functions(package):
+        if not any((path, n) in hits for n in range(body[0].lineno, body[-1].end_lineno + 1)):
+            unrun.append((name, path, line))
+        else:
+            missed += [(name, path, node) for node in statements(body)
+                       if not any((path, n) in hits for n in head(node))]
     for name, path, line in unrun:
         print(f"{name}  {os.path.relpath(path, src)}:{line}")
     print(f"{len(unrun)} functions ran no line")
+    for name, path, node in missed:
+        text = linecache.getline(path, node.lineno).strip()
+        print(f"{name}  {os.path.relpath(path, src)}:{node.lineno}  {text}")
+    print(f"{len(missed)} statements of functions that ran never ran")
     return 0
 
 
