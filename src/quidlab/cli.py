@@ -20,7 +20,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,10 +29,11 @@ from .data import DEFAULT_RANGE, LabeledDataset, load_csv, read_json, save_csv, 
 from .data import synth_clusters, write_json, write_table
 from .defense import evaluate_ensemble, train_ensemble
 from .encode import EncoderConfig, scale_features
-from .errors import CapacityError, DataFormatError, DegenerateInputError, QuidlabError
+from .errors import CapacityError, DataFormatError, DataMismatchError, DegenerateInputError
+from .errors import QuidlabError
 from .ess import METRICS, _validate_metrics, canonical_metric, validate_ess
 from .noise import NoiseModel, load_noise_model
-from .pqc import PRESETS, build_template
+from .pqc import PRESETS, PqcTemplate, build_template
 from .poison import MODES, PoisonSpec, apply_poison, write_outcome_csv
 from .qnn import QnnModel, TrainConfig, evaluate, init_model, load_model, save_model, train
 from .simcore import finite, whole
@@ -187,10 +188,11 @@ class _Options:
             raise UsageError(f"--config: unknown key {', '.join(map(repr, unknown))}")
 
     def get(self, name: str, *default):
-        """The converted flag or config value, else default if given, else the table's."""
+        """The converted flag or config value, else default if given, else the table's; a key
+        that the command does not take reads as its default, whatever the config file says."""
         convert, table_default, _help = OPTIONS[name]
         value = getattr(self.args, name, None)
-        if value is None:
+        if value is None and name in self.args:
             value = self.file.get(name)
         if value is None:
             return default[0] if default else table_default
@@ -219,23 +221,20 @@ class _Options:
             return _configured(NoiseModel.from_error_rate, p, flag="--noise")
         return None
 
-    def dataset(self) -> tuple[LabeledDataset, str]:
+    def dataset(self) -> LabeledDataset:
+        path = self.get("data")
+        return self.synth() if path is None else load_csv(path, has_header=self.get("has_header"))
+
+    def tag(self) -> str:
+        """The dataset's name in results and seeds: --data's file name, else the draw's."""
         path = self.get("data")
         if path is not None:
-            ds = load_csv(path, has_header=self.get("has_header"))
-            return ds, os.path.basename(path)
-        ds = self.synth()
-        return ds, f"synth-c{ds.n_classes}-d{ds.dim}-s{self.get('seed')}"
+            return os.path.basename(path)
+        return f"synth-c{self.get('classes')}-d{self.get('dim')}-s{self.get('seed')}"
 
     def synth(self) -> LabeledDataset:
-        return _configured(
-            synth_clusters,
-            self.get("classes"),
-            self.get("dim"),
-            self.get("per_class"),
-            self.get("spread"),
-            seed=self.get("seed"),
-        )
+        return _configured(synth_clusters, self.get("classes"), self.get("dim"),
+                           self.get("per_class"), self.get("spread"), seed=self.get("seed"))
 
     def encoder_for(self, dim: int, kind: str | None = None) -> EncoderConfig:
         """The --encoder encoder (or the given kind); angle blocks cover dim features by default.
@@ -259,17 +258,31 @@ class _Options:
                              f"capacity of {cfg.capacity()} at {cfg.n_qubits} qubits")
         return cfg
 
-    def scaled_dataset(self) -> tuple[LabeledDataset, LabeledDataset, EncoderConfig, str]:
-        """(raw dataset, dataset scaled into the encoder range, encoder, dataset tag)."""
-        raw, tag = self.dataset()
-        cfg = self.encoder_for(raw.dim)
-        return raw, _scaled(raw, cfg), cfg, tag
-
-    def train_test(self, ds: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:
-        """The stratified --train-fraction split, seeded by --seed; an empty side is a usage
-        error naming the flag."""
-        return _configured(split, ds, self.get("train_fraction"), stratified=True,
-                           seed=self.get("seed"), flag="--train-fraction")
+    def prepare(self, training: bool = False) -> _Inputs:
+        """The command's inputs, each built once: the data, the --encoder encoder, the data
+        scaled into its range and the noise model. For training, also the training and test
+        sets (the --test file scaled with the same encoder, else the stratified
+        --train-fraction split, whose empty side is a usage error naming the flag), the
+        template and the training config seeded with --seed."""
+        raw = self.dataset()
+        encoder = self.encoder_for(raw.dim)
+        data, noise = _scaled(raw, encoder), self.noise_model()
+        if not training:
+            return _Inputs(raw, data, encoder, noise)
+        seed, test = self.get("seed"), self.get("test")
+        if test is None:
+            train_set, test_set = _configured(split, data, self.get("train_fraction"),
+                                              stratified=True, seed=seed,
+                                              flag="--train-fraction")
+        else:
+            train_set = data
+            test_set = _scaled(load_csv(test, has_header=self.get("has_header")), encoder)
+        template = _configured(build_template, self.get("pqc"), encoder.n_qubits,
+                               self.get("layers"))
+        training = _configured(TrainConfig, epochs=self.get("epochs"),
+                               learning_rate=self.get("lr"), batch_size=self.get("batch"),
+                               seed=seed, noise=noise, shots=self.get("shots"))
+        return _Inputs(raw, data, encoder, noise, train_set, test_set, template, training)
 
     def holdout(self, ds: LabeledDataset) -> float:
         """--holdout, checked to leave both sides of the ESS split it makes of ds non-empty."""
@@ -277,22 +290,30 @@ class _Options:
         _configured(split, ds, 1.0 - fraction, seed=self.get("seed"), flag="--holdout")
         return fraction
 
-    def train_config(self, seed: int, noise: NoiseModel | None) -> TrainConfig:
-        return _configured(
-            TrainConfig,
-            epochs=self.get("epochs"),
-            learning_rate=self.get("lr"),
-            batch_size=self.get("batch"),
-            seed=seed,
-            noise=noise,
-            shots=self.get("shots"),
-        )
-
     def resolved(self) -> dict:
         """The config file's keys with the given flags on top: itself a valid --config file."""
         merged = dict(self.file)
         merged.update((k, v) for k, v in vars(self.args).items() if k in OPTIONS and v is not None)
         return merged
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    """A command's prepared inputs (_Options.prepare); the last four are for training only."""
+
+    raw: LabeledDataset
+    data: LabeledDataset  # raw, scaled into the encoder's range
+    encoder: EncoderConfig
+    noise: NoiseModel | None
+    train_set: LabeledDataset | None = None
+    test_set: LabeledDataset | None = None
+    template: PqcTemplate | None = None
+    training: TrainConfig | None = None  # seeded with --seed
+
+    def model(self, seed: int) -> QnnModel:
+        """A new model on the one template, for the data's classes and features."""
+        return init_model(self.encoder, self.template, self.data.n_classes, seed=seed,
+                          n_features=self.data.dim)
 
 
 def _manifest(out: str, options: _Options, extra: dict | None = None) -> None:
@@ -346,14 +367,13 @@ def cmd_gen_data(options: _Options) -> int:
 
 def cmd_ess_validate(options: _Options) -> int:
     out = options.outdir()
-    _raw, ds, cfg, _tag = options.scaled_dataset()
-    model = options.noise_model()
+    inputs = options.prepare()
     metric = options.get("metric", None)
     metrics = [metric] if metric else list(METRICS)
-    holdout = options.holdout(ds)
+    holdout = options.holdout(inputs.data)
     rows, class_rows, summary = [], [], {}
     for metric, report in zip(metrics, _validate_metrics(
-            ds, cfg, metrics, model, holdout, options.get("seed"))):
+            inputs.data, inputs.encoder, metrics, inputs.noise, holdout, options.get("seed"))):
         rows.append([metric, report.accuracy, report.wall_seconds])
         class_rows.extend(report.class_rows())
         summary[metric] = report.to_json()
@@ -368,7 +388,7 @@ def cmd_ess_validate(options: _Options) -> int:
 
 def cmd_encode_compare(options: _Options) -> int:
     out = options.outdir()
-    ds, _tag = options.dataset()
+    ds = options.dataset()
     cfgs = [options.encoder_for(ds.dim, "angle"), options.encoder_for(ds.dim, "amplitude")]
     ds = _scaled(ds, cfgs[0])
     metric = options.get("metric")
@@ -397,15 +417,11 @@ def cmd_poison(options: _Options) -> int:
     if len(eps) != 1:
         raise UsageError("poison takes exactly one --epsilon value")
     mode = options.get("mode")
-    ds, scaled, cfg, _tag = options.scaled_dataset()
-    spec = PoisonSpec(
-        epsilon=eps[0],
-        mode=mode,
-        metric=options.get("metric"),
-        seed=options.get("seed"),
-        noise=options.noise_model(),
-    )
-    outcome = apply_poison(scaled, spec, cfg)
+    inputs = options.prepare()
+    ds, cfg = inputs.raw, inputs.encoder
+    spec = PoisonSpec(epsilon=eps[0], mode=mode, metric=options.get("metric"),
+                      seed=options.get("seed"), noise=inputs.noise)
+    outcome = apply_poison(inputs.data, spec, cfg)
     # labels (and, for bilevel, the drawn features) land on the raw dataset,
     # so an epsilon=0 run writes a byte-identical copy of the input
     written = ds.replace(labels=outcome.dataset.labels.copy())
@@ -424,28 +440,11 @@ def cmd_poison(options: _Options) -> int:
     return 0
 
 
-def _build_model(options: _Options, cfg: EncoderConfig, ds: LabeledDataset, seed: int) -> QnnModel:
-    template = _configured(build_template, options.get("pqc"), cfg.n_qubits, options.get("layers"))
-    return init_model(cfg, template, ds.n_classes, seed=seed, n_features=ds.dim)
-
-
 def cmd_train(options: _Options) -> int:
     out = options.outdir()
-    _raw, ds, cfg, _tag = options.scaled_dataset()
-    test_path = options.get("test")
+    inputs = options.prepare(training=True)
     seed = options.get("seed")
-    if test_path is not None:
-        train_set = ds
-        test_set = load_csv(test_path, has_header=options.get("has_header"))
-        if test_set.dim != ds.dim or test_set.n_classes > ds.n_classes:
-            raise DataFormatError(f"{test_path}: {test_set.dim} features and {test_set.n_classes} "
-                                  f"classes do not fit --data's {ds.dim} and {ds.n_classes}")
-        test_set = _scaled(test_set, cfg)
-    else:
-        train_set, test_set = options.train_test(ds)
-    model = _build_model(options, cfg, ds, seed)
-    noise = options.noise_model()
-    report = train(model, train_set, test_set, options.train_config(seed, noise))
+    report = train(inputs.model(seed), inputs.train_set, inputs.test_set, inputs.training)
     save_model(report.model, os.path.join(out, "model.json"), seed=seed)
     _write_curves(os.path.join(out, "curves.csv"),
                   zip(report.train_loss, report.test_loss, report.test_accuracy))
@@ -462,18 +461,8 @@ def cmd_evaluate(options: _Options) -> int:
     shots, seed = options.get("shots"), options.get("seed")
     out = options.outdir(required=False)
     model = load_model(model_path)
-    ds, tag = options.dataset()
-    if ds.n_classes > model.n_classes:
-        raise DataFormatError(f"{options.get('data') or tag}: label {ds.n_classes - 1} is "
-                              f"outside the checkpoint's {model.n_classes} classes")
-    if ds.dim > model.encoder.capacity():
-        raise DataFormatError(f"{options.get('data') or tag}: {ds.dim} features exceed the "
-                              f"checkpoint encoder's capacity of {model.encoder.capacity()}")
-    if model.n_features is not None and ds.dim != model.n_features:
-        raise DataFormatError(f"{options.get('data') or tag}: {ds.dim} features, but "
-                              f"{model_path} was trained on {model.n_features}")
-    ds = _scaled(ds, model.encoder)
-    acc, loss = evaluate(model, ds, noise=options.noise_model(), shots=shots, seed=seed)
+    data = _scaled(options.dataset(), model.encoder)
+    acc, loss = evaluate(model, data, noise=options.noise_model(), shots=shots, seed=seed)
     print(f"accuracy={acc:.4f} loss={loss:.4f}")
     if out:
         write_json(os.path.join(out, "eval.json"), {"accuracy": acc, "loss": loss})
@@ -506,30 +495,20 @@ def _run_experiment_cell(payload: dict) -> dict:
 def cmd_experiment(options: _Options) -> int:
     out = options.outdir()
     workers, emit_plot_data = options.get("workers"), options.get("emit_plot_data")
-    _raw, ds, cfg, tag = options.scaled_dataset()
-    seed = options.get("seed")
-    train_set, test_set = options.train_test(ds)
-    modes = options.get("modes")
-    eps_list = options.get("epsilon")
-    pqc_name = options.get("pqc")
-    metric = options.get("metric")
-    noise = options.noise_model()
+    inputs = options.prepare(training=True)
+    seed, tag = options.get("seed"), options.tag()
+    modes, eps_list = options.get("modes"), options.get("epsilon")
+    pqc_name, metric = options.get("pqc"), options.get("metric")
 
     keys = [(eps, mode) for eps in eps_list for mode in modes]
     payloads = []
     for eps, mode in keys:
         poison_seed = _derive_seed(seed, tag, pqc_name, eps, mode, "poison")
         train_seed = _derive_seed(seed, tag, pqc_name, eps, mode, "train")
-        spec = None if mode == "none" else PoisonSpec(eps, mode, metric, poison_seed, noise)
-        payloads.append(
-            {
-                "train_set": train_set,
-                "test_set": test_set,
-                "spec": spec,
-                "model": _build_model(options, cfg, ds, train_seed),
-                "config": options.train_config(train_seed, noise),
-            }
-        )
+        spec = None if mode == "none" else PoisonSpec(eps, mode, metric, poison_seed, inputs.noise)
+        payloads.append({"train_set": inputs.train_set, "test_set": inputs.test_set,
+                         "spec": spec, "model": inputs.model(train_seed),
+                         "config": replace(inputs.training, seed=train_seed)})
 
     workers = min(workers, len(payloads))  # a pool starts all its workers up front
     if workers > 1:
@@ -549,11 +528,8 @@ def cmd_experiment(options: _Options) -> int:
             errors[f"{eps}:{mode}"] = r["error"]
             tracebacks[f"{eps}:{mode}"] = r["traceback"]
             print(f"eps={eps} mode={mode}: FAILED ({r['error']})", file=sys.stderr)
-    write_table(
-        os.path.join(out, "results.csv"),
-        ["dataset", "pqc", "epsilon", "mode", "test_accuracy", "test_loss", "status"],
-        rows,
-    )
+    write_table(os.path.join(out, "results.csv"),
+                ["dataset", "pqc", "epsilon", "mode", "test_accuracy", "test_loss", "status"], rows)
     if emit_plot_data:
         for (eps, mode), r in cells:
             if r["status"] != "ok":
@@ -566,22 +542,20 @@ def cmd_experiment(options: _Options) -> int:
 
 def cmd_defend(options: _Options) -> int:
     out = options.outdir()
-    _raw, ds, cfg, tag = options.scaled_dataset()
-    seed = options.get("seed")
-    train_set, test_set = options.train_test(ds)
+    inputs = options.prepare(training=True)
+    seed, tag, noise = options.get("seed"), options.tag(), inputs.noise
+    train_set, test_set = inputs.train_set, inputs.test_set
     metric = options.get("metric")
-    noise = options.noise_model()
-    training = options.train_config(seed, noise)
     # partition's own rule, checked before the first training starts
     k = _configured(whole, options.get("k"), "k", 1, len(train_set))
     rows = []
     for eps in options.get("epsilon", [0.3]):
         poison_seed = _derive_seed(seed, tag, eps, "poison")
         train_seed = _derive_seed(seed, tag, eps, "train")
-        prototype = _build_model(options, cfg, ds, train_seed)
+        prototype = inputs.model(train_seed)
         spec = PoisonSpec(eps, "quid", metric, seed=poison_seed, noise=noise)
-        poisoned = apply_poison(train_set, spec, cfg).dataset
-        config = replace(training, seed=train_seed)
+        poisoned = apply_poison(train_set, spec, inputs.encoder).dataset
+        config = replace(inputs.training, seed=train_seed)
         undefended = train(prototype.copy(), poisoned, test_set, config)
         no_def_acc = undefended.test_accuracy[-1] if undefended.test_accuracy else float("nan")
         ensemble, _reports = train_ensemble(poisoned, test_set, config, prototype, k, train_seed)
@@ -589,11 +563,8 @@ def cmd_defend(options: _Options) -> int:
                                     seed=_derive_seed(train_seed, "vote"))
         rows.append([eps, no_def_acc, def_acc])
         print(f"eps={eps}: no-defense={no_def_acc:.4f} defense(k={k})={def_acc:.4f}")
-    write_table(
-        os.path.join(out, "defense.csv"),
-        ["epsilon", "no_defense_accuracy", "defense_accuracy"],
-        rows,
-    )
+    write_table(os.path.join(out, "defense.csv"),
+                ["epsilon", "no_defense_accuracy", "defense_accuracy"], rows)
     _manifest(out, options, {"k": k})
     return 0
 
@@ -657,7 +628,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_Options(args))
+        options = _Options(args)
+        try:
+            return args.func(options)
+        except DataMismatchError as exc:  # the library's rule; the CLI names the data:
+            # train's --test file, else --data, else the synthetic draw
+            source = options.get("test") or options.get("data") or options.tag()
+            raise DataFormatError(f"{source}: {exc}") from None
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, DataMismatchError
 from .simcore import finite, whole
 
 # synthetic feature range and default encoder scale range: one angle period
@@ -26,8 +26,9 @@ SYNTH_RETRIES = 1000  # draws of the class means before synth_clusters gives up
 
 def class_ids(labels, rows: int, n_classes: int | None = None,
               whose: str = "the dataset's") -> np.ndarray:
-    """labels as int64 class ids, one per row of rows; ValueError for any other shape, a
-    fractional or non-finite value, or (n_classes given) an id outside [0, n_classes)."""
+    """labels as int64 class ids, one per row of rows; ValueError for any other shape or a
+    fractional or non-finite value, DataMismatchError (n_classes given) for an id outside
+    [0, n_classes)."""
     values = np.asarray(labels)
     if values.shape != (rows,):
         raise ValueError(f"{values.size} labels for {rows} rows (labels of shape {values.shape})")
@@ -37,7 +38,7 @@ def class_ids(labels, rows: int, n_classes: int | None = None,
         if not integral.all():
             raise ValueError(f"labels must be whole numbers, got {values[~integral][0]}")
     if n_classes is not None and values.size and (values.min() < 0 or values.max() >= n_classes):
-        raise ValueError(f"labels outside {whose} {n_classes} classes")
+        raise DataMismatchError(f"labels outside {whose} {n_classes} classes")
     return values.astype(np.int64)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DEFAULT_RANGE
-from .errors import CapacityError, DegenerateInputError, ShapeError
+from .errors import CapacityError, DataMismatchError, DegenerateInputError
 from .noise import NoiseModel, noise_superop
 from .simcore import _PAULI, MAX_QUBITS, apply_superop_stack, finite
 from .simcore import pauli_pullback, whole
@@ -101,7 +101,7 @@ def _check_memory(need: float, what: str) -> None:
 
 def _check_dim(dim: int, cfg: EncoderConfig) -> None:
     if dim > cfg.capacity():
-        raise ShapeError(
+        raise DataMismatchError(
             f"{dim} features exceed {cfg.kind} encoder capacity {cfg.capacity()} "
             f"({cfg.n_qubits} qubits)"
         )

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import LabeledDataset, class_ids, read_json, write_json
 from .encode import EncoderConfig, _encode_factors, _feature_matrix, _rows
-from .errors import CapacityError, DataFormatError
+from .errors import DataFormatError, DataMismatchError, QuidlabError
 from .noise import NoiseModel
 from .pqc import PqcTemplate, _pull_back, _readout_factors
 from .simcore import finite, sample_shots, whole
@@ -206,16 +206,17 @@ def _encode(model: QnnModel, noise: NoiseModel | None, *sets) -> list:
     pqc._readout_factors gives them, int64 labels or None).
 
     Checks every set before it encodes any. Refuses an X that encode._feature_matrix
-    refuses (empty, or more than two axes), a width other than n_features (None:
-    unknown) and labels that data.class_ids refuses for X's rows and the model's
-    n_classes, each with ValueError.
+    refuses (empty, or more than two axes) and labels that data.class_ids refuses for X's
+    rows, with ValueError; a width other than n_features (None: unknown) and a label
+    outside the model's n_classes with DataMismatchError, as the encoder refuses a width
+    above its capacity.
     """
     checked = []
     for X, labels in sets:
         X = _feature_matrix(X)
         if model.n_features is not None and X.shape[1] != model.n_features:
-            raise ValueError(f"model is built for {model.n_features} features, "
-                             f"the data has {X.shape[1]}")
+            raise DataMismatchError(f"model is built for {model.n_features} features, "
+                                    f"the data has {X.shape[1]}")
         if labels is not None:
             labels = class_ids(labels, X.shape[0], model.n_classes, "the model's")
         checked.append((X, labels))
@@ -389,5 +390,5 @@ def load_model(path) -> QnnModel:
             n_classes=raw["n_classes"],
             n_features=None if version == 1 else raw["n_features"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError, CapacityError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, QuidlabError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint ({exc!r})") from exc

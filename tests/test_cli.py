@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -276,8 +281,6 @@ def test_mismatched_datasets_exit_3_naming_the_file(tmp_path, capsys, case):
 def run_capped(*argv, cap=3 << 30):
     """`python -m quidlab.cli argv` with its address space capped at cap bytes."""
     import resource
-    import subprocess
-    import sys
 
     def cap_address_space():  # an attempted allocation then fails fast instead of paging
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -389,9 +392,6 @@ def test_experiment_pool_never_outnumbers_cells(tmp_path, monkeypatch):
 
 def test_experiment_dead_pool_worker_exits_4_with_one_line(tmp_path):
     # a worker that dies abruptly, as under the OOM killer, breaks the pool
-    import subprocess
-    import sys
-
     script = tmp_path / "dying_cells.py"
     script.write_text(
         "import os, sys\n"
@@ -549,9 +549,6 @@ def test_experiment_records_failed_cells_and_continues(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "quidlab.cli", "gen-data", "--classes", "2",
@@ -760,12 +757,9 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("case", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
-def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
-    import subprocess
-    import sys
-
-    name, argv, fname, content, code = case
+def _bad_input_argv(tmp_path, case) -> list[str]:
+    """Writes a BAD_INPUTS case's file and an 8-row dataset under tmp_path; the case's argv."""
+    _name, argv, fname, content, _code = case
     data = tmp_path / "d.csv"
     data.write_text("".join(f"0.{i},1.{i},{i % 2}\n" for i in range(8)))
     target = tmp_path / fname
@@ -775,19 +769,76 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
         target.write_bytes(content)
     else:
         target.write_text(content)
-    argv = [a.format(f=tmp_path / fname, data=data) for a in argv]
-    proc = subprocess.run(
-        [sys.executable, "-m", "quidlab.cli", *argv, "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == code, proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
+    return [a.format(f=target, data=data) for a in argv] + ["--out", str(tmp_path / "out")]
+
+
+def _check_refusal(tmp_path, case, code, stderr) -> None:
+    name, _argv, fname, _content, expected = case
+    assert code == expected, stderr
+    assert len(stderr.strip().splitlines()) == 1, stderr
+    assert "Traceback" not in stderr
     if name.startswith("--"):
-        assert name.split()[0] in proc.stderr
+        assert name.split()[0] in stderr
     if name == "--config unknown key":
-        assert "epochz" in proc.stderr
+        assert "epochz" in stderr
+    if name.startswith("checkpoint"):  # every malformed checkpoint names its file
+        assert str(tmp_path / fname) in stderr
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_exit_code_and_one_line_message(tmp_path, case):
+    # in this process: argparse refuses through SystemExit, a warning would have been a
+    # second stderr line, and an exception that escapes main fails the row
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(_bad_input_argv(tmp_path, case))
+        except SystemExit as exc:
+            code = exc.code
+    assert not caught, [str(w.message) for w in caught]
+    _check_refusal(tmp_path, case, code, stderr.getvalue())
+
+
+# one row per exit code also runs as its own `python -m quidlab.cli` process
+ENTRY_POINT_ROWS = [c for c in BAD_INPUTS
+                    if c[0] in ("--qubits 0", "csv nan feature", "single-class reference split")]
+
+
+@pytest.mark.parametrize("case", ENTRY_POINT_ROWS, ids=[c[0] for c in ENTRY_POINT_ROWS])
+def test_bad_input_through_the_module_entry_point(tmp_path, case):
+    proc = subprocess.run([sys.executable, "-m", "quidlab.cli", *_bad_input_argv(tmp_path, case)],
+                          capture_output=True, text=True)
+    _check_refusal(tmp_path, case, proc.returncode, proc.stderr)
+
+
+def test_version_1_checkpoint_refuses_data_wider_than_its_encoder(tmp_path, capsys):
+    # a version-1 checkpoint has no n_features: its encoder's capacity of 8 bounds the width
+    model = tmp_path / "v1.json"
+    model.write_text(_checkpoint(encoder={"features_per_qubit": 4}))
+    data = tmp_path / "nine.csv"
+    data.write_text("".join(",".join(str(i + j) for j in range(9)) + f",{i % 2}\n"
+                            for i in range(6)))
+    assert run("evaluate", "--model", str(model), "--data", str(data)) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {data}: 9 features exceed"), err
+
+
+def test_each_command_builds_its_template_once(tmp_path, monkeypatch):
+    import quidlab.cli as cli
+
+    built = []
+    real = cli.build_template
+    monkeypatch.setattr(cli, "build_template", lambda *args: built.append(args) or real(*args))
+    data = gen(tmp_path, per_class="12")
+    common = ["--data", str(data), "--qubits", "4", "--epochs", "1"]
+    for argv in (["train", *common],
+                 ["experiment", *common, "--epsilon", "0,0.3", "--modes",
+                  "none,random_flip,quid"],
+                 ["defend", *common, "--epsilon", "0.2,0.4", "--k", "2"]):
+        built.clear()
+        assert run(*argv, "--out", str(tmp_path / argv[0])) == 0
+        assert built == [("pqc1", 4, 1)], argv[0]
 
 
 def _range_rules():
@@ -880,9 +931,6 @@ def test_every_range_message_starts_with_its_field(make, field):
 
 def test_main_calls_in_one_process_match_separate_runs(tmp_path):
     # the parser is built once per process, so a flag of one call must not reach the next
-    import subprocess
-    import sys
-
     from quidlab.cli import build_parser
 
     def argv(out, *flags):

@@ -12,7 +12,8 @@ and summary.json without its wall_seconds keys. Stdlib only; run with
     python tools/golden_cli.py SRC OUT
 
 where SRC is a tree's `src` directory and OUT an empty or new directory.
-A command that exits nonzero makes the tool exit 1.
+A command that exits nonzero makes the tool exit 1. A case in PRINTED takes
+no --out; what it prints goes to OUT/<case>.txt, so that the listing sees it.
 
     python tools/golden_cli.py --diff OUT_A OUT_B
 
@@ -40,8 +41,11 @@ PER_GATE_NOISE = {
     "h": [["amplitude_damping", 0.2], ["depolarizing", 0.0], ["depolarizing", 0.07]],
     "default": [["depolarizing", 0.05], ["amplitude_damping", 0.03]],
 }
+# written to OUT/config.json; the train-config case overrides its epochs with a flag
+CONFIG = {"pqc": "pqc6", "qubits": 3, "epochs": 5, "lr": 0.05, "batch": 16, "seed": 4}
 # (output directory name, subcommand arguments); {data} and {out} are filled in, and
-# --data {data} is added unless the arguments name their own --data
+# --data {data} is added unless the arguments name their own --data or synthetic
+# data (--per-class)
 COMMANDS = [
     ("ess-validate", ["ess-validate", "--noise", "0.05"]),
     # 8 features on 3 qubits: 3 features per qubit, the last block partial
@@ -73,34 +77,63 @@ COMMANDS = [
     ("train-label-gap", ["train", "--data", "{out}/label-gap.csv", *TRAIN]),
     ("experiment-label-gap", ["experiment", "--data", "{out}/label-gap.csv", "--modes",
                               "none,random_flip,quid", "--epsilon", "0.3", *TRAIN]),
+    # keys from OUT/config.json, and a flag that beats the file's epochs
+    ("train-config", ["train", "--config", "{out}/config.json", *TRAIN]),
+    # a separate test file, scaled with the training data's encoder
+    ("train-test", ["train", "--test", "{out}/label-gap.csv", *TRAIN]),
+    # synthetic data: its tag names the dataset in results.csv and seeds every cell
+    ("experiment-synthetic", ["experiment", "--classes", "3", "--dim", "5", "--per-class",
+                              "10", "--seed", "3", "--modes", "none,quid", "--epsilon", "0.3",
+                              *TRAIN]),
+    # pqc8 on 5 qubits keeps its light cones factored: the readout has 3 groups
+    ("train-pqc8-q5", ["train", "--pqc", "pqc8", "--qubits", "5", "--noise", "0.05", *TRAIN]),
+    # OUT/one-class.csv holds class 0 only: random flipping fails its cell, which writes no
+    # curves, and the run goes on
+    ("experiment-failed-cell", ["experiment", "--data", "{out}/one-class.csv", "--modes",
+                                "none,random_flip", "--epsilon", "0.3", "--emit-plot-data",
+                                *TRAIN]),
+    ("evaluate-printed", ["evaluate", "--model", "{out}/train-pqc8/model.json"]),
 ]
+PRINTED = {"evaluate-printed"}
 
 
 def commands(out: str):
-    """Each run's quidlab arguments in order, gen-data first, with outputs under OUT.
+    """Each run's (quidlab arguments, file for what it prints or None) in order, gen-data
+    first, with outputs under OUT.
 
-    Writes the input files that later runs read (the noise model, then the
-    label-gap copy of the generated data) before it yields the first run that
-    reads them, so the caller must finish each run before it asks for the next.
+    Writes the input files that later runs read (the noise model and the config, then
+    the label-gap and one-class copies of the generated data) before it yields the first
+    run that reads them, so the caller must finish each run before it asks for the next.
     """
     data = os.path.join(out, "data.csv")
-    with open(os.path.join(out, "per-gate-noise.json"), "w") as fh:
-        json.dump(PER_GATE_NOISE, fh)
-    yield ["gen-data", "--per-class", "20", "--out", data]
-    with open(data) as rows, open(os.path.join(out, "label-gap.csv"), "w") as fh:
-        fh.writelines(row for row in rows if row.rsplit(",", 1)[1].strip() != "2")
+    for name, payload in (("per-gate-noise.json", PER_GATE_NOISE), ("config.json", CONFIG)):
+        with open(os.path.join(out, name), "w") as fh:
+            json.dump(payload, fh)
+    yield ["gen-data", "--per-class", "20", "--out", data], None
+    with open(data) as fh:
+        rows = fh.readlines()
+    for name, keep in (("label-gap.csv", lambda label: label != "2"),
+                       ("one-class.csv", lambda label: label == "0")):
+        with open(os.path.join(out, name), "w") as fh:
+            fh.writelines(row for row in rows if keep(row.rsplit(",", 1)[1].strip()))
     for name, args in COMMANDS:
         args = [a.format(data=data, out=out) for a in args]
-        if "--data" not in args:
+        if "--data" not in args and "--per-class" not in args:
             args += ["--data", data]
-        yield [*args, "--out", os.path.join(out, name)]
+        if name in PRINTED:
+            yield args, os.path.join(out, name + ".txt")
+        else:
+            yield [*args, "--out", os.path.join(out, name)], None
 
 
-def run(env: dict, out: str, argv: list[str]) -> None:
+def run(env: dict, out: str, argv: list[str], printed: str | None) -> None:
     proc = subprocess.run([sys.executable, "-m", "quidlab.cli", *argv], cwd=out, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"exit {proc.returncode}: quidlab {' '.join(argv)}\n{proc.stderr}")
+    if printed is not None:
+        with open(printed, "w") as fh:
+            fh.write(proc.stdout)
 
 
 def _drop_wall_seconds(value):
@@ -175,8 +208,8 @@ def main(argv: list[str]) -> int:
     if os.listdir(out):
         sys.exit(f"{out} is not empty")
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    for argv in commands(out):
-        run(env, out, argv)
+    for argv, printed in commands(out):
+        run(env, out, argv, printed)
     found = results(out)
     print("\n".join(f"{hashlib.sha256(found[rel]).hexdigest()}  {rel}" for rel in sorted(found)))
     return 0

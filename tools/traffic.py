@@ -118,10 +118,10 @@ def traced(package: str):
 def golden_runs(out: str) -> None:
     from quidlab import cli
 
-    for argv in golden_cli.commands(out):
+    for argv, _printed in golden_cli.commands(out):
         if "--workers" in argv:
             argv[argv.index("--workers") + 1] = "1"
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         if code != 0:
             sys.exit(f"exit {code}: quidlab {' '.join(argv)}")
